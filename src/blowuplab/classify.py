@@ -254,7 +254,7 @@ def _refine_crossing(p: OdeParams, start: State, h: float, section) -> State:
     lo, hi = 0.0, h
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        s_mid = step_gauss6(p, start, mid, stage_tol=1e-15) if mid > 0 else start
+        s_mid = step_gauss6(p, start, mid) if mid > 0 else start
         f_mid = section(s_mid)
         if f_mid == 0.0:
             return s_mid
@@ -264,4 +264,4 @@ def _refine_crossing(p: OdeParams, start: State, h: float, section) -> State:
             hi = mid
         if hi - lo < 1e-16 * max(1.0, h):
             break
-    return step_gauss6(p, start, 0.5 * (lo + hi), stage_tol=1e-15)
+    return step_gauss6(p, start, 0.5 * (lo + hi))

@@ -68,10 +68,24 @@ def cumulative_u_integral(p: OdeParams, traj: Trajectory) -> np.ndarray:
     )
     out = np.empty(len(t))
     out[0] = 0.0
-    # extended-precision accumulation: the exponential identity amplifies
-    # even one coherent rounding ulp per segment over long trajectories
-    out[1:] = np.cumsum(seg.astype(np.longdouble)).astype(np.float64)
+    out[1:] = _compensated_cumsum(seg)
     return out
+
+
+def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
+    """Prefix sums of x with the rounding error of each addition added back.
+
+    The exponential g_k identity amplifies even one coherent rounding ulp
+    per segment over long trajectories.  The TwoSum error of every
+    running-sum step is exact, so adding the cumsum of those errors to
+    the float64 cumsum gives each prefix as if summed in twice the
+    working precision (Ogita, Rump & Oishi 2005, Algorithm Sum2).
+    """
+    s = np.cumsum(x)
+    prev = np.concatenate(([0.0], s[:-1]))
+    x_part = s - prev
+    err = (prev - (s - x_part)) + (x - x_part)
+    return s + np.cumsum(err)
 
 
 def check_energy_law(p: OdeParams, traj: Trajectory) -> float:

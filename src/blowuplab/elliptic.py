@@ -14,7 +14,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError
 from .integrate import step_gauss6
@@ -37,15 +36,13 @@ def K_agm(k: float) -> float:
     return math.pi / (2.0 * a)
 
 
-@functools.lru_cache(maxsize=1)
 def lemniscate_quarter_period() -> float:
     """First maximum location of sl: integral_0^1 dy / sqrt(1 - y^4).
 
-    The substitution y = sin(x) turns the singular endpoint into the
-    smooth integrand 1 / sqrt(1 + sin^2 x) on [0, pi/2].
+    The substitution y = sin(x) turns it into
+    integral_0^{pi/2} dx / sqrt(1 + sin^2 x) = K(1/sqrt 2) / sqrt 2.
     """
-    val, _ = quad(lambda x: 1.0 / math.sqrt(1.0 + math.sin(x) ** 2), 0.0, math.pi / 2, epsabs=1e-14, epsrel=1e-14)
-    return float(val)
+    return K_agm(math.sqrt(0.5)) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,7 @@ def _reference_table(n: int = 4096) -> LemniscaticTable:
     yps = np.empty(n + 1)
     ts[0], ys[0], yps[0] = 0.0, 0.0, 1.0
     for i in range(1, n + 1):
-        s = step_gauss6(p, s, h, stage_tol=1e-15, max_iter=50)
+        s = step_gauss6(p, s, h)
         ts[i], ys[i], yps[i] = i * h, s.u, s.v
     return LemniscaticTable(quarter, ts, ys, yps)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -108,7 +109,7 @@ def _check_finite(u: float, v: float) -> None:
 
 def _rk4_increment(p: OdeParams, u: float, v: float, h: float) -> tuple[float, float]:
     """State increment of one classical fourth-order Runge-Kutta step."""
-    f = lambda u, v: (v, p.A * u * v + p.B * u**3)
+    f = lambda u, v: (v, p.A * u * v + p.B * u * u * u)
     k1u, k1v = f(u, v)
     _check_finite(k1u, k1v)
     k2u, k2v = f(u + 0.5 * h * k1u, v + 0.5 * h * k1v)
@@ -129,119 +130,77 @@ def step_rk4(p: OdeParams, s: State, h: float) -> State:
     return State(s.t + h, s.u + du, s.v + dv)
 
 
-# 3-point Gauss-Legendre collocation tableau, held in extended precision:
-# stage arithmetic runs in longdouble so thousands of steps near blow-up
-# do not accumulate one float64 rounding ulp each
-_LD = np.longdouble
-_SQ15 = np.sqrt(_LD(15))
-_GL_A = np.array(
-    [
-        [_LD(5) / 36, _LD(2) / 9 - _SQ15 / 15, _LD(5) / 36 - _SQ15 / 30],
-        [_LD(5) / 36 + _SQ15 / 24, _LD(2) / 9, _LD(5) / 36 - _SQ15 / 24],
-        [_LD(5) / 36 + _SQ15 / 30, _LD(2) / 9 + _SQ15 / 15, _LD(5) / 36],
-    ],
-    dtype=_LD,
-)
-_GL_B = np.array([_LD(5) / 18, _LD(4) / 9, _LD(5) / 18], dtype=_LD)
-_GL_C = np.array([_LD(1) / 2 - _SQ15 / 10, _LD(1) / 2, _LD(1) / 2 + _SQ15 / 10], dtype=_LD)
+# 3-point Gauss-Legendre collocation tableau
+_SQ15 = math.sqrt(15.0)
+_A11, _A12, _A13 = 5.0 / 36.0, 2.0 / 9.0 - _SQ15 / 15.0, 5.0 / 36.0 - _SQ15 / 30.0
+_A21, _A22, _A23 = 5.0 / 36.0 + _SQ15 / 24.0, 2.0 / 9.0, 5.0 / 36.0 - _SQ15 / 24.0
+_A31, _A32, _A33 = 5.0 / 36.0 + _SQ15 / 30.0, 2.0 / 9.0 + _SQ15 / 15.0, 5.0 / 36.0
+_B1, _B2 = 5.0 / 18.0, 4.0 / 9.0
+_C1, _C3 = 0.5 - _SQ15 / 10.0, 0.5 + _SQ15 / 10.0
+# a sweep change within 4 eps of the stage scale is rounding noise
+_STAGE_RTOL = 4.0 * sys.float_info.epsilon
+# fixed-point sweeps allowed per step; a step that needs more is too long
+# for the iteration to contract, and the driver halves it
+_GAUSS6_MAX_SWEEPS = 40
 
 
-def _f_vec(p: OdeParams, y: np.ndarray) -> np.ndarray:
-    u, v = y
-    return np.array([v, p.A * u * v + p.B * u**3])
-
-
-def _jac(p: OdeParams, y: np.ndarray) -> np.ndarray:
-    u, v = y
-    return np.array([[0.0, 1.0], [p.A * v + 3.0 * p.B * u * u, p.A * u]])
-
-
-def _gauss6_increment(
-    p: OdeParams,
-    u: float,
-    v: float,
-    h: float,
-    stage_tol: float = 1e-13,
-    max_iter: int = 50,
-) -> tuple[float, float]:
+def _gauss6_increment(p: OdeParams, u: float, v: float, h: float) -> tuple[float, float]:
     """State increment of one 3-stage Gauss-Legendre (order 6) step.
 
-    Stage equations are solved by fixed-point iteration seeded with the
-    Euler prediction; if that fails to contract within 10 sweeps, a
-    Newton iteration on the 6-dimensional stage system takes over.
+    The stage increments Z_i = Y_i - y0 are solved by fixed-point
+    iteration seeded with the Euler prediction.  A component has
+    converged when its sweep change is within a few ulps of
+    max(1, |y0|, |Z_i|): rounding noise of that size never goes away,
+    so an absolute tolerance would never be met once |y| is large.
     """
-    y0 = np.array([u, v], dtype=_LD)
-    h = _LD(h)
-    f0 = _f_vec(p, y0)
-    if not np.all(np.isfinite(f0)):
-        raise NonFiniteError("right-hand side non-finite at step start")
-    # stage values Y_i, seeded with the Euler prediction along the nodes
-    Y = y0[None, :] + h * _GL_C[:, None] * f0[None, :]
-
-    def residual(Y):
-        F = np.array([_f_vec(p, Y[i]) for i in range(3)])
-        R = Y - y0[None, :] - h * (_GL_A @ F)
-        return R, F
-
+    A, B = p.A, p.B
+    fv = A * u * v + B * u * u * u
+    _check_finite(v, fv)
+    # Euler prediction along the nodes
+    z1u, z1v = _C1 * h * v, _C1 * h * fv
+    z2u, z2v = 0.5 * h * v, 0.5 * h * fv
+    z3u, z3v = _C3 * h * v, _C3 * h * fv
+    su, sv = max(1.0, abs(u)), max(1.0, abs(v))
     converged = False
-    for _ in range(10):
-        R, F = residual(Y)
-        if not np.all(np.isfinite(R)):
-            raise NonFiniteError("stage iteration overflowed")
-        Y_new = y0[None, :] + h * (_GL_A @ F)
-        delta = np.max(np.abs(Y_new - Y))
-        Y = Y_new
-        if delta <= stage_tol:
-            converged = True
+    for _ in range(_GAUSS6_MAX_SWEEPS):
+        y1u, y1v = u + z1u, v + z1v
+        y2u, y2v = u + z2u, v + z2v
+        y3u, y3v = u + z3u, v + z3v
+        f1u, f1v = y1v, A * y1u * y1v + B * y1u * y1u * y1u
+        f2u, f2v = y2v, A * y2u * y2v + B * y2u * y2u * y2u
+        f3u, f3v = y3v, A * y3u * y3v + B * y3u * y3u * y3u
+        if converged:  # the increment uses f at the converged stages
             break
-    if not converged:
-        # Newton on the stacked 6-dim system
-        for _ in range(max_iter):
-            R, F = residual(Y)
-            if not np.all(np.isfinite(R)):
-                raise NonFiniteError("stage iteration overflowed")
-            if np.max(np.abs(R)) <= stage_tol:
-                converged = True
-                break
-            J = np.eye(6)
-            stage_jacs = [_jac(p, Y[j].astype(np.float64)) for j in range(3)]
-            for i in range(3):
-                for j in range(3):
-                    J[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] -= float(h * _GL_A[i, j]) * stage_jacs[j]
-            try:
-                dz = np.linalg.solve(J, R.astype(np.float64).ravel())
-            except np.linalg.LinAlgError as exc:
-                raise StageSolveFailure("singular stage Jacobian") from exc
-            Y = Y - dz.reshape(3, 2)
-        else:
-            raise StageSolveFailure(f"stage equations not solved to {stage_tol} in {max_iter} iterations")
-        R, F = residual(Y)
-        if np.max(np.abs(R)) > stage_tol:
-            raise StageSolveFailure(f"stage residual {np.max(np.abs(R)):.3e} above tolerance")
-    # polish: two extra contraction sweeps push the stage defect from the
-    # stopping tolerance down to rounding level (factor ~ (h L)^2)
-    for _ in range(2):
-        F = np.array([_f_vec(p, Y[i]) for i in range(3)])
-        Y = y0[None, :] + h * (_GL_A @ F)
-    F = np.array([_f_vec(p, Y[i]) for i in range(3)])
-    dy = h * (_GL_B @ F)
-    _check_finite(y0[0] + dy[0], y0[1] + dy[1])
-    return float(dy[0]), float(dy[1])
+        n1u = h * (_A11 * f1u + _A12 * f2u + _A13 * f3u)
+        n1v = h * (_A11 * f1v + _A12 * f2v + _A13 * f3v)
+        n2u = h * (_A21 * f1u + _A22 * f2u + _A23 * f3u)
+        n2v = h * (_A21 * f1v + _A22 * f2v + _A23 * f3v)
+        n3u = h * (_A31 * f1u + _A32 * f2u + _A33 * f3u)
+        n3v = h * (_A31 * f1v + _A32 * f2v + _A33 * f3v)
+        converged = (
+            abs(n1u - z1u) <= _STAGE_RTOL * max(su, abs(n1u))
+            and abs(n1v - z1v) <= _STAGE_RTOL * max(sv, abs(n1v))
+            and abs(n2u - z2u) <= _STAGE_RTOL * max(su, abs(n2u))
+            and abs(n2v - z2v) <= _STAGE_RTOL * max(sv, abs(n2v))
+            and abs(n3u - z3u) <= _STAGE_RTOL * max(su, abs(n3u))
+            and abs(n3v - z3v) <= _STAGE_RTOL * max(sv, abs(n3v))
+        )
+        if not converged and not all(map(math.isfinite, (n1u, n1v, n2u, n2v, n3u, n3v))):
+            raise NonFiniteError("stage iteration overflowed")
+        z1u, z1v, z2u, z2v, z3u, z3v = n1u, n1v, n2u, n2v, n3u, n3v
+    else:
+        raise StageSolveFailure(f"stage iteration did not converge in {_GAUSS6_MAX_SWEEPS} sweeps")
+    du = h * (_B1 * (f1u + f3u) + _B2 * f2u)
+    dv = h * (_B1 * (f1v + f3v) + _B2 * f2v)
+    _check_finite(u + du, v + dv)
+    return du, dv
 
 
-def step_gauss6(
-    p: OdeParams,
-    s: State,
-    h: float,
-    stage_tol: float = 1e-13,
-    max_iter: int = 50,
-) -> State:
+def step_gauss6(p: OdeParams, s: State, h: float) -> State:
     """One step of the 3-stage Gauss-Legendre method (order 6)."""
     if h == 0.0:
         raise DomainError("step size must be nonzero")
-    if stage_tol <= 0:
-        raise DomainError("stage_tol must be positive")
-    du, dv = _gauss6_increment(p, s.u, s.v, h, stage_tol, max_iter)
+    du, dv = _gauss6_increment(p, s.u, s.v, h)
     return State(s.t + h, s.u + du, s.v + dv)
 
 

@@ -19,7 +19,7 @@ from blowuplab import (
     params_from_dimension,
 )
 from blowuplab.errors import InsufficientData, NotACharacteristicRoot
-from blowuplab.integrate import Trajectory
+from blowuplab.integrate import Termination, Trajectory
 
 
 def test_energy_and_gk_values():
@@ -53,6 +53,25 @@ def test_cumulative_integral_matches_log_cosh():
     exact = -np.log(np.cosh(traj.t))
     assert I[0] == 0.0
     assert np.max(np.abs(I - exact)) < 1e-10
+
+
+def test_cumulative_integral_matches_fsum_prefixes():
+    # with A = B = 0 and constant u' every higher Hermite term is exactly
+    # zero, so segment i is 0.5 h_i (u_i + u_{i+1}); values spread over 16
+    # decades make a plain float64 running sum miss by many ulps
+    p = params_from_coeffs(0.0, 0.0)
+    rng = np.random.default_rng(3)
+    n = 2000
+    t = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, n - 1))))
+    u = 10.0 ** rng.uniform(-8.0, 8.0, n)
+    states = [State(ti, ui, 1.0) for ti, ui in zip(t, u)]
+    traj = Trajectory(p, states, Termination("completed"), IntegratorKind.RK4, IntegrateOptions())
+    seg = 0.5 * np.diff(t) * (u[:-1] + u[1:])
+    ref = np.array([math.fsum(seg[:i]) for i in range(n)])
+    ulp = np.spacing(ref)
+    assert np.all(np.abs(cumulative_u_integral(p, traj) - ref) <= ulp)
+    plain = np.concatenate(([0.0], np.cumsum(seg)))
+    assert np.max(np.abs(plain - ref) / ulp) > 10.0
 
 
 def test_energy_law_residual_m4():

@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowuplab import (
     DomainError,
@@ -15,7 +18,7 @@ from blowuplab import (
     step_gauss6,
     step_rk4,
 )
-from blowuplab.errors import FitFailure
+from blowuplab.errors import FitFailure, NonFiniteError
 
 # tanh-sinh quadrature oracle for integral_0^inf dw / sqrt(1 + w^4)
 ESCAPE_TIME_UNIT_QUARTIC = 1.85407467730137191843385
@@ -47,8 +50,83 @@ def test_step_rejects_zero_h_and_bad_tol():
         step_rk4(p, s0, 0.0)
     with pytest.raises(DomainError):
         step_gauss6(p, s0, 0.0)
-    with pytest.raises(DomainError):
-        step_gauss6(p, s0, 0.1, stage_tol=-1.0)
+
+
+@pytest.mark.parametrize("stepper", [step_rk4, step_gauss6])
+@pytest.mark.parametrize("u, v", [(1e60, 0.0), (1.0, 1e200)])
+def test_steppers_raise_nonfinite_on_overflow(stepper, u, v):
+    # one contract for both steppers: an overflowing step is a
+    # NonFiniteError, never a bare OverflowError from u**3
+    p = params_from_coeffs(0.0, 2.0)
+    with pytest.raises(NonFiniteError):
+        stepper(p, State(0.0, u, v), 1.0)
+
+
+def test_gauss6_stage_solve_at_escape_states():
+    # on the way to |u| = 1e8, |v| grows past 1e15; the stage iteration
+    # must converge at every recorded state with the driver's cap step
+    p = params_from_coeffs(0.0, 2.0)
+    opts = IntegrateOptions(t_end=10.0, blowup_threshold=1e8)
+    traj = integrate(p, State(0.0, 0.0, 1.0), IntegratorKind.GAUSS6, opts)
+    assert traj.termination.kind == "blowup"
+    assert traj.termination.t_estimate == pytest.approx(ESCAPE_TIME_UNIT_QUARTIC, rel=1e-4)
+    assert np.max(np.abs(traj.v)) > 1e15
+    for s in traj.states:
+        step_gauss6(p, s, opts.h_cap_factor / max(1.0, abs(s.u)))
+
+
+def test_gauss6_converges_when_stage_increment_dwarfs_state():
+    # from v = 0 the v-stage increments h B u^3 are far larger than v
+    # itself; their rounding noise must not be measured against |v| alone
+    rng = np.random.default_rng(5)
+    n = 2000
+    A, B = rng.uniform(-3.0, 3.0, (2, n))
+    u = 10.0 ** rng.uniform(0.0, 7.0, n) * rng.choice([-1.0, 1.0], n)
+    frac = rng.uniform(0.01, 1.0, n)
+    for a, b, x, f in zip(A, B, u, frac):
+        rate = abs(a * x) + math.sqrt(abs(3.0 * b * x * x))
+        step_gauss6(params_from_coeffs(a, b), State(0.0, x, 0.0), 0.25 * f / rate)
+
+
+@st.composite
+def contracting_steps(draw):
+    """(params, u, v, h) with |h| times the local rate at most 0.25.
+
+    The rate is the Jacobian's scale plus the transport rate |v|/|u|:
+    without the latter, a tiny B lets one step carry u across decades,
+    where no fixed-point iteration contracts.
+    """
+    A = draw(st.floats(-3.0, 3.0))
+    B = draw(st.floats(-3.0, 3.0))
+    u = draw(st.floats(-1e7, 1e7))
+    v_max = max(1.0, u * u)
+    v = draw(st.floats(-v_max, v_max))
+    rate = abs(A * u) + math.sqrt(abs(A * v + 3.0 * B * u * u)) + abs(v) / max(1.0, abs(u))
+    h = draw(st.floats(1e-6, 1.0)) * draw(st.sampled_from((-1.0, 1.0)))
+    return params_from_coeffs(A, B), u, v, h * 0.25 / max(rate, 0.25)
+
+
+@settings(max_examples=500, deadline=None)
+@given(contracting_steps())
+def test_gauss6_is_symmetric(case):
+    # Gauss collocation is a symmetric method: step(h) then step(-h) is
+    # the identity up to rounding, at the magnitude the round trip visits
+    p, u, v, h = case
+    s1 = step_gauss6(p, State(0.0, u, v), h)
+    s2 = step_gauss6(p, s1, -h)
+    assert abs(s2.u - u) <= 1e-12 * max(1.0, abs(u), abs(s1.u))
+    assert abs(s2.v - v) <= 1e-12 * max(1.0, abs(v), abs(s1.v))
+
+
+@settings(max_examples=500, deadline=None)
+@given(contracting_steps())
+def test_gauss6_respects_u_to_minus_u_of_minus_t(case):
+    # if u(t) solves the ODE so does -u(-t): the step from (-u, v) over -h
+    # lands exactly on the mirror image of the step from (u, v) over h
+    p, u, v, h = case
+    s1 = step_gauss6(p, State(0.0, u, v), h)
+    m1 = step_gauss6(p, State(0.0, -u, v), -h)
+    assert (m1.u, m1.v) == (-s1.u, s1.v)
 
 
 def test_options_validation():
