@@ -15,7 +15,7 @@ from .closed_forms import (
     rate_A_C,
     sech_profile,
 )
-from .colehopf import ProfileF, eq0_residual_fd, eq0_residual_from_u, fill_eq0_residual, reconstruct_f
+from .colehopf import ProfileF, eq0_residual_fd, eq0_residual_from_u, reconstruct_f
 from .diagnostics import (
     DiagnosticsReport,
     check_energy_law,
@@ -26,7 +26,7 @@ from .diagnostics import (
     energy_drift,
     g_k,
 )
-from .elliptic import K_agm, LemniscaticTable, lemniscate_quarter_period, sl
+from .elliptic import K_agm, lemniscate_quarter_period, sl
 from .errors import (
     BlownUpTrajectory,
     BlowupLabError,

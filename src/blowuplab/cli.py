@@ -321,11 +321,11 @@ def cmd_elliptic(args: argparse.Namespace) -> int:
     if args.table:
         period = 4.0 * lemniscate_quarter_period()
         ts = np.linspace(0.0, period, args.n)
+        ys, dys = sl(ts)
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("t,sl,dsl\n")
-            for t in ts:
-                y, dy = sl(float(t))
-                fh.write(f"{_fmt(float(t))},{_fmt(y)},{_fmt(dy)}\n")
+            for t, y, dy in zip(ts.tolist(), ys.tolist(), dys.tolist()):
+                fh.write(f"{_fmt(t)},{_fmt(y)},{_fmt(dy)}\n")
         did_something = True
     if not did_something:
         print("nothing to do: give --quarter-period, --K, --sl or --table", file=sys.stderr)

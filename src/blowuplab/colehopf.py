@@ -8,14 +8,11 @@ third-order residual directly on f by high-order finite differences.
 """
 from __future__ import annotations
 
-import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .diagnostics import DiagnosticsReport
 from .errors import (
     BlownUpTrajectory,
     DomainError,
@@ -23,14 +20,12 @@ from .errors import (
     NonUniformGrid,
 )
 from .integrate import Trajectory
-from .model import OdeParams, rhs
 
 __all__ = [
     "ProfileF",
     "reconstruct_f",
     "eq0_residual_from_u",
     "eq0_residual_fd",
-    "fill_eq0_residual",
 ]
 
 
@@ -105,14 +100,3 @@ def eq0_residual_fd(profile: ProfileF, m: float) -> float:
     u = d1 / fc
     norm = np.maximum(1.0, fc**3 * np.maximum(1.0, np.abs(u)) ** 3)
     return float(np.max(np.abs(res) / norm))
-
-
-def fill_eq0_residual(report: DiagnosticsReport, p: OdeParams, traj: Trajectory) -> DiagnosticsReport:
-    """Attach the on-shell second-order-form residual to a report."""
-    if p.m is None:
-        raise DomainError("eq0 residual needs a source dimension")
-    worst = 0.0
-    for s in traj.states:
-        _, a = rhs(p, s)
-        worst = max(worst, abs(eq0_residual_from_u(p.m, s.u, s.v, a)))
-    return dataclasses.replace(report, eq0_residual_max=worst)

@@ -41,7 +41,6 @@ class DiagnosticsReport:
     energy_law_residual_max: float
     gk_identity_residual_max: float
     energy_drift_rel: float  # meaningful only when A = 0
-    eq0_residual_max: float = math.nan  # filled by the Cole-Hopf bridge
 
 
 def cumulative_u_integral(p: OdeParams, traj: Trajectory) -> np.ndarray:

@@ -1,25 +1,24 @@
 """Real-line lemniscatic sine, AGM elliptic integral, and the quarter period.
 
-sl solves (y')^2 = 1 - y^4 with y(0) = 0, y'(0) = 1.  It is realized by a
-dense reference table on one quarter period (built once with the order-6
-Gauss stepper at fixed small step) plus cubic Hermite interpolation and
-symmetry folding: sl is odd, reflects about the quarter period, and flips
-sign under a half-period shift.
+sl solves (y')^2 = 1 - y^4 with y(0) = 0, y'(0) = 1, equivalently
+y'' = -2 y^3.  It is the Jacobi function sd at parameter m = 1/2 with the
+argument scaled by sqrt(2), so one scipy.special.ellipj call gives sl and
+sl' on scalars and arrays alike.  Its quarter period, the first maximum,
+is K(1/sqrt 2) / sqrt 2, evaluated with the arithmetic-geometric mean.
 """
 from __future__ import annotations
 
-import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ellipj
 
 from .errors import DomainError
-from .integrate import step_gauss6
-from .model import State, params_from_coeffs
 
-__all__ = ["LemniscaticTable", "lemniscate_quarter_period", "K_agm", "sl"]
+__all__ = ["lemniscate_quarter_period", "K_agm", "sl"]
+
+_SQRT2 = math.sqrt(2.0)
 
 
 def K_agm(k: float) -> float:
@@ -45,67 +44,11 @@ def lemniscate_quarter_period() -> float:
     return K_agm(math.sqrt(0.5)) / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class LemniscaticTable:
-    """Dense (t, sl, sl') samples on [0, quarter_period]."""
+def sl(t: float | np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Lemniscatic sine and its derivative at real t (scalar or array).
 
-    quarter_period: float
-    t: np.ndarray
-    y: np.ndarray
-    yp: np.ndarray
-
-    def eval_quarter(self, t: float) -> tuple[float, float]:
-        """Cubic Hermite evaluation for t inside [0, quarter_period]."""
-        h = self.t[1] - self.t[0]
-        i = min(int(t / h), len(self.t) - 2)
-        s = (t - self.t[i]) / h
-        y0, y1 = self.y[i], self.y[i + 1]
-        d0, d1 = self.yp[i] * h, self.yp[i + 1] * h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        val = h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
-        dh00 = 6 * s * (s - 1)
-        dh10 = (1 - s) * (1 - 3 * s)
-        dh01 = -dh00
-        dh11 = s * (3 * s - 2)
-        der = (dh00 * y0 + dh10 * d0 + dh01 * y1 + dh11 * d1) / h
-        return float(val), float(der)
-
-
-@functools.lru_cache(maxsize=1)
-def _reference_table(n: int = 4096) -> LemniscaticTable:
-    # (y')^2 = 1 - y^4 differentiates to y'' = -2 y^3
-    p = params_from_coeffs(0.0, -2.0)
-    quarter = lemniscate_quarter_period()
-    h = quarter / n
-    s = State(0.0, 0.0, 1.0)
-    ts = np.empty(n + 1)
-    ys = np.empty(n + 1)
-    yps = np.empty(n + 1)
-    ts[0], ys[0], yps[0] = 0.0, 0.0, 1.0
-    for i in range(1, n + 1):
-        s = step_gauss6(p, s, h)
-        ts[i], ys[i], yps[i] = i * h, s.u, s.v
-    return LemniscaticTable(quarter, ts, ys, yps)
-
-
-def sl(t: float) -> tuple[float, float]:
-    """Lemniscatic sine and its derivative at real t."""
-    table = _reference_table()
-    Q = table.quarter_period
-    period = 4.0 * Q
-    r = math.fmod(t, period)
-    if r < 0:
-        r += period
-    sign = 1.0
-    if r >= 2.0 * Q:  # half-period shift flips sign
-        r -= 2.0 * Q
-        sign = -1.0
-    if r <= Q:
-        val, der = table.eval_quarter(r)
-    else:  # reflection about the quarter period
-        val, der = table.eval_quarter(2.0 * Q - r)
-        der = -der
-    return sign * val, sign * der
+    sl(t) = sd(sqrt(2) t | 1/2) / sqrt(2) and sl'(t) = cn / dn^2, with the
+    Jacobi functions at parameter m = 1/2 (DLMF 22.2, 22.13).
+    """
+    sn, cn, dn, _ = ellipj(_SQRT2 * t, 0.5)
+    return sn / (_SQRT2 * dn), cn / (dn * dn)

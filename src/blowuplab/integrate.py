@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import ellipkinc
 
 from .errors import DomainError, FitFailure, NonFiniteError, StageSolveFailure
 from .model import OdeParams, State, params_from_coeffs, rhs
@@ -348,20 +348,29 @@ def quadrature_blowup_time(Acoef: float, C: float, a: float) -> float:
     This is the escape time of v' = sqrt(Acoef v^4 + C) from v(0) = a.
     A vanishing radicand at the left endpoint is allowed (integrable
     inverse-square-root singularity); a radicand that turns negative
-    anywhere on [a, inf) is a domain error.
+    anywhere on [a, inf), or a divergent integral (C = 0, a <= 0), is a
+    domain error.
+
+    With lam = (|C| / Acoef)^(1/4) and x = a / lam the integral is an
+    incomplete elliptic integral F(phi | 1/2) (DLMF 19.2):
+    integral_x^inf dy / sqrt(y^4 + 1) = F(2 atan(1/x) | 1/2) / 2 and
+    integral_x^inf dy / sqrt(y^4 - 1) = F(atan(sqrt 2 / sqrt(x^2 - 1)) | 1/2) / sqrt 2.
     """
     if Acoef <= 0:
         raise DomainError("quartic coefficient must be positive")
     r_a = Acoef * a**4 + C
     if r_a < 0:
         raise DomainError("negative radicand at the left endpoint")
-    if C < 0:
-        v_star = (-C / Acoef) ** 0.25
-        if a < v_star:
-            raise DomainError("radicand vanishes inside the integration range")
-    # substitution v = a + s^2 removes the endpoint singularity
-    def g(s):
-        return 2.0 * s / math.sqrt(Acoef * (a + s * s) ** 4 + C)
-
-    val, _ = quad(g, 0.0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=400)
-    return float(val)
+    if C == 0:
+        if a <= 0:
+            raise DomainError("escape integral diverges for C = 0 and a <= 0")
+        return 1.0 / (math.sqrt(Acoef) * a)
+    lam = (abs(C) / Acoef) ** 0.25  # the turning point v* when C < 0
+    if C < 0 and a < lam:
+        raise DomainError("radicand vanishes inside the integration range")
+    x = a / lam
+    if C > 0:
+        return lam / math.sqrt(C) * float(ellipkinc(2.0 * math.atan2(1.0, x), 0.5)) / 2.0
+    # x^2 - 1 = r_a / (|C| (x^2 + 1)) carries fewer roundings than x * x - 1 near v*
+    phi = math.atan2(math.sqrt(2.0), math.sqrt(r_a / (-C * (x * x + 1.0))))
+    return lam / math.sqrt(-C) * float(ellipkinc(phi, 0.5)) / math.sqrt(2.0)

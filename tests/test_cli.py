@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from blowuplab.cli import main
+from blowuplab import sl
+from blowuplab.cli import _fmt, main
 
 
 def _read_csv(path):
@@ -181,6 +182,10 @@ def test_elliptic_sl_and_table(tmp_path, capsys):
     rows = _read_csv(out)
     assert len(rows) == 33
     assert float(rows[0]["sl"]) == 0.0
+    # the vectorised table agrees bitwise with scalar evaluation
+    for row in rows:
+        y, dy = sl(float(row["t"]))
+        assert (row["sl"], row["dsl"]) == (_fmt(y), _fmt(dy))
 
 
 def test_elliptic_requires_a_request(capsys):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -9,10 +7,8 @@ from blowuplab import (
     IntegratorKind,
     ProfileF,
     State,
-    diagnostics_report,
     eq0_residual_fd,
     eq0_residual_from_u,
-    fill_eq0_residual,
     integrate,
     params_from_dimension,
     reconstruct_f,
@@ -110,21 +106,3 @@ def test_log_derivative_roundtrip():
     u_exact = -np.tanh(prof.x[2:-2])
     assert np.max(np.abs(u_rec - u_exact)) < 1e-8
 
-
-def test_fill_eq0_residual():
-    p, traj = _m4_traj(t_end=2.0)
-    rep = diagnostics_report(p, traj)
-    assert math.isnan(rep.eq0_residual_max)
-    filled = fill_eq0_residual(rep, p, traj)
-    assert filled.eq0_residual_max < 1e-12
-
-
-def test_fill_eq0_requires_dimension():
-    from blowuplab import params_from_coeffs
-
-    p = params_from_coeffs(2.0, 0.0)
-    opts = IntegrateOptions(t_end=1.0)
-    traj = integrate(p, State(0.0, 0.0, -1.0), IntegratorKind.RK4, opts)
-    rep = diagnostics_report(p, traj)
-    with pytest.raises(DomainError):
-        fill_eq0_residual(rep, p, traj)

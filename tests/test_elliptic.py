@@ -3,7 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from blowuplab import DomainError, K_agm, lemniscate_quarter_period, sl
+from blowuplab import (
+    DomainError,
+    IntegrateOptions,
+    IntegratorKind,
+    K_agm,
+    State,
+    integrate,
+    lemniscate_quarter_period,
+    params_from_coeffs,
+    sl,
+)
 
 # tanh-sinh quadrature oracles
 QUARTER_PERIOD = 1.31102877714605990523235  # integral_0^1 dy / sqrt(1 - y^4)
@@ -28,19 +38,13 @@ def test_quarter_period_value():
     assert abs(lemniscate_quarter_period() - QUARTER_PERIOD) < 1e-12
 
 
-def test_quarter_period_agm_identity():
-    # (1/sqrt(2)) K(1/sqrt(2)) equals the lemniscatic quarter period
-    val = K_agm(1.0 / math.sqrt(2.0)) / math.sqrt(2.0)
-    assert abs(val - lemniscate_quarter_period()) < 1e-10
-
-
 def test_sl_at_origin_and_quarter_period():
     y, dy = sl(0.0)
     assert y == 0.0 and dy == 1.0
     Q = lemniscate_quarter_period()
     y, dy = sl(Q)
     assert abs(y - 1.0) < 1e-10
-    assert abs(dy) < 1e-6
+    assert abs(dy) < 1e-14
 
 
 def test_sl_is_odd():
@@ -56,8 +60,8 @@ def test_sl_half_period_antisymmetry():
     for t in (0.2, 0.7, 1.1):
         y, dy = sl(t)
         y2, dy2 = sl(t + 2.0 * Q)
-        assert abs(y2 + y) < 1e-10
-        assert abs(dy2 + dy) < 1e-10
+        assert abs(y2 + y) < 1e-12
+        assert abs(dy2 + dy) < 1e-12
 
 
 def test_sl_periodicity():
@@ -65,8 +69,8 @@ def test_sl_periodicity():
     for t in (0.0, 0.4, 1.3, 2.2):
         y, dy = sl(t)
         y2, dy2 = sl(t + 4.0 * Q)
-        assert abs(y2 - y) < 1e-9
-        assert abs(dy2 - dy) < 1e-9
+        assert abs(y2 - y) < 1e-12
+        assert abs(dy2 - dy) < 1e-12
 
 
 def test_sl_first_integral():
@@ -74,7 +78,7 @@ def test_sl_first_integral():
     rng = np.random.default_rng(5)
     for t in rng.uniform(-10.0, 10.0, size=50):
         y, dy = sl(float(t))
-        assert abs(dy * dy + y**4 - 1.0) < 1e-10
+        assert abs(dy * dy + y**4 - 1.0) < 1e-12
         assert abs(y) <= 1.0 + 1e-9
 
 
@@ -89,3 +93,15 @@ def test_sl_first_positive_zero():
         else:
             lo = mid
     assert abs(0.5 * (lo + hi) - 2.0 * Q) < 1e-6
+
+
+def test_sl_solves_its_ode():
+    # sl is the solution of y'' = -2 y^3 from (y, y') = (0, 1); compare
+    # with the Gauss6 trajectory over one full period
+    p = params_from_coeffs(0.0, -2.0)
+    opts = IntegrateOptions(t_end=4.0 * lemniscate_quarter_period(), local_tol=1e-12, h_max=1e-2)
+    traj = integrate(p, State(0.0, 0.0, 1.0), IntegratorKind.GAUSS6, opts)
+    assert traj.termination.kind == "completed"
+    y, dy = sl(traj.t)
+    assert np.max(np.abs(y - traj.u)) < 1e-12
+    assert np.max(np.abs(dy - traj.v)) < 1e-12

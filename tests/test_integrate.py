@@ -286,3 +286,59 @@ def test_quadrature_blowup_time_domain_errors():
         quadrature_blowup_time(1.0, -16.0, 1.0)  # radicand negative at v = 1
     with pytest.raises(DomainError):
         quadrature_blowup_time(1.0, -1.0, 0.5)  # radicand vanishes inside the range
+    # C = 0: integral_a^inf dv / (sqrt(A) v^2) diverges for every a <= 0
+    for a in (0.0, -1.0, -1e-3):
+        with pytest.raises(DomainError):
+            quadrature_blowup_time(1.0, 0.0, a)
+
+
+def _escape_time_cases(n=200, seed=11):
+    """Seeded (Acoef, C, a) over Acoef, |C| in [1e-3, 1e3] and all signs of C.
+
+    C > 0 takes left endpoints on both sides of 0; C < 0 takes endpoints
+    from the turning point v* = (|C|/Acoef)^(1/4) outward, a quarter of
+    them within 1e-8 relative of v*.  Closer in, one rounding of a moves
+    T by about 0.4 eps / sqrt(a/v* - 1) relative (the integral's own
+    condition number), which exceeds 1e-12 below a/v* - 1 ~ 1e-9.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(n):
+        Acoef = 10.0 ** rng.uniform(-3.0, 3.0)
+        C = 10.0 ** rng.uniform(-3.0, 3.0)
+        lam = (C / Acoef) ** 0.25
+        kind = i % 4
+        if kind == 0:
+            cases.append((Acoef, 0.0, lam * 10.0 ** rng.uniform(-2.0, 2.0)))
+        elif kind == 1:
+            cases.append((Acoef, C, lam * rng.uniform(-5.0, 5.0)))
+        elif kind == 2:
+            cases.append((Acoef, -C, lam * (1.0 + 10.0 ** rng.uniform(-6.0, 1.0))))
+        else:
+            cases.append((Acoef, -C, lam * (1.0 + 10.0 ** rng.uniform(-9.0, -8.0))))
+    return cases
+
+
+def test_quadrature_blowup_time_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    mp.dps = 40
+    worst = 0.0
+    try:
+        for Acoef, C, a in _escape_time_cases():
+            A_, C_, a_ = mp.mpf(Acoef), mp.mpf(C), mp.mpf(a)
+            if C < 0:
+                # v = a + s^2 removes the inverse-square-root endpoint singularity
+                r_a = A_ * a_**4 + C_
+                s_knee = mp.sqrt(mp.sqrt(r_a / (4 * A_ * a_**3)))
+                ref = mp.quad(
+                    lambda s: 2 * s / mp.sqrt(A_ * (a_ + s * s) ** 4 + C_),
+                    [0, s_knee, mp.sqrt(a_), mp.inf],
+                )
+            else:
+                ref = mp.quad(lambda v: 1 / mp.sqrt(A_ * v**4 + C_), [a_, max(a_, 0) + 1, mp.inf])
+            got = quadrature_blowup_time(Acoef, C, a)
+            worst = max(worst, float(abs(got - ref) / ref))
+    finally:
+        mp.dps = 15
+    assert worst < 1e-12
