@@ -26,7 +26,7 @@ from .diagnostics import (
     energy_drift,
     g_k,
 )
-from .elliptic import K_agm, lemniscate_quarter_period, sl
+from .elliptic import F_half, K_agm, lemniscate_quarter_period, sl
 from .errors import (
     BlownUpTrajectory,
     BlowupLabError,

@@ -9,7 +9,7 @@ ODE; both swap the time direction of any blow-up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .closed_forms import m4_constant_C
 from .errors import DomainError, Inconclusive
@@ -32,6 +32,11 @@ BLOWUP_FORWARD = "blowup_forward"
 BLOWUP_BACKWARD = "blowup_backward"
 NO_GLOBAL = "no_global_solution"
 UNCLASSIFIED = "unclassified"
+
+# relative slack on a t_bound comparison: a fitted blow-up time misses the
+# true one by about 1e-10 relative (criterion 4), and on the invariant
+# parabola the bound is the exact blow-up time
+_T_BOUND_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -185,12 +190,14 @@ def verify_verdict(p: OdeParams, u0: float, v0: float, verdict: Verdict, horizon
     if kind == BLOWUP_FORWARD:
         ok = t_fwd is not None
         if ok and verdict.detail and "t_bound" in verdict.detail:
-            ok = 0.0 < t_fwd <= verdict.detail["t_bound"]
+            t_bound = verdict.detail["t_bound"]
+            ok = 0.0 < t_fwd <= t_bound + _T_BOUND_SLACK * abs(t_bound)
         return VerdictCheck(ok, "forward blow-up", t_fwd, t_bwd, max_u)
     if kind == BLOWUP_BACKWARD:
         ok = t_bwd is not None
         if ok and verdict.detail and "t_bound" in verdict.detail:
-            ok = verdict.detail["t_bound"] <= t_bwd < 0.0
+            t_bound = verdict.detail["t_bound"]
+            ok = t_bound - _T_BOUND_SLACK * abs(t_bound) <= t_bwd < 0.0
         return VerdictCheck(ok, "backward blow-up", t_fwd, t_bwd, max_u)
     if kind == NO_GLOBAL:
         ok = t_fwd is not None or t_bwd is not None

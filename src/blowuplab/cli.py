@@ -17,7 +17,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -239,6 +238,9 @@ def cmd_portrait(args: argparse.Namespace) -> int:
 
     workers = _thread_count()
     if workers > 1 and len(tasks) > 1:
+        # loads multiprocessing, about 27 ms that serial runs need not pay
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             all_rows = list(pool.map(_portrait_one, tasks, chunksize=4))
     else:

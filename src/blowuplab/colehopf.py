@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import (
     BlownUpTrajectory,
@@ -42,23 +41,36 @@ class ProfileF:
 def reconstruct_f(traj: Trajectory, C: float, step: float | None = None) -> ProfileF:
     """f(x) = C exp(int_0^x u) on the trajectory's time range.
 
-    With ``step`` given, f is sampled on a uniform grid (cubic Hermite
-    interpolation of u between recorded states); otherwise at the
-    recorded times.
+    The integral is that of the cubic Hermite interpolant of (u, u')
+    between recorded states.  With ``step`` given, f is sampled on a
+    uniform grid; otherwise at the recorded times, which must increase.
     """
     if traj.termination.kind != "completed":
         raise BlownUpTrajectory(f"trajectory terminated with {traj.termination.kind}")
     if C <= 0:
         raise DomainError("scale constant must be positive")
     t, u, v = traj.t, traj.u, traj.v
-    spline = CubicHermiteSpline(t, u, v)
-    F = spline.antiderivative()
+    h = np.diff(t)
+    if np.any(h <= 0):
+        raise DomainError("recorded times must increase")
+    # exact integrals of the cubic Hermite interpolant of (u, u') over each step
+    F_t = np.concatenate(([0.0], np.cumsum(h * (0.5 * (u[:-1] + u[1:]) + h * (v[:-1] - v[1:]) / 12.0))))
     if step is None:
-        x = t
+        x, F = t, F_t
     else:
         n = int(round((t[-1] - t[0]) / step))
         x = t[0] + step * np.arange(n + 1)
-    f = C * np.exp(F(x) - F(t[0]))
+        i = np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(h) - 1)
+        hi, s = h[i], (x - t[i]) / h[i]
+        s2 = s * s
+        s3, s4 = s2 * s, s2 * s2
+        # antiderivatives of the Hermite basis functions from 0 to s
+        F = F_t[i] + hi * (
+            (0.5 * s4 - s3 + s) * u[i]
+            + (s3 - 0.5 * s4) * u[i + 1]
+            + hi * ((0.25 * s4 - 2.0 * s3 / 3.0 + 0.5 * s2) * v[i] + (0.25 * s4 - s3 / 3.0) * v[i + 1])
+        )
+    f = C * np.exp(F)
     return ProfileF(x=x, f=f, C=C, source=traj)
 
 

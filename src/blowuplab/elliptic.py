@@ -1,10 +1,13 @@
-"""Real-line lemniscatic sine, AGM elliptic integral, and the quarter period.
+"""Real-line lemniscatic sine, elliptic integrals at m = 1/2, quarter period.
 
 sl solves (y')^2 = 1 - y^4 with y(0) = 0, y'(0) = 1, equivalently
 y'' = -2 y^3.  It is the Jacobi function sd at parameter m = 1/2 with the
 argument scaled by sqrt(2), so one scipy.special.ellipj call gives sl and
-sl' on scalars and arrays alike.  Its quarter period, the first maximum,
-is K(1/sqrt 2) / sqrt 2, evaluated with the arithmetic-geometric mean.
+sl' on scalars and arrays alike; scipy.special is imported by the first
+sl call, not with this module.  The complete integral K comes from the
+arithmetic-geometric mean and the incomplete F(phi | 1/2) from Carlson's
+R_F, both in plain float arithmetic.  The quarter period of sl, its first
+maximum, is K(1/sqrt 2) / sqrt 2.
 """
 from __future__ import annotations
 
@@ -12,13 +15,19 @@ import math
 import sys
 
 import numpy as np
-from scipy.special import ellipj
 
 from .errors import DomainError
 
-__all__ = ["lemniscate_quarter_period", "K_agm", "sl"]
+__all__ = ["lemniscate_quarter_period", "K_agm", "F_half", "sl"]
 
 _SQRT2 = math.sqrt(2.0)
+# Carlson's stopping factor (3 eps)^(-1/6): once 4^-n times the initial
+# spread of the arguments falls below A_n, the fifth-degree series is
+# exact to rounding
+_RF_SPREAD = (3.0 * sys.float_info.epsilon) ** (-1.0 / 6.0)
+# scipy.special.ellipj, bound by the first sl call so that importing this
+# module does not load scipy
+_ellipj = None
 
 
 def K_agm(k: float) -> float:
@@ -35,13 +44,47 @@ def K_agm(k: float) -> float:
     return math.pi / (2.0 * a)
 
 
+_K_HALF = K_agm(math.sqrt(0.5))  # K at parameter m = 1/2
+
+
 def lemniscate_quarter_period() -> float:
     """First maximum location of sl: integral_0^1 dy / sqrt(1 - y^4).
 
     The substitution y = sin(x) turns it into
     integral_0^{pi/2} dx / sqrt(1 + sin^2 x) = K(1/sqrt 2) / sqrt 2.
     """
-    return K_agm(math.sqrt(0.5)) / math.sqrt(2.0)
+    return _K_HALF / _SQRT2
+
+
+def _carlson_rf(x: float, y: float, z: float) -> float:
+    """Carlson's symmetric integral R_F(x, y, z) for x, y, z >= 0, at most
+    one of them zero, by the duplication theorem (DLMF 19.36.1)."""
+    A = (x + y + z) / 3.0
+    Q = _RF_SPREAD * max(abs(A - x), abs(A - y), abs(A - z))
+    while Q >= A:
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+        A = (x + y + z) / 3.0
+        Q *= 0.25
+    X, Y = 1.0 - x / A, 1.0 - y / A
+    Z = -(X + Y)
+    E2 = X * Y - Z * Z
+    E3 = X * Y * Z
+    return (1.0 - E2 / 10.0 + E3 / 14.0 + E2 * E2 / 24.0 - 3.0 * E2 * E3 / 44.0) / math.sqrt(A)
+
+
+def F_half(phi: float) -> float:
+    """Incomplete elliptic integral of the first kind F(phi | 1/2) at real phi.
+
+    With r = phi - j pi and |r| <= pi/2,
+    F(phi | 1/2) = 2 j K + sin r R_F(cos^2 r, 1 - sin^2 r / 2, 1)
+    (DLMF 19.2.10, 19.25.5); K = K(1/sqrt 2) is a module constant.
+    """
+    j = round(phi / math.pi)
+    r = phi - j * math.pi
+    s, c = math.sin(r), math.cos(r)
+    return 2.0 * j * _K_HALF + s * _carlson_rf(c * c, 1.0 - 0.5 * s * s, 1.0)
 
 
 def sl(t: float | np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
@@ -50,5 +93,8 @@ def sl(t: float | np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
     sl(t) = sd(sqrt(2) t | 1/2) / sqrt(2) and sl'(t) = cn / dn^2, with the
     Jacobi functions at parameter m = 1/2 (DLMF 22.2, 22.13).
     """
-    sn, cn, dn, _ = ellipj(_SQRT2 * t, 0.5)
+    global _ellipj
+    if _ellipj is None:
+        from scipy.special import ellipj as _ellipj
+    sn, cn, dn, _ = _ellipj(_SQRT2 * t, 0.5)
     return sn / (_SQRT2 * dn), cn / (dn * dn)

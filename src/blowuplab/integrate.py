@@ -11,13 +11,13 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ellipkinc
 
+from .elliptic import F_half
 from .errors import DomainError, FitFailure, NonFiniteError, StageSolveFailure
-from .model import OdeParams, State, params_from_coeffs, rhs
+from .model import OdeParams, State, params_from_coeffs
 
 __all__ = [
     "IntegratorKind",
@@ -352,7 +352,8 @@ def quadrature_blowup_time(Acoef: float, C: float, a: float) -> float:
     domain error.
 
     With lam = (|C| / Acoef)^(1/4) and x = a / lam the integral is an
-    incomplete elliptic integral F(phi | 1/2) (DLMF 19.2):
+    incomplete elliptic integral F(phi | 1/2) (DLMF 19.2), evaluated by
+    elliptic.F_half:
     integral_x^inf dy / sqrt(y^4 + 1) = F(2 atan(1/x) | 1/2) / 2 and
     integral_x^inf dy / sqrt(y^4 - 1) = F(atan(sqrt 2 / sqrt(x^2 - 1)) | 1/2) / sqrt 2.
     """
@@ -370,7 +371,7 @@ def quadrature_blowup_time(Acoef: float, C: float, a: float) -> float:
         raise DomainError("radicand vanishes inside the integration range")
     x = a / lam
     if C > 0:
-        return lam / math.sqrt(C) * float(ellipkinc(2.0 * math.atan2(1.0, x), 0.5)) / 2.0
+        return lam / math.sqrt(C) * F_half(2.0 * math.atan2(1.0, x)) / 2.0
     # x^2 - 1 = r_a / (|C| (x^2 + 1)) carries fewer roundings than x * x - 1 near v*
     phi = math.atan2(math.sqrt(2.0), math.sqrt(r_a / (-C * (x * x + 1.0))))
-    return lam / math.sqrt(-C) * float(ellipkinc(phi, 0.5)) / math.sqrt(2.0)
+    return lam / math.sqrt(-C) * F_half(phi) / math.sqrt(2.0)

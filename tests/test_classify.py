@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,6 +144,23 @@ def test_verify_parabola_bound_respected():
     assert check.passed
     assert check.t_blow_forward is not None
     assert 0.0 < check.t_blow_forward <= v.detail["t_bound"]
+
+
+def test_verify_parabola_points_at_exact_bound():
+    # on the invariant parabola v = -u^2/6 the bound -1/(k u0) is the exact
+    # blow-up time, which the fitted estimate misses by about 4e-11
+    for u0, kind in ((-2.0, "blowup_forward"), (2.0, "blowup_backward")):
+        v = classify(P5, u0, -2.0 / 3.0)
+        assert v.kind == kind
+        assert abs(v.detail["t_bound"]) == pytest.approx(3.0, rel=1e-15)
+        assert verify_verdict(P5, u0, -2.0 / 3.0, v, horizon=50.0).passed
+
+
+def test_verify_rejects_bound_below_blowup_time():
+    for u0 in (-2.0, 2.0):
+        v = classify(P5, u0, -2.0 / 3.0)
+        shrunk = replace(v, detail={"t_bound": v.detail["t_bound"] * (1.0 - 1e-6)})
+        assert not verify_verdict(P5, u0, -2.0 / 3.0, shrunk, horizon=50.0).passed
 
 
 def test_verify_no_global_m8():

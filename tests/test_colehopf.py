@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 
 from blowuplab import (
     DomainError,
@@ -53,6 +54,20 @@ def test_reconstruct_rejects_blowup_and_bad_scale():
     _, good = _m4_traj(t_end=1.0)
     with pytest.raises(DomainError):
         reconstruct_f(good, C=0.0)
+    backward = integrate(params_from_dimension(4.0), State(0.0, 0.0, -1.0), IntegratorKind.RK4,
+                         IntegrateOptions(t_end=-1.0))
+    with pytest.raises(DomainError):
+        reconstruct_f(backward, C=1.0)
+
+
+def test_reconstruct_matches_scipy_hermite_spline():
+    # scipy's CubicHermiteSpline antiderivative integrates the same interpolant
+    p, traj = _m4_traj()
+    F = CubicHermiteSpline(traj.t, traj.u, traj.v).antiderivative()
+    for step in (None, 1e-2, 7e-3):
+        prof = reconstruct_f(traj, C=1.0, step=step)
+        ref = np.exp(F(prof.x) - F(traj.t[0]))
+        assert np.max(np.abs(prof.f - ref) / ref) < 1e-13
 
 
 def test_onshell_residual_vanishes():

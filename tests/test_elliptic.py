@@ -1,10 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import ellipkinc
 
 from blowuplab import (
     DomainError,
+    F_half,
     IntegrateOptions,
     IntegratorKind,
     K_agm,
@@ -18,6 +21,7 @@ from blowuplab import (
 # tanh-sinh quadrature oracles
 QUARTER_PERIOD = 1.31102877714605990523235  # integral_0^1 dy / sqrt(1 - y^4)
 K_099 = 3.35660052336119237603347  # K(0.99)
+EPS = sys.float_info.epsilon
 
 
 def test_K_agm_special_values():
@@ -105,3 +109,26 @@ def test_sl_solves_its_ode():
     y, dy = sl(traj.t)
     assert np.max(np.abs(y - traj.u)) < 1e-12
     assert np.max(np.abs(dy - traj.v)) < 1e-12
+
+
+def test_F_half_matches_ellipkinc():
+    # both sides carry rounding error: against 40-digit mpmath, F_half is
+    # within 3.1 eps and ellipkinc within 3.6 eps on this range, and their
+    # difference reaches 4.0 eps
+    phis = np.concatenate([np.linspace(-7.0, 7.0, 100001), 0.5 * math.pi * np.arange(-4, 5)])
+    ref = ellipkinc(phis, 0.5)
+    got = np.array([F_half(float(phi)) for phi in phis])
+    assert np.all(got[ref == 0.0] == 0.0)
+    nz = ref != 0.0
+    assert np.max(np.abs(got[nz] - ref[nz]) / np.abs(ref[nz])) <= 5.0 * EPS
+
+
+def test_F_half_complete_value_and_symmetries():
+    K = K_agm(math.sqrt(0.5))
+    assert F_half(0.5 * math.pi) == pytest.approx(K, rel=2.0 * EPS, abs=0.0)
+    assert F_half(math.pi) == 2.0 * K
+    for phi in np.linspace(-7.0, 7.0, 1001):
+        phi = float(phi)
+        assert F_half(-phi) == -F_half(phi)
+        shifted = F_half(phi + math.pi)
+        assert abs(shifted - (F_half(phi) + 2.0 * K)) <= 4.0 * EPS * (abs(F_half(phi)) + 2.0 * K)

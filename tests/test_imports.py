@@ -1,0 +1,39 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# run in a fresh interpreter: pytest and the other test modules have
+# already loaded scipy into this one
+PROBE = """
+import json, sys
+import blowuplab, blowuplab.cli
+loaded = {name: name in sys.modules for name in ("scipy", "multiprocessing", "concurrent.futures.process")}
+blowuplab.quadrature_blowup_time(1.0, 1.0, 0.3)
+loaded["scipy after quadrature_blowup_time"] = "scipy" in sys.modules
+p = blowuplab.params_from_dimension(4.0)
+opts = blowuplab.IntegrateOptions(t_end=1.0)
+traj = blowuplab.integrate(p, blowuplab.State(0.0, 0.0, -1.0), blowuplab.IntegratorKind.RK4, opts)
+blowuplab.reconstruct_f(traj, C=1.0, step=0.1)
+loaded["scipy after reconstruct_f"] = "scipy" in sys.modules
+blowuplab.sl(0.5)
+loaded["scipy.special after sl"] = "scipy.special" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_is_loaded_by_sl_alone():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "scipy": False,
+        "multiprocessing": False,
+        "concurrent.futures.process": False,
+        "scipy after quadrature_blowup_time": False,
+        "scipy after reconstruct_f": False,
+        "scipy.special after sl": True,
+    }
