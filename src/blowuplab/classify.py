@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .closed_forms import m4_constant_C
 from .errors import DomainError, Inconclusive
 from .integrate import (
@@ -156,8 +158,16 @@ def verify_verdict(p: OdeParams, u0: float, v0: float, verdict: Verdict, horizon
     """Integrate both time directions and confirm what the verdict claims."""
     if horizon <= 0:
         raise DomainError("horizon must be positive")
-    fwd = _run(p, u0, v0, horizon)
-    bwd = _run(p, u0, v0, -horizon)
+    kind = verdict.kind
+    t_bound = (verdict.detail or {}).get("t_bound")
+    # a claimed blow-up is checked out to its own bound, even past the horizon
+    t_fwd_end, t_bwd_end = horizon, -horizon
+    if kind == BLOWUP_FORWARD and t_bound is not None:
+        t_fwd_end = max(horizon, t_bound * (1.0 + _T_BOUND_SLACK))
+    if kind == BLOWUP_BACKWARD and t_bound is not None:
+        t_bwd_end = min(-horizon, t_bound * (1.0 + _T_BOUND_SLACK))
+    fwd = _run(p, u0, v0, t_fwd_end)
+    bwd = _run(p, u0, v0, t_bwd_end)
     for traj in (fwd, bwd):
         if traj.termination.kind in ("step_underflow", "max_steps"):
             raise Inconclusive(f"integration ended with {traj.termination.kind}")
@@ -165,7 +175,6 @@ def verify_verdict(p: OdeParams, u0: float, v0: float, verdict: Verdict, horizon
     t_bwd = estimate_blowup_time(bwd) if bwd.termination.kind == "blowup" else None
     max_u = max(float(abs(fwd.u).max()), float(abs(bwd.u).max()))
 
-    kind = verdict.kind
     if kind in (TRIVIAL, STATIONARY):
         ok = fwd.termination.kind == "completed" and bwd.termination.kind == "completed"
         drift = max(float(abs(fwd.u - u0).max()), float(abs(bwd.u - u0).max()))
@@ -189,14 +198,12 @@ def verify_verdict(p: OdeParams, u0: float, v0: float, verdict: Verdict, horizon
         return VerdictCheck(ok, reason, t_fwd, t_bwd, max_u)
     if kind == BLOWUP_FORWARD:
         ok = t_fwd is not None
-        if ok and verdict.detail and "t_bound" in verdict.detail:
-            t_bound = verdict.detail["t_bound"]
+        if ok and t_bound is not None:
             ok = 0.0 < t_fwd <= t_bound + _T_BOUND_SLACK * abs(t_bound)
         return VerdictCheck(ok, "forward blow-up", t_fwd, t_bwd, max_u)
     if kind == BLOWUP_BACKWARD:
         ok = t_bwd is not None
-        if ok and verdict.detail and "t_bound" in verdict.detail:
-            t_bound = verdict.detail["t_bound"]
+        if ok and t_bound is not None:
             ok = t_bound - _T_BOUND_SLACK * abs(t_bound) <= t_bwd < 0.0
         return VerdictCheck(ok, "backward blow-up", t_fwd, t_bwd, max_u)
     if kind == NO_GLOBAL:
@@ -232,19 +239,16 @@ def detect_period(p: OdeParams, s0: State, t_max: float, tol: float = 1e-5) -> P
         orient = lambda s: p.A * s.u * s.v + p.B * s.u**3
         o_ref = p.A * s0.u * s0.v + p.B * s0.u**3
 
-    states = traj.states
-    armed = False  # must leave the section before a return counts
+    rows = traj.states
+    sec = section(rows)  # the section function on every recorded state at once
+    # a return counts only after the orbit has left the section
+    away = np.flatnonzero(np.abs(sec[1:]) > 1e-8) + 1
+    armed = away[0] if len(away) else len(sec)
+    brackets = np.flatnonzero((sec[:-1] != 0.0) & (sec[:-1] * sec[1:] <= 0.0)) + 1
     best_closure = math.inf
-    for i in range(1, len(states)):
-        a, b = states[i - 1], states[i]
-        if not armed:
-            if abs(section(b)) > 1e-8:
-                armed = True
-            continue
-        sa, sb = section(a), section(b)
-        if sa == 0.0 or sa * sb > 0.0:
-            continue
-        crossing = _refine_crossing(p, a, b.t - a.t, section)
+    for i in brackets[brackets > armed]:
+        a = State(*rows[i - 1].tolist())
+        crossing = _refine_crossing(p, a, float(rows.t[i]) - a.t, section)
         if orient(crossing) * o_ref <= 0.0:
             continue
         closure = math.sqrt(

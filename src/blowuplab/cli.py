@@ -13,6 +13,7 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -60,55 +61,33 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config(args: argparse.Namespace, parser: "_TrackingParser") -> None:
-    """Fill argparse defaults from --config; explicit flags win."""
-    if not getattr(args, "config", None):
-        return
-    values = _load_config(args.config)
-    converters = {
-        a.dest: (bool if isinstance(a, argparse._StoreTrueAction) else a.type)
-        for a in parser._subparser_actions()
-    }
-    for key, raw in values.items():
-        if not hasattr(args, key):
-            raise ValueError(f"unknown config key {key!r}")
-        if key in args._explicit:
-            continue
-        convert = converters.get(key)
-        if convert is bool:
-            setattr(args, key, raw.lower() in ("1", "true", "yes", "on"))
-        elif convert is not None:
-            setattr(args, key, convert(raw))
+def _config_defaults(sub: argparse.ArgumentParser, path: str) -> dict:
+    """Option defaults of subcommand ``sub`` read from a --config file.
+
+    Each value is converted by its option's type (a flag takes
+    1/true/yes/on); keys that are not single-valued options of ``sub``
+    are errors.
+    """
+    actions = {a.dest: a for a in sub._actions if a.option_strings}
+    defaults = {}
+    for key, raw in _load_config(path).items():
+        action = actions.get(key)
+        if isinstance(action, argparse._StoreTrueAction):
+            defaults[key] = raw.lower() in ("1", "true", "yes", "on")
+        elif isinstance(action, argparse._StoreAction) and action.nargs is None:
+            defaults[key] = action.type(raw) if action.type else raw
         else:
-            setattr(args, key, raw)
+            raise ValueError(f"config key {key!r} is not a single-valued option of this command")
+    return defaults
 
 
-class _TrackingParser(argparse.ArgumentParser):
-    """Records which destinations were explicitly given, for --config."""
+class _Parser(argparse.ArgumentParser):
+    commands: dict[str, argparse.ArgumentParser]
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # let grid specs like -2:2:9 parse as option values, not flags
         self._negative_number_matcher = re.compile(r"^-[\d.:eE+-]+$")
-
-    def parse_args(self, argv=None, namespace=None):  # type: ignore[override]
-        args = super().parse_args(argv, namespace)
-        explicit = set()
-        seen = list(argv if argv is not None else sys.argv[1:])
-        for action in self._subparser_actions():
-            for opt in action.option_strings:
-                if any(tok == opt or tok.startswith(opt + "=") for tok in seen):
-                    explicit.add(action.dest)
-        args._explicit = explicit
-        return args
-
-    def _subparser_actions(self):
-        for action in self._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for sub in action.choices.values():
-                    yield from sub._actions
-            else:
-                yield action
 
 
 def _params_from_args(args: argparse.Namespace) -> OdeParams:
@@ -176,7 +155,10 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,u,du,e,g_kminus,g_kplus\n")
-        for s in traj.states:
+        # scalar energy and g_k on Python floats: numpy's array u**4 can
+        # differ from Python's by one ulp, and State rows read ten times
+        # faster than record-array rows
+        for s in itertools.starmap(State, traj.states.tolist()):
             gm = _fmt(g_k(s, p.k_minus)) if p.k_minus is not None else ""
             gp = _fmt(g_k(s, p.k_plus)) if p.k_plus is not None else ""
             fh.write(f"{_fmt(s.t)},{_fmt(s.u)},{_fmt(s.v)},{_fmt(energy(p, s))},{gm},{gp}\n")
@@ -211,8 +193,8 @@ def _portrait_one(task) -> list[tuple]:
             h0=1e-3, t_end=t_end, blowup_threshold=threshold, record_every=record_every
         )
         traj = integrate(p, State(0.0, u0, v0), IntegratorKind.RK4, opts)
-        for s in traj.states:
-            rows.append((idx, branch, s.t, s.u, s.v, traj.termination.kind))
+        kind = traj.termination.kind
+        rows += [(idx, branch, t, u, v, kind) for t, u, v in traj.states.tolist()]
     return rows
 
 
@@ -353,9 +335,10 @@ def _add_driver_flags(sp: argparse.ArgumentParser, record_every: int) -> None:
     sp.add_argument("--record-every", type=int, default=record_every)
 
 
-def build_parser() -> _TrackingParser:
-    parser = _TrackingParser(prog="blowuplab")
+def build_parser() -> _Parser:
+    parser = _Parser(prog="blowuplab")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # subcommand name -> its parser
 
     sp = sub.add_parser("integrate", help="integrate one initial condition")
     _add_model_flags(sp)
@@ -404,7 +387,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, parser)
+        if args.config:
+            # config values become the subcommand's defaults; a second parse
+            # lets every flag given on the command line override them
+            sub = parser.commands[args.command]
+            sub.set_defaults(**_config_defaults(sub, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (BlowupLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

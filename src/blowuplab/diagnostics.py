@@ -54,11 +54,9 @@ def cumulative_u_integral(p: OdeParams, traj: Trajectory) -> np.ndarray:
     t, u, v = traj.t, traj.u, traj.v
     a = p.A * u * v + p.B * u**3  # u'' on-shell
     j = p.A * (v * v + u * a) + 3.0 * p.B * u * u * v  # u''' on-shell
-    h = np.diff(t)
-    if traj.t_residual is not None:
-        # recover exact step sums: recorded stamps alone cannot resolve
-        # tiny near-blow-up steps against an O(1) time origin
-        h = h - np.diff(np.asarray(traj.t_residual))
+    # recover exact step sums: recorded stamps alone cannot resolve tiny
+    # near-blow-up steps against an O(1) time origin
+    h = np.diff(t) - np.diff(traj.t_residual)
     seg = (
         0.5 * h * (u[:-1] + u[1:])
         + 3.0 * h**2 / 28.0 * (v[:-1] - v[1:])

@@ -44,7 +44,9 @@ def K_agm(k: float) -> float:
     return math.pi / (2.0 * a)
 
 
-_K_HALF = K_agm(math.sqrt(0.5))  # K at parameter m = 1/2
+# K(1/sqrt 2) = Gamma(1/4)^2 / (4 sqrt(pi)), correctly rounded; K_agm gives
+# ...717 and the Gamma expression in floats ...723
+_K_HALF = 1.8540746773013719
 
 
 def lemniscate_quarter_period() -> float:

@@ -75,7 +75,9 @@ class Termination:
 @dataclass
 class Trajectory:
     params: OdeParams
-    states: list[State]
+    # one row per recorded state, float64 fields t, u, v; a row reads like
+    # a State (row.t, row.u, row.v) and .t/.u/.v are views of the columns
+    states: np.recarray
     termination: Termination
     integrator: IntegratorKind
     options: IntegrateOptions
@@ -84,19 +86,23 @@ class Trajectory:
     # of states[i] is t[i] - t_residual[i].  Recorded separately because
     # a float64 time stamp alone cannot resolve steps of size ~1e-5 near
     # blow-up to the accuracy the exponential g_k diagnostic needs.
-    t_residual: list[float] | None = None
+    t_residual: np.ndarray | None = None  # None means all zeros
+
+    def __post_init__(self):
+        if self.t_residual is None:
+            self.t_residual = np.zeros(len(self.states))
 
     @property
     def t(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
+        return self.states["t"]
 
     @property
     def u(self) -> np.ndarray:
-        return np.array([s.u for s in self.states])
+        return self.states["u"]
 
     @property
     def v(self) -> np.ndarray:
-        return np.array([s.v for s in self.states])
+        return self.states["v"]
 
 
 # ---------------------------------------------------------------------------
@@ -107,18 +113,24 @@ def _check_finite(u: float, v: float) -> None:
         raise NonFiniteError("stage value overflowed")
 
 
+# Stepper contract: increment(p, u, v, h) -> (du, dv) returns a finite
+# increment with u + du, v + dv finite, or raises NonFiniteError or
+# StageSolveFailure; the driver then halves h.
+
+
 def _rk4_increment(p: OdeParams, u: float, v: float, h: float) -> tuple[float, float]:
-    """State increment of one classical fourth-order Runge-Kutta step."""
+    """State increment of one classical fourth-order Runge-Kutta step.
+
+    A non-finite stage reaches du or dv, so one check at the end suffices.
+    """
     f = lambda u, v: (v, p.A * u * v + p.B * u * u * u)
     k1u, k1v = f(u, v)
-    _check_finite(k1u, k1v)
     k2u, k2v = f(u + 0.5 * h * k1u, v + 0.5 * h * k1v)
     k3u, k3v = f(u + 0.5 * h * k2u, v + 0.5 * h * k2v)
     k4u, k4v = f(u + h * k3u, v + h * k3v)
-    _check_finite(k4u, k4v)
     du = (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
     dv = (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    _check_finite(du, dv)
+    _check_finite(u + du, v + dv)
     return du, dv
 
 
@@ -204,12 +216,8 @@ def step_gauss6(p: OdeParams, s: State, h: float) -> State:
     return State(s.t + h, s.u + du, s.v + dv)
 
 
-def _increment(
-    p: OdeParams, u: float, v: float, h: float, kind: IntegratorKind
-) -> tuple[float, float]:
-    if kind is IntegratorKind.RK4:
-        return _rk4_increment(p, u, v, h)
-    return _gauss6_increment(p, u, v, h)
+# increment function and order of each method
+_STEPPERS = {IntegratorKind.RK4: (_rk4_increment, 4), IntegratorKind.GAUSS6: (_gauss6_increment, 6)}
 
 
 # ---------------------------------------------------------------------------
@@ -222,22 +230,19 @@ def integrate(p: OdeParams, s0: State, kind: IntegratorKind, opts: IntegrateOpti
     (t -> -t, v -> -v, A -> -A) forward and mapping the result back, so a
     single forward driver serves both directions.
     """
-    forward = opts.t_end >= s0.t
-    if forward:
-        return _integrate_forward(p, s0, kind, opts, direction=+1)
+    t0, u0, v0 = float(s0.t), float(s0.u), float(s0.v)
+    if opts.t_end >= t0:
+        return _integrate_forward(p, t0, u0, v0, kind, opts, direction=+1)
     p_rev = params_from_coeffs(-p.A, p.B)
-    p_rev = replace(p_rev, m=p.m)
-    s0_rev = State(-s0.t, s0.u, -s0.v)
     opts_rev = replace(opts, t_end=-opts.t_end)
-    traj = _integrate_forward(p_rev, s0_rev, kind, opts_rev, direction=-1)
-    states = [State(-s.t, s.u, -s.v) for s in traj.states]
+    traj = _integrate_forward(p_rev, -t0, u0, -v0, kind, opts_rev, direction=-1)
     term = traj.termination
     if term.kind == "blowup" and term.t_estimate is not None:
         term = replace(term, t_estimate=-term.t_estimate)
     if term.t_last is not None:
         term = replace(term, t_last=-term.t_last)
-    resid = [-r for r in traj.t_residual] if traj.t_residual is not None else None
-    return Trajectory(p, states, term, kind, opts, traj.n_steps, t_residual=resid)
+    states = np.rec.fromarrays([-traj.t, traj.u, -traj.v], names="t,u,v")
+    return Trajectory(p, states, term, kind, opts, traj.n_steps, t_residual=-traj.t_residual)
 
 
 def _kahan_add(x: float, comp: float, inc: float) -> tuple[float, float]:
@@ -249,20 +254,18 @@ def _kahan_add(x: float, comp: float, inc: float) -> tuple[float, float]:
 
 
 def _integrate_forward(
-    p: OdeParams, s0: State, kind: IntegratorKind, opts: IntegrateOptions, direction: int
+    p: OdeParams, t: float, u: float, v: float, kind: IntegratorKind, opts: IntegrateOptions,
+    direction: int,
 ) -> Trajectory:
-    order = 4 if kind is IntegratorKind.RK4 else 6
+    increment, order = _STEPPERS[kind]
     gain = 1.0 / (2**order - 1.0)
     # state accumulated by compensated summation of step increments, so
     # long runs do not pick up one coherent rounding ulp per step
-    t, u, v = s0.t, s0.u, s0.v
     ct = cu = cv = 0.0
     h = opts.h0
-    s = s0
-    states = [s0]
-    resid = [0.0]
+    rows = [(t, u, v, 0.0)]  # t, u, v and the t residual of each recorded state
     n_acc = 0
-    termination = None
+    termination = None  # stays None on blow-up
     while True:
         if t >= opts.t_end - 1e-15 * max(1.0, abs(opts.t_end)):
             termination = Termination("completed")
@@ -280,9 +283,9 @@ def _integrate_forward(
             termination = Termination("step_underflow", t_last=t)
             break
         try:
-            dfu, dfv = _increment(p, u, v, h, kind)
-            d1u, d1v = _increment(p, u, v, 0.5 * h, kind)
-            d2u, d2v = _increment(p, u + d1u, v + d1v, 0.5 * h, kind)
+            dfu, dfv = increment(p, u, v, h)
+            d1u, d1v = increment(p, u, v, 0.5 * h)
+            d2u, d2v = increment(p, u + d1u, v + d1v, 0.5 * h)
         except (NonFiniteError, StageSolveFailure):
             h *= 0.5
             continue
@@ -297,39 +300,34 @@ def _integrate_forward(
         u, cu = _kahan_add(u, cu, du)
         v, cv = _kahan_add(v, cv, dv)
         t, ct = _kahan_add(t, ct, h)
-        s = State(t, u, v)
         n_acc += 1
         if n_acc % opts.record_every == 0:
-            states.append(s)
-            resid.append(ct)
+            rows.append((t, u, v, ct))
         if abs(u) > opts.blowup_threshold or abs(v) > opts.blowup_threshold**2:
-            if states[-1] is not s:
-                states.append(s)
-                resid.append(ct)
-            try:
-                t_est = _blowup_time_from_states(states)
-            except FitFailure:
-                t_est = t
-            term = Termination("blowup", t_estimate=t_est, direction=direction)
-            return Trajectory(p, states, term, kind, opts, n_acc, t_residual=resid)
+            break
         if err > 0:
             h *= min(5.0, max(0.2, 0.9 * (opts.local_tol / err) ** (1.0 / (order + 1))))
         else:
             h *= 5.0
-    if states[-1] is not s:
-        states.append(s)
-        resid.append(ct)
-    return Trajectory(p, states, termination, kind, opts, n_acc, t_residual=resid)
+    if n_acc % opts.record_every:  # the last accepted state is always kept
+        rows.append((t, u, v, ct))
+    cols = np.array(rows).T
+    states = np.rec.fromarrays(cols[:3], names="t,u,v")
+    if termination is None:
+        try:
+            t_est = _blowup_time(cols[0], cols[1])
+        except FitFailure:
+            t_est = t
+        termination = Termination("blowup", t_estimate=t_est, direction=direction)
+    return Trajectory(p, states, termination, kind, opts, n_acc, t_residual=cols[3])
 
 
-def _blowup_time_from_states(states: list[State], min_u: float = 1e3) -> float:
+def _blowup_time(t: np.ndarray, u: np.ndarray, min_u: float = 1e3) -> float:
     """Fit 1/u affine in t on the blow-up tail and return its root."""
-    tail = [s for s in states if abs(s.u) >= min_u][-20:]
+    tail = np.flatnonzero(np.abs(u) >= min_u)[-20:]
     if len(tail) < 4:
         raise FitFailure(f"only {len(tail)} tail samples with |u| >= {min_u}")
-    t = np.array([s.t for s in tail])
-    w = np.array([1.0 / s.u for s in tail])
-    slope, intercept = np.polyfit(t, w, 1)
+    slope, intercept = np.polyfit(t[tail], 1.0 / u[tail], 1)
     if slope == 0.0 or not math.isfinite(slope) or not math.isfinite(intercept):
         raise FitFailure("degenerate blow-up tail fit")
     return float(-intercept / slope)
@@ -339,7 +337,7 @@ def estimate_blowup_time(traj: Trajectory) -> float:
     """Blow-up time from the asymptotic model u ~ c/(T - t)."""
     if traj.termination.kind != "blowup":
         raise FitFailure("trajectory did not terminate in blow-up")
-    return _blowup_time_from_states(traj.states)
+    return _blowup_time(traj.t, traj.u)
 
 
 def quadrature_blowup_time(Acoef: float, C: float, a: float) -> float:

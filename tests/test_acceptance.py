@@ -55,7 +55,7 @@ def test_criterion_01_m4_closed_form_reproduction():
     assert worst <= 1e-7
 
     # one increasing-time trajectory spanning [-5, 5] for reconstruction
-    states = list(reversed(bwd.states))[:-1] + fwd.states
+    states = np.concatenate((bwd.states[::-1][:-1], fwd.states)).view(np.recarray)
     both = Trajectory(p, states, fwd.termination, fwd.integrator, fwd.options)
     prof = reconstruct_f(both, C=1.0)
     f = prof.f / prof.f[np.argmin(np.abs(prof.x))]  # normalize at t = 0

@@ -163,6 +163,22 @@ def test_verify_rejects_bound_below_blowup_time():
         assert not verify_verdict(P5, u0, -2.0 / 3.0, shrunk, horizon=50.0).passed
 
 
+def test_verify_blowup_bound_beyond_horizon():
+    # t_bound lies past the horizon of 50; the claimed blow-up is checked
+    # out to the bound (it happens at about -184.0 and 75.5)
+    for p, u0, v0, kind in (
+        (P5, 0.017425351017666624, -0.0007791294921964953, "blowup_backward"),
+        (P9, 0.002390275606063308, 0.0022000072518919556, "blowup_forward"),
+    ):
+        v = classify(p, u0, v0)
+        assert v.kind == kind
+        assert abs(v.detail["t_bound"]) > 50.0
+        check = verify_verdict(p, u0, v0, v, horizon=50.0)
+        assert check.passed
+        t_blow = check.t_blow_forward if kind == "blowup_forward" else check.t_blow_backward
+        assert 50.0 < abs(t_blow) < abs(v.detail["t_bound"])
+
+
 def test_verify_no_global_m8():
     v = classify(P8, 1.0, 1.0 / 3.0)
     check = verify_verdict(P8, 1.0, 1.0 / 3.0, v, horizon=10.0)

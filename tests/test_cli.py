@@ -111,6 +111,40 @@ def test_config_file_fills_defaults_but_flags_win(tmp_path):
     assert abs(float(rows[-1]["t"]) - 2.0) < 1e-9  # flag beats config
 
 
+def test_config_loses_to_abbreviated_flags(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("local_tol = 1e-3\nintegrator = gauss6\n")
+    base = ["integrate", "--m", "5", "--u0", "0.5", "--t-end", "1"]
+    main(base + ["--local-tol", "1e-12", "--out", str(tmp_path / "ref.csv")])
+    rc = main(base + ["--config", str(cfg), "--local", "1e-12", "--integ", "rk4",
+                      "--out", str(tmp_path / "c.csv")])
+    assert rc == 0
+    ref = json.loads((tmp_path / "ref.json").read_text())
+    side = json.loads((tmp_path / "c.json").read_text())
+    assert side["integrator"] == "rk4"
+    assert side["n_steps"] == ref["n_steps"]
+
+
+def test_config_flag_values(tmp_path, capsys):
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text("quarter_period = yes\n")
+    assert main(["elliptic", "--config", str(cfg)]) == 0
+    assert abs(float(capsys.readouterr().out) - 1.31102877714605990523235) < 1e-12
+
+
+@pytest.mark.parametrize("command, line", [
+    (["integrate", "--m", "4", "--t-end", "1"], "func = 3"),
+    (["integrate", "--m", "4", "--t-end", "1"], "command = portrait"),
+    (["elliptic"], "K = 0.5"),
+])
+def test_config_rejects_non_option_keys(tmp_path, capsys, command, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main(command + ["--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and line.split()[0] in err
+
+
 def test_portrait_outputs(tmp_path, monkeypatch):
     monkeypatch.setenv("BLOWUPLAB_THREADS", "1")
     out = tmp_path / "p.csv"
@@ -136,6 +170,17 @@ def test_portrait_negative_grid_bounds_parse(tmp_path, monkeypatch):
     rc = main(["portrait", "--m", "4", "--grid", "-2:2:2", "-0.5:0.5:2",
                "--horizon", "1", "--out", str(out)])
     assert rc == 0
+
+
+def test_portrait_pool_matches_serial(tmp_path, monkeypatch):
+    outputs = []
+    for threads in ("2", "1"):
+        monkeypatch.setenv("BLOWUPLAB_THREADS", threads)
+        out = tmp_path / f"p{threads}.csv"
+        assert main(["portrait", "--m", "5", "--grid", "-1:1:3", "-1:1:3",
+                     "--horizon", "3", "--out", str(out)]) == 0
+        outputs.append((out.read_bytes(), (tmp_path / f"p{threads}.json").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_classify_grid_with_verification(tmp_path):

@@ -64,7 +64,7 @@ def test_cumulative_integral_matches_fsum_prefixes():
     n = 2000
     t = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, n - 1))))
     u = 10.0 ** rng.uniform(-8.0, 8.0, n)
-    states = [State(ti, ui, 1.0) for ti, ui in zip(t, u)]
+    states = np.rec.fromarrays([t, u, np.ones(n)], names="t,u,v")
     traj = Trajectory(p, states, Termination("completed"), IntegratorKind.RK4, IntegrateOptions())
     seg = 0.5 * np.diff(t) * (u[:-1] + u[1:])
     ref = np.array([math.fsum(seg[:i]) for i in range(n)])

@@ -17,16 +17,24 @@ from blowuplab import (
     params_from_coeffs,
     sl,
 )
+from blowuplab.elliptic import _K_HALF
 
 # tanh-sinh quadrature oracles
 QUARTER_PERIOD = 1.31102877714605990523235  # integral_0^1 dy / sqrt(1 - y^4)
 K_099 = 3.35660052336119237603347  # K(0.99)
+K_HALF = 1.8540746773013719  # K(1/sqrt 2), correctly rounded
 EPS = sys.float_info.epsilon
 
 
 def test_K_agm_special_values():
     assert K_agm(0.0) == pytest.approx(math.pi / 2.0, rel=1e-15)
     assert K_agm(0.99) == pytest.approx(K_099, rel=1e-14)
+
+
+def test_K_half_is_correctly_rounded():
+    mpmath = pytest.importorskip("mpmath")
+    assert K_HALF == float(mpmath.ellipk(0.5))
+    assert _K_HALF == float(mpmath.ellipk(0.5))
 
 
 def test_K_agm_domain():
@@ -124,7 +132,7 @@ def test_F_half_matches_ellipkinc():
 
 
 def test_F_half_complete_value_and_symmetries():
-    K = K_agm(math.sqrt(0.5))
+    K = K_HALF
     assert F_half(0.5 * math.pi) == pytest.approx(K, rel=2.0 * EPS, abs=0.0)
     assert F_half(math.pi) == 2.0 * K
     for phi in np.linspace(-7.0, 7.0, 1001):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from blowuplab import (
     step_rk4,
 )
 from blowuplab.errors import FitFailure, NonFiniteError
+from blowuplab.integrate import _STEPPERS
 
 # tanh-sinh quadrature oracle for integral_0^inf dw / sqrt(1 + w^4)
 ESCAPE_TIME_UNIT_QUARTIC = 1.85407467730137191843385
@@ -60,6 +62,16 @@ def test_steppers_raise_nonfinite_on_overflow(stepper, u, v):
     p = params_from_coeffs(0.0, 2.0)
     with pytest.raises(NonFiniteError):
         stepper(p, State(0.0, u, v), 1.0)
+
+
+@pytest.mark.parametrize("kind", list(IntegratorKind))
+@pytest.mark.parametrize("u, v", [(1e60, 0.0), (1.0, 1e200)])
+def test_increment_raises_instead_of_overflowing(kind, u, v):
+    # the driver calls the increments directly and halves h on
+    # NonFiniteError, so an increment never returns a non-finite state
+    increment, _ = _STEPPERS[kind]
+    with pytest.raises(NonFiniteError):
+        increment(params_from_coeffs(0.0, 2.0), u, v, 1.0)
 
 
 def test_gauss6_stage_solve_at_escape_states():
@@ -240,6 +252,34 @@ def test_time_residuals_recorded():
     assert len(traj.t_residual) == len(traj.states)
     assert traj.t_residual[0] == 0.0
     assert max(abs(r) for r in traj.t_residual) < 1e-9
+
+
+# sha256 of the little-endian float64 bytes of t, then u, then v.  The
+# columns are built from +, -, *, / alone, apart from the libm power in the
+# step-size factor (tol/err)^(1/(order+1)); a change in them is a change in
+# the integrator.
+PINNED_TRAJECTORIES = [
+    # (m, method, (u0, v0), t_end, record_every, termination, sha256)
+    (4.0, IntegratorKind.RK4, (0.0, -1.0), 5.0, 1, "completed",
+     "9120611313c05d739e045e1664df287ff7a516622bbb97b74146434befb41ff5"),
+    (5.0, IntegratorKind.RK4, (-1.0, 1.0), -10.0, 5, "blowup",
+     "1c6b16241145e3aced87a23045a679a095f2b65d54f701fe304f884963439a67"),
+    (5.0, IntegratorKind.GAUSS6, (1.0, 1.0), 10.0, 1, "blowup",
+     "3ebf643cf8989ee8e673c38efb654427bfbf054135714e4d61eaa0e82c612503"),
+    (4.0, IntegratorKind.GAUSS6, (0.0, -1.0), -5.0, 3, "completed",
+     "b586bffeeda027e352bc933f23bb8ceb3c8b93585dfbfb8b461a648cce21378f"),
+]
+
+
+@pytest.mark.parametrize("m, kind, ic, t_end, every, term, digest", PINNED_TRAJECTORIES)
+def test_trajectory_bits_are_pinned(m, kind, ic, t_end, every, term, digest):
+    opts = IntegrateOptions(t_end=t_end, record_every=every)
+    traj = integrate(params_from_dimension(m), State(0.0, *ic), kind, opts)
+    assert traj.termination.kind == term
+    h = hashlib.sha256()
+    for col in (traj.t, traj.u, traj.v):
+        h.update(np.ascontiguousarray(col, dtype="<f8").tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_h_max_ceiling_is_respected():
