@@ -23,7 +23,8 @@ from .integrate import (
     integrate,
     step_gauss6,
 )
-from .model import OdeParams, State, params_from_coeffs
+from .diagnostics import energy, g_k
+from .model import OdeParams, State, params_from_coeffs, rhs
 
 __all__ = ["Verdict", "PeriodReport", "VerdictCheck", "classify", "verify_verdict", "detect_period"]
 
@@ -99,27 +100,21 @@ def classify(p: OdeParams, u0: float, v0: float) -> Verdict:
         return Verdict(NO_GLOBAL, "reciprocal-tanh-branch", {"branch": "recip-tanh"})
 
     if B > 0.0:
+        s0 = State(0.0, u0, v0)
         if A == 0.0:
-            e0 = 0.5 * v0 * v0 - 0.25 * B * u0**4
+            e0 = energy(p, s0)
             branch = "zero-energy-rational" if e0 == 0.0 else "conserved-energy-escape"
             return Verdict(NO_GLOBAL, branch, {"e0": e0})
-        k_plus = p.k_plus
-        g = v0 + k_plus * u0 * u0
+        if u0 < 0.0 <= v0 or v0 < 0.0 < u0:
+            # -u(-t) solves the same equation; classify the mirror and swap
+            return _swap_direction(classify(p, -u0, v0))
+        # u0 and v0 of one sign: every blow-up below is forward
         if v0 >= 0.0:
-            if u0 >= 0.0:
-                return Verdict(BLOWUP_FORWARD, "monotone-escape")
-            return Verdict(BLOWUP_BACKWARD, "monotone-escape+time-reversal")
-        if g <= 0.0:
-            detail = None
-            if u0 != 0.0:
-                detail = {"t_bound": -1.0 / (k_plus * u0)}
-            basis = "invariant-parabola-bound"
-            if u0 <= 0.0:
-                return Verdict(BLOWUP_FORWARD, basis, detail)
-            return Verdict(BLOWUP_BACKWARD, basis + "+time-reversal", detail)
-        if u0 < 0.0:
-            return Verdict(BLOWUP_FORWARD, "logistic-comparison")
-        return Verdict(BLOWUP_BACKWARD, "logistic-comparison+time-reversal")
+            return Verdict(BLOWUP_FORWARD, "monotone-escape")
+        if g_k(s0, p.k_plus) <= 0.0:
+            detail = {"t_bound": -1.0 / (p.k_plus * u0)} if u0 != 0.0 else None
+            return Verdict(BLOWUP_FORWARD, "invariant-parabola-bound", detail)
+        return Verdict(BLOWUP_FORWARD, "logistic-comparison")
 
     # B < 0, A >= 0
     if p.disc < 0.0:
@@ -159,57 +154,48 @@ def verify_verdict(p: OdeParams, u0: float, v0: float, verdict: Verdict, horizon
     if horizon <= 0:
         raise DomainError("horizon must be positive")
     kind = verdict.kind
-    t_bound = (verdict.detail or {}).get("t_bound")
-    # a claimed blow-up is checked out to its own bound, even past the horizon
-    t_fwd_end, t_bwd_end = horizon, -horizon
-    if kind == BLOWUP_FORWARD and t_bound is not None:
-        t_fwd_end = max(horizon, t_bound * (1.0 + _T_BOUND_SLACK))
-    if kind == BLOWUP_BACKWARD and t_bound is not None:
-        t_bwd_end = min(-horizon, t_bound * (1.0 + _T_BOUND_SLACK))
-    fwd = _run(p, u0, v0, t_fwd_end)
-    bwd = _run(p, u0, v0, t_bwd_end)
-    for traj in (fwd, bwd):
+    detail = verdict.detail or {}
+    t_bound = detail.get("t_bound")
+    claimed = {BLOWUP_FORWARD: 1.0, BLOWUP_BACKWARD: -1.0}.get(kind)  # direction of a claimed blow-up
+    runs = {}  # direction -> trajectory
+    for d in (1.0, -1.0):
+        t_end = horizon
+        if d == claimed and t_bound is not None:
+            # a claimed blow-up is checked out to its own bound, even past the horizon
+            t_end = max(horizon, d * t_bound * (1.0 + _T_BOUND_SLACK))
+        runs[d] = traj = _run(p, u0, v0, d * t_end)
         if traj.termination.kind in ("step_underflow", "max_steps"):
             raise Inconclusive(f"integration ended with {traj.termination.kind}")
-    t_fwd = estimate_blowup_time(fwd) if fwd.termination.kind == "blowup" else None
-    t_bwd = estimate_blowup_time(bwd) if bwd.termination.kind == "blowup" else None
-    max_u = max(float(abs(fwd.u).max()), float(abs(bwd.u).max()))
+    t_blow = {d: estimate_blowup_time(r) if r.termination.kind == "blowup" else None for d, r in runs.items()}
+    max_u = max(float(abs(r.u).max()) for r in runs.values())
 
+    def check(ok: bool, reason: str) -> VerdictCheck:
+        return VerdictCheck(ok, reason, t_blow[1.0], t_blow[-1.0], max_u)
+
+    completed = all(r.termination.kind == "completed" for r in runs.values())
     if kind in (TRIVIAL, STATIONARY):
-        ok = fwd.termination.kind == "completed" and bwd.termination.kind == "completed"
-        drift = max(float(abs(fwd.u - u0).max()), float(abs(bwd.u - u0).max()))
-        ok = ok and drift <= 1e-8
-        return VerdictCheck(ok, "stationary drift", t_fwd, t_bwd, max_u)
+        drift = max(float(abs(r.u - u0).max()) for r in runs.values())
+        return check(completed and drift <= 1e-8, "stationary drift")
     if kind == GLOBAL_BOUNDED:
-        ok = fwd.termination.kind == "completed" and bwd.termination.kind == "completed"
-        reason = "completed both directions"
-        if ok and verdict.detail and verdict.detail.get("decays"):
-            ok = abs(fwd.u[-1]) <= 0.05 and abs(bwd.u[-1]) <= 0.05
-            reason = "decay at horizon"
-        if ok and verdict.detail and "b" in verdict.detail:
-            b, c = verdict.detail["b"], verdict.detail["c"]
+        ok, reason = completed, "completed both directions"
+        if ok and detail.get("decays"):
+            ok, reason = all(abs(r.u[-1]) <= 0.05 for r in runs.values()), "decay at horizon"
+        if ok and "b" in detail:
+            b, c = detail["b"], detail["c"]
             rate = p.A * b / 2.0
-            err = max(
-                abs(fwd.u[-1] + b * math.tanh(rate * fwd.t[-1] + c)),
-                abs(bwd.u[-1] + b * math.tanh(rate * bwd.t[-1] + c)),
-            )
-            ok = err <= 1e-6
-            reason = f"closed-form endpoint error {err:.2e}"
-        return VerdictCheck(ok, reason, t_fwd, t_bwd, max_u)
-    if kind == BLOWUP_FORWARD:
-        ok = t_fwd is not None
+            err = max(abs(r.u[-1] + b * math.tanh(rate * r.t[-1] + c)) for r in runs.values())
+            ok, reason = err <= 1e-6, f"closed-form endpoint error {err:.2e}"
+        return check(ok, reason)
+    if claimed is not None:
+        t = t_blow[claimed]
+        ok = t is not None
         if ok and t_bound is not None:
-            ok = 0.0 < t_fwd <= t_bound + _T_BOUND_SLACK * abs(t_bound)
-        return VerdictCheck(ok, "forward blow-up", t_fwd, t_bwd, max_u)
-    if kind == BLOWUP_BACKWARD:
-        ok = t_bwd is not None
-        if ok and t_bound is not None:
-            ok = t_bound - _T_BOUND_SLACK * abs(t_bound) <= t_bwd < 0.0
-        return VerdictCheck(ok, "backward blow-up", t_fwd, t_bwd, max_u)
+            # 0 < |t| <= |t_bound| plus slack, with signs taken along the claimed direction
+            ok = 0.0 < claimed * t <= claimed * t_bound + _T_BOUND_SLACK * abs(t_bound)
+        return check(ok, ("forward" if claimed > 0 else "backward") + " blow-up")
     if kind == NO_GLOBAL:
-        ok = t_fwd is not None or t_bwd is not None
-        return VerdictCheck(ok, "blow-up in some direction", t_fwd, t_bwd, max_u)
-    return VerdictCheck(True, "nothing claimed", t_fwd, t_bwd, max_u)
+        return check(any(t is not None for t in t_blow.values()), "blow-up in some direction")
+    return check(True, "nothing claimed")
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +217,12 @@ def detect_period(p: OdeParams, s0: State, t_max: float, tol: float = 1e-5) -> P
         raise Inconclusive("orbit blew up before returning to the section")
 
     if s0.v != 0.0:
-        section = lambda s: s.u - s0.u
-        orient = lambda s: s.v
-        o_ref = s0.v
+        section, axis = (lambda s: s.u - s0.u), 0
     else:
-        section = lambda s: s.v
-        orient = lambda s: p.A * s.u * s.v + p.B * s.u**3
-        o_ref = p.A * s0.u * s0.v + p.B * s0.u**3
+        section, axis = (lambda s: s.v), 1
+    # a return must cross the section the way s0 does: same sign of u' (axis 0) or u'' (axis 1)
+    orient = lambda s: rhs(p, s)[axis]
+    o_ref = orient(s0)
 
     rows = traj.states
     sec = section(rows)  # the section function on every recorded state at once

@@ -13,11 +13,13 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
 import re
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .classify import classify, verify_verdict
 from .diagnostics import energy, g_k
 from .elliptic import K_agm, lemniscate_quarter_period, sl
 from .errors import BlowupLabError, Inconclusive
-from .integrate import IntegrateOptions, IntegratorKind, Trajectory, integrate
+from .integrate import IntegrateOptions, IntegratorKind, integrate
 from .model import OdeParams, State, params_from_coeffs, params_from_dimension
 
 __all__ = ["main"]
@@ -61,19 +63,26 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
+# the values a config file may give a flag, in any case
+_FLAG_VALUES = {"1": True, "true": True, "yes": True, "on": True,
+                "0": False, "false": False, "no": False, "off": False}
+
+
 def _config_defaults(sub: argparse.ArgumentParser, path: str) -> dict:
     """Option defaults of subcommand ``sub`` read from a --config file.
 
     Each value is converted by its option's type (a flag takes
-    1/true/yes/on); keys that are not single-valued options of ``sub``
-    are errors.
+    1/true/yes/on or 0/false/no/off, in any case); keys that are not
+    single-valued options of ``sub``, and other flag values, are errors.
     """
     actions = {a.dest: a for a in sub._actions if a.option_strings}
     defaults = {}
     for key, raw in _load_config(path).items():
         action = actions.get(key)
         if isinstance(action, argparse._StoreTrueAction):
-            defaults[key] = raw.lower() in ("1", "true", "yes", "on")
+            if raw.lower() not in _FLAG_VALUES:
+                raise ValueError(f"config key {key!r}: {raw!r} is not one of {'/'.join(_FLAG_VALUES)}")
+            defaults[key] = _FLAG_VALUES[raw.lower()]
         elif isinstance(action, argparse._StoreAction) and action.nargs is None:
             defaults[key] = action.type(raw) if action.type else raw
         else:
@@ -102,34 +111,6 @@ def _params_from_args(args: argparse.Namespace) -> OdeParams:
     return params_from_coeffs(args.A, args.B)
 
 
-def _options_from_args(args: argparse.Namespace, t_end: float) -> IntegrateOptions:
-    return IntegrateOptions(
-        h0=args.h0,
-        t_end=t_end,
-        blowup_threshold=args.blowup_threshold,
-        local_tol=args.local_tol,
-        record_every=args.record_every,
-    )
-
-
-def _termination_dict(traj: Trajectory) -> dict:
-    term = traj.termination
-    return {
-        "kind": term.kind,
-        "t_estimate": term.t_estimate,
-        "direction": term.direction,
-        "t_last": term.t_last,
-    }
-
-
-def _params_dict(p: OdeParams) -> dict:
-    return {"A": p.A, "B": p.B, "m": p.m, "disc": p.disc, "k_minus": p.k_minus, "k_plus": p.k_plus}
-
-
-def _verdict_dict(v) -> dict:
-    return {"kind": v.kind, "basis": v.basis, "detail": v.detail}
-
-
 def _sidecar_path(csv_path: str) -> str:
     root, _ = os.path.splitext(csv_path)
     return root + ".json"
@@ -150,7 +131,10 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         raise ValueError("--t-end is required (flag or config file)")
     p = _params_from_args(args)
     kind = IntegratorKind(args.integrator)
-    opts = _options_from_args(args, args.t_end)
+    opts = IntegrateOptions(
+        h0=args.h0, t_end=args.t_end, blowup_threshold=args.blowup_threshold,
+        local_tol=args.local_tol, record_every=args.record_every,
+    )
     traj = integrate(p, State(args.t0, args.u0, args.v0), kind, opts)
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -165,12 +149,12 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 
     verdict = classify(p, args.u0, args.v0)
     payload = {
-        "params": _params_dict(p),
+        "params": asdict(p),
         "initial": {"t": args.t0, "u": args.u0, "du": args.v0},
         "integrator": kind.value,
-        "termination": _termination_dict(traj),
+        "termination": asdict(traj.termination),
         "blowup_estimate": traj.termination.t_estimate,
-        "verdict": _verdict_dict(verdict),
+        "verdict": asdict(verdict),
         "n_steps": traj.n_steps,
     }
     _write_json(_sidecar_path(args.out), payload)
@@ -184,15 +168,12 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 # portrait
 
 
-def _portrait_one(task) -> list[tuple]:
-    (idx, u0, v0, A, B, m, horizon, threshold, record_every) = task
-    p = params_from_coeffs(A, B) if m is None else params_from_dimension(m)
+def _portrait_one(p: OdeParams, opts: IntegrateOptions, task: tuple[int, float, float]) -> list[tuple]:
+    """Rows of trajectory ``idx`` from (u0, v0), forward to opts.t_end and backward to its negative."""
+    idx, u0, v0 = task
     rows = []
-    for branch, t_end in (("fwd", horizon), ("bwd", -horizon)):
-        opts = IntegrateOptions(
-            h0=1e-3, t_end=t_end, blowup_threshold=threshold, record_every=record_every
-        )
-        traj = integrate(p, State(0.0, u0, v0), IntegratorKind.RK4, opts)
+    for branch, t_end in (("fwd", opts.t_end), ("bwd", -opts.t_end)):
+        traj = integrate(p, State(0.0, u0, v0), IntegratorKind.RK4, replace(opts, t_end=t_end))
         kind = traj.termination.kind
         rows += [(idx, branch, t, u, v, kind) for t, u, v in traj.states.tolist()]
     return rows
@@ -206,27 +187,26 @@ def _thread_count() -> int:
 
 
 def cmd_portrait(args: argparse.Namespace) -> int:
+    if not args.horizon > 0:
+        raise ValueError(f"--horizon must be positive, got {args.horizon}")
     p = _params_from_args(args)
     u_grid, v_grid = _parse_grid(args.grid[0]), _parse_grid(args.grid[1])
-    tasks = []
-    idx = 0
-    for u0 in u_grid:
-        for v0 in v_grid:
-            tasks.append(
-                (idx, float(u0), float(v0), p.A, p.B, p.m, args.horizon,
-                 args.blowup_threshold, args.record_every)
-            )
-            idx += 1
+    opts = IntegrateOptions(
+        t_end=args.horizon, blowup_threshold=args.blowup_threshold, record_every=args.record_every
+    )
+    run = functools.partial(_portrait_one, p, opts)
+    tasks = [(idx, float(u0), float(v0)) for idx, (u0, v0) in enumerate(itertools.product(u_grid, v_grid))]
 
-    workers = _thread_count()
-    if workers > 1 and len(tasks) > 1:
+    # a fork-started pool forks all its workers at once, however few the tasks
+    workers = min(_thread_count(), len(tasks))
+    if workers > 1:
         # loads multiprocessing, about 27 ms that serial runs need not pay
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            all_rows = list(pool.map(_portrait_one, tasks, chunksize=4))
+            all_rows = list(pool.map(run, tasks, chunksize=4))
     else:
-        all_rows = [_portrait_one(t) for t in tasks]
+        all_rows = list(map(run, tasks))
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("traj_id,branch,t,u,du,terminated\n")
@@ -235,12 +215,12 @@ def cmd_portrait(args: argparse.Namespace) -> int:
                 fh.write(f"{idx},{branch},{_fmt(t)},{_fmt(u)},{_fmt(v)},{kind}\n")
 
     manifest = {
-        "params": _params_dict(p),
+        "params": asdict(p),
         "grid": {"u": [float(x) for x in u_grid], "du": [float(x) for x in v_grid]},
         "horizon": args.horizon,
         "n_trajectories": len(tasks),
     }
-    if p.disc is not None and p.disc >= 0 and p.B >= 0:
+    if p.disc >= 0 and p.B >= 0:
         # separatrix parabolas du = -k u^2 organizing the blow-up portraits
         us = np.linspace(float(u_grid[0]), float(u_grid[-1]), 201)
         manifest["separatrices"] = {
@@ -329,8 +309,6 @@ def _add_model_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _add_driver_flags(sp: argparse.ArgumentParser, record_every: int) -> None:
-    sp.add_argument("--h0", type=float, default=1e-3)
-    sp.add_argument("--local-tol", type=float, default=1e-10)
     sp.add_argument("--blowup-threshold", type=float, default=1e8)
     sp.add_argument("--record-every", type=int, default=record_every)
 
@@ -347,6 +325,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--t0", type=float, default=0.0)
     sp.add_argument("--t-end", type=float, default=None)
     sp.add_argument("--integrator", choices=["rk4", "gauss6"], default="rk4")
+    sp.add_argument("--h0", type=float, default=1e-3)
+    sp.add_argument("--local-tol", type=float, default=1e-10)
     _add_driver_flags(sp, record_every=1)
     sp.add_argument("--out", type=str, default="trajectory.csv")
     sp.set_defaults(func=cmd_integrate)

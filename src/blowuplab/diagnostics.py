@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InsufficientData, NotACharacteristicRoot
 from .integrate import Trajectory
-from .model import OdeParams, State
+from .model import OdeParams, State, rhs
 
 __all__ = [
     "DiagnosticsReport",
@@ -29,10 +29,12 @@ __all__ = [
 
 
 def energy(p: OdeParams, s: State) -> float:
+    """e = u'^2/2 - (B/4) u^4 of a State, or per row of a record array."""
     return 0.5 * s.v * s.v - 0.25 * p.B * s.u**4
 
 
 def g_k(s: State, k: float) -> float:
+    """g_k = u' + k u^2 of a State, or per row of a record array."""
     return s.v + k * s.u * s.u
 
 
@@ -52,7 +54,7 @@ def cumulative_u_integral(p: OdeParams, traj: Trajectory) -> np.ndarray:
     even on blow-up tails.
     """
     t, u, v = traj.t, traj.u, traj.v
-    a = p.A * u * v + p.B * u**3  # u'' on-shell
+    a = rhs(p, traj.states)[1]  # u'' on-shell
     j = p.A * (v * v + u * a) + 3.0 * p.B * u * u * v  # u''' on-shell
     # recover exact step sums: recorded stamps alone cannot resolve tiny
     # near-blow-up steps against an O(1) time origin
@@ -93,7 +95,7 @@ def check_energy_law(p: OdeParams, traj: Trajectory) -> float:
     if len(traj.states) < 3:
         raise InsufficientData("energy law check needs at least 3 states")
     t, u, v = traj.t, traj.u, traj.v
-    e = 0.5 * v * v - 0.25 * p.B * u**4
+    e = energy(p, traj.states)
     h1 = t[1:-1] - t[:-2]
     h2 = t[2:] - t[1:-1]
     dedt = (
@@ -113,8 +115,8 @@ def energy_drift(p: OdeParams, traj: Trajectory) -> float:
     energy's constituent terms there (at least 1), which keeps the
     number meaningful near blow-up where the terms cancel to a small e.
     """
-    t, u, v = traj.t, traj.u, traj.v
-    e = 0.5 * v * v - 0.25 * p.B * u**4
+    u, v = traj.u, traj.v
+    e = energy(p, traj.states)
     scale = np.maximum(1.0, 0.5 * v * v + 0.25 * abs(p.B) * u**4)
     return float(np.max(np.abs(e - e[0]) / scale))
 
@@ -127,8 +129,7 @@ def check_gk_identity(p: OdeParams, traj: Trajectory, k: float) -> float:
     """
     if abs(2.0 * k * k + p.A * k - p.B) > 1e-10:
         raise NotACharacteristicRoot(f"k={k} does not solve 2k^2 + Ak - B = 0")
-    u, v = traj.u, traj.v
-    g = v + k * u * u
+    g = g_k(traj.states, k)
     integral = cumulative_u_integral(p, traj)
     predicted = g[0] * np.exp((p.A + 2.0 * k) * integral)
     dev = np.abs(g - predicted) / max(1.0, abs(g[0]))

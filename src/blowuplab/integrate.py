@@ -67,7 +67,7 @@ class Termination:
     """How a run ended: Completed, BlowUp, StepUnderflow or MaxSteps."""
 
     kind: str  # "completed" | "blowup" | "step_underflow" | "max_steps"
-    t_estimate: float | None = None  # blow-up time estimate
+    t_estimate: float | None = None  # fitted blow-up time; None if the tail was too short
     direction: int | None = None  # +1 forward in t, -1 backward
     t_last: float | None = None
 
@@ -132,14 +132,6 @@ def _rk4_increment(p: OdeParams, u: float, v: float, h: float) -> tuple[float, f
     dv = (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     _check_finite(u + du, v + dv)
     return du, dv
-
-
-def step_rk4(p: OdeParams, s: State, h: float) -> State:
-    """One classical fourth-order Runge-Kutta step."""
-    if h == 0.0:
-        raise DomainError("step size must be nonzero")
-    du, dv = _rk4_increment(p, s.u, s.v, h)
-    return State(s.t + h, s.u + du, s.v + dv)
 
 
 # 3-point Gauss-Legendre collocation tableau
@@ -208,12 +200,21 @@ def _gauss6_increment(p: OdeParams, u: float, v: float, h: float) -> tuple[float
     return du, dv
 
 
-def step_gauss6(p: OdeParams, s: State, h: float) -> State:
-    """One step of the 3-stage Gauss-Legendre method (order 6)."""
+def _step(increment, p: OdeParams, s: State, h: float) -> State:
     if h == 0.0:
         raise DomainError("step size must be nonzero")
-    du, dv = _gauss6_increment(p, s.u, s.v, h)
+    du, dv = increment(p, s.u, s.v, h)
     return State(s.t + h, s.u + du, s.v + dv)
+
+
+def step_rk4(p: OdeParams, s: State, h: float) -> State:
+    """One classical fourth-order Runge-Kutta step."""
+    return _step(_rk4_increment, p, s, h)
+
+
+def step_gauss6(p: OdeParams, s: State, h: float) -> State:
+    """One step of the 3-stage Gauss-Legendre method (order 6)."""
+    return _step(_gauss6_increment, p, s, h)
 
 
 # increment function and order of each method
@@ -237,7 +238,7 @@ def integrate(p: OdeParams, s0: State, kind: IntegratorKind, opts: IntegrateOpti
     opts_rev = replace(opts, t_end=-opts.t_end)
     traj = _integrate_forward(p_rev, -t0, u0, -v0, kind, opts_rev, direction=-1)
     term = traj.termination
-    if term.kind == "blowup" and term.t_estimate is not None:
+    if term.t_estimate is not None:
         term = replace(term, t_estimate=-term.t_estimate)
     if term.t_last is not None:
         term = replace(term, t_last=-term.t_last)
@@ -314,30 +315,36 @@ def _integrate_forward(
     cols = np.array(rows).T
     states = np.rec.fromarrays(cols[:3], names="t,u,v")
     if termination is None:
-        try:
-            t_est = _blowup_time(cols[0], cols[1])
-        except FitFailure:
-            t_est = t
-        termination = Termination("blowup", t_estimate=t_est, direction=direction)
+        termination = Termination("blowup", t_estimate=_blowup_time(cols[0], cols[1]), direction=direction)
     return Trajectory(p, states, termination, kind, opts, n_acc, t_residual=cols[3])
 
 
-def _blowup_time(t: np.ndarray, u: np.ndarray, min_u: float = 1e3) -> float:
-    """Fit 1/u affine in t on the blow-up tail and return its root."""
+def _blowup_time(t: np.ndarray, u: np.ndarray, min_u: float = 1e3) -> float | None:
+    """Root of 1/u fitted affine in t on the blow-up tail, or None.
+
+    The fit runs in t - t[tail[-1]]: far from t = 0 the tail times share
+    their leading digits, and a fit in raw t loses the root.
+    """
     tail = np.flatnonzero(np.abs(u) >= min_u)[-20:]
     if len(tail) < 4:
-        raise FitFailure(f"only {len(tail)} tail samples with |u| >= {min_u}")
-    slope, intercept = np.polyfit(t[tail], 1.0 / u[tail], 1)
+        return None
+    t_ref = t[tail[-1]]
+    if t[tail[0]] == t_ref:  # the steps fell below the resolution of t: no slope to fit
+        return None
+    slope, intercept = np.polyfit(t[tail] - t_ref, 1.0 / u[tail], 1)
     if slope == 0.0 or not math.isfinite(slope) or not math.isfinite(intercept):
-        raise FitFailure("degenerate blow-up tail fit")
-    return float(-intercept / slope)
+        return None
+    return float(t_ref - intercept / slope)
 
 
 def estimate_blowup_time(traj: Trajectory) -> float:
-    """Blow-up time from the asymptotic model u ~ c/(T - t)."""
-    if traj.termination.kind != "blowup":
+    """The driver's fitted blow-up time, from the asymptotic model u ~ c/(T - t)."""
+    term = traj.termination
+    if term.kind != "blowup":
         raise FitFailure("trajectory did not terminate in blow-up")
-    return _blowup_time(traj.t, traj.u)
+    if term.t_estimate is None:
+        raise FitFailure("blow-up tail too short or degenerate to fit")
+    return term.t_estimate
 
 
 def quadrature_blowup_time(Acoef: float, C: float, a: float) -> float:

@@ -79,5 +79,9 @@ def params_from_coeffs(A: float, B: float) -> OdeParams:
 
 
 def rhs(p: OdeParams, s: State) -> tuple[float, float]:
-    """Right-hand side of the first-order system: (u', u'')."""
+    """Right-hand side of the first-order system: (u', u'').
+
+    ``s`` is a State or anything with ``.u`` and ``.v``, such as a
+    trajectory's record array, which gives the columns.
+    """
     return s.v, p.A * s.u * s.v + p.B * s.u**3

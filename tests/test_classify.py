@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -179,6 +180,34 @@ def test_verify_blowup_bound_beyond_horizon():
         assert 50.0 < abs(t_blow) < abs(v.detail["t_bound"])
 
 
+def test_verify_backward_blowup_far_from_origin():
+    # the blow-up tail lies near t = -552256, where the tail times share
+    # their leading digits; an uncentred fit of 1/u put the root at +552256
+    v = classify(P5, 1e-5, -3.33e-11)
+    assert v.kind == "blowup_backward"
+    assert v.detail["t_bound"] == pytest.approx(-6e5, rel=1e-12)
+    check = verify_verdict(P5, 1e-5, -3.33e-11, v, horizon=50.0)
+    assert check.passed
+    assert check.t_blow_forward is None
+    assert check.t_blow_backward == pytest.approx(-552256.245, rel=1e-8)
+
+
+def test_verdict_census_is_pinned():
+    # sha256 over every verdict on a 21 x 21 grid of [-2, 2]^2 for seven
+    # dimensions and twenty (A, B) pairs: any change to the decision tree,
+    # its conjugacy folds or its t_bound arithmetic changes the digest
+    h = hashlib.sha256()
+    grid = np.linspace(-2.0, 2.0, 21).tolist()
+    params = [params_from_dimension(m) for m in (3.0, 3.5, 4.0, 5.0, 6.0, 8.0, 9.0)]
+    params += [params_from_coeffs(A, B) for A in (-2, -1, 0, 1, 2) for B in (-1, 0, 0.5, 2)]
+    for p in params:
+        for u0 in grid:
+            for v0 in grid:
+                v = classify(p, u0, v0)
+                h.update(repr((p.A, p.B, u0, v0, v.kind, v.basis, v.detail)).encode())
+    assert h.hexdigest() == "fe33244226f856f18dffc846c9321031b301ee3bf41d11ef84a295aa950df1fe"
+
+
 def test_verify_no_global_m8():
     v = classify(P8, 1.0, 1.0 / 3.0)
     check = verify_verdict(P8, 1.0, 1.0 / 3.0, v, horizon=10.0)
@@ -198,6 +227,14 @@ def test_detect_period_lemniscatic():
     rep = detect_period(p, State(0.0, 0.0, 1.0), t_max=10.0)
     assert rep.periodic
     assert rep.closure_error <= 1e-5
+    assert rep.period == pytest.approx(4.0 * lemniscate_quarter_period(), abs=1e-6)
+
+
+def test_detect_period_from_a_turning_point():
+    # v0 = 0: the section is u' = 0, crossed with u'' of the sign it has at s0
+    p = params_from_coeffs(0.0, -2.0)
+    rep = detect_period(p, State(0.0, 1.0, 0.0), t_max=10.0)
+    assert rep.periodic
     assert rep.period == pytest.approx(4.0 * lemniscate_quarter_period(), abs=1e-6)
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import math
@@ -136,6 +137,7 @@ def test_config_flag_values(tmp_path, capsys):
     (["integrate", "--m", "4", "--t-end", "1"], "func = 3"),
     (["integrate", "--m", "4", "--t-end", "1"], "command = portrait"),
     (["elliptic"], "K = 0.5"),
+    (["classify", "--m", "5", "--grid", "0:0:1", "0:0:1"], "verify = ture"),
 ])
 def test_config_rejects_non_option_keys(tmp_path, capsys, command, line):
     cfg = tmp_path / "bad.cfg"
@@ -181,6 +183,63 @@ def test_portrait_pool_matches_serial(tmp_path, monkeypatch):
                      "--horizon", "3", "--out", str(out)]) == 0
         outputs.append((out.read_bytes(), (tmp_path / f"p{threads}.json").read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("horizon", ["-2", "0", "nan"])
+def test_portrait_rejects_non_positive_horizon(tmp_path, capsys, horizon):
+    out = tmp_path / "p.csv"
+    assert main(["portrait", "--m", "5", "--grid", "0:1:2", "0:1:2",
+                 "--horizon", horizon, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--h0", "--local-tol"])
+def test_portrait_rejects_inert_driver_flags(tmp_path, capsys, flag):
+    # portrait always integrates with the default h0 and local tolerance
+    with pytest.raises(SystemExit) as exc:
+        main(["portrait", "--m", "5", "--grid", "0:1:2", "0:1:2", flag, "0.5",
+              "--out", str(tmp_path / "p.csv")])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs tasks inline."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("threads, cpus, grid, workers", [
+    ("64", 1, "0:1:2", [4]),  # BLOWUPLAB_THREADS capped at the 4 tasks
+    ("", 64, "0:1:2", [4]),  # so is the CPU count
+    ("3", 1, "0:1:2", [3]),
+    ("64", 1, "0:0:1", []),  # one task runs in-process
+])
+def test_portrait_caps_workers_at_task_count(tmp_path, monkeypatch, threads, cpus, grid, workers):
+    monkeypatch.setattr(_InlinePool, "max_workers", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    monkeypatch.setenv("BLOWUPLAB_THREADS", threads)
+    out = tmp_path / "p.csv"
+    assert main(["portrait", "--m", "5", "--grid", grid, grid, "--horizon", "1", "--out", str(out)]) == 0
+    assert _InlinePool.max_workers == workers
+    monkeypatch.setenv("BLOWUPLAB_THREADS", "1")
+    assert main(["portrait", "--m", "5", "--grid", grid, grid, "--horizon", "1",
+                 "--out", str(tmp_path / "serial.csv")]) == 0
+    assert out.read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
 def test_classify_grid_with_verification(tmp_path):

@@ -11,6 +11,7 @@ from blowuplab import (
     IntegrateOptions,
     IntegratorKind,
     State,
+    Trajectory,
     estimate_blowup_time,
     integrate,
     params_from_coeffs,
@@ -20,7 +21,7 @@ from blowuplab import (
     step_rk4,
 )
 from blowuplab.errors import FitFailure, NonFiniteError
-from blowuplab.integrate import _STEPPERS
+from blowuplab.integrate import _STEPPERS, _blowup_time
 
 # tanh-sinh quadrature oracle for integral_0^inf dw / sqrt(1 + w^4)
 ESCAPE_TIME_UNIT_QUARTIC = 1.85407467730137191843385
@@ -215,6 +216,37 @@ def test_estimate_requires_blowup_termination():
     traj = integrate(p, State(0.0, 0.0, -1.0), IntegratorKind.RK4, IntegrateOptions(t_end=1.0))
     with pytest.raises(FitFailure):
         estimate_blowup_time(traj)
+
+
+def test_short_blowup_tail_has_no_estimate():
+    # the run stops at |u| > 500, so fewer than 4 states reach |u| >= 1e3
+    p = params_from_dimension(8.0)
+    opts = IntegrateOptions(t_end=10.0, blowup_threshold=500.0)
+    traj = integrate(p, State(0.0, 1.0, 1.0), IntegratorKind.RK4, opts)
+    assert traj.termination.kind == "blowup"
+    assert traj.termination.t_estimate is None
+    with pytest.raises(FitFailure):
+        estimate_blowup_time(traj)
+
+
+def test_blowup_fit_needs_a_time_span():
+    # near |t| = 7.6e12 steps of 1e-8 leave t unchanged, so the tail has no slope
+    u = np.geomspace(1e3, 1e8, 20)
+    assert _blowup_time(np.full(20, 7.6e12), u) is None
+    assert _blowup_time(np.linspace(1.0, 2.0, 20), u) is not None
+
+
+def test_estimate_is_the_drivers_fit():
+    # estimate_blowup_time refits nothing: it reports the termination's estimate
+    p = params_from_dimension(5.0)
+    for u0, t_end in ((1.0, 10.0), (-1.0, -10.0)):
+        traj = integrate(p, State(0.0, u0, 1.0), IntegratorKind.RK4, IntegrateOptions(t_end=t_end))
+        assert traj.termination.kind == "blowup"
+        assert estimate_blowup_time(traj) == traj.termination.t_estimate
+        states = traj.states.copy()
+        states.u[-1] *= 2.0  # a refit on the states would move the estimate
+        edited = Trajectory(p, states, traj.termination, traj.integrator, traj.options)
+        assert estimate_blowup_time(edited) == traj.termination.t_estimate
 
 
 def test_step_underflow_termination():
