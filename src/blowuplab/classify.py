@@ -151,8 +151,8 @@ def _run(p: OdeParams, u0: float, v0: float, t_end: float) -> Trajectory:
 
 def verify_verdict(p: OdeParams, u0: float, v0: float, verdict: Verdict, horizon: float) -> VerdictCheck:
     """Integrate both time directions and confirm what the verdict claims."""
-    if horizon <= 0:
-        raise DomainError("horizon must be positive")
+    if not 0.0 < horizon < math.inf:  # false for NaN too
+        raise DomainError("horizon must be positive and finite")
     kind = verdict.kind
     detail = verdict.detail or {}
     t_bound = detail.get("t_bound")

@@ -39,7 +39,7 @@ class IntegratorKind(enum.Enum):
 
 @dataclass(frozen=True)
 class IntegrateOptions:
-    """Driver parameters; all thresholds strictly positive."""
+    """Driver parameters; t_end finite, all thresholds positive and finite."""
 
     h0: float = 1e-3
     t_end: float = 1.0
@@ -52,12 +52,13 @@ class IntegrateOptions:
     h_max: float | None = None  # optional global step-size ceiling
 
     def __post_init__(self):
-        if self.h0 <= 0 or self.blowup_threshold <= 0 or self.local_tol <= 0 or self.h_min <= 0:
-            raise DomainError("h0, blowup_threshold, local_tol and h_min must be positive")
-        if self.h_cap_factor <= 0:
-            raise DomainError("h_cap_factor must be positive")
-        if self.h_max is not None and self.h_max <= 0:
-            raise DomainError("h_max must be positive when given")
+        positive = (self.h0, self.blowup_threshold, self.local_tol, self.h_min, self.h_cap_factor)
+        if not all(0.0 < x < math.inf for x in positive):  # false for NaN too
+            raise DomainError("h0, blowup_threshold, local_tol, h_min, h_cap_factor must be positive and finite")
+        if self.h_max is not None and not 0.0 < self.h_max < math.inf:
+            raise DomainError("h_max must be positive and finite when given")
+        if not math.isfinite(self.t_end):
+            raise DomainError("t_end must be finite")
         if self.max_steps < 1 or self.record_every < 1:
             raise DomainError("max_steps and record_every must be >= 1")
 
@@ -108,14 +109,11 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # steppers
 
-def _check_finite(u: float, v: float) -> None:
-    if not (math.isfinite(u) and math.isfinite(v)):
-        raise NonFiniteError("stage value overflowed")
-
-
 # Stepper contract: increment(p, u, v, h) -> (du, dv) returns a finite
 # increment with u + du, v + dv finite, or raises NonFiniteError or
-# StageSolveFailure; the driver then halves h.
+# StageSolveFailure; the driver then halves h.  x * 0.0 is 0.0 for every
+# finite x and NaN for an infinite or NaN one, so a sum of such products
+# tests finiteness exactly without overflowing.
 
 
 def _rk4_increment(p: OdeParams, u: float, v: float, h: float) -> tuple[float, float]:
@@ -123,14 +121,18 @@ def _rk4_increment(p: OdeParams, u: float, v: float, h: float) -> tuple[float, f
 
     A non-finite stage reaches du or dv, so one check at the end suffices.
     """
-    f = lambda u, v: (v, p.A * u * v + p.B * u * u * u)
-    k1u, k1v = f(u, v)
-    k2u, k2v = f(u + 0.5 * h * k1u, v + 0.5 * h * k1v)
-    k3u, k3v = f(u + 0.5 * h * k2u, v + 0.5 * h * k2v)
-    k4u, k4v = f(u + h * k3u, v + h * k3v)
-    du = (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+    A, B = p.A, p.B
+    k1v = A * u * v + B * u * u * u
+    a, k2u = u + 0.5 * h * v, v + 0.5 * h * k1v
+    k2v = A * a * k2u + B * a * a * a
+    a, k3u = u + 0.5 * h * k2u, v + 0.5 * h * k2v
+    k3v = A * a * k3u + B * a * a * a
+    a, k4u = u + h * k3u, v + h * k3v
+    k4v = A * a * k4u + B * a * a * a
+    du = (h / 6.0) * (v + 2.0 * k2u + 2.0 * k3u + k4u)
     dv = (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    _check_finite(u + du, v + dv)
+    if (u + du) * 0.0 + (v + dv) * 0.0 != 0.0:
+        raise NonFiniteError("stage value overflowed")
     return du, dv
 
 
@@ -159,12 +161,14 @@ def _gauss6_increment(p: OdeParams, u: float, v: float, h: float) -> tuple[float
     """
     A, B = p.A, p.B
     fv = A * u * v + B * u * u * u
-    _check_finite(v, fv)
+    if v * 0.0 + fv * 0.0 != 0.0:
+        raise NonFiniteError("stage value overflowed")
     # Euler prediction along the nodes
     z1u, z1v = _C1 * h * v, _C1 * h * fv
     z2u, z2v = 0.5 * h * v, 0.5 * h * fv
     z3u, z3v = _C3 * h * v, _C3 * h * fv
-    su, sv = max(1.0, abs(u)), max(1.0, abs(v))
+    R = _STAGE_RTOL
+    tu, tv = R * max(1.0, abs(u)), R * max(1.0, abs(v))  # R s for s = max(1, |y0|)
     converged = False
     for _ in range(_GAUSS6_MAX_SWEEPS):
         y1u, y1v = u + z1u, v + z1v
@@ -181,22 +185,27 @@ def _gauss6_increment(p: OdeParams, u: float, v: float, h: float) -> tuple[float
         n2v = h * (_A21 * f1v + _A22 * f2v + _A23 * f3v)
         n3u = h * (_A31 * f1u + _A32 * f2u + _A33 * f3u)
         n3v = h * (_A31 * f1v + _A32 * f2v + _A33 * f3v)
+        # d <= R max(s, |n|) is the same decision as d <= R s or d <= R |n|,
+        # because rounded multiplication by R > 0 is monotone
         converged = (
-            abs(n1u - z1u) <= _STAGE_RTOL * max(su, abs(n1u))
-            and abs(n1v - z1v) <= _STAGE_RTOL * max(sv, abs(n1v))
-            and abs(n2u - z2u) <= _STAGE_RTOL * max(su, abs(n2u))
-            and abs(n2v - z2v) <= _STAGE_RTOL * max(sv, abs(n2v))
-            and abs(n3u - z3u) <= _STAGE_RTOL * max(su, abs(n3u))
-            and abs(n3v - z3v) <= _STAGE_RTOL * max(sv, abs(n3v))
+            ((d := abs(n1u - z1u)) <= tu or d <= R * abs(n1u))
+            and ((d := abs(n1v - z1v)) <= tv or d <= R * abs(n1v))
+            and ((d := abs(n2u - z2u)) <= tu or d <= R * abs(n2u))
+            and ((d := abs(n2v - z2v)) <= tv or d <= R * abs(n2v))
+            and ((d := abs(n3u - z3u)) <= tu or d <= R * abs(n3u))
+            and ((d := abs(n3v - z3v)) <= tv or d <= R * abs(n3v))
         )
-        if not converged and not all(map(math.isfinite, (n1u, n1v, n2u, n2v, n3u, n3v))):
+        if not converged and (
+            n1u * 0.0 + n1v * 0.0 + n2u * 0.0 + n2v * 0.0 + n3u * 0.0 + n3v * 0.0 != 0.0
+        ):
             raise NonFiniteError("stage iteration overflowed")
         z1u, z1v, z2u, z2v, z3u, z3v = n1u, n1v, n2u, n2v, n3u, n3v
     else:
         raise StageSolveFailure(f"stage iteration did not converge in {_GAUSS6_MAX_SWEEPS} sweeps")
     du = h * (_B1 * (f1u + f3u) + _B2 * f2u)
     dv = h * (_B1 * (f1v + f3v) + _B2 * f2v)
-    _check_finite(u + du, v + dv)
+    if (u + du) * 0.0 + (v + dv) * 0.0 != 0.0:
+        raise NonFiniteError("stage value overflowed")
     return du, dv
 
 
@@ -246,41 +255,41 @@ def integrate(p: OdeParams, s0: State, kind: IntegratorKind, opts: IntegrateOpti
     return Trajectory(p, states, term, kind, opts, traj.n_steps, t_residual=-traj.t_residual)
 
 
-def _kahan_add(x: float, comp: float, inc: float) -> tuple[float, float]:
-    """Compensated accumulation x += inc; returns the new (x, comp)."""
-    y = inc - comp
-    t = x + y
-    comp = (t - x) - y
-    return t, comp
-
-
 def _integrate_forward(
     p: OdeParams, t: float, u: float, v: float, kind: IntegratorKind, opts: IntegrateOptions,
     direction: int,
 ) -> Trajectory:
     increment, order = _STEPPERS[kind]
     gain = 1.0 / (2**order - 1.0)
-    # state accumulated by compensated summation of step increments, so
-    # long runs do not pick up one coherent rounding ulp per step
+    expo = 1.0 / (order + 1)
+    tol, h_min, h_cap, t_end = opts.local_tol, opts.h_min, opts.h_cap_factor, opts.t_end
+    every, max_steps = opts.record_every, opts.max_steps
+    h_max = math.inf if opts.h_max is None else opts.h_max
+    t_done = t_end - 1e-15 * (abs(t_end) if abs(t_end) > 1.0 else 1.0)
+    u_big, v_big = opts.blowup_threshold, opts.blowup_threshold**2
+    # state accumulated by compensated (Kahan) summation of step
+    # increments, so long runs do not pick up one coherent rounding ulp per step
     ct = cu = cv = 0.0
     h = opts.h0
     rows = [(t, u, v, 0.0)]  # t, u, v and the t residual of each recorded state
     n_acc = 0
     termination = None  # stays None on blow-up
     while True:
-        if t >= opts.t_end - 1e-15 * max(1.0, abs(opts.t_end)):
+        if t >= t_done:
             termination = Termination("completed")
             break
-        if n_acc >= opts.max_steps:
+        if n_acc >= max_steps:
             termination = Termination("max_steps", t_last=t)
             break
-        # natural time scale near blow-up is 1/|u|
-        if abs(u) > 1.0:
-            h = min(h, opts.h_cap_factor / abs(u))
-        if opts.h_max is not None:
-            h = min(h, opts.h_max)
-        h = min(h, opts.t_end - t)
-        if h < opts.h_min:
+        # h = min(h, h_cap/|u|, h_max, t_end - t); 1/|u| is the natural
+        # time scale near blow-up
+        if abs(u) > 1.0 and h_cap / abs(u) < h:
+            h = h_cap / abs(u)
+        if h_max < h:
+            h = h_max
+        if t_end - t < h:
+            h = t_end - t
+        if h < h_min:
             termination = Termination("step_underflow", t_last=t)
             break
         try:
@@ -291,26 +300,27 @@ def _integrate_forward(
             h *= 0.5
             continue
         du, dv = d1u + d2u, d1v + d2v
-        err = gain * max(
-            abs(dfu - du) / max(1.0, abs(u + du)),
-            abs(dfv - dv) / max(1.0, abs(v + dv)),
-        )
-        if err > opts.local_tol:
-            h *= max(0.2, 0.9 * (opts.local_tol / err) ** (1.0 / (order + 1)))
+        eu = abs(dfu - du) / (abs(u + du) if abs(u + du) > 1.0 else 1.0)
+        ev = abs(dfv - dv) / (abs(v + dv) if abs(v + dv) > 1.0 else 1.0)
+        err = gain * (ev if ev > eu else eu)
+        if err > tol:
+            h *= max(0.2, 0.9 * (tol / err) ** expo)
             continue
-        u, cu = _kahan_add(u, cu, du)
-        v, cv = _kahan_add(v, cv, dv)
-        t, ct = _kahan_add(t, ct, h)
+        # u += du, v += dv, t += h, each compensated
+        yu, yv, yt = du - cu, dv - cv, h - ct
+        su, sv, st = u + yu, v + yv, t + yt
+        cu, cv, ct = (su - u) - yu, (sv - v) - yv, (st - t) - yt
+        u, v, t = su, sv, st
         n_acc += 1
-        if n_acc % opts.record_every == 0:
+        if n_acc % every == 0:
             rows.append((t, u, v, ct))
-        if abs(u) > opts.blowup_threshold or abs(v) > opts.blowup_threshold**2:
+        if abs(u) > u_big or abs(v) > v_big:
             break
         if err > 0:
-            h *= min(5.0, max(0.2, 0.9 * (opts.local_tol / err) ** (1.0 / (order + 1))))
+            h *= min(5.0, max(0.2, 0.9 * (tol / err) ** expo))
         else:
             h *= 5.0
-    if n_acc % opts.record_every:  # the last accepted state is always kept
+    if n_acc % every:  # the last accepted state is always kept
         rows.append((t, u, v, ct))
     cols = np.array(rows).T
     states = np.rec.fromarrays(cols[:3], names="t,u,v")

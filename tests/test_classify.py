@@ -217,8 +217,9 @@ def test_verify_no_global_m8():
 
 def test_verify_rejects_bad_horizon():
     v = classify(P4, 0.0, -1.0)
-    with pytest.raises(DomainError):
-        verify_verdict(P4, 0.0, -1.0, v, horizon=0.0)
+    for horizon in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            verify_verdict(P4, 0.0, -1.0, v, horizon=horizon)
 
 
 def test_detect_period_lemniscatic():

@@ -242,6 +242,17 @@ def test_portrait_caps_workers_at_task_count(tmp_path, monkeypatch, threads, cpu
     assert out.read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--m", "3", "--u0", "0", "--v0", "-0.5", "--t-end", "nan"],
+    ["classify", "--m", "3", "--grid", "0:1:2", "0:1:2", "--verify", "--horizon", "nan"],
+])
+def test_non_finite_time_span_is_rejected(tmp_path, capsys, argv):
+    # a NaN end time never completes: the run ends only at blow-up or max_steps
+    assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+
+
 def test_classify_grid_with_verification(tmp_path):
     out = tmp_path / "cls.csv"
     rc = main(["classify", "--m", "8", "--grid", "-1:1:3", "-1:1:3",

@@ -20,8 +20,11 @@ from blowuplab import (
     step_gauss6,
     step_rk4,
 )
-from blowuplab.errors import FitFailure, NonFiniteError
-from blowuplab.integrate import _STEPPERS, _blowup_time
+from blowuplab.errors import FitFailure, NonFiniteError, StageSolveFailure
+from blowuplab.integrate import (
+    _A11, _A12, _A13, _A21, _A22, _A23, _A31, _A32, _A33, _B1, _B2, _C1, _C3,
+    _GAUSS6_MAX_SWEEPS, _STAGE_RTOL, _STEPPERS, _blowup_time,
+)
 
 # tanh-sinh quadrature oracle for integral_0^inf dw / sqrt(1 + w^4)
 ESCAPE_TIME_UNIT_QUARTIC = 1.85407467730137191843385
@@ -119,6 +122,113 @@ def contracting_steps(draw):
     return params_from_coeffs(A, B), u, v, h * 0.25 / max(rate, 0.25)
 
 
+# Reference increments in their plain formulation: the RHS as a lambda in
+# RK4, max() and math.isfinite in the Gauss6 stage test.  The increments
+# in _STEPPERS must agree with them bit for bit.
+
+
+def _check_finite_ref(u, v):
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise NonFiniteError("stage value overflowed")
+
+
+def _rk4_increment_ref(p, u, v, h):
+    f = lambda u, v: (v, p.A * u * v + p.B * u * u * u)
+    k1u, k1v = f(u, v)
+    k2u, k2v = f(u + 0.5 * h * k1u, v + 0.5 * h * k1v)
+    k3u, k3v = f(u + 0.5 * h * k2u, v + 0.5 * h * k2v)
+    k4u, k4v = f(u + h * k3u, v + h * k3v)
+    du = (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+    dv = (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    _check_finite_ref(u + du, v + dv)
+    return du, dv
+
+
+def _gauss6_increment_ref(p, u, v, h):
+    A, B = p.A, p.B
+    fv = A * u * v + B * u * u * u
+    _check_finite_ref(v, fv)
+    z1u, z1v = _C1 * h * v, _C1 * h * fv
+    z2u, z2v = 0.5 * h * v, 0.5 * h * fv
+    z3u, z3v = _C3 * h * v, _C3 * h * fv
+    su, sv = max(1.0, abs(u)), max(1.0, abs(v))
+    converged = False
+    for _ in range(_GAUSS6_MAX_SWEEPS):
+        y1u, y1v = u + z1u, v + z1v
+        y2u, y2v = u + z2u, v + z2v
+        y3u, y3v = u + z3u, v + z3v
+        f1u, f1v = y1v, A * y1u * y1v + B * y1u * y1u * y1u
+        f2u, f2v = y2v, A * y2u * y2v + B * y2u * y2u * y2u
+        f3u, f3v = y3v, A * y3u * y3v + B * y3u * y3u * y3u
+        if converged:
+            break
+        n1u = h * (_A11 * f1u + _A12 * f2u + _A13 * f3u)
+        n1v = h * (_A11 * f1v + _A12 * f2v + _A13 * f3v)
+        n2u = h * (_A21 * f1u + _A22 * f2u + _A23 * f3u)
+        n2v = h * (_A21 * f1v + _A22 * f2v + _A23 * f3v)
+        n3u = h * (_A31 * f1u + _A32 * f2u + _A33 * f3u)
+        n3v = h * (_A31 * f1v + _A32 * f2v + _A33 * f3v)
+        converged = (
+            abs(n1u - z1u) <= _STAGE_RTOL * max(su, abs(n1u))
+            and abs(n1v - z1v) <= _STAGE_RTOL * max(sv, abs(n1v))
+            and abs(n2u - z2u) <= _STAGE_RTOL * max(su, abs(n2u))
+            and abs(n2v - z2v) <= _STAGE_RTOL * max(sv, abs(n2v))
+            and abs(n3u - z3u) <= _STAGE_RTOL * max(su, abs(n3u))
+            and abs(n3v - z3v) <= _STAGE_RTOL * max(sv, abs(n3v))
+        )
+        if not converged and not all(map(math.isfinite, (n1u, n1v, n2u, n2v, n3u, n3v))):
+            raise NonFiniteError("stage iteration overflowed")
+        z1u, z1v, z2u, z2v, z3u, z3v = n1u, n1v, n2u, n2v, n3u, n3v
+    else:
+        raise StageSolveFailure(f"stage iteration did not converge in {_GAUSS6_MAX_SWEEPS} sweeps")
+    du = h * (_B1 * (f1u + f3u) + _B2 * f2u)
+    dv = h * (_B1 * (f1v + f3v) + _B2 * f2v)
+    _check_finite_ref(u + du, v + dv)
+    return du, dv
+
+
+_REFERENCE_INCREMENTS = {IntegratorKind.RK4: _rk4_increment_ref, IntegratorKind.GAUSS6: _gauss6_increment_ref}
+
+
+@st.composite
+def increment_inputs(draw):
+    """(params, u, v, h) over blow-up magnitudes, h at and around the driver's cap 0.1/|u|.
+
+    v is drawn on its own, or as w max(1, u^2) as on the blow-up branches;
+    with small A and B a stage increment can then outgrow the state while
+    the iteration still contracts.  Some draws overflow.
+    """
+    coef = st.floats(-5.0, 5.0) | st.floats(-1e-3, 1e-3)
+    A, B = draw(coef), draw(coef)
+    u = draw(st.floats(-1e8, 1e8) | st.floats(1e8, 1e200) | st.sampled_from((0.0, 1.0, -1.0)))
+    v = draw(
+        st.floats(-1e16, 1e16) | st.floats(-1e3, 1e3).map(lambda w: w * max(1.0, u * u))
+        | st.floats(-1e300, -1e16) | st.just(0.0)
+    )
+    cap = 0.1 / max(1.0, abs(u))
+    factor = draw(st.sampled_from((1.0, 0.5, 0.25)) | st.floats(1e-3, 4.0) | st.floats(4.0, 1e12))
+    h = cap * factor * draw(st.sampled_from((1.0, -1.0)))
+    return params_from_coeffs(A, B), u, v, h
+
+
+def _increment_outcome(increment, p, u, v, h):
+    try:
+        return tuple(x.hex() for x in increment(p, u, v, h))
+    except (NonFiniteError, StageSolveFailure) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("kind", list(IntegratorKind))
+@settings(max_examples=1500, deadline=None)
+@given(case=increment_inputs())
+def test_increment_matches_reference_bitwise(kind, case):
+    # same (du, dv) to the last bit and the sign of zero, or the same exception type
+    p, u, v, h = case
+    increment, _ = _STEPPERS[kind]
+    want = _increment_outcome(_REFERENCE_INCREMENTS[kind], p, u, v, h)
+    assert _increment_outcome(increment, p, u, v, h) == want
+
+
 @settings(max_examples=500, deadline=None)
 @given(contracting_steps())
 def test_gauss6_is_symmetric(case):
@@ -140,6 +250,16 @@ def test_gauss6_respects_u_to_minus_u_of_minus_t(case):
     s1 = step_gauss6(p, State(0.0, u, v), h)
     m1 = step_gauss6(p, State(0.0, -u, v), -h)
     assert (m1.u, m1.v) == (-s1.u, s1.v)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "name", ["t_end", "h0", "local_tol", "h_min", "blowup_threshold", "h_cap_factor", "h_max"]
+)
+def test_options_reject_non_finite(name, value):
+    # a run toward a NaN t_end would never complete, only blow up or hit max_steps
+    with pytest.raises(DomainError):
+        IntegrateOptions(**{name: value})
 
 
 def test_options_validation():
@@ -311,6 +431,39 @@ def test_trajectory_bits_are_pinned(m, kind, ic, t_end, every, term, digest):
     h = hashlib.sha256()
     for col in (traj.t, traj.u, traj.v):
         h.update(np.ascontiguousarray(col, dtype="<f8").tobytes())
+    assert h.hexdigest() == digest
+
+
+# Whole-run pins, for the paths the pins above miss: the digest covers
+# t, u, v and t_residual, then the line "kind direction t_last n_steps"
+# (the fitted t_estimate, a LAPACK least-squares root, is left out).
+PINNED_RUNS = [
+    # (m, method, (u0, v0), options, termination, sha256)
+    # escape to |u| = 1e8, where the stage iteration takes 7 to 9 sweeps
+    (8.0, IntegratorKind.GAUSS6, (1.0, 1.0), dict(t_end=10.0), "blowup",
+     "d24846dd9ebf91fb96be8e70940987a90ea7e5bfaaff509931de45d204e2a0b6"),
+    # the gk_gauss6 benchmark shape at m = 5: step ceiling, cap 0.01/max|k|, tight tolerance
+    (5.0, IntegratorKind.GAUSS6, (-1.25, 0.75),
+     dict(t_end=20.0, blowup_threshold=1e3, local_tol=1e-13, h_max=5e-3, h_cap_factor=0.015), "blowup",
+     "c5557cd4a7276a9debf0882fa32bcf80b1958677cfa8a64c47e43348a7ac8612"),
+    (3.0, IntegratorKind.GAUSS6, (0.75, -1.25), dict(t_end=-20.0, h_max=0.01, max_steps=400), "max_steps",
+     "e42cb639c1a33fc6289b7d2cf984fa566744d7c350cf35f0b507d3792c7de845"),
+    # 818 accepted steps: the last state falls between records
+    (8.0, IntegratorKind.RK4, (-1.0, 0.5),
+     dict(t_end=-10.0, record_every=7, blowup_threshold=1e6, h_cap_factor=0.05), "blowup",
+     "7d8610e9625b30f2b473a24494a081344e2e322cb27682b3a4f61030adb717bc"),
+]
+
+
+@pytest.mark.parametrize("m, kind, ic, options, term, digest", PINNED_RUNS)
+def test_whole_runs_are_pinned(m, kind, ic, options, term, digest):
+    traj = integrate(params_from_dimension(m), State(0.0, *ic), kind, IntegrateOptions(**options))
+    assert traj.termination.kind == term
+    h = hashlib.sha256()
+    for col in (traj.t, traj.u, traj.v, traj.t_residual):
+        h.update(np.ascontiguousarray(col, dtype="<f8").tobytes())
+    end = traj.termination
+    h.update(f"{end.kind} {end.direction} {end.t_last!r} {traj.n_steps}".encode())
     assert h.hexdigest() == digest
 
 
