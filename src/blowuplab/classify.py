@@ -209,8 +209,10 @@ def detect_period(p: OdeParams, s0: State, t_max: float, tol: float = 1e-5) -> P
     v = 0 with matching acceleration sign when v0 = 0).  Crossing times
     are refined by bisection on the bracketing accepted step.
     """
-    if t_max <= 0 or tol <= 0:
-        raise DomainError("t_max and tol must be positive")
+    if not 0.0 < t_max < math.inf:  # false for NaN too
+        raise DomainError(f"t_max must be positive and finite, got {t_max}")
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
     opts = IntegrateOptions(h0=1e-3, t_end=s0.t + t_max, local_tol=1e-12, record_every=1)
     traj = integrate(p, s0, IntegratorKind.GAUSS6, opts)
     if traj.termination.kind == "blowup":

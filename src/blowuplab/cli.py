@@ -16,6 +16,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -237,6 +238,9 @@ def cmd_portrait(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    # checked before --out is opened, so a bad horizon leaves no file behind
+    if args.verify and not 0.0 < args.horizon < math.inf:
+        raise ValueError(f"--horizon must be positive and finite, got {args.horizon}")
     p = _params_from_args(args)
     u_grid, v_grid = _parse_grid(args.grid[0]), _parse_grid(args.grid[1])
     failures = 0

@@ -2,12 +2,12 @@
 
 sl solves (y')^2 = 1 - y^4 with y(0) = 0, y'(0) = 1, equivalently
 y'' = -2 y^3.  It is the Jacobi function sd at parameter m = 1/2 with the
-argument scaled by sqrt(2), so one scipy.special.ellipj call gives sl and
-sl' on scalars and arrays alike; scipy.special is imported by the first
-sl call, not with this module.  The complete integral K comes from the
-arithmetic-geometric mean and the incomplete F(phi | 1/2) from Carlson's
-R_F, both in plain float arithmetic.  The quarter period of sl, its first
-maximum, is K(1/sqrt 2) / sqrt 2.
+argument scaled by sqrt(2); sn, cn and dn come from the descending Landen
+transformation (A&S 16.4, DLMF 22.20), one numpy path for scalars and
+arrays alike, with its AGM table built once at import.  The complete
+integral K comes from the arithmetic-geometric mean and the incomplete
+F(phi | 1/2) from Carlson's R_F, both in plain float arithmetic.  The
+quarter period of sl, its first maximum, is K(1/sqrt 2) / sqrt 2.
 """
 from __future__ import annotations
 
@@ -25,9 +25,6 @@ _SQRT2 = math.sqrt(2.0)
 # spread of the arguments falls below A_n, the fifth-degree series is
 # exact to rounding
 _RF_SPREAD = (3.0 * sys.float_info.epsilon) ** (-1.0 / 6.0)
-# scipy.special.ellipj, bound by the first sl call so that importing this
-# module does not load scipy
-_ellipj = None
 
 
 def K_agm(k: float) -> float:
@@ -89,14 +86,44 @@ def F_half(phi: float) -> float:
     return 2.0 * j * _K_HALF + s * _carlson_rf(c * c, 1.0 - 0.5 * s * s, 1.0)
 
 
+def _landen_table(m: float) -> tuple[tuple[float, ...], float]:
+    """Descending Landen table at parameter m (A&S 16.4).
+
+    Returns the ratios c_n / a_n for n = N, ..., 1 and the scale 2^N a_N,
+    where N is the first n with c_n <= eps a_n.  Each c_n is formed as
+    c_{n-1}^2 / (4 a_n), equal to (a_{n-1} - b_{n-1}) / 2 since
+    a^2 - b^2 = c^2, but without its cancellation.
+    """
+    a, b, c = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
+    ratios = []
+    while c > sys.float_info.epsilon * a:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        c = 0.25 * c * c / a
+        ratios.append(c / a)
+    return tuple(reversed(ratios)), 2.0**len(ratios) * a
+
+
+# m = 1/2 takes N = 5; phi_N = 2^N a_N u with u = sqrt(2) t
+_LANDEN_RATIOS, _LANDEN_SCALE = _landen_table(0.5)
+_SL_PHI_SCALE = _LANDEN_SCALE * _SQRT2
+
+
 def sl(t: float | np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Lemniscatic sine and its derivative at real t (scalar or array).
 
     sl(t) = sd(sqrt(2) t | 1/2) / sqrt(2) and sl'(t) = cn / dn^2, with the
-    Jacobi functions at parameter m = 1/2 (DLMF 22.2, 22.13).
+    Jacobi functions at parameter m = 1/2 (DLMF 22.2, 22.13).  The
+    amplitude phi = am(u | 1/2) comes from the descending Landen
+    recurrence phi_{n-1} = (phi_n + asin((c_n / a_n) sin phi_n)) / 2
+    (DLMF 22.20(ii)); then sn = sin phi, cn = cos phi and
+    2 dn^2 = 2 - sn^2, which lies in [1, 2] and so cancels nowhere.  A
+    scalar t gives np.float64 values; a non-finite t gives NaN without a
+    warning.
     """
-    global _ellipj
-    if _ellipj is None:
-        from scipy.special import ellipj as _ellipj
-    sn, cn, dn, _ = _ellipj(_SQRT2 * t, 0.5)
-    return sn / (_SQRT2 * dn), cn / (dn * dn)
+    phi = _SL_PHI_SCALE * np.asarray(t, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # sin(+-inf)
+        for ratio in _LANDEN_RATIOS:
+            phi = 0.5 * (phi + np.arcsin(ratio * np.sin(phi)))
+        sn = np.sin(phi)
+    two_dn2 = 2.0 - sn * sn
+    return sn / np.sqrt(two_dn2), 2.0 * np.cos(phi) / two_dn2

@@ -256,3 +256,9 @@ def test_detect_period_arg_validation():
         detect_period(P3, State(0.0, 0.0, 1.0), t_max=-1.0)
     with pytest.raises(DomainError):
         detect_period(P3, State(0.0, 0.0, 1.0), t_max=1.0, tol=0.0)
+    for t_max in (math.nan, math.inf, 0.0):
+        with pytest.raises(DomainError, match="t_max"):
+            detect_period(P3, State(0.0, 0.0, 1.0), t_max=t_max)
+    for tol in (math.nan, -1e-5):
+        with pytest.raises(DomainError, match="tol"):
+            detect_period(P3, State(0.0, 0.0, 1.0), t_max=1.0, tol=tol)

@@ -253,6 +253,15 @@ def test_non_finite_time_span_is_rejected(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "finite" in err
 
 
+@pytest.mark.parametrize("horizon", ["nan", "0"])
+def test_classify_checks_horizon_before_writing(tmp_path, capsys, horizon):
+    out = tmp_path / "c.csv"
+    assert main(["classify", "--m", "3", "--grid", "0:1:2", "0:1:2", "--verify",
+                 "--horizon", horizon, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --horizon")
+    assert not out.exists()
+
+
 def test_classify_grid_with_verification(tmp_path):
     out = tmp_path / "cls.csv"
     rc = main(["classify", "--m", "8", "--grid", "-1:1:3", "-1:1:3",

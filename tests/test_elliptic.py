@@ -1,9 +1,10 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import ellipkinc
+from scipy.special import ellipj, ellipkinc
 
 from blowuplab import (
     DomainError,
@@ -117,6 +118,50 @@ def test_sl_solves_its_ode():
     y, dy = sl(traj.t)
     assert np.max(np.abs(y - traj.u)) < 1e-12
     assert np.max(np.abs(dy - traj.v)) < 1e-12
+
+
+def test_sl_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()  # a private 40-digit context
+    mp.dps = 40
+    rng = np.random.default_rng(8)
+    ts = rng.uniform(-10.0, 10.0, size=300)
+    y, dy = sl(ts)
+    half, root2 = mp.mpf(1) / 2, mp.sqrt(2)
+    for t, yi, dyi in zip(ts, y, dy):
+        u = root2 * mp.mpf(float(t))
+        sn, cn, dn = (mp.ellipfun(kind, u, m=half) for kind in ("sn", "cn", "dn"))
+        assert abs(yi - float(sn / (root2 * dn))) <= 2e-14
+        assert abs(dyi - float(cn / dn**2)) <= 2e-14
+
+
+def test_sl_matches_ellipj():
+    # against 40-digit mpmath, ellipj itself is off by up to 8.2e-14 near
+    # |t| = 27.5 on this grid and sl by at most 2.5e-14
+    ts = np.linspace(-30.0, 30.0, 20001)
+    sn, cn, dn, _ = ellipj(math.sqrt(2.0) * ts, 0.5)
+    y, dy = sl(ts)
+    assert np.max(np.abs(y - sn / (math.sqrt(2.0) * dn))) <= 1e-13
+    assert np.max(np.abs(dy - cn / (dn * dn))) <= 1e-13
+
+
+def test_sl_scalar_and_array_calls_agree_bitwise():
+    ts = np.linspace(-30.0, 30.0, 2001)
+    y, dy = sl(ts)
+    for n in (1, 2, 3, 7, 8, 9, 17):  # lengths around the SIMD vector widths
+        y_n, dy_n = sl(ts[3 : 3 + n])
+        assert np.array_equal(y_n, y[3 : 3 + n]) and np.array_equal(dy_n, dy[3 : 3 + n])
+    for t, yi, dyi in zip(ts, y, dy):
+        ys, dys = sl(float(t))
+        assert type(ys) is np.float64 and type(dys) is np.float64
+        assert (ys, dys) == (yi, dyi)
+
+
+def test_sl_non_finite_is_nan_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y, dy = sl(np.array([math.inf, -math.inf, math.nan]))
+    assert np.all(np.isnan(y)) and np.all(np.isnan(dy))
 
 
 def test_F_half_matches_ellipkinc():

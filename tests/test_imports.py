@@ -9,7 +9,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # run in a fresh interpreter: pytest and the other test modules have
 # already loaded scipy into this one
 PROBE = """
-import json, sys
+import contextlib, io, json, os, sys, tempfile
+import numpy as np
 import blowuplab, blowuplab.cli
 loaded = {name: name in sys.modules for name in ("scipy", "multiprocessing", "concurrent.futures.process")}
 blowuplab.quadrature_blowup_time(1.0, 1.0, 0.3)
@@ -20,12 +21,20 @@ traj = blowuplab.integrate(p, blowuplab.State(0.0, 0.0, -1.0), blowuplab.Integra
 blowuplab.reconstruct_f(traj, C=1.0, step=0.1)
 loaded["scipy after reconstruct_f"] = "scipy" in sys.modules
 blowuplab.sl(0.5)
-loaded["scipy.special after sl"] = "scipy.special" in sys.modules
+blowuplab.sl(np.linspace(-3.0, 3.0, 7))
+loaded["scipy after sl"] = "scipy" in sys.modules
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        blowuplab.cli.main(["elliptic", "--sl", "--t=0.5"]),
+        blowuplab.cli.main(["elliptic", "--table", "--out", os.path.join(tmp, "sl.csv")]),
+    ]
+loaded["cli elliptic exit codes"] = codes
+loaded["scipy after cli elliptic"] = "scipy" in sys.modules
 print(json.dumps(loaded))
 """
 
 
-def test_scipy_is_loaded_by_sl_alone():
+def test_runtime_never_loads_scipy():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -35,5 +44,7 @@ def test_scipy_is_loaded_by_sl_alone():
         "concurrent.futures.process": False,
         "scipy after quadrature_blowup_time": False,
         "scipy after reconstruct_f": False,
-        "scipy.special after sl": True,
+        "scipy after sl": False,
+        "cli elliptic exit codes": [0, 0],
+        "scipy after cli elliptic": False,
     }
