@@ -188,8 +188,8 @@ def _thread_count() -> int:
 
 
 def cmd_portrait(args: argparse.Namespace) -> int:
-    if not args.horizon > 0:
-        raise ValueError(f"--horizon must be positive, got {args.horizon}")
+    if not 0.0 < args.horizon < math.inf:
+        raise ValueError(f"--horizon must be positive and finite, got {args.horizon}")
     p = _params_from_args(args)
     u_grid, v_grid = _parse_grid(args.grid[0]), _parse_grid(args.grid[1])
     opts = IntegrateOptions(

@@ -109,19 +109,24 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # steppers
 
-# Stepper contract: increment(p, u, v, h) -> (du, dv) returns a finite
-# increment with u + du, v + dv finite, or raises NonFiniteError or
-# StageSolveFailure; the driver then halves h.  x * 0.0 is 0.0 for every
-# finite x and NaN for an infinite or NaN one, so a sum of such products
-# tests finiteness exactly without overflowing.
+# Increment contract: increment(A, B, u, v, h) -> (du, dv) returns a
+# finite increment with u + du, v + dv finite, or raises NonFiniteError or
+# StageSolveFailure.  x * 0.0 is 0.0 for every finite x and NaN for an
+# infinite or NaN one, so a sum of such products tests finiteness exactly
+# without overflowing.
+#
+# Attempt contract, the driver's: attempt(A, B, u, v, h) -> (dfu, dfv, du, dv)
+# returns the full step's increment and the sum of the two half steps'
+# increments, bit for bit those of increment(h), increment(h/2) and
+# increment(h/2) from the midpoint, or raises where one of them raises; the
+# driver then halves h.
 
 
-def _rk4_increment(p: OdeParams, u: float, v: float, h: float) -> tuple[float, float]:
+def _rk4_increment(A: float, B: float, u: float, v: float, h: float) -> tuple[float, float]:
     """State increment of one classical fourth-order Runge-Kutta step.
 
     A non-finite stage reaches du or dv, so one check at the end suffices.
     """
-    A, B = p.A, p.B
     k1v = A * u * v + B * u * u * u
     a, k2u = u + 0.5 * h * v, v + 0.5 * h * k1v
     k2v = A * a * k2u + B * a * a * a
@@ -134,6 +139,54 @@ def _rk4_increment(p: OdeParams, u: float, v: float, h: float) -> tuple[float, f
     if (u + du) * 0.0 + (v + dv) * 0.0 != 0.0:
         raise NonFiniteError("stage value overflowed")
     return du, dv
+
+
+def _rk4_attempt(A: float, B: float, u: float, v: float, h: float) -> tuple[float, float, float, float]:
+    """One step-doubling attempt of RK4: _rk4_increment's arithmetic, written out.
+
+    The full and the first half step share k1v.  0.5 * h * v evaluates as
+    (0.5 * h) * v, so taking the sub-step factors once changes no bit.  A
+    non-finite midpoint (u1, v1) makes u1 + d2u or v1 + d2v non-finite, so
+    testing the full step's and the second half step's end states decides
+    what the three increments' tests decide.
+    """
+    k1v = A * u * v + B * u * u * u
+    # full step over h
+    c = 0.5 * h
+    a, k2u = u + c * v, v + c * k1v
+    k2v = A * a * k2u + B * a * a * a
+    a, k3u = u + c * k2u, v + c * k2v
+    k3v = A * a * k3u + B * a * a * a
+    a, k4u = u + h * k3u, v + h * k3v
+    k4v = A * a * k4u + B * a * a * a
+    w = h / 6.0
+    dfu = w * (v + 2.0 * k2u + 2.0 * k3u + k4u)
+    dfv = w * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    # first half step over c
+    q = 0.5 * c
+    a, k2u = u + q * v, v + q * k1v
+    k2v = A * a * k2u + B * a * a * a
+    a, k3u = u + q * k2u, v + q * k2v
+    k3v = A * a * k3u + B * a * a * a
+    a, k4u = u + c * k3u, v + c * k3v
+    k4v = A * a * k4u + B * a * a * a
+    w = c / 6.0
+    d1u = w * (v + 2.0 * k2u + 2.0 * k3u + k4u)
+    d1v = w * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    # second half step over c from the midpoint
+    u1, v1 = u + d1u, v + d1v
+    k1v = A * u1 * v1 + B * u1 * u1 * u1
+    a, k2u = u1 + q * v1, v1 + q * k1v
+    k2v = A * a * k2u + B * a * a * a
+    a, k3u = u1 + q * k2u, v1 + q * k2v
+    k3v = A * a * k3u + B * a * a * a
+    a, k4u = u1 + c * k3u, v1 + c * k3v
+    k4v = A * a * k4u + B * a * a * a
+    d2u = w * (v1 + 2.0 * k2u + 2.0 * k3u + k4u)
+    d2v = w * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    if (u + dfu) * 0.0 + (v + dfv) * 0.0 + (u1 + d2u) * 0.0 + (v1 + d2v) * 0.0 != 0.0:
+        raise NonFiniteError("stage value overflowed")
+    return dfu, dfv, d1u + d2u, d1v + d2v
 
 
 # 3-point Gauss-Legendre collocation tableau
@@ -150,7 +203,7 @@ _STAGE_RTOL = 4.0 * sys.float_info.epsilon
 _GAUSS6_MAX_SWEEPS = 40
 
 
-def _gauss6_increment(p: OdeParams, u: float, v: float, h: float) -> tuple[float, float]:
+def _gauss6_increment(A: float, B: float, u: float, v: float, h: float) -> tuple[float, float]:
     """State increment of one 3-stage Gauss-Legendre (order 6) step.
 
     The stage increments Z_i = Y_i - y0 are solved by fixed-point
@@ -159,7 +212,6 @@ def _gauss6_increment(p: OdeParams, u: float, v: float, h: float) -> tuple[float
     max(1, |y0|, |Z_i|): rounding noise of that size never goes away,
     so an absolute tolerance would never be met once |y| is large.
     """
-    A, B = p.A, p.B
     fv = A * u * v + B * u * u * u
     if v * 0.0 + fv * 0.0 != 0.0:
         raise NonFiniteError("stage value overflowed")
@@ -168,7 +220,8 @@ def _gauss6_increment(p: OdeParams, u: float, v: float, h: float) -> tuple[float
     z2u, z2v = 0.5 * h * v, 0.5 * h * fv
     z3u, z3v = _C3 * h * v, _C3 * h * fv
     R = _STAGE_RTOL
-    tu, tv = R * max(1.0, abs(u)), R * max(1.0, abs(v))  # R s for s = max(1, |y0|)
+    tu, tv = abs(u), abs(v)
+    tu, tv = R * (tu if tu > 1.0 else 1.0), R * (tv if tv > 1.0 else 1.0)  # R s for s = max(1, |y0|)
     converged = False
     for _ in range(_GAUSS6_MAX_SWEEPS):
         y1u, y1v = u + z1u, v + z1v
@@ -209,10 +262,18 @@ def _gauss6_increment(p: OdeParams, u: float, v: float, h: float) -> tuple[float
     return du, dv
 
 
+def _gauss6_attempt(A: float, B: float, u: float, v: float, h: float) -> tuple[float, float, float, float]:
+    """One step-doubling attempt of Gauss6: three increments."""
+    dfu, dfv = _gauss6_increment(A, B, u, v, h)
+    d1u, d1v = _gauss6_increment(A, B, u, v, 0.5 * h)
+    d2u, d2v = _gauss6_increment(A, B, u + d1u, v + d1v, 0.5 * h)
+    return dfu, dfv, d1u + d2u, d1v + d2v
+
+
 def _step(increment, p: OdeParams, s: State, h: float) -> State:
     if h == 0.0:
         raise DomainError("step size must be nonzero")
-    du, dv = increment(p, s.u, s.v, h)
+    du, dv = increment(p.A, p.B, s.u, s.v, h)
     return State(s.t + h, s.u + du, s.v + dv)
 
 
@@ -226,8 +287,8 @@ def step_gauss6(p: OdeParams, s: State, h: float) -> State:
     return _step(_gauss6_increment, p, s, h)
 
 
-# increment function and order of each method
-_STEPPERS = {IntegratorKind.RK4: (_rk4_increment, 4), IntegratorKind.GAUSS6: (_gauss6_increment, 6)}
+# step-doubling attempt and order of each method
+_STEPPERS = {IntegratorKind.RK4: (_rk4_attempt, 4), IntegratorKind.GAUSS6: (_gauss6_attempt, 6)}
 
 
 # ---------------------------------------------------------------------------
@@ -259,19 +320,23 @@ def _integrate_forward(
     p: OdeParams, t: float, u: float, v: float, kind: IntegratorKind, opts: IntegrateOptions,
     direction: int,
 ) -> Trajectory:
-    increment, order = _STEPPERS[kind]
+    attempt, order = _STEPPERS[kind]
+    A, B = p.A, p.B
     gain = 1.0 / (2**order - 1.0)
     expo = 1.0 / (order + 1)
     tol, h_min, h_cap, t_end = opts.local_tol, opts.h_min, opts.h_cap_factor, opts.t_end
     every, max_steps = opts.record_every, opts.max_steps
     h_max = math.inf if opts.h_max is None else opts.h_max
     t_done = t_end - 1e-15 * (abs(t_end) if abs(t_end) > 1.0 else 1.0)
-    u_big, v_big = opts.blowup_threshold, opts.blowup_threshold**2
+    # u_big * u_big is inf past 1.3e154, which turns the |v| test off;
+    # ** would raise OverflowError there
+    u_big = opts.blowup_threshold
+    v_big = u_big * u_big
     # state accumulated by compensated (Kahan) summation of step
     # increments, so long runs do not pick up one coherent rounding ulp per step
     ct = cu = cv = 0.0
     h = opts.h0
-    rows = [(t, u, v, 0.0)]  # t, u, v and the t residual of each recorded state
+    rows = [t, u, v, 0.0]  # flat: t, u, v and the t residual of each recorded state
     n_acc = 0
     termination = None  # stays None on blow-up
     while True:
@@ -293,18 +358,17 @@ def _integrate_forward(
             termination = Termination("step_underflow", t_last=t)
             break
         try:
-            dfu, dfv = increment(p, u, v, h)
-            d1u, d1v = increment(p, u, v, 0.5 * h)
-            d2u, d2v = increment(p, u + d1u, v + d1v, 0.5 * h)
+            dfu, dfv, du, dv = attempt(A, B, u, v, h)
         except (NonFiniteError, StageSolveFailure):
             h *= 0.5
             continue
-        du, dv = d1u + d2u, d1v + d2v
-        eu = abs(dfu - du) / (abs(u + du) if abs(u + du) > 1.0 else 1.0)
-        ev = abs(dfv - dv) / (abs(v + dv) if abs(v + dv) > 1.0 else 1.0)
+        au, av = abs(u + du), abs(v + dv)
+        eu = abs(dfu - du) / (au if au > 1.0 else 1.0)
+        ev = abs(dfv - dv) / (av if av > 1.0 else 1.0)
         err = gain * (ev if ev > eu else eu)
         if err > tol:
-            h *= max(0.2, 0.9 * (tol / err) ** expo)
+            f = 0.9 * (tol / err) ** expo
+            h *= f if f > 0.2 else 0.2
             continue
         # u += du, v += dv, t += h, each compensated
         yu, yv, yt = du - cu, dv - cv, h - ct
@@ -313,16 +377,18 @@ def _integrate_forward(
         u, v, t = su, sv, st
         n_acc += 1
         if n_acc % every == 0:
-            rows.append((t, u, v, ct))
+            rows += (t, u, v, ct)
         if abs(u) > u_big or abs(v) > v_big:
             break
         if err > 0:
-            h *= min(5.0, max(0.2, 0.9 * (tol / err) ** expo))
+            # tol/err >= 1 here, so f >= 0.9 and only the cap 5 can bind
+            f = 0.9 * (tol / err) ** expo
+            h *= f if f < 5.0 else 5.0
         else:
             h *= 5.0
     if n_acc % every:  # the last accepted state is always kept
-        rows.append((t, u, v, ct))
-    cols = np.array(rows).T
+        rows += (t, u, v, ct)
+    cols = np.array(rows).reshape(-1, 4).T
     states = np.rec.fromarrays(cols[:3], names="t,u,v")
     if termination is None:
         termination = Termination("blowup", t_estimate=_blowup_time(cols[0], cols[1]), direction=direction)

@@ -185,12 +185,12 @@ def test_portrait_pool_matches_serial(tmp_path, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("horizon", ["-2", "0", "nan"])
+@pytest.mark.parametrize("horizon", ["-2", "0", "nan", "inf"])
 def test_portrait_rejects_non_positive_horizon(tmp_path, capsys, horizon):
     out = tmp_path / "p.csv"
     assert main(["portrait", "--m", "5", "--grid", "0:1:2", "0:1:2",
                  "--horizon", horizon, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith("error: --horizon")
     assert not out.exists()
 
 

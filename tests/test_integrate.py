@@ -23,7 +23,7 @@ from blowuplab import (
 from blowuplab.errors import FitFailure, NonFiniteError, StageSolveFailure
 from blowuplab.integrate import (
     _A11, _A12, _A13, _A21, _A22, _A23, _A31, _A32, _A33, _B1, _B2, _C1, _C3,
-    _GAUSS6_MAX_SWEEPS, _STAGE_RTOL, _STEPPERS, _blowup_time,
+    _GAUSS6_MAX_SWEEPS, _STAGE_RTOL, _STEPPERS, _blowup_time, _gauss6_increment, _rk4_increment,
 )
 
 # tanh-sinh quadrature oracle for integral_0^inf dw / sqrt(1 + w^4)
@@ -71,11 +71,11 @@ def test_steppers_raise_nonfinite_on_overflow(stepper, u, v):
 @pytest.mark.parametrize("kind", list(IntegratorKind))
 @pytest.mark.parametrize("u, v", [(1e60, 0.0), (1.0, 1e200)])
 def test_increment_raises_instead_of_overflowing(kind, u, v):
-    # the driver calls the increments directly and halves h on
-    # NonFiniteError, so an increment never returns a non-finite state
-    increment, _ = _STEPPERS[kind]
+    # the driver calls the step-doubling attempts directly and halves h on
+    # NonFiniteError, so an attempt never returns a non-finite increment
+    attempt, _ = _STEPPERS[kind]
     with pytest.raises(NonFiniteError):
-        increment(params_from_coeffs(0.0, 2.0), u, v, 1.0)
+        attempt(0.0, 2.0, u, v, 1.0)
 
 
 def test_gauss6_stage_solve_at_escape_states():
@@ -123,8 +123,9 @@ def contracting_steps(draw):
 
 
 # Reference increments in their plain formulation: the RHS as a lambda in
-# RK4, max() and math.isfinite in the Gauss6 stage test.  The increments
-# in _STEPPERS must agree with them bit for bit.
+# RK4, max() and math.isfinite in the Gauss6 stage test.  The single-step
+# increments and the driver's step-doubling attempts in _STEPPERS must
+# agree with them bit for bit.
 
 
 def _check_finite_ref(u, v):
@@ -188,6 +189,16 @@ def _gauss6_increment_ref(p, u, v, h):
 
 
 _REFERENCE_INCREMENTS = {IntegratorKind.RK4: _rk4_increment_ref, IntegratorKind.GAUSS6: _gauss6_increment_ref}
+# the increments step_rk4 and step_gauss6 take
+_INCREMENTS = {IntegratorKind.RK4: _rk4_increment, IntegratorKind.GAUSS6: _gauss6_increment}
+
+
+def _step_doubling_ref(increment, p, u, v, h):
+    # the full step, and the two half steps summed, as the driver compares them
+    dfu, dfv = increment(p, u, v, h)
+    d1u, d1v = increment(p, u, v, 0.5 * h)
+    d2u, d2v = increment(p, u + d1u, v + d1v, 0.5 * h)
+    return dfu, dfv, d1u + d2u, d1v + d2v
 
 
 @st.composite
@@ -211,9 +222,9 @@ def increment_inputs(draw):
     return params_from_coeffs(A, B), u, v, h
 
 
-def _increment_outcome(increment, p, u, v, h):
+def _outcome(fn, *args):
     try:
-        return tuple(x.hex() for x in increment(p, u, v, h))
+        return tuple(x.hex() for x in fn(*args))
     except (NonFiniteError, StageSolveFailure) as exc:
         return type(exc)
 
@@ -224,9 +235,20 @@ def _increment_outcome(increment, p, u, v, h):
 def test_increment_matches_reference_bitwise(kind, case):
     # same (du, dv) to the last bit and the sign of zero, or the same exception type
     p, u, v, h = case
-    increment, _ = _STEPPERS[kind]
-    want = _increment_outcome(_REFERENCE_INCREMENTS[kind], p, u, v, h)
-    assert _increment_outcome(increment, p, u, v, h) == want
+    want = _outcome(_REFERENCE_INCREMENTS[kind], p, u, v, h)
+    assert _outcome(_INCREMENTS[kind], p.A, p.B, u, v, h) == want
+
+
+@pytest.mark.parametrize("kind", list(IntegratorKind))
+@settings(max_examples=1500, deadline=None)
+@given(case=increment_inputs())
+def test_attempt_matches_reference_step_doubling_bitwise(kind, case):
+    # (dfu, dfv, du, dv) to the last bit and the sign of zero, or the same
+    # exception type, as three reference increments composed by step doubling
+    p, u, v, h = case
+    attempt, _ = _STEPPERS[kind]
+    want = _outcome(_step_doubling_ref, _REFERENCE_INCREMENTS[kind], p, u, v, h)
+    assert _outcome(attempt, p.A, p.B, u, v, h) == want
 
 
 @settings(max_examples=500, deadline=None)
@@ -273,6 +295,16 @@ def test_options_validation():
         IntegrateOptions(h_cap_factor=0.0)
     with pytest.raises(DomainError):
         IntegrateOptions(h_max=-0.1)
+
+
+@pytest.mark.parametrize("kind", list(IntegratorKind))
+def test_blowup_threshold_beyond_the_square_root_of_float_max(kind):
+    # 1e160 squared overflows to inf, which switches the |v| test off;
+    # the run must still return a trajectory, not raise OverflowError
+    opts = IntegrateOptions(t_end=1.0, blowup_threshold=1e160)
+    traj = integrate(params_from_dimension(5.0), State(0.0, 0.5, 0.0), kind, opts)
+    assert isinstance(traj, Trajectory)
+    assert traj.termination.kind == "completed"
 
 
 def test_forward_tanh_endpoint():
