@@ -283,6 +283,8 @@ def cmd_elliptic(args: argparse.Namespace) -> int:
         if args.t is None:
             print("--sl requires --t", file=sys.stderr)
             return 2
+        if not math.isfinite(args.t):
+            raise ValueError(f"--t must be finite, got {args.t}")
         y, dy = sl(args.t)
         print(f"{_fmt(y)},{_fmt(dy)}")
         did_something = True

@@ -120,6 +120,12 @@ class Trajectory:
 # increments, bit for bit those of increment(h), increment(h/2) and
 # increment(h/2) from the midpoint, or raises where one of them raises; the
 # driver then halves h.
+#
+# Gauss6 solves its stages in one place, _gauss6_solve, from a start state
+# that _gauss6_start computes and tests once per starting point: the
+# increment is start then solve, and the attempt shares the start at (u, v)
+# between the full and the first half step.  The solver tests the
+# finiteness of its iterates once, when its sweeps run out, not per sweep.
 
 
 def _rk4_increment(A: float, B: float, u: float, v: float, h: float) -> tuple[float, float]:
@@ -203,70 +209,104 @@ _STAGE_RTOL = 4.0 * sys.float_info.epsilon
 _GAUSS6_MAX_SWEEPS = 40
 
 
-def _gauss6_increment(A: float, B: float, u: float, v: float, h: float) -> tuple[float, float]:
-    """State increment of one 3-stage Gauss-Legendre (order 6) step.
+def _gauss6_start(A: float, B: float, u: float, v: float) -> tuple[float, float, float]:
+    """Start state of a stage solve from (u, v): (fv, tu, tv).
+
+    fv = u'' at (u, v), tested finite; tu, tv are the absolute parts
+    R max(1, |u|), R max(1, |v|) of the stage convergence test.
+    """
+    fv = A * u * v + B * u * u * u
+    if v * 0.0 + fv * 0.0 != 0.0:
+        raise NonFiniteError("stage value overflowed")
+    tu, tv = abs(u), abs(v)
+    return fv, _STAGE_RTOL * (tu if tu > 1.0 else 1.0), _STAGE_RTOL * (tv if tv > 1.0 else 1.0)
+
+
+def _gauss6_solve(
+    A: float, B: float, u: float, v: float, fv: float, tu: float, tv: float, h: float,
+    A11=_A11, A12=_A12, A13=_A13, A21=_A21, A22=_A22, A23=_A23, A31=_A31, A32=_A32, A33=_A33,
+    B1=_B1, B2=_B2, C1=_C1, C3=_C3, R=_STAGE_RTOL,
+) -> tuple[float, float]:
+    """State increment of one 3-stage Gauss-Legendre (order 6) step from a start state.
 
     The stage increments Z_i = Y_i - y0 are solved by fixed-point
     iteration seeded with the Euler prediction.  A component has
     converged when its sweep change is within a few ulps of
     max(1, |y0|, |Z_i|): rounding noise of that size never goes away,
     so an absolute tolerance would never be met once |y| is large.
+    The u-component of f at a stage is that stage's v, so it has no name.
+    The tableau is bound as default arguments, which read as locals.
     """
-    fv = A * u * v + B * u * u * u
-    if v * 0.0 + fv * 0.0 != 0.0:
-        raise NonFiniteError("stage value overflowed")
-    # Euler prediction along the nodes
-    z1u, z1v = _C1 * h * v, _C1 * h * fv
-    z2u, z2v = 0.5 * h * v, 0.5 * h * fv
-    z3u, z3v = _C3 * h * v, _C3 * h * fv
-    R = _STAGE_RTOL
-    tu, tv = abs(u), abs(v)
-    tu, tv = R * (tu if tu > 1.0 else 1.0), R * (tv if tv > 1.0 else 1.0)  # R s for s = max(1, |y0|)
+    c = C1 * h  # C1 * h * v evaluates as (C1 * h) * v
+    z1u, z1v = c * v, c * fv
+    c = 0.5 * h
+    z2u, z2v = c * v, c * fv
+    c = C3 * h
+    z3u, z3v = c * v, c * fv
+    mtu, mtv = -tu, -tv
     converged = False
     for _ in range(_GAUSS6_MAX_SWEEPS):
         y1u, y1v = u + z1u, v + z1v
         y2u, y2v = u + z2u, v + z2v
         y3u, y3v = u + z3u, v + z3v
-        f1u, f1v = y1v, A * y1u * y1v + B * y1u * y1u * y1u
-        f2u, f2v = y2v, A * y2u * y2v + B * y2u * y2u * y2u
-        f3u, f3v = y3v, A * y3u * y3v + B * y3u * y3u * y3u
+        f1v = A * y1u * y1v + B * y1u * y1u * y1u
+        f2v = A * y2u * y2v + B * y2u * y2u * y2u
+        f3v = A * y3u * y3v + B * y3u * y3u * y3u
         if converged:  # the increment uses f at the converged stages
             break
-        n1u = h * (_A11 * f1u + _A12 * f2u + _A13 * f3u)
-        n1v = h * (_A11 * f1v + _A12 * f2v + _A13 * f3v)
-        n2u = h * (_A21 * f1u + _A22 * f2u + _A23 * f3u)
-        n2v = h * (_A21 * f1v + _A22 * f2v + _A23 * f3v)
-        n3u = h * (_A31 * f1u + _A32 * f2u + _A33 * f3u)
-        n3v = h * (_A31 * f1v + _A32 * f2v + _A33 * f3v)
-        # d <= R max(s, |n|) is the same decision as d <= R s or d <= R |n|,
-        # because rounded multiplication by R > 0 is monotone
+        n1u = h * (A11 * y1v + A12 * y2v + A13 * y3v)
+        n1v = h * (A11 * f1v + A12 * f2v + A13 * f3v)
+        n2u = h * (A21 * y1v + A22 * y2v + A23 * y3v)
+        n2v = h * (A21 * f1v + A22 * f2v + A23 * f3v)
+        n3u = h * (A31 * y1v + A32 * y2v + A33 * y3v)
+        n3v = h * (A31 * f1v + A32 * f2v + A33 * f3v)
+        # |d| <= R max(s, |n|) is the same decision as |d| <= R s or
+        # |d| <= R |n|, because rounded multiplication by R > 0 is monotone;
+        # n3v, the component that fails first, is tested first
         converged = (
-            ((d := abs(n1u - z1u)) <= tu or d <= R * abs(n1u))
-            and ((d := abs(n1v - z1v)) <= tv or d <= R * abs(n1v))
-            and ((d := abs(n2u - z2u)) <= tu or d <= R * abs(n2u))
-            and ((d := abs(n2v - z2v)) <= tv or d <= R * abs(n2v))
-            and ((d := abs(n3u - z3u)) <= tu or d <= R * abs(n3u))
-            and ((d := abs(n3v - z3v)) <= tv or d <= R * abs(n3v))
+            (mtv <= (d := n3v - z3v) <= tv or abs(d) <= R * abs(n3v))
+            and (mtu <= (d := n3u - z3u) <= tu or abs(d) <= R * abs(n3u))
+            and (mtv <= (d := n2v - z2v) <= tv or abs(d) <= R * abs(n2v))
+            and (mtv <= (d := n1v - z1v) <= tv or abs(d) <= R * abs(n1v))
+            and (mtu <= (d := n1u - z1u) <= tu or abs(d) <= R * abs(n1u))
+            and (mtu <= (d := n2u - z2u) <= tu or abs(d) <= R * abs(n2u))
         )
-        if not converged and (
-            n1u * 0.0 + n1v * 0.0 + n2u * 0.0 + n2v * 0.0 + n3u * 0.0 + n3v * 0.0 != 0.0
-        ):
-            raise NonFiniteError("stage iteration overflowed")
         z1u, z1v, z2u, z2v, z3u, z3v = n1u, n1v, n2u, n2v, n3u, n3v
     else:
+        # Every n depends on every stage's v and every stage's f on its u,
+        # so once one iterate is non-finite all are within two sweeps and
+        # stay so: testing the last iterates decides what a test after
+        # every sweep would.  Non-finite iterates that pass the convergence
+        # test (inf <= R inf) reach the end-state test below.
+        if z1u * 0.0 + z1v * 0.0 + z2u * 0.0 + z2v * 0.0 + z3u * 0.0 + z3v * 0.0 != 0.0:
+            raise NonFiniteError("stage iteration overflowed")
         raise StageSolveFailure(f"stage iteration did not converge in {_GAUSS6_MAX_SWEEPS} sweeps")
-    du = h * (_B1 * (f1u + f3u) + _B2 * f2u)
-    dv = h * (_B1 * (f1v + f3v) + _B2 * f2v)
+    du = h * (B1 * (y1v + y3v) + B2 * y2v)
+    dv = h * (B1 * (f1v + f3v) + B2 * f2v)
     if (u + du) * 0.0 + (v + dv) * 0.0 != 0.0:
         raise NonFiniteError("stage value overflowed")
     return du, dv
 
 
+def _gauss6_increment(A: float, B: float, u: float, v: float, h: float) -> tuple[float, float]:
+    """State increment of one Gauss6 step: the start state at (u, v), then the solve."""
+    fv, tu, tv = _gauss6_start(A, B, u, v)
+    return _gauss6_solve(A, B, u, v, fv, tu, tv, h)
+
+
 def _gauss6_attempt(A: float, B: float, u: float, v: float, h: float) -> tuple[float, float, float, float]:
-    """One step-doubling attempt of Gauss6: three increments."""
-    dfu, dfv = _gauss6_increment(A, B, u, v, h)
-    d1u, d1v = _gauss6_increment(A, B, u, v, 0.5 * h)
-    d2u, d2v = _gauss6_increment(A, B, u + d1u, v + d1v, 0.5 * h)
+    """One step-doubling attempt of Gauss6: three solves, two start states.
+
+    The full step and the first half step start from (u, v) and share its
+    start state; the second half step starts from the midpoint.
+    """
+    fv, tu, tv = _gauss6_start(A, B, u, v)
+    dfu, dfv = _gauss6_solve(A, B, u, v, fv, tu, tv, h)
+    c = 0.5 * h
+    d1u, d1v = _gauss6_solve(A, B, u, v, fv, tu, tv, c)
+    u1, v1 = u + d1u, v + d1v
+    fv, tu, tv = _gauss6_start(A, B, u1, v1)
+    d2u, d2v = _gauss6_solve(A, B, u1, v1, fv, tu, tv, c)
     return dfu, dfv, d1u + d2u, d1v + d2v
 
 

@@ -46,6 +46,8 @@ class State:
 
 
 def _make_params(A: float, B: float, m: float | None) -> OdeParams:
+    if not (math.isfinite(A) and math.isfinite(B)):
+        raise DomainError(f"coefficients must be finite, got A={A}, B={B}")
     disc = A * A + 8.0 * B
     if disc >= 0.0:
         # roots of 2k^2 + A k - B = 0, computed cancellation-free
@@ -65,11 +67,14 @@ def _make_params(A: float, B: float, m: float | None) -> OdeParams:
 
 
 def params_from_dimension(m: float) -> OdeParams:
-    """Coefficients for source dimension m > 2."""
-    if m <= 2.0:
-        raise DomainError(f"dimension must exceed 2, got {m}")
+    """Coefficients for a finite source dimension m > 2."""
+    if not 2.0 < m < math.inf:  # false for NaN too
+        raise DomainError(f"dimension must be finite and exceed 2, got {m}")
+    # (m - 2)(m - 2) is inf past 1.3e154, where B is 0.0 (** would raise
+    # OverflowError); doubling after the division is exact and keeps
+    # 2 (m - 4) from overflowing to inf / inf = NaN past 9e307
     A = (8.0 - m) / (m - 2.0)
-    B = 2.0 * (m - 4.0) / (m - 2.0) ** 2
+    B = 2.0 * ((m - 4.0) / ((m - 2.0) * (m - 2.0)))
     return _make_params(A, B, m)
 
 

@@ -253,6 +253,25 @@ def test_non_finite_time_span_is_rejected(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "finite" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["integrate", "--u0", "1", "--v0", "1", "--t-end", "1"],
+    ["classify", "--grid", "0:1:2", "0:1:2"],
+    ["portrait", "--grid", "0:1:2", "0:1:2", "--horizon", "1"],
+])
+@pytest.mark.parametrize("model", [["--m", "nan"], ["--m", "inf"], ["--A", "nan", "--B", "1"], ["--A", "1", "--B=-inf"]])
+def test_non_finite_model_parameters_are_rejected(tmp_path, capsys, command, model):
+    assert main([*command, *model, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+
+
+def test_huge_dimension_integrates(tmp_path):
+    # (m - 2)^2 overflows here; B is 0.0 and the run is u'' = -u u'
+    out = tmp_path / "big.csv"
+    assert main(["integrate", "--m", "1e200", "--u0", "1", "--v0", "1", "--t-end", "1", "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "big.json").read_text())["params"]["B"] == 0.0
+
+
 @pytest.mark.parametrize("horizon", ["nan", "0"])
 def test_classify_checks_horizon_before_writing(tmp_path, capsys, horizon):
     out = tmp_path / "c.csv"
@@ -310,6 +329,13 @@ def test_elliptic_sl_and_table(tmp_path, capsys):
     for row in rows:
         y, dy = sl(float(row["t"]))
         assert (row["sl"], row["dsl"]) == (_fmt(y), _fmt(dy))
+
+
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_elliptic_sl_rejects_non_finite_t(capsys, t):
+    assert main(["elliptic", "--sl", "--t", t]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --t") and captured.out == ""
 
 
 def test_elliptic_requires_a_request(capsys):

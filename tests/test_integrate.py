@@ -251,6 +251,23 @@ def test_attempt_matches_reference_step_doubling_bitwise(kind, case):
     assert _outcome(attempt, p.A, p.B, u, v, h) == want
 
 
+@pytest.mark.parametrize("A, B, u, v, h, error", [
+    # the stage iteration overflows
+    (2.0, -2.0, -1.0, 1.0, 5.029693851315909, NonFiniteError),
+    (2.0, 0.5, 1e6, 1.0, 443.4082330195883, NonFiniteError),
+    # the iterates stay finite but do not converge in _GAUSS6_MAX_SWEEPS sweeps
+    (-1.0, 1.0, 1e6, 0.0, 1.206163204212089e-06, StageSolveFailure),
+])
+def test_gauss6_stage_solve_failures_are_told_apart(A, B, u, v, h, error):
+    # the stage solver tests its iterates' finiteness once, when the sweeps
+    # run out; an overflow must still raise NonFiniteError, and a finite
+    # failure to converge StageSolveFailure
+    attempt, _ = _STEPPERS[IntegratorKind.GAUSS6]
+    assert _outcome(_gauss6_increment, A, B, u, v, h) is error
+    assert _outcome(attempt, A, B, u, v, h) is error
+    assert _outcome(step_gauss6, params_from_coeffs(A, B), State(0.0, u, v), h) is error
+
+
 @settings(max_examples=500, deadline=None)
 @given(contracting_steps())
 def test_gauss6_is_symmetric(case):

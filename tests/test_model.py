@@ -83,6 +83,24 @@ def test_dimension_domain_error():
         params_from_dimension(2.0)
     with pytest.raises(DomainError):
         params_from_dimension(-1.0)
+    with pytest.raises(DomainError):
+        params_from_dimension(math.nan)
+    with pytest.raises(DomainError):
+        params_from_dimension(math.inf)
+
+
+@pytest.mark.parametrize("A, B", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)])
+def test_coefficients_must_be_finite(A, B):
+    with pytest.raises(DomainError):
+        params_from_coeffs(A, B)
+
+
+@pytest.mark.parametrize("m", [1e155, 1e200, 1e308, 1.7976931348623157e308])
+def test_huge_dimension_has_no_overflow(m):
+    # (m - 2)^2 is past float max here: B rounds to 0.0 instead of raising
+    # OverflowError or turning NaN
+    p = params_from_dimension(m)
+    assert (p.A, p.B, p.m) == (-1.0, 0.0, m)
 
 
 def test_state_rejects_non_finite():
