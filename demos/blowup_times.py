@@ -1,9 +1,10 @@
 """Measure finite-time blow-up and check the estimates against oracles.
 
 Three comparisons:
-  * the m = 8 rational solution u = 3/(3 - t) with an exact pole at t = 3,
+  * the m = 8 rational solution u = 3/(3 - t) on the invariant parabola
+    u' = -k u^2, whose Riccati closed form has its pole at t = 3,
   * the quadrature formula T = int_a^inf dv / sqrt((B/2) v^4 + C),
-  * the m = 4 reciprocal-tanh branch whose pole is known in closed form.
+  * the m = 4 reciprocal-tanh branch, the Riccati closed form for B = 0.
 """
 import blowuplab as bl
 
@@ -15,10 +16,11 @@ def main():
     traj = bl.integrate(p8, bl.State(0.0, 1.0, 1.0 / 3.0), bl.IntegratorKind.RK4, opts)
     t_est = bl.estimate_blowup_time(traj)
     t_quad = bl.quadrature_blowup_time(p8.B / 2.0, 0.0, 1.0)
+    pole = bl.eval_closed_form(bl.Riccati(k=p8.k_minus, u0=1.0, v0=-p8.k_minus), p8, 10.0)
     print("m = 8 from (u, u') = (1, 1/3):   u = 3/(3 - t)")
     print(f"  fitted blow-up time    {t_est:.9f}")
     print(f"  quadrature prediction  {t_quad:.9f}")
-    print(f"  exact pole             3.0\n")
+    print(f"  closed-form pole       {pole.t_pole:.9f}\n")
 
     # conserved-energy escape: (w')^2 = 1 + w^4 from w = 0
     p = bl.params_from_coeffs(0.0, 2.0)
@@ -30,10 +32,9 @@ def main():
     print(f"  fitted blow-up time    {t_est:.9f}")
     print(f"  quadrature prediction  {t_quad:.9f}\n")
 
-    # m = 4 reciprocal-tanh branch, pole known in closed form
+    # m = 4 reciprocal-tanh branch: B = 0, so u' + k u^2 is constant for k = -A/2
     p4 = bl.params_from_dimension(4.0)
-    cf = bl.RecipTanhBranch(C=bl.m4_constant_C(2.0, 1.0, p4.A), u0=2.0)
-    pole = bl.eval_closed_form(cf, p4, 10.0)
+    pole = bl.eval_closed_form(bl.Riccati(k=-p4.A / 2.0, u0=2.0, v0=1.0), p4, 10.0)
     opts = bl.IntegrateOptions(t_end=2.0, blowup_threshold=1e8)
     traj = bl.integrate(p4, bl.State(0.0, 2.0, 1.0), bl.IntegratorKind.RK4, opts)
     t_est = bl.estimate_blowup_time(traj)

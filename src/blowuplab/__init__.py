@@ -2,18 +2,7 @@
 
 from .classify import PeriodReport, Verdict, VerdictCheck, classify, detect_period, verify_verdict
 from .closed_forms import (
-    ClosedForm,
-    Lemniscatic,
-    Logistic,
-    PoleAt,
-    RationalE0,
-    RecipTanhBranch,
-    TanBranch,
-    Tanh,
-    eval_closed_form,
-    m4_constant_C,
-    rate_A_C,
-    sech_profile,
+    ClosedForm, Lemniscatic, PoleAt, Riccati, eval_closed_form, m4_constant_C, sech_profile,
 )
 from .colehopf import ProfileF, eq0_residual_fd, eq0_residual_from_u, reconstruct_f
 from .diagnostics import (

@@ -44,6 +44,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"grid spec {spec!r} is not of the form lo:hi:n")
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"grid spec {spec!r}: endpoints must be finite")
     if n < 1:
         raise ValueError(f"grid spec {spec!r}: need at least one point")
     return np.linspace(lo, hi, n)
@@ -96,8 +98,9 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # let grid specs like -2:2:9 parse as option values, not flags
-        self._negative_number_matcher = re.compile(r"^-[\d.:eE+-]+$")
+        # let grid specs like -2:2:9, and -inf, -infinity and -nan in any
+        # case, parse as option values, not flags
+        self._negative_number_matcher = re.compile(r"^-(?:[\d.:e+-]|inf(?:inity)?|nan)+$", re.IGNORECASE)
 
 
 def _params_from_args(args: argparse.Namespace) -> OdeParams:

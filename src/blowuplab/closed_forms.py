@@ -1,10 +1,10 @@
 """Exact solution families of u'' = A u u' + B u^3, used as test oracles.
 
 Families:
-  * ``Tanh`` -- global branch for B = 0:  u = -b tanh((A b / 2) t + c)
-  * ``TanBranch`` / ``RecipTanhBranch`` -- the non-global B = 0 branches
-  * ``RationalE0`` -- zero-energy rational family for A = 0, B > 0
-  * ``Logistic`` -- solution of w' = g0 - k w^2 (comparison equation)
+  * ``Riccati`` -- solutions of u' = g - k u^2 with g = u'(0) + k u(0)^2,
+    for a root k of 2k^2 + A k - B = 0.  g is constant along the solution
+    when A + 2k = 0 (B = 0: the tanh, tan, rational and reciprocal-tanh
+    branches) or when g = 0 (an invariant parabola u' = -k u^2).
   * ``Lemniscatic`` -- scaled lemniscatic sine for A = 0, B < 0
 
 Poles are data, not errors: evaluation past a singularity returns a
@@ -22,68 +22,21 @@ from .errors import BranchMismatch, DomainError
 from .model import OdeParams
 
 __all__ = [
-    "Tanh",
-    "RationalE0",
-    "TanBranch",
-    "RecipTanhBranch",
-    "Logistic",
-    "Lemniscatic",
-    "ClosedForm",
-    "PoleAt",
-    "eval_closed_form",
-    "sech_profile",
-    "m4_constant_C",
-    "rate_A_C",
+    "Riccati", "Lemniscatic", "ClosedForm", "PoleAt", "eval_closed_form", "sech_profile", "m4_constant_C",
 ]
 
 
 @dataclass(frozen=True)
-class Tanh:
-    b: float
-    c: float
+class Riccati:
+    """The solution through (u(0), u'(0)) = (u0, v0) of u' = g - k u^2."""
 
-
-@dataclass(frozen=True)
-class RationalE0:
-    u0: float
-    sign: int  # +1 or -1, the sign in 1 + sign*sqrt(B/2)*u0*t
-
-    def __post_init__(self):
-        if self.u0 == 0.0:
-            raise DomainError("rational family requires u0 != 0")
-        if self.sign not in (-1, 1):
-            raise DomainError("sign must be +1 or -1")
-
-
-@dataclass(frozen=True)
-class TanBranch:
-    C: float
-    u0: float
-
-    def __post_init__(self):
-        if self.C <= 0.0:
-            raise DomainError("tan branch requires C > 0")
-
-
-@dataclass(frozen=True)
-class RecipTanhBranch:
-    C: float
-    u0: float
-
-    def __post_init__(self):
-        if self.C >= 0.0 or self.u0**2 <= -self.C:
-            raise DomainError("reciprocal-tanh branch requires C < 0 and u0^2 > |C|")
-
-
-@dataclass(frozen=True)
-class Logistic:
-    g0: float
     k: float
+    u0: float
     v0: float
 
     def __post_init__(self):
-        if self.g0 <= 0.0 or self.k <= 0.0:
-            raise DomainError("logistic comparison requires g0 > 0 and k > 0")
+        if not all(map(math.isfinite, (self.k, self.u0, self.v0))) or self.k == 0.0:
+            raise DomainError(f"Riccati family requires finite fields and k != 0, got {self}")
 
 
 @dataclass(frozen=True)
@@ -93,17 +46,12 @@ class Lemniscatic:
     t0: float
 
 
-ClosedForm = Union[Tanh, RationalE0, TanBranch, RecipTanhBranch, Logistic, Lemniscatic]
+ClosedForm = Union[Riccati, Lemniscatic]
 
 
 @dataclass(frozen=True)
 class PoleAt:
     t_pole: float
-
-
-def rate_A_C(A: float, C: float) -> float:
-    """The rate constant A_C = A sqrt(|C|) of the B = 0 branches."""
-    return A * math.sqrt(abs(C))
 
 
 def m4_constant_C(u0: float, v0: float, A: float) -> float:
@@ -125,73 +73,62 @@ def _require(cond: bool, msg: str) -> None:
         raise BranchMismatch(msg)
 
 
+def _eval_riccati(k: float, u0: float, v0: float, t: float) -> tuple[float, float] | PoleAt:
+    """u = w'/(k w) and u' = v0/w^2, where w'' = a w, a = k g, w(0) = 1, w'(0) = k u0.
+
+    a w^2 - w'^2 is conserved and starts at k v0, which gives u' without
+    the cancellation of g - k u^2 in a decaying tail.  With x = om t and
+    om = sqrt|a|, w = e^{|x|} ws in the cosh case, so nothing overflows:
+    u = (om/k) dws/ws and u' = v0 r/ws^2, r = e^{-2|x|} underflowing to 0.
+    """
+    if v0 == 0.0:  # u = u0 at rest: g = k u0^2, so u' = k (u0^2 - u^2)
+        return u0, 0.0
+    a = (v0 + k * u0 * u0) * k
+    om = math.sqrt(abs(a))
+    x = om * t
+    poles = ()  # the zeros of w nearest to t = 0, at most one on each side
+    if a > 0.0:
+        # w = cosh x + s sinh x = P e^x + M e^-x, with P + M = 1 and
+        # 4 P M = 1 - s^2 = k v0 / a; the larger of P, M is formed from s
+        # and the other from k v0 / a, so that neither cancels
+        s, q = k * u0 / om, k * v0 / a
+        big = (1.0 + abs(s)) / 2.0
+        small = q / (4.0 * big)
+        P, M = (big, small) if s >= 0.0 else (small, big)
+        if small < 0.0:  # |s| > 1: w = 0 where e^{2x} = -M/P
+            poles = (-math.copysign(0.5 * math.log1p(-1.0 / small), s) / om,)
+    elif a < 0.0:
+        # w = cos x + s sin x, zero at x = atan(s) -/+ pi/2
+        s = k * u0 / om
+        poles = (math.atan2(-1.0, s) / om, math.atan2(1.0, -s) / om)
+    elif u0 != 0.0:  # w = 1 + k u0 t
+        poles = (-1.0 / (k * u0),)
+    for t_pole in poles:
+        if 0.0 < t_pole <= t or t <= t_pole < 0.0:
+            return PoleAt(t_pole)
+    if a > 0.0:
+        r = math.exp(-2.0 * abs(x))
+        ws, dws = (P + M * r, P - M * r) if x >= 0.0 else (P * r + M, P * r - M)
+        return om / k * dws / ws, v0 * r / (ws * ws)
+    if a < 0.0:
+        c, sn = math.cos(x), math.sin(x)
+        ws = c + s * sn
+        return om / k * (s * c - sn) / ws, v0 / (ws * ws)
+    ws = 1.0 + k * u0 * t
+    return u0 / ws, v0 / (ws * ws)
+
+
 def eval_closed_form(cf: ClosedForm, params: OdeParams, t: float) -> tuple[float, float] | PoleAt:
     """Exact (u, u') of the family at time t, or the pole it hit."""
     A, B = params.A, params.B
 
-    if isinstance(cf, Tanh):
-        _require(B == 0.0 and A > 0.0, "tanh family requires B = 0, A > 0")
-        theta = (A * cf.b / 2.0) * t + cf.c
-        u = -cf.b * math.tanh(theta)
-        v = -(A * cf.b**2 / 2.0) / math.cosh(theta) ** 2
-        return u, v
-
-    if isinstance(cf, RationalE0):
-        _require(A == 0.0 and B > 0.0, "rational family requires A = 0, B > 0")
-        r = math.sqrt(B / 2.0)
-        denom = 1.0 + cf.sign * r * cf.u0 * t
-        t_pole = -1.0 / (cf.sign * r * cf.u0)
-        if (t_pole > 0 and t >= t_pole) or (t_pole < 0 and t <= t_pole):
-            return PoleAt(t_pole)
-        u = cf.u0 / denom
-        v = -cf.sign * r * cf.u0**2 / denom**2
-        return u, v
-
-    if isinstance(cf, TanBranch):
-        _require(B == 0.0 and A > 0.0, "tan branch requires B = 0, A > 0")
-        sC = math.sqrt(cf.C)
-        rate = rate_A_C(A, cf.C) / 2.0
-        c = math.atan(cf.u0 / sC)
-        theta = rate * t + c
-        # nearest poles bracketing theta = c
-        t_hi = (math.pi / 2.0 - c) / rate
-        t_lo = (-math.pi / 2.0 - c) / rate
-        if t >= t_hi:
-            return PoleAt(t_hi)
-        if t <= t_lo:
-            return PoleAt(t_lo)
-        u = sC * math.tan(theta)
-        v = (A / 2.0) * (u * u + cf.C)
-        return u, v
-
-    if isinstance(cf, RecipTanhBranch):
-        _require(B == 0.0 and A > 0.0, "reciprocal-tanh branch requires B = 0, A > 0")
-        beta = math.sqrt(-cf.C)
-        rate = rate_A_C(A, cf.C) / 2.0
-        c = -math.atanh(beta / cf.u0)
-        t_pole = -c / rate
-        if (t_pole > 0 and t >= t_pole) or (t_pole < 0 and t <= t_pole):
-            return PoleAt(t_pole)
-        theta = rate * t + c
-        u = -beta / math.tanh(theta)
-        v = (A / 2.0) * (u * u + cf.C)
-        return u, v
-
-    if isinstance(cf, Logistic):
-        a = math.sqrt(cf.g0 / cf.k)
-        omega = math.sqrt(cf.g0 * cf.k)
-        if abs(cf.v0) < a:
-            theta = omega * t + math.atanh(cf.v0 / a)
-            w = a * math.tanh(theta)
-        elif cf.v0 == a or cf.v0 == -a:
-            w = cf.v0
-        else:
-            c = math.atanh(a / cf.v0)
-            t_pole = -c / omega
-            if (t_pole > 0 and t >= t_pole) or (t_pole < 0 and t <= t_pole):
-                return PoleAt(t_pole)
-            w = a / math.tanh(omega * t + c)
-        return w, cf.g0 - cf.k * w * w
+    if isinstance(cf, Riccati):
+        k = cf.k
+        _require(abs(2.0 * k * k + A * k - B) <= 1e-10 * max(1.0, abs(B), 2.0 * k * k),
+                 "k must satisfy 2k^2 + A k - B = 0")
+        _require(A + 2.0 * k == 0.0 or cf.v0 + k * cf.u0 * cf.u0 == 0.0,
+                 "u' + k u^2 is constant only for A + 2k = 0 or u'(0) = -k u(0)^2")
+        return _eval_riccati(k, cf.u0, cf.v0, t)
 
     if isinstance(cf, Lemniscatic):
         _require(A == 0.0 and B < 0.0, "lemniscatic family requires A = 0, B < 0")

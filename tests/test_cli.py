@@ -185,7 +185,7 @@ def test_portrait_pool_matches_serial(tmp_path, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("horizon", ["-2", "0", "nan", "inf"])
+@pytest.mark.parametrize("horizon", ["-2", "0", "nan", "inf", "-inf"])
 def test_portrait_rejects_non_positive_horizon(tmp_path, capsys, horizon):
     out = tmp_path / "p.csv"
     assert main(["portrait", "--m", "5", "--grid", "0:1:2", "0:1:2",
@@ -258,11 +258,25 @@ def test_non_finite_time_span_is_rejected(tmp_path, capsys, argv):
     ["classify", "--grid", "0:1:2", "0:1:2"],
     ["portrait", "--grid", "0:1:2", "0:1:2", "--horizon", "1"],
 ])
-@pytest.mark.parametrize("model", [["--m", "nan"], ["--m", "inf"], ["--A", "nan", "--B", "1"], ["--A", "1", "--B=-inf"]])
+@pytest.mark.parametrize("model", [
+    ["--m", "nan"], ["--m", "inf"], ["--A", "nan", "--B", "1"], ["--A", "1", "--B=-inf"],
+    # negative non-finite values are read as values, not as unknown flags
+    ["--A", "1", "--B", "-inf"], ["--A", "-Infinity", "--B", "1"], ["--m", "-NaN"],
+])
 def test_non_finite_model_parameters_are_rejected(tmp_path, capsys, command, model):
     assert main([*command, *model, "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "finite" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "portrait"])
+@pytest.mark.parametrize("grid", [["nan:1:2", "0:1:2"], ["0:1:2", "-1:inf:2"], ["0:1:2", "-inf:1:2"]])
+def test_non_finite_grid_is_rejected_before_writing(tmp_path, capsys, command, grid):
+    out = tmp_path / "c.csv"
+    assert main([command, "--m", "5", "--grid", *grid, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid spec") and "finite" in err
+    assert not out.exists()
 
 
 def test_huge_dimension_integrates(tmp_path):
@@ -331,7 +345,7 @@ def test_elliptic_sl_and_table(tmp_path, capsys):
         assert (row["sl"], row["dsl"]) == (_fmt(y), _fmt(dy))
 
 
-@pytest.mark.parametrize("t", ["nan", "inf"])
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf", "-nan", "-INF"])
 def test_elliptic_sl_rejects_non_finite_t(capsys, t):
     assert main(["elliptic", "--sl", "--t", t]) == 2
     captured = capsys.readouterr()
