@@ -1,9 +1,7 @@
 """Numerical laboratory for the ODE family u'' = A u u' + B u^3."""
 
 from .classify import PeriodReport, Verdict, VerdictCheck, classify, detect_period, verify_verdict
-from .closed_forms import (
-    ClosedForm, Lemniscatic, PoleAt, Riccati, eval_closed_form, m4_constant_C, sech_profile,
-)
+from .closed_forms import ClosedForm, Lemniscatic, PoleAt, Riccati, eval_closed_form, riccati_poles
 from .colehopf import ProfileF, eq0_residual_fd, eq0_residual_from_u, reconstruct_f
 from .diagnostics import (
     DiagnosticsReport,

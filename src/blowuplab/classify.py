@@ -1,10 +1,11 @@
 """Qualitative classification of initial conditions with numeric checks.
 
-The decision tree is keyed on the signs of A, B and the discriminant
-A^2 + 8B, plus the invariant-parabola quantity g_k = u' + k u^2.  Two
-exact conjugacies fold mirrored sign patterns onto proved cases:
-u(-t) solves the ODE with A replaced by -A, and -u(-t) solves the same
-ODE; both swap the time direction of any blow-up.
+At B = 0, A != 0 each verdict is read off the poles of the Riccati closed
+form.  Otherwise the decision tree is keyed on the signs of A, B and the
+discriminant A^2 + 8B, plus the invariant-parabola quantity
+g_k = u' + k u^2.  Two exact conjugacies fold mirrored sign patterns onto
+proved cases: u(-t) solves the ODE with A replaced by -A, and -u(-t)
+solves the same ODE; both swap the time direction of any blow-up.
 """
 from __future__ import annotations
 
@@ -13,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_forms import m4_constant_C
+from .closed_forms import PoleAt, Riccati, eval_closed_form, riccati_poles
 from .errors import DomainError, Inconclusive
 from .integrate import (
     IntegrateOptions,
     IntegratorKind,
-    Trajectory,
     estimate_blowup_time,
     integrate,
     step_gauss6,
@@ -73,31 +73,24 @@ def classify(p: OdeParams, u0: float, v0: float) -> Verdict:
     A, B = p.A, p.B
     if u0 == 0.0 and v0 == 0.0:
         return Verdict(TRIVIAL, "fixed-point")
+    if B == 0.0:
+        if A == 0.0:  # u'' = 0: rest on the u-axis, else a global but unbounded drift
+            return Verdict(STATIONARY, "stationary-line") if v0 == 0.0 else Verdict(UNCLASSIFIED, "linear-drift")
+        # u' + k u^2 is constant for k = -A/2, so u is the Riccati closed form
+        # for either sign of A; a lone pole is the exact blow-up time
+        k = -A / 2.0
+        before, after = riccati_poles(Riccati(k, u0, v0))
+        if before is None and after is None:
+            return Verdict(STATIONARY if v0 == 0.0 else GLOBAL_BOUNDED, "riccati", {"k": k})
+        if before is None:
+            return Verdict(BLOWUP_FORWARD, "riccati", {"k": k, "t_bound": after})
+        if after is None:
+            return Verdict(BLOWUP_BACKWARD, "riccati", {"k": k, "t_bound": before})
+        return Verdict(NO_GLOBAL, "riccati", {"k": k})
     if A < 0.0:
         # u(-t) solves the A -> -A equation; classify the mirror and swap
         mirrored = classify(params_from_coeffs(-A, B), u0, -v0)
         return _swap_direction(mirrored)
-
-    if B == 0.0:
-        if v0 == 0.0:
-            # the whole u-axis is stationary when B = 0
-            return Verdict(STATIONARY, "stationary-line")
-        if A == 0.0:
-            return Verdict(UNCLASSIFIED, "linear-drift")  # u'' = 0: global but unbounded
-        C = m4_constant_C(u0, v0, A)
-        if C < 0.0 and u0 * u0 < -C:
-            b = math.sqrt(-C)
-            return Verdict(
-                GLOBAL_BOUNDED,
-                "tanh-family",
-                {"b": b, "c": -math.atanh(u0 / b), "decays": False},
-            )
-        if C > 0.0:
-            return Verdict(NO_GLOBAL, "tan-branch", {"branch": "tan"})
-        if C == 0.0:
-            # u = -u0 / ((A/2) u0 t - 1), pole at t = 2/(A u0)
-            return Verdict(NO_GLOBAL, "rational-branch", {"branch": "rational", "t_pole": 2.0 / (A * u0)})
-        return Verdict(NO_GLOBAL, "reciprocal-tanh-branch", {"branch": "recip-tanh"})
 
     if B > 0.0:
         s0 = State(0.0, u0, v0)
@@ -144,9 +137,12 @@ class VerdictCheck:
     max_abs_u: float | None = None
 
 
-def _run(p: OdeParams, u0: float, v0: float, t_end: float) -> Trajectory:
-    opts = IntegrateOptions(h0=1e-3, t_end=t_end, local_tol=1e-10)
-    return integrate(p, State(0.0, u0, v0), IntegratorKind.RK4, opts)
+def _run(p: OdeParams, u0: float, v0: float, t_end: float, kind=IntegratorKind.RK4, local_tol=1e-10):
+    """The run from (u0, v0) at t = 0 to t_end, and its fitted blow-up time or None."""
+    traj = integrate(p, State(0.0, u0, v0), kind, IntegrateOptions(h0=1e-3, t_end=t_end, local_tol=local_tol))
+    if traj.termination.kind in ("step_underflow", "max_steps"):
+        raise Inconclusive(f"integration ended with {traj.termination.kind}")
+    return traj, estimate_blowup_time(traj) if traj.termination.kind == "blowup" else None
 
 
 def verify_verdict(p: OdeParams, u0: float, v0: float, verdict: Verdict, horizon: float) -> VerdictCheck:
@@ -157,16 +153,13 @@ def verify_verdict(p: OdeParams, u0: float, v0: float, verdict: Verdict, horizon
     detail = verdict.detail or {}
     t_bound = detail.get("t_bound")
     claimed = {BLOWUP_FORWARD: 1.0, BLOWUP_BACKWARD: -1.0}.get(kind)  # direction of a claimed blow-up
-    runs = {}  # direction -> trajectory
+    runs, t_blow = {}, {}  # direction -> trajectory and fitted blow-up time
     for d in (1.0, -1.0):
         t_end = horizon
         if d == claimed and t_bound is not None:
             # a claimed blow-up is checked out to its own bound, even past the horizon
             t_end = max(horizon, d * t_bound * (1.0 + _T_BOUND_SLACK))
-        runs[d] = traj = _run(p, u0, v0, d * t_end)
-        if traj.termination.kind in ("step_underflow", "max_steps"):
-            raise Inconclusive(f"integration ended with {traj.termination.kind}")
-    t_blow = {d: estimate_blowup_time(r) if r.termination.kind == "blowup" else None for d, r in runs.items()}
+        runs[d], t_blow[d] = _run(p, u0, v0, d * t_end)
     max_u = max(float(abs(r.u).max()) for r in runs.values())
 
     def check(ok: bool, reason: str) -> VerdictCheck:
@@ -180,19 +173,23 @@ def verify_verdict(p: OdeParams, u0: float, v0: float, verdict: Verdict, horizon
         ok, reason = completed, "completed both directions"
         if ok and detail.get("decays"):
             ok, reason = all(abs(r.u[-1]) <= 0.05 for r in runs.values()), "decay at horizon"
-        if ok and "b" in detail:
-            b, c = detail["b"], detail["c"]
-            rate = p.A * b / 2.0
-            err = max(abs(r.u[-1] + b * math.tanh(rate * r.t[-1] + c)) for r in runs.values())
+        if ok and "k" in detail:
+            cf = Riccati(detail["k"], u0, v0)
+            exact = [(r.u[-1], eval_closed_form(cf, p, r.t[-1])) for r in runs.values()]
+            err = max(math.inf if isinstance(e, PoleAt) else abs(u - e[0]) for u, e in exact)
             ok, reason = err <= 1e-6, f"closed-form endpoint error {err:.2e}"
         return check(ok, reason)
     if claimed is not None:
-        t = t_blow[claimed]
-        ok = t is not None
-        if ok and t_bound is not None:
-            # 0 < |t| <= |t_bound| plus slack, with signs taken along the claimed direction
-            ok = 0.0 < claimed * t <= claimed * t_bound + _T_BOUND_SLACK * abs(t_bound)
-        return check(ok, ("forward" if claimed > 0 else "backward") + " blow-up")
+        def confirms(t: float | None) -> bool:
+            # a blow-up, at 0 < |t| <= |t_bound| plus slack with signs taken along the claimed direction
+            return t is not None and (
+                t_bound is None or 0.0 < claimed * t <= claimed * t_bound + _T_BOUND_SLACK * abs(t_bound))
+
+        if t_bound is not None and not confirms(t_blow[claimed]):
+            # RK4 at 1e-10 can fit a pole at an exact bound late by more than the slack, or step
+            # across it; Gauss6 at 1e-12 fits such poles to about 1e-13 and settles the claim
+            t_blow[claimed] = _run(p, u0, v0, runs[claimed].options.t_end, IntegratorKind.GAUSS6, 1e-12)[1]
+        return check(confirms(t_blow[claimed]), ("forward" if claimed > 0 else "backward") + " blow-up")
     if kind == NO_GLOBAL:
         return check(any(t is not None for t in t_blow.values()), "blow-up in some direction")
     return check(True, "nothing claimed")

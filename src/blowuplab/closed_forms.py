@@ -3,8 +3,8 @@
 Families:
   * ``Riccati`` -- solutions of u' = g - k u^2 with g = u'(0) + k u(0)^2,
     for a root k of 2k^2 + A k - B = 0.  g is constant along the solution
-    when A + 2k = 0 (B = 0: the tanh, tan, rational and reciprocal-tanh
-    branches) or when g = 0 (an invariant parabola u' = -k u^2).
+    when A + 2k = 0 (B = 0, k = -A/2) or when g = 0 (an invariant
+    parabola u' = -k u^2); ``riccati_poles`` gives its poles.
   * ``Lemniscatic`` -- scaled lemniscatic sine for A = 0, B < 0
 
 Poles are data, not errors: evaluation past a singularity returns a
@@ -19,11 +19,9 @@ from typing import Union
 
 from .elliptic import sl
 from .errors import BranchMismatch, DomainError
-from .model import OdeParams
+from .model import OdeParams, is_characteristic_root
 
-__all__ = [
-    "Riccati", "Lemniscatic", "ClosedForm", "PoleAt", "eval_closed_form", "sech_profile", "m4_constant_C",
-]
+__all__ = ["Riccati", "Lemniscatic", "ClosedForm", "PoleAt", "eval_closed_form", "riccati_poles"]
 
 
 @dataclass(frozen=True)
@@ -54,26 +52,36 @@ class PoleAt:
     t_pole: float
 
 
-def m4_constant_C(u0: float, v0: float, A: float) -> float:
-    """Branch selector C = (2/A)(u'(0) - (A/2) u(0)^2) for B = 0."""
-    if A == 0.0:
-        raise DomainError("C is undefined for A = 0")
-    return (2.0 / A) * (v0 - (A / 2.0) * u0 * u0)
-
-
-def sech_profile(a: float, b: float, c: float, x: float) -> float:
-    """Conformal factor a / cosh(b x + c) paired with the tanh family."""
-    if a <= 0.0:
-        raise DomainError("amplitude must be positive")
-    return a / math.cosh(b * x + c)
-
-
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise BranchMismatch(msg)
 
 
-def _eval_riccati(k: float, u0: float, v0: float, t: float) -> tuple[float, float] | PoleAt:
+def riccati_poles(cf: Riccati) -> tuple[float | None, float | None]:
+    """The zeros of w (see ``_eval_riccati``) nearest to t = 0 before and after it, or None."""
+    k, u0, v0 = cf.k, cf.u0, cf.v0
+    a = (v0 + k * u0 * u0) * k
+    om = math.sqrt(abs(a))
+    poles = ()
+    if a > 0.0:
+        # w = P e^x + M e^-x with P + M = 1: the one of P, M formed from
+        # k v0 / a is negative when |s| > 1, and w = 0 where e^{2x} = -M/P
+        s = k * u0 / om
+        small = (k * v0 / a) / (2.0 * (1.0 + abs(s)))
+        if small < 0.0:
+            poles = (-math.copysign(0.5 * math.log1p(-1.0 / small), s) / om,)
+    elif a < 0.0:
+        # w = cos x + s sin x, zero at x = atan(s) -/+ pi/2
+        s = k * u0 / om
+        poles = (math.atan2(-1.0, s) / om, math.atan2(1.0, -s) / om)
+    elif u0 != 0.0:  # w = 1 + k u0 t
+        poles = (-1.0 / (k * u0),)
+    before = max((t for t in poles if t < 0.0), default=None)
+    after = min((t for t in poles if t > 0.0), default=None)
+    return before, after
+
+
+def _eval_riccati(cf: Riccati, t: float) -> tuple[float, float] | PoleAt:
     """u = w'/(k w) and u' = v0/w^2, where w'' = a w, a = k g, w(0) = 1, w'(0) = k u0.
 
     a w^2 - w'^2 is conserved and starts at k v0, which gives u' without
@@ -81,12 +89,15 @@ def _eval_riccati(k: float, u0: float, v0: float, t: float) -> tuple[float, floa
     om = sqrt|a|, w = e^{|x|} ws in the cosh case, so nothing overflows:
     u = (om/k) dws/ws and u' = v0 r/ws^2, r = e^{-2|x|} underflowing to 0.
     """
+    k, u0, v0 = cf.k, cf.u0, cf.v0
     if v0 == 0.0:  # u = u0 at rest: g = k u0^2, so u' = k (u0^2 - u^2)
         return u0, 0.0
+    for t_pole in riccati_poles(cf):
+        if t_pole is not None and (0.0 < t_pole <= t or t <= t_pole < 0.0):
+            return PoleAt(t_pole)
     a = (v0 + k * u0 * u0) * k
     om = math.sqrt(abs(a))
     x = om * t
-    poles = ()  # the zeros of w nearest to t = 0, at most one on each side
     if a > 0.0:
         # w = cosh x + s sinh x = P e^x + M e^-x, with P + M = 1 and
         # 4 P M = 1 - s^2 = k v0 / a; the larger of P, M is formed from s
@@ -95,22 +106,11 @@ def _eval_riccati(k: float, u0: float, v0: float, t: float) -> tuple[float, floa
         big = (1.0 + abs(s)) / 2.0
         small = q / (4.0 * big)
         P, M = (big, small) if s >= 0.0 else (small, big)
-        if small < 0.0:  # |s| > 1: w = 0 where e^{2x} = -M/P
-            poles = (-math.copysign(0.5 * math.log1p(-1.0 / small), s) / om,)
-    elif a < 0.0:
-        # w = cos x + s sin x, zero at x = atan(s) -/+ pi/2
-        s = k * u0 / om
-        poles = (math.atan2(-1.0, s) / om, math.atan2(1.0, -s) / om)
-    elif u0 != 0.0:  # w = 1 + k u0 t
-        poles = (-1.0 / (k * u0),)
-    for t_pole in poles:
-        if 0.0 < t_pole <= t or t <= t_pole < 0.0:
-            return PoleAt(t_pole)
-    if a > 0.0:
         r = math.exp(-2.0 * abs(x))
         ws, dws = (P + M * r, P - M * r) if x >= 0.0 else (P * r + M, P * r - M)
         return om / k * dws / ws, v0 * r / (ws * ws)
     if a < 0.0:
+        s = k * u0 / om
         c, sn = math.cos(x), math.sin(x)
         ws = c + s * sn
         return om / k * (s * c - sn) / ws, v0 / (ws * ws)
@@ -123,12 +123,10 @@ def eval_closed_form(cf: ClosedForm, params: OdeParams, t: float) -> tuple[float
     A, B = params.A, params.B
 
     if isinstance(cf, Riccati):
-        k = cf.k
-        _require(abs(2.0 * k * k + A * k - B) <= 1e-10 * max(1.0, abs(B), 2.0 * k * k),
-                 "k must satisfy 2k^2 + A k - B = 0")
-        _require(A + 2.0 * k == 0.0 or cf.v0 + k * cf.u0 * cf.u0 == 0.0,
+        _require(is_characteristic_root(params, cf.k), "k must satisfy 2k^2 + A k - B = 0")
+        _require(A + 2.0 * cf.k == 0.0 or cf.v0 + cf.k * cf.u0 * cf.u0 == 0.0,
                  "u' + k u^2 is constant only for A + 2k = 0 or u'(0) = -k u(0)^2")
-        return _eval_riccati(k, cf.u0, cf.v0, t)
+        return _eval_riccati(cf, t)
 
     if isinstance(cf, Lemniscatic):
         _require(A == 0.0 and B < 0.0, "lemniscatic family requires A = 0, B < 0")

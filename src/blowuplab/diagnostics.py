@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InsufficientData, NotACharacteristicRoot
 from .integrate import Trajectory
-from .model import OdeParams, State, rhs
+from .model import OdeParams, State, is_characteristic_root, rhs
 
 __all__ = [
     "DiagnosticsReport",
@@ -127,7 +127,7 @@ def check_gk_identity(p: OdeParams, traj: Trajectory, k: float) -> float:
     Deviation is relative to max(1, |g_k(0)|).  k must be a
     characteristic root.
     """
-    if abs(2.0 * k * k + p.A * k - p.B) > 1e-10:
+    if not is_characteristic_root(p, k):
         raise NotACharacteristicRoot(f"k={k} does not solve 2k^2 + Ak - B = 0")
     g = g_k(traj.states, k)
     integral = cumulative_u_integral(p, traj)

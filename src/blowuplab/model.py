@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NonFiniteError
 
-__all__ = ["OdeParams", "State", "params_from_dimension", "params_from_coeffs", "rhs"]
+__all__ = ["OdeParams", "State", "params_from_dimension", "params_from_coeffs", "is_characteristic_root", "rhs"]
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,11 @@ def params_from_dimension(m: float) -> OdeParams:
 def params_from_coeffs(A: float, B: float) -> OdeParams:
     """Coefficients given directly; no dimension attached."""
     return _make_params(float(A), float(B), None)
+
+
+def is_characteristic_root(p: OdeParams, k: float) -> bool:
+    """Whether k solves 2k^2 + A k - B = 0 to 1e-10 relative to the larger of 1, |B| and 2k^2."""
+    return abs(2.0 * k * k + p.A * k - p.B) <= 1e-10 * max(1.0, abs(p.B), 2.0 * k * k)
 
 
 def rhs(p: OdeParams, s: State) -> tuple[float, float]:

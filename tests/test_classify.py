@@ -37,20 +37,27 @@ def test_m4_stationary_line():
 def test_m4_tanh_family():
     v = classify(P4, 0.0, -1.0)
     assert v.kind == "global_bounded"
-    assert v.basis == "tanh-family"
-    assert v.detail["b"] == pytest.approx(1.0, rel=1e-12)
-    assert v.detail["c"] == pytest.approx(0.0, abs=1e-15)
+    assert v.basis == "riccati"
+    assert v.detail == {"k": -1.0}
 
 
 def test_m4_non_global_branches():
-    # C = v0 - u0^2 for A = 2
-    assert classify(P4, 0.5, 1.0).detail["branch"] == "tan"
-    assert classify(P4, 2.0, 1.0).detail["branch"] == "recip-tanh"
+    # u' + k u^2 = g is constant for k = -A/2 = -1: the tan branch (g > 0) has
+    # poles on both sides, the rational (g = 0) and reciprocal-tanh (g < 0,
+    # u0^2 > -g) branches one exact pole each
+    v = classify(P4, 0.5, 1.0)
+    assert (v.kind, v.basis, v.detail) == ("no_global_solution", "riccati", {"k": -1.0})
+    v = classify(P4, 2.0, 1.0)
+    assert (v.kind, v.basis) == ("blowup_forward", "riccati")
+    assert v.detail["t_bound"] == pytest.approx(0.7603459963009463, rel=1e-12)
     v = classify(P4, 1.0, 1.0)
-    assert v.detail["branch"] == "rational"
-    assert v.detail["t_pole"] == pytest.approx(1.0, rel=1e-12)
-    for u0, v0 in ((0.5, 1.0), (2.0, 1.0), (1.0, 1.0)):
-        assert classify(P4, u0, v0).kind == "no_global_solution"
+    assert (v.kind, v.basis) == ("blowup_forward", "riccati")
+    assert v.detail["t_bound"] == 1.0
+    v = classify(params_from_coeffs(-2.0, 0.0), 2.0, -1.0)
+    assert (v.kind, v.basis) == ("blowup_backward", "riccati")
+    assert v.detail == {"k": 1.0, "t_bound": pytest.approx(-0.7603459963009463, rel=1e-12)}
+    for u0, v0 in ((2.0, 1.0), (1.0, 1.0), (-2.0, 1.0)):
+        assert verify_verdict(P4, u0, v0, classify(P4, u0, v0), horizon=50.0).passed
 
 
 def test_linear_drift_unclassified():
@@ -83,30 +90,49 @@ def test_m8_energy_branches():
     assert v.detail["e0"] > 0.0
 
 
+SWAP = {"blowup_forward": "blowup_backward", "blowup_backward": "blowup_forward"}
+# B = 0 coefficients: the Riccati verdicts, one exact pole per one-sided blow-up
+B0 = [params_from_coeffs(A, 0.0) for A in (2.0, -2.0, 0.5, -0.5)]
+
+
+def _assert_conjugate(a, b) -> int:
+    """b is the verdict of a's conjugate solution: blow-ups swap direction and t_bound negates."""
+    assert b.kind == SWAP.get(a.kind, a.kind)
+    if a.detail and "t_bound" in a.detail:
+        assert b.detail["t_bound"] == -a.detail["t_bound"]
+        return 1
+    return 0
+
+
 def test_m9_mirrors_m5_with_swapped_directions():
     # u(-t) solves the A -> -A equation, reversing blow-up direction
-    swap = {"blowup_forward": "blowup_backward", "blowup_backward": "blowup_forward"}
     rng = np.random.default_rng(3)
     p_pos = params_from_coeffs(1.0, P9.B)
     for _ in range(25):
         u0, v0 = rng.uniform(-2.0, 2.0, size=2)
         v9 = classify(P9, u0, v0)
         v_mirror = classify(p_pos, u0, -v0)
-        assert v9.kind == swap.get(v_mirror.kind, v_mirror.kind)
+        assert v9.kind == SWAP.get(v_mirror.kind, v_mirror.kind)
+    bounds = 0
+    for p in B0:
+        mirror = params_from_coeffs(-p.A, p.B)
+        for _ in range(25):
+            u0, v0 = rng.uniform(-2.0, 2.0, size=2)
+            bounds += _assert_conjugate(classify(mirror, u0, -v0), classify(p, u0, v0))
+    assert bounds > 0
 
 
 def test_sign_conjugacy_swaps_direction():
     # -u(-t) solves the same equation; data (-u0, v0), directions swapped
-    swap = {"blowup_forward": "blowup_backward", "blowup_backward": "blowup_forward"}
     rng = np.random.default_rng(4)
-    for p in (P5, P9):
+    bounds = 0
+    for p in (P5, P9, *B0):
         for _ in range(25):
             u0, v0 = rng.uniform(-2.0, 2.0, size=2)
             if abs(u0) < 1e-3:
                 continue
-            a = classify(p, u0, v0)
-            b = classify(p, -u0, v0)
-            assert b.kind == swap.get(a.kind, a.kind)
+            bounds += _assert_conjugate(classify(p, u0, v0), classify(p, -u0, v0))
+    assert bounds > 0
 
 
 def test_m3_decay_region():
@@ -157,6 +183,24 @@ def test_verify_parabola_points_at_exact_bound():
         assert verify_verdict(P5, u0, -2.0 / 3.0, v, horizon=50.0).passed
 
 
+def test_verify_exact_parabola_bound_past_the_horizon():
+    # on v = -k_plus u^2 the bound is the exact blow-up time, here past the
+    # horizon; RK4 at local_tol 1e-10 puts the pole past t_bound (1 + 1e-8),
+    # so the claim is settled by Gauss6
+    for m, u0, v0, kind in (
+        (6.0, -0.011876724742972744, -3.526414765508525e-05, "blowup_forward"),
+        (7.0, 0.02292329390047332, -0.00015764322097424317, "blowup_backward"),
+    ):
+        p = params_from_dimension(m)
+        v = classify(p, u0, v0)
+        assert v.kind == kind
+        assert abs(v.detail["t_bound"]) > 50.0
+        check = verify_verdict(p, u0, v0, v, horizon=50.0)
+        assert check.passed
+        t_blow = check.t_blow_forward if kind == "blowup_forward" else check.t_blow_backward
+        assert t_blow == pytest.approx(v.detail["t_bound"], rel=1e-12)
+
+
 def test_verify_rejects_bound_below_blowup_time():
     for u0 in (-2.0, 2.0):
         v = classify(P5, u0, -2.0 / 3.0)
@@ -205,7 +249,7 @@ def test_verdict_census_is_pinned():
             for v0 in grid:
                 v = classify(p, u0, v0)
                 h.update(repr((p.A, p.B, u0, v0, v.kind, v.basis, v.detail)).encode())
-    assert h.hexdigest() == "fe33244226f856f18dffc846c9321031b301ee3bf41d11ef84a295aa950df1fe"
+    assert h.hexdigest() == "a46a1dab48fbf00bec89f46a4955b232fb666d3ff1de48590629ef235f912700"
 
 
 def test_verify_no_global_m8():

@@ -15,10 +15,9 @@ from blowuplab import (
     estimate_blowup_time,
     eval_closed_form,
     integrate,
-    m4_constant_C,
     params_from_coeffs,
     params_from_dimension,
-    sech_profile,
+    riccati_poles,
 )
 
 P4 = params_from_dimension(4.0)  # A = 2, B = 0: k = -1 gives the B = 0 branches
@@ -68,6 +67,7 @@ def test_tanh_values():
     u, v = eval_closed_form(cf, P4, 0.7)
     assert u == pytest.approx(-math.tanh(0.7), rel=1e-15)
     assert v == pytest.approx(-1.0 / math.cosh(0.7) ** 2, rel=1e-15)
+    assert riccati_poles(cf) == (None, None)
 
 
 @pytest.mark.parametrize("t", [400.0, 1e3, -1e3])
@@ -92,6 +92,7 @@ def test_rational_family_pole_and_values():
     assert isinstance(res, PoleAt)
     assert res.t_pole == pytest.approx(3.0, rel=1e-12)
     assert isinstance(eval_closed_form(RATIONAL, P8, 5.0), PoleAt)
+    assert riccati_poles(RATIONAL) == (None, res.t_pole)
 
 
 def test_tan_branch_satisfies_ode():
@@ -104,6 +105,7 @@ def test_tan_branch_satisfies_ode():
     hi, lo = eval_closed_form(TAN, P4, t_hi + 0.1), eval_closed_form(TAN, P4, t_lo - 0.1)
     assert isinstance(hi, PoleAt) and hi.t_pole == pytest.approx(t_hi, rel=1e-12)
     assert isinstance(lo, PoleAt) and lo.t_pole == pytest.approx(t_lo, rel=1e-12)
+    assert riccati_poles(TAN) == (lo.t_pole, hi.t_pole)
 
 
 def test_recip_tanh_branch_satisfies_ode():
@@ -115,6 +117,8 @@ def test_recip_tanh_pole_location():
     res = eval_closed_form(RECIP_TANH, P4, 1.0)
     assert isinstance(res, PoleAt)
     assert res.t_pole == pytest.approx(RECIP_TANH_POLE, rel=1e-12)
+    assert riccati_poles(RECIP_TANH) == (None, res.t_pole)
+    assert riccati_poles(Riccati(-1.0, -2.0, 1.0)) == (-res.t_pole, None)  # -u(-t)
     u, v = eval_closed_form(RECIP_TANH, P4, 0.0)
     assert u == pytest.approx(2.0, rel=1e-12)
     assert v == pytest.approx(1.0, rel=1e-12)  # v = (A/2)(u^2 + C)
@@ -192,20 +196,6 @@ def test_constructor_domain_errors():
         Riccati(-1.0, math.inf, 1.0)
     with pytest.raises(DomainError):
         Riccati(-1.0, 1.0, -math.inf)
-    with pytest.raises(DomainError):
-        sech_profile(-1.0, 1.0, 0.0, 0.0)
-
-
-def test_m4_constant_C():
-    assert m4_constant_C(2.0, 1.0, 2.0) == pytest.approx(-3.0, rel=1e-15)
-    assert m4_constant_C(0.0, -1.0, 2.0) == pytest.approx(-1.0, rel=1e-15)
-    with pytest.raises(DomainError):
-        m4_constant_C(1.0, 1.0, 0.0)
-
-
-def test_sech_profile_values():
-    assert sech_profile(2.0, 1.0, 0.0, 0.0) == 2.0
-    assert sech_profile(1.0, 2.0, 0.5, 1.0) == pytest.approx(1.0 / math.cosh(2.5), rel=1e-15)
 
 
 @pytest.mark.parametrize("kind, local_tol, gate", [

@@ -36,6 +36,17 @@ def test_gk_rejects_non_root():
         check_gk_identity(p, traj, 0.5)
 
 
+def test_gk_accepts_the_roots_of_large_coefficients():
+    # 2k^2 + A k - B leaves 1.16e-10 at the computed k_plus of B = 1e6, so
+    # the root test is relative to the size of its terms, as in eval_closed_form
+    p = params_from_coeffs(0.0, 1e6)
+    traj = integrate(p, State(0.0, 1e-3, 0.0), IntegratorKind.RK4, IntegrateOptions(t_end=1e-2))
+    for k in (p.k_minus, p.k_plus):
+        assert check_gk_identity(p, traj, k) < 1e-8
+    with pytest.raises(NotACharacteristicRoot):
+        check_gk_identity(p, traj, p.k_plus * (1.0 + 1e-6))
+
+
 def test_energy_law_needs_three_states():
     p = params_from_dimension(4.0)
     traj = integrate(p, State(0.0, 0.0, -1.0), IntegratorKind.RK4, IntegrateOptions(t_end=1.0))
