@@ -117,15 +117,21 @@ class Trajectory:
 #
 # Attempt contract, the driver's: attempt(A, B, u, v, h) -> (dfu, dfv, du, dv)
 # returns the full step's increment and the sum of the two half steps'
-# increments, bit for bit those of increment(h), increment(h/2) and
-# increment(h/2) from the midpoint, or raises where one of them raises; the
-# driver then halves h.
+# increments, or raises where one of them raises; the driver then halves h.
+# The full step is bit for bit increment(h).  RK4's half steps are bit for
+# bit increment(h/2) and increment(h/2) from the midpoint; Gauss6's solve
+# the same stage equations from another seed, so they agree with those
+# increments to the stage tolerance, not bit for bit.
 #
-# Gauss6 solves its stages in one place, _gauss6_solve, from a start state
-# that _gauss6_start computes and tests once per starting point: the
-# increment is start then solve, and the attempt shares the start at (u, v)
-# between the full and the first half step.  The solver tests the
-# finiteness of its iterates once, when its sweeps run out, not per sweep.
+# Gauss6 solves its stages in one place, _gauss6_solve, in Nystrom form: the
+# iteration runs on the three stage accelerations F_i = u'' at the stages,
+# from a start state that _gauss6_start computes and tests once per
+# starting point.  The increment is start then solve from the Euler seed
+# F_i = u''(u, v).  The attempt shares the start at (u, v) between the full
+# and the first half step, solves the full step from the Euler seed and
+# seeds both half steps from the full step's converged F_i.  The solver
+# tests the finiteness of its iterates once, when its sweeps run out, not
+# per sweep.
 
 
 def _rk4_increment(A: float, B: float, u: float, v: float, h: float) -> tuple[float, float]:
@@ -202,6 +208,25 @@ _A21, _A22, _A23 = 5.0 / 36.0 + _SQ15 / 24.0, 2.0 / 9.0, 5.0 / 36.0 - _SQ15 / 24
 _A31, _A32, _A33 = 5.0 / 36.0 + _SQ15 / 30.0, 2.0 / 9.0 + _SQ15 / 15.0, 5.0 / 36.0
 _B1, _B2 = 5.0 / 18.0, 4.0 / 9.0
 _C1, _C3 = 0.5 - _SQ15 / 10.0, 0.5 + _SQ15 / 10.0
+# (A^2)_ij, the weight of F_j in the u-stage Y_iu = u + c_i h v + h^2 sum_j (A^2)_ij F_j
+_A_ROWS = ((_A11, _A12, _A13), (_A21, _A22, _A23), (_A31, _A32, _A33))
+(_Q11, _Q12, _Q13), (_Q21, _Q22, _Q23), (_Q31, _Q32, _Q33) = (
+    tuple(sum(row[k] * _A_ROWS[k][j] for k in range(3)) for j in range(3)) for row in _A_ROWS
+)
+
+
+def _quadratic_weights(s: float) -> tuple[float, float, float]:
+    """Lagrange weights at s of the quadratic through the nodes c_1, c_2 = 1/2, c_3."""
+    c = (_C1, 0.5, _C3)
+    return tuple(math.prod((s - c[k]) / (c[j] - c[k]) for k in range(3) if k != j) for j in range(3))
+
+
+# Seeds of the half steps' stage accelerations, one row per seed: the
+# quadratic through the full step's (c_i, F_i), in units of its h, at the
+# first half step's nodes s = c_i/2, then the second's s = 1/2 + c_i/2
+_HALF_SEEDS = tuple(_quadratic_weights(s) for s in (
+    0.5 * _C1, 0.25, 0.5 * _C3, 0.5 + 0.5 * _C1, 0.75, 0.5 + 0.5 * _C3,
+))
 # a sweep change within 4 eps of the stage scale is rounding noise
 _STAGE_RTOL = 4.0 * sys.float_info.epsilon
 # fixed-point sweeps allowed per step; a step that needs more is too long
@@ -212,8 +237,8 @@ _GAUSS6_MAX_SWEEPS = 40
 def _gauss6_start(A: float, B: float, u: float, v: float) -> tuple[float, float, float]:
     """Start state of a stage solve from (u, v): (fv, tu, tv).
 
-    fv = u'' at (u, v), tested finite; tu, tv are the absolute parts
-    R max(1, |u|), R max(1, |v|) of the stage convergence test.
+    fv = u'' at (u, v), tested finite; tu, tv are R max(1, |u|),
+    R max(1, |v|), the stage scales of the convergence test.
     """
     fv = A * u * v + B * u * u * u
     if v * 0.0 + fv * 0.0 != 0.0:
@@ -223,90 +248,104 @@ def _gauss6_start(A: float, B: float, u: float, v: float) -> tuple[float, float,
 
 
 def _gauss6_solve(
-    A: float, B: float, u: float, v: float, fv: float, tu: float, tv: float, h: float,
+    A: float, B: float, u: float, v: float, tu: float, tv: float, h: float,
+    F1: float, F2: float, F3: float,
     A11=_A11, A12=_A12, A13=_A13, A21=_A21, A22=_A22, A23=_A23, A31=_A31, A32=_A32, A33=_A33,
+    Q11=_Q11, Q12=_Q12, Q13=_Q13, Q21=_Q21, Q22=_Q22, Q23=_Q23, Q31=_Q31, Q32=_Q32, Q33=_Q33,
     B1=_B1, B2=_B2, C1=_C1, C3=_C3, R=_STAGE_RTOL,
-) -> tuple[float, float]:
-    """State increment of one 3-stage Gauss-Legendre (order 6) step from a start state.
+) -> tuple[float, float, float, float, float]:
+    """One 3-stage Gauss-Legendre (order 6) step from a start state: (du, dv, F1, F2, F3).
 
-    The stage increments Z_i = Y_i - y0 are solved by fixed-point
-    iteration seeded with the Euler prediction.  A component has
-    converged when its sweep change is within a few ulps of
-    max(1, |y0|, |Z_i|): rounding noise of that size never goes away,
-    so an absolute tolerance would never be met once |y| is large.
-    The u-component of f at a stage is that stage's v, so it has no name.
-    The tableau is bound as default arguments, which read as locals.
+    The stages are solved in Nystrom form (Hairer, Norsett & Wanner,
+    Solving ODEs I, II.14): a fixed-point iteration on the stage
+    accelerations F_i, seeded with the given F1, F2, F3.  A sweep forms
+    Y_iv = v + h sum_j a_ij F_j and Y_iu = u + c_i h v + h^2 sum_j (A^2)_ij F_j
+    and takes F_i = u'' at (Y_iu, Y_iv), so every u-stage is built from the
+    latest accelerations.  An F_i has converged when its sweep change is
+    within min(tv/|h|, tu/h^2) or R |F_i|: that bounds the change of each
+    stage increment by a few ulps of max(1, |y0|), the rounding noise that
+    never goes away once |y| is large, or by a few ulps of the acceleration
+    itself.  The increment is du = h sum_i b_i Y_iv, dv = h sum_i b_i F_i
+    with F_i the accelerations at the last stages Y_i; those F_i are
+    returned too.  The tableau is bound as default arguments, which read
+    as locals.
     """
-    c = C1 * h  # C1 * h * v evaluates as (C1 * h) * v
-    z1u, z1v = c * v, c * fv
-    c = 0.5 * h
-    z2u, z2v = c * v, c * fv
-    c = C3 * h
-    z3u, z3v = c * v, c * fv
-    mtu, mtv = -tu, -tv
-    converged = False
+    w1 = (C1 * h) * v
+    w2 = (0.5 * h) * v
+    w3 = (C3 * h) * v
+    hh = h * h
+    # min(tv/|h|, tu/h^2), in two divisions by |h| that cannot divide by a
+    # zero h^2; dividing by |h| > 0 is monotone, so it commutes with min
+    ah = abs(h)
+    tol = tu / ah
+    if tv < tol:
+        tol = tv
+    tol /= ah
+    mtol = -tol
     for _ in range(_GAUSS6_MAX_SWEEPS):
-        y1u, y1v = u + z1u, v + z1v
-        y2u, y2v = u + z2u, v + z2v
-        y3u, y3v = u + z3u, v + z3v
-        f1v = A * y1u * y1v + B * y1u * y1u * y1u
-        f2v = A * y2u * y2v + B * y2u * y2u * y2u
-        f3v = A * y3u * y3v + B * y3u * y3u * y3u
-        if converged:  # the increment uses f at the converged stages
-            break
-        n1u = h * (A11 * y1v + A12 * y2v + A13 * y3v)
-        n1v = h * (A11 * f1v + A12 * f2v + A13 * f3v)
-        n2u = h * (A21 * y1v + A22 * y2v + A23 * y3v)
-        n2v = h * (A21 * f1v + A22 * f2v + A23 * f3v)
-        n3u = h * (A31 * y1v + A32 * y2v + A33 * y3v)
-        n3v = h * (A31 * f1v + A32 * f2v + A33 * f3v)
-        # |d| <= R max(s, |n|) is the same decision as |d| <= R s or
-        # |d| <= R |n|, because rounded multiplication by R > 0 is monotone;
-        # n3v, the component that fails first, is tested first
+        y1v = v + h * (A11 * F1 + A12 * F2 + A13 * F3)
+        y2v = v + h * (A21 * F1 + A22 * F2 + A23 * F3)
+        y3v = v + h * (A31 * F1 + A32 * F2 + A33 * F3)
+        y1u = u + (w1 + hh * (Q11 * F1 + Q12 * F2 + Q13 * F3))
+        y2u = u + (w2 + hh * (Q21 * F1 + Q22 * F2 + Q23 * F3))
+        y3u = u + (w3 + hh * (Q31 * F1 + Q32 * F2 + Q33 * F3))
+        n1 = A * y1u * y1v + B * y1u * y1u * y1u
+        n2 = A * y2u * y2v + B * y2u * y2u * y2u
+        n3 = A * y3u * y3v + B * y3u * y3u * y3u
+        # |d| <= max(tol, R |n|) is the same decision as |d| <= tol or
+        # |d| <= R |n|; n3, the acceleration that fails first, is tested first
         converged = (
-            (mtv <= (d := n3v - z3v) <= tv or abs(d) <= R * abs(n3v))
-            and (mtu <= (d := n3u - z3u) <= tu or abs(d) <= R * abs(n3u))
-            and (mtv <= (d := n2v - z2v) <= tv or abs(d) <= R * abs(n2v))
-            and (mtv <= (d := n1v - z1v) <= tv or abs(d) <= R * abs(n1v))
-            and (mtu <= (d := n1u - z1u) <= tu or abs(d) <= R * abs(n1u))
-            and (mtu <= (d := n2u - z2u) <= tu or abs(d) <= R * abs(n2u))
+            (mtol <= (d := n3 - F3) <= tol or abs(d) <= R * abs(n3))
+            and (mtol <= (d := n2 - F2) <= tol or abs(d) <= R * abs(n2))
+            and (mtol <= (d := n1 - F1) <= tol or abs(d) <= R * abs(n1))
         )
-        z1u, z1v, z2u, z2v, z3u, z3v = n1u, n1v, n2u, n2v, n3u, n3v
+        F1, F2, F3 = n1, n2, n3
+        if converged:
+            break
     else:
-        # Every n depends on every stage's v and every stage's f on its u,
-        # so once one iterate is non-finite all are within two sweeps and
-        # stay so: testing the last iterates decides what a test after
-        # every sweep would.  Non-finite iterates that pass the convergence
-        # test (inf <= R inf) reach the end-state test below.
-        if z1u * 0.0 + z1v * 0.0 + z2u * 0.0 + z2v * 0.0 + z3u * 0.0 + z3v * 0.0 != 0.0:
+        # Every Y_iv depends on every F_j (no a_ij is 0) and every F_i on
+        # its Y_iu and Y_iv, so once one acceleration is non-finite all are
+        # from the next sweep on and stay so: testing the last ones decides
+        # what a test after every sweep would.  Non-finite accelerations
+        # that pass the convergence test (inf <= R inf) reach the end-state
+        # test below.
+        if F1 * 0.0 + F2 * 0.0 + F3 * 0.0 != 0.0:
             raise NonFiniteError("stage iteration overflowed")
         raise StageSolveFailure(f"stage iteration did not converge in {_GAUSS6_MAX_SWEEPS} sweeps")
     du = h * (B1 * (y1v + y3v) + B2 * y2v)
-    dv = h * (B1 * (f1v + f3v) + B2 * f2v)
+    dv = h * (B1 * (F1 + F3) + B2 * F2)
     if (u + du) * 0.0 + (v + dv) * 0.0 != 0.0:
         raise NonFiniteError("stage value overflowed")
-    return du, dv
+    return du, dv, F1, F2, F3
 
 
 def _gauss6_increment(A: float, B: float, u: float, v: float, h: float) -> tuple[float, float]:
-    """State increment of one Gauss6 step: the start state at (u, v), then the solve."""
+    """State increment of one Gauss6 step: the start state at (u, v), then the solve from the Euler seed."""
     fv, tu, tv = _gauss6_start(A, B, u, v)
-    return _gauss6_solve(A, B, u, v, fv, tu, tv, h)
+    du, dv, _, _, _ = _gauss6_solve(A, B, u, v, tu, tv, h, fv, fv, fv)
+    return du, dv
 
 
-def _gauss6_attempt(A: float, B: float, u: float, v: float, h: float) -> tuple[float, float, float, float]:
+def _gauss6_attempt(
+    A: float, B: float, u: float, v: float, h: float, W=_HALF_SEEDS,
+) -> tuple[float, float, float, float]:
     """One step-doubling attempt of Gauss6: three solves, two start states.
 
     The full step and the first half step start from (u, v) and share its
-    start state; the second half step starts from the midpoint.
+    start state; the second half step starts from the midpoint.  The full
+    step is solved from the Euler seed, as step_gauss6 solves it.  Each
+    half step is seeded with the full step's collocation polynomial, the
+    quadratic through its converged (c_i, F_i), at the half step's own
+    nodes (Hairer, Lubich & Wanner, Geometric Numerical Integration, VIII.6).
     """
     fv, tu, tv = _gauss6_start(A, B, u, v)
-    dfu, dfv = _gauss6_solve(A, B, u, v, fv, tu, tv, h)
+    dfu, dfv, F1, F2, F3 = _gauss6_solve(A, B, u, v, tu, tv, h, fv, fv, fv)
+    g1, g2, g3, g4, g5, g6 = [w1 * F1 + w2 * F2 + w3 * F3 for w1, w2, w3 in W]
     c = 0.5 * h
-    d1u, d1v = _gauss6_solve(A, B, u, v, fv, tu, tv, c)
+    d1u, d1v, _, _, _ = _gauss6_solve(A, B, u, v, tu, tv, c, g1, g2, g3)
     u1, v1 = u + d1u, v + d1v
-    fv, tu, tv = _gauss6_start(A, B, u1, v1)
-    d2u, d2v = _gauss6_solve(A, B, u1, v1, fv, tu, tv, c)
+    _, tu, tv = _gauss6_start(A, B, u1, v1)
+    d2u, d2v, _, _, _ = _gauss6_solve(A, B, u1, v1, tu, tv, c, g4, g5, g6)
     return dfu, dfv, d1u + d2u, d1v + d2v
 
 
