@@ -21,6 +21,7 @@ from .integrate import (
     IntegratorKind,
     estimate_blowup_time,
     integrate,
+    quadrature_blowup_time,
     step_gauss6,
 )
 from .diagnostics import energy, g_k
@@ -115,8 +116,10 @@ def classify(p: OdeParams, u0: float, v0: float) -> Verdict:
     if A == 0.0:
         return Verdict(UNCLASSIFIED, "periodicity-conjecture")
     k1 = p.k_plus  # larger root; both roots negative here
-    if u0 == 0.0 and v0 != 0.0:
-        return Verdict(GLOBAL_BOUNDED, "turning-point-then-decay", {"decays": True})
+    if u0 == 0.0 and v0 > 0.0:
+        # g_k = v0 > 0 keeps its sign, so u' = g_k - k u^2 >= |k| u^2 once u > 0: a forward
+        # blow-up; -u(-t) fixes (0, v0), so u is odd and blows up backward as well
+        return Verdict(NO_GLOBAL, "odd-escape")
     if v0 >= 0.0 and v0 + k1 * u0 * u0 < 0.0:
         return Verdict(GLOBAL_BOUNDED, "decay-to-origin", {"decays": True})
     if v0 < 0.0:
@@ -130,6 +133,14 @@ def classify(p: OdeParams, u0: float, v0: float) -> Verdict:
 
 @dataclass(frozen=True)
 class VerdictCheck:
+    """The outcome of ``verify_verdict``.
+
+    ``t_blow_forward`` and ``t_blow_backward`` are the fitted blow-up times
+    of the runs made; ``None`` means that direction ran to its end without
+    a blow-up or was not run.  ``max_abs_u`` is the largest ``|u|`` over the
+    runs made, ``None`` when the verdict needed none.
+    """
+
     passed: bool
     reason: str
     t_blow_forward: float | None = None
@@ -145,22 +156,77 @@ def _run(p: OdeParams, u0: float, v0: float, t_end: float, kind=IntegratorKind.R
     return traj, estimate_blowup_time(traj) if traj.termination.kind == "blowup" else None
 
 
+def _escape_bound(p: OdeParams, u0: float, v0: float, d: float) -> float | None:
+    """A bound on the blow-up time in direction d from energy comparison, or None.
+
+    With s = sign(u0) (sign(d v0) at u0 = 0), z(tau) = s u(d tau) solves
+    z'' = s d A z z' + B z^3.
+    When B > 0 and z(0), z'(0) and s d A are >= 0, z and z' never decrease,
+    so z'^2 >= (B/2) z^4 + C with C = v0^2 - (B/2) u0^4, and z escapes no
+    later than v' = sqrt((B/2) v^4 + C) does from |u0|; for A = 0 the two
+    times are equal.
+    """
+    s = math.copysign(1.0, u0 if u0 != 0.0 else d * v0)
+    if not (p.B > 0.0 and s * d * v0 >= 0.0 and s * d * p.A >= 0.0):
+        return None
+    try:
+        quartic = p.B / 2.0 * abs(u0) ** 4  # as quadrature_blowup_time forms it, so its radicand is >= 0
+        t = quadrature_blowup_time(p.B / 2.0, max(v0 * v0 - quartic, -quartic), abs(u0))
+    except (DomainError, OverflowError):  # v0 = 0: a turning point at |u0| rounded past it; u0^4 overflows
+        return None
+    return d * t if math.isfinite(t) else None
+
+
+def _confirms(d: float, t: float | None, bound: float | None) -> bool:
+    """A blow-up, at 0 < d t <= d bound plus slack when there is a bound."""
+    return t is not None and (bound is None or 0.0 < d * t <= d * bound + _T_BOUND_SLACK * abs(bound))
+
+
 def verify_verdict(p: OdeParams, u0: float, v0: float, verdict: Verdict, horizon: float) -> VerdictCheck:
-    """Integrate both time directions and confirm what the verdict claims."""
+    """Integrate in RK4 the time directions the verdict's claim concerns, and confirm it.
+
+    ``trivial``, ``stationary`` and ``global_bounded`` run both directions to
+    the horizon.  ``blowup_forward`` and ``blowup_backward`` run their own
+    direction alone; ``no_global_solution`` runs forward, then backward only
+    if forward confirmed no blow-up; ``unclassified`` claims nothing and runs
+    nothing.  A blow-up run goes out to its bound when that lies past the
+    horizon: the verdict's ``t_bound``, else the energy bound of
+    ``_escape_bound`` where one applies; the fitted time must not pass the
+    bound, and a bound RK4 cannot confirm is settled by one Gauss6 run.  A
+    direction not run reports ``t_blow_* = None``, and ``max_abs_u`` covers
+    the runs made; an ``Inconclusive`` run raises.
+    """
     if not 0.0 < horizon < math.inf:  # false for NaN too
         raise DomainError("horizon must be positive and finite")
     kind = verdict.kind
     detail = verdict.detail or {}
-    t_bound = detail.get("t_bound")
     claimed = {BLOWUP_FORWARD: 1.0, BLOWUP_BACKWARD: -1.0}.get(kind)  # direction of a claimed blow-up
-    runs, t_blow = {}, {}  # direction -> trajectory and fitted blow-up time
-    for d in (1.0, -1.0):
-        t_end = horizon
-        if d == claimed and t_bound is not None:
-            # a claimed blow-up is checked out to its own bound, even past the horizon
-            t_end = max(horizon, d * t_bound * (1.0 + _T_BOUND_SLACK))
+    if claimed is not None:
+        directions = (claimed,)
+    elif kind in (TRIVIAL, STATIONARY, GLOBAL_BOUNDED, NO_GLOBAL):
+        directions = (1.0, -1.0)
+    else:
+        directions = ()
+    blowup_claim = claimed is not None or kind == NO_GLOBAL
+    runs, t_blow = {}, {1.0: None, -1.0: None}  # direction -> trajectory and fitted blow-up time
+    confirmed = {}  # direction -> a blow-up within its bound
+    for d in directions:
+        bound = detail.get("t_bound") if d == claimed else None
+        if bound is None and blowup_claim:
+            bound = _escape_bound(p, u0, v0, d)
+        # a claimed blow-up is checked out to its bound, even past the horizon
+        t_end = horizon if bound is None else max(horizon, d * bound * (1.0 + _T_BOUND_SLACK))
         runs[d], t_blow[d] = _run(p, u0, v0, d * t_end)
-    max_u = max(float(abs(r.u).max()) for r in runs.values())
+        if not blowup_claim:
+            continue
+        if bound is not None and not _confirms(d, t_blow[d], bound):
+            # RK4 at 1e-10 can fit a pole at an exact bound late by more than the slack, or step
+            # across it; Gauss6 at 1e-12 fits such poles to about 1e-13 and settles the claim
+            t_blow[d] = _run(p, u0, v0, d * t_end, IntegratorKind.GAUSS6, 1e-12)[1]
+        confirmed[d] = _confirms(d, t_blow[d], bound)
+        if confirmed[d]:
+            break  # one blow-up settles a no_global_solution claim
+    max_u = max((float(abs(r.u).max()) for r in runs.values()), default=None)
 
     def check(ok: bool, reason: str) -> VerdictCheck:
         return VerdictCheck(ok, reason, t_blow[1.0], t_blow[-1.0], max_u)
@@ -180,18 +246,9 @@ def verify_verdict(p: OdeParams, u0: float, v0: float, verdict: Verdict, horizon
             ok, reason = err <= 1e-6, f"closed-form endpoint error {err:.2e}"
         return check(ok, reason)
     if claimed is not None:
-        def confirms(t: float | None) -> bool:
-            # a blow-up, at 0 < |t| <= |t_bound| plus slack with signs taken along the claimed direction
-            return t is not None and (
-                t_bound is None or 0.0 < claimed * t <= claimed * t_bound + _T_BOUND_SLACK * abs(t_bound))
-
-        if t_bound is not None and not confirms(t_blow[claimed]):
-            # RK4 at 1e-10 can fit a pole at an exact bound late by more than the slack, or step
-            # across it; Gauss6 at 1e-12 fits such poles to about 1e-13 and settles the claim
-            t_blow[claimed] = _run(p, u0, v0, runs[claimed].options.t_end, IntegratorKind.GAUSS6, 1e-12)[1]
-        return check(confirms(t_blow[claimed]), ("forward" if claimed > 0 else "backward") + " blow-up")
+        return check(confirmed[claimed], ("forward" if claimed > 0 else "backward") + " blow-up")
     if kind == NO_GLOBAL:
-        return check(any(t is not None for t in t_blow.values()), "blow-up in some direction")
+        return check(any(confirmed.values()), "blow-up in some direction")
     return check(True, "nothing claimed")
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import math
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import pytest
 
 from blowuplab import (
     DomainError,
+    IntegratorKind,
     State,
     classify,
     detect_period,
@@ -16,6 +18,8 @@ from blowuplab import (
     verify_verdict,
 )
 from blowuplab.errors import Inconclusive
+
+classify_module = importlib.import_module("blowuplab.classify")  # the package's classify is the function
 
 P3 = params_from_dimension(3.0)
 P4 = params_from_dimension(4.0)
@@ -137,12 +141,24 @@ def test_sign_conjugacy_swaps_direction():
 
 def test_m3_decay_region():
     assert classify(P3, 0.0, -0.5).kind == "global_bounded"
-    assert classify(P3, 0.0, 0.7).kind == "global_bounded"
+    v = classify(P3, 0.0, 0.7)
+    assert v.kind == "no_global_solution"
+    assert v.basis == "odd-escape"
     v = classify(P3, 1.0, 0.1)
     assert v.kind == "global_bounded"
     assert v.basis == "decay-to-origin"
     assert classify(P3, 1.0, -0.1).kind == "global_bounded"
     assert classify(P3, 1.0, 0.6).kind == "unclassified"
+
+
+def test_verify_m3_odd_escape():
+    # g_k = v0 > 0 keeps its sign, so u blows up forward, and u is odd: the
+    # blow-ups are at t = +-1.26238 from (0, 0.7) and +-33.399 from (0, 1e-3)
+    for v0, t_blow in ((0.7, 1.26238), (1e-3, 33.399)):
+        v = classify(P3, 0.0, v0)
+        check = verify_verdict(P3, 0.0, v0, v, horizon=50.0)
+        assert check.passed
+        assert check.t_blow_forward == pytest.approx(t_blow, rel=1e-4)
 
 
 def test_negative_discriminant_is_conjectural():
@@ -232,8 +248,79 @@ def test_verify_backward_blowup_far_from_origin():
     assert v.detail["t_bound"] == pytest.approx(-6e5, rel=1e-12)
     check = verify_verdict(P5, 1e-5, -3.33e-11, v, horizon=50.0)
     assert check.passed
-    assert check.t_blow_forward is None
+    assert check.t_blow_forward is None  # a backward claim runs no forward integration
     assert check.t_blow_backward == pytest.approx(-552256.245, rel=1e-8)
+
+
+def test_verify_runs_only_the_claimed_directions(monkeypatch):
+    signs = []
+    run = classify_module._run
+
+    def recording_run(p, u0, v0, t_end, *args):
+        signs.append("+" if t_end > 0.0 else "-")
+        return run(p, u0, v0, t_end, *args)
+
+    monkeypatch.setattr(classify_module, "_run", recording_run)
+    m8_far = (-0.030497883397175962, 0.0007917138562474335)  # blow-ups at 160.14 and -77.82
+    for p, u0, v0, kind, horizon, want in (
+        (P4, 0.0, 0.0, "trivial", 5.0, "+-"),
+        (P4, 2.0, 0.0, "stationary", 5.0, "+-"),
+        (P4, 0.0, -1.0, "global_bounded", 5.0, "+-"),
+        (P5, 1.0, 1.0, "blowup_forward", 10.0, "+"),
+        (P5, -1.0, 1.0, "blowup_backward", 10.0, "-"),
+        (P3, 1.0, 0.6, "unclassified", 10.0, ""),
+        (P8, 1.0, 1.0 / 3.0, "no_global_solution", 10.0, "+"),
+        (P8, *m8_far, "no_global_solution", 100.0, "+-"),
+    ):
+        v = classify(p, u0, v0)
+        assert v.kind == kind
+        signs.clear()
+        check = verify_verdict(p, u0, v0, v, horizon=horizon)
+        assert check.passed, (kind, check)
+        assert "".join(signs) == want, (kind, signs)
+        assert (check.max_abs_u is None) == (want == "")
+    assert check.t_blow_forward is None
+    assert check.t_blow_backward == pytest.approx(-77.82, rel=1e-3)
+
+
+def test_verify_blowups_past_the_horizon_without_t_bound():
+    # none of these verdicts has a t_bound, and each blow-up lies past the
+    # horizon of 50; the energy bound of _escape_bound takes the run out to it
+    for m, u0, v0, kind, d, t_blow in (
+        (8.0, -0.030497883397175962, 0.0007917138562474335, "no_global_solution", -1.0, -77.82267285707),
+        (8.0, 0.033684937989015395, 0.0019283492347536013, "no_global_solution", 1.0, 56.10646958759),
+        # RK4 steps across this exact bound, so Gauss6 settles it
+        (8.0, 0.01959198550545671, -0.00013550917209603774, "no_global_solution", -1.0, -151.349059576545),
+        (9.0, -0.024760670114000294, -0.0006506120489702116, "blowup_forward", 1.0, 84.00497420143),
+    ):
+        p = params_from_dimension(m)
+        v = classify(p, u0, v0)
+        assert v.kind == kind and "t_bound" not in (v.detail or {})
+        check = verify_verdict(p, u0, v0, v, horizon=50.0)
+        assert check.passed, (m, u0, v0, check)
+        assert (check.t_blow_forward if d > 0 else check.t_blow_backward) == pytest.approx(t_blow, rel=1e-7)
+
+
+def test_escape_bound_is_an_upper_bound_and_exact_at_A0():
+    rng = np.random.default_rng(17)
+    seen = {"exact": 0, "strict": 0, "none": 0}
+    for p in (P5, P8, P9, params_from_coeffs(-1.0, 0.5), params_from_coeffs(0.0, 2.0)):
+        for u0, v0 in rng.uniform(-2.0, 2.0, size=(8, 2)).tolist():
+            for d in (1.0, -1.0):
+                bound = classify_module._escape_bound(p, u0, v0, d)
+                if bound is None:
+                    seen["none"] += 1
+                    continue
+                _, t = classify_module._run(p, u0, v0, bound * (1.0 + 1e-6), IntegratorKind.GAUSS6, 1e-12)
+                assert t is not None and 0.0 < d * t <= d * bound * (1.0 + 1e-11), (p, u0, v0, d)
+                if p.A == 0.0:
+                    assert t == pytest.approx(bound, rel=1e-11)
+                    seen["exact"] += 1
+                else:
+                    seen["strict"] += 1
+    assert min(seen.values()) > 0, seen
+    assert classify_module._escape_bound(P3, 0.0, 0.7, 1.0) is None  # B < 0
+    assert classify_module._escape_bound(P5, 1e200, 1.0, 1.0) is None  # u0^4 overflows
 
 
 def test_verdict_census_is_pinned():
@@ -249,7 +336,7 @@ def test_verdict_census_is_pinned():
             for v0 in grid:
                 v = classify(p, u0, v0)
                 h.update(repr((p.A, p.B, u0, v0, v.kind, v.basis, v.detail)).encode())
-    assert h.hexdigest() == "a46a1dab48fbf00bec89f46a4955b232fb666d3ff1de48590629ef235f912700"
+    assert h.hexdigest() == "5ecaa73896776013238b5a7a3656851b57a81cf5679b645379bc1f9bfedfe6e2"
 
 
 def test_verify_no_global_m8():
