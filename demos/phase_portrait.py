@@ -1,9 +1,10 @@
 """Classify a grid of initial conditions and tally verdicts per dimension.
 
-For m >= 5 every nontrivial solution blows up in finite forward or
-backward time; for m = 3 a region of initial data decays to zero in both
-directions.  The grid summary makes the contrast visible, and a few
-verdicts are confirmed by direct integration.
+For m >= 5 every solution off the two invariant parabolas blows up in
+both time directions, and on them in one; for m = 3 a region of initial
+data decays to zero in both directions, and the rest blows up one way or
+both.  The grid summary makes the contrast visible, and a few verdicts are
+confirmed by direct integration.
 """
 from collections import Counter
 
@@ -25,9 +26,10 @@ def main():
 
     print("\nspot checks (verdict vs direct integration):")
     cases = [
-        (5.0, -0.5, -1.0),  # forward blow-up with an explicit time bound
-        (5.0, 1.0, 1.0),    # monotone escape
-        (3.0, 1.0, 0.1),    # decay to the origin
+        (5.0, -0.5, -1.0),  # blow-up both ways, with a forward time bound
+        (5.0, 1.0, 1.0),    # a < 0 in w'' = a w^q: w is pulled to 0 both ways
+        (3.0, 1.0, 0.6),    # a forward blow-up only, with its time bound
+        (3.0, 1.0, 0.1),    # global, decaying to the origin both ways
     ]
     for m, u0, v0 in cases:
         p = bl.params_from_dimension(m)

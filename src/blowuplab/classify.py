@@ -1,11 +1,10 @@
 """Qualitative classification of initial conditions with numeric checks.
 
 At B = 0, A != 0 each verdict is read off the poles of the Riccati closed
-form.  Otherwise the decision tree is keyed on the signs of A, B and the
-discriminant A^2 + 8B, plus the invariant-parabola quantity
-g_k = u' + k u^2.  Two exact conjugacies fold mirrored sign patterns onto
-proved cases: u(-t) solves the ODE with A replaced by -A, and -u(-t)
-solves the same ODE; both swap the time direction of any blow-up.
+form.  For disc = A^2 + 8B >= 0 each time direction is decided by the
+signs of w'' = a w^q, where w = exp(k int u) for a root k of
+2k^2 + A k - B = 0 (for m-derived coefficients, the conformal factor
+(f/f(0))^(-2/(m-2))); disc < 0 and A = B = 0 stay unclassified.
 """
 from __future__ import annotations
 
@@ -24,8 +23,8 @@ from .integrate import (
     quadrature_blowup_time,
     step_gauss6,
 )
-from .diagnostics import energy, g_k
-from .model import OdeParams, State, params_from_coeffs, rhs
+from .diagnostics import g_k
+from .model import OdeParams, State, rhs
 
 __all__ = ["Verdict", "PeriodReport", "VerdictCheck", "classify", "verify_verdict", "detect_period"]
 
@@ -57,17 +56,26 @@ class PeriodReport:
     closure_error: float
 
 
-def _swap_direction(v: Verdict) -> Verdict:
-    if v.kind == BLOWUP_FORWARD:
-        kind = BLOWUP_BACKWARD
-    elif v.kind == BLOWUP_BACKWARD:
-        kind = BLOWUP_FORWARD
-    else:
-        return v
-    detail = v.detail
-    if detail and "t_bound" in detail:
-        detail = {**detail, "t_bound": -detail["t_bound"]}
-    return Verdict(kind, v.basis + "+time-reversal", detail)
+def _blows_up(p: OdeParams, k: float, G: float, e: float, u0: float, d: float) -> bool:
+    """Whether u blows up in time direction d: whether w = exp(k int_0^t u) reaches 0 or infinity.
+
+    w'' = a w^q with w(0) = 1, w'(0) = k u0, a = k G and q = 3 + A/k, so
+    q - 1 = B/k^2 has the sign of B, and disc = 0 gives q = -1; e has the
+    sign of the conserved E = w'^2/2 - a w^(q+1)/(q+1).
+    """
+    inward = d * k * u0 < 0.0  # w starts towards 0
+    if G == 0.0:  # a = 0: w is linear, u = u0/(1 + k u0 t)
+        return inward
+    if k * G < 0.0:  # a < 0: w is pulled to 0 and reaches it with w'^2 >= 2E > 0
+        return True
+    if p.disc == 0.0:  # the potential -a ln w keeps w from 0, and w'^2 ~ 2a ln w takes infinite time out
+        return False
+    if inward and e > 0.0:  # w'^2 >= 2E > 0 all the way to 0
+        return True
+    if inward and e == 0.0:  # w'^2 ~ w^(q+1): w reaches 0 in finite time iff q < 1
+        return p.B < 0.0
+    # outward, or turning back out at the root of w'^2 (E < 0): w escapes in finite time iff q > 1
+    return p.B > 0.0
 
 
 def classify(p: OdeParams, u0: float, v0: float) -> Verdict:
@@ -88,43 +96,25 @@ def classify(p: OdeParams, u0: float, v0: float) -> Verdict:
         if after is None:
             return Verdict(BLOWUP_BACKWARD, "riccati", {"k": k, "t_bound": before})
         return Verdict(NO_GLOBAL, "riccati", {"k": k})
-    if A < 0.0:
-        # u(-t) solves the A -> -A equation; classify the mirror and swap
-        mirrored = classify(params_from_coeffs(-A, B), u0, -v0)
-        return _swap_direction(mirrored)
-
-    if B > 0.0:
-        s0 = State(0.0, u0, v0)
-        if A == 0.0:
-            e0 = energy(p, s0)
-            branch = "zero-energy-rational" if e0 == 0.0 else "conserved-energy-escape"
-            return Verdict(NO_GLOBAL, branch, {"e0": e0})
-        if u0 < 0.0 <= v0 or v0 < 0.0 < u0:
-            # -u(-t) solves the same equation; classify the mirror and swap
-            return _swap_direction(classify(p, -u0, v0))
-        # u0 and v0 of one sign: every blow-up below is forward
-        if v0 >= 0.0:
-            return Verdict(BLOWUP_FORWARD, "monotone-escape")
-        if g_k(s0, p.k_plus) <= 0.0:
-            detail = {"t_bound": -1.0 / (p.k_plus * u0)} if u0 != 0.0 else None
-            return Verdict(BLOWUP_FORWARD, "invariant-parabola-bound", detail)
-        return Verdict(BLOWUP_FORWARD, "logistic-comparison")
-
-    # B < 0, A >= 0
     if p.disc < 0.0:
         return Verdict(UNCLASSIFIED, "periodicity-conjecture")
-    if A == 0.0:
-        return Verdict(UNCLASSIFIED, "periodicity-conjecture")
-    k1 = p.k_plus  # larger root; both roots negative here
-    if u0 == 0.0 and v0 > 0.0:
-        # g_k = v0 > 0 keeps its sign, so u' = g_k - k u^2 >= |k| u^2 once u > 0: a forward
-        # blow-up; -u(-t) fixes (0, v0), so u is odd and blows up backward as well
-        return Verdict(NO_GLOBAL, "odd-escape")
-    if v0 >= 0.0 and v0 + k1 * u0 * u0 < 0.0:
-        return Verdict(GLOBAL_BOUNDED, "decay-to-origin", {"decays": True})
-    if v0 < 0.0:
-        return Verdict(GLOBAL_BOUNDED, "turning-point-then-decay", {"decays": True})
-    return Verdict(UNCLASSIFIED, "outside-proved-region")
+
+    # q + 1 > 0 for k_minus if it is negative, else for k_plus; E = -k^2 g_k'(0)/(4k + A)
+    # on the other root k', and 4k + A is -sqrt(disc) for k_minus, +sqrt(disc) for k_plus
+    s0, low = State(0.0, u0, v0), p.k_minus < 0.0
+    k, k_other = (p.k_minus, p.k_plus) if low else (p.k_plus, p.k_minus)
+    G, G_other = g_k(s0, k), g_k(s0, k_other)
+    forward, backward = (_blows_up(p, k, G, G_other if low else -G_other, u0, d) for d in (1.0, -1.0))
+    # g_kappa keeps its sign, so where d kappa u0 < 0 and d u0 g_kappa(0) >= 0 (for one d
+    # iff kappa g_kappa(0) <= 0), z = sign(u0) u(d tau) obeys z' >= |kappa| z^2 and escapes
+    # by the pole -1/(kappa u0), exactly then if g_kappa(0) = 0; no two poles face apart
+    poles = [-1.0 / (kappa * u0) for kappa, g in ((k, G), (k_other, G_other)) if u0 != 0.0 and kappa * g <= 0.0]
+    detail = {"t_bound": min(poles, key=abs)} if poles else None
+    if forward and backward:
+        return Verdict(NO_GLOBAL, "w-equation", detail)
+    if forward or backward:
+        return Verdict(BLOWUP_FORWARD if forward else BLOWUP_BACKWARD, "w-equation", detail)
+    return Verdict(GLOBAL_BOUNDED, "w-equation", {"decays": True})
 
 
 # ---------------------------------------------------------------------------
@@ -186,32 +176,39 @@ def verify_verdict(p: OdeParams, u0: float, v0: float, verdict: Verdict, horizon
     """Integrate in RK4 the time directions the verdict's claim concerns, and confirm it.
 
     ``trivial``, ``stationary`` and ``global_bounded`` run both directions to
-    the horizon.  ``blowup_forward`` and ``blowup_backward`` run their own
-    direction alone; ``no_global_solution`` runs forward, then backward only
-    if forward confirmed no blow-up; ``unclassified`` claims nothing and runs
-    nothing.  A blow-up run goes out to its bound when that lies past the
-    horizon: the verdict's ``t_bound``, else the energy bound of
-    ``_escape_bound`` where one applies; the fitted time must not pass the
-    bound, and a bound RK4 cannot confirm is settled by one Gauss6 run.  A
-    direction not run reports ``t_blow_* = None``, and ``max_abs_u`` covers
-    the runs made; an ``Inconclusive`` run raises.
+    the horizon.  A blow-up claim with a ``t_bound`` runs the direction of
+    its sign alone, as ``blowup_forward`` and ``blowup_backward`` without one
+    run their own; ``no_global_solution`` without one runs first the
+    direction in which ``|u|`` grows, then the other only if the first
+    confirmed no blow-up; ``unclassified`` runs nothing.  A blow-up run goes
+    out to its bound when that lies past the horizon: the ``t_bound``, else
+    the energy bound of ``_escape_bound`` where one applies; the fitted time
+    must not pass the bound, and a bound RK4 cannot confirm is settled by
+    one Gauss6 run.  A direction not run reports ``t_blow_* = None``, and
+    ``max_abs_u`` covers the runs made; an ``Inconclusive`` run raises.
     """
     if not 0.0 < horizon < math.inf:  # false for NaN too
         raise DomainError("horizon must be positive and finite")
     kind = verdict.kind
     detail = verdict.detail or {}
+    blowup_claim = kind in (BLOWUP_FORWARD, BLOWUP_BACKWARD, NO_GLOBAL)
+    t_bound = detail.get("t_bound") if blowup_claim else None
     claimed = {BLOWUP_FORWARD: 1.0, BLOWUP_BACKWARD: -1.0}.get(kind)  # direction of a claimed blow-up
+    if t_bound is not None:
+        claimed = math.copysign(1.0, t_bound)  # a bound claims the blow-up in its own direction
     if claimed is not None:
         directions = (claimed,)
-    elif kind in (TRIVIAL, STATIONARY, GLOBAL_BOUNDED, NO_GLOBAL):
+    elif kind == NO_GLOBAL:
+        first = -1.0 if u0 * v0 < 0.0 else 1.0  # where |u| grows
+        directions = (first, -first)
+    elif kind in (TRIVIAL, STATIONARY, GLOBAL_BOUNDED):
         directions = (1.0, -1.0)
     else:
         directions = ()
-    blowup_claim = claimed is not None or kind == NO_GLOBAL
     runs, t_blow = {}, {1.0: None, -1.0: None}  # direction -> trajectory and fitted blow-up time
     confirmed = {}  # direction -> a blow-up within its bound
     for d in directions:
-        bound = detail.get("t_bound") if d == claimed else None
+        bound = t_bound if d == claimed else None
         if bound is None and blowup_claim:
             bound = _escape_bound(p, u0, v0, d)
         # a claimed blow-up is checked out to its bound, even past the horizon

@@ -196,8 +196,12 @@ def test_criterion_08_universal_blowup_m_ge_5():
             for v0 in grid:
                 verdict = classify(p, float(u0), float(v0))
                 assert verdict.kind != "global_bounded"
-                # prefer the direction the verdict names
+                # prefer the direction the verdict names: its t_bound's, which a
+                # no_global_solution verdict may carry backward, else its kind's
+                bound = (verdict.detail or {}).get("t_bound")
                 first = -1.0 if verdict.kind == "blowup_backward" else 1.0
+                if bound is not None:
+                    first = math.copysign(1.0, bound)
                 t_est = None
                 for sign in (first, -first):
                     opts = IntegrateOptions(t_end=sign * 50.0, **opts_tpl)
@@ -208,8 +212,7 @@ def test_criterion_08_universal_blowup_m_ge_5():
                         break
                 assert t_est is not None, f"m={m} ({u0},{v0}) never blew up within |t|<=50"
                 assert abs(t_est) <= 50.0
-                if verdict.detail and "t_bound" in verdict.detail:
-                    bound = verdict.detail["t_bound"]
+                if bound is not None:
                     if bound > 0:
                         assert 0.0 < t_est <= bound * (1.0 + 1e-6)
                     else:
