@@ -129,6 +129,55 @@ def test_w_equation_reference_points():
     assert classify(P8, 1.0, 1.0 / 3.0).detail["t_bound"] == 3.0
 
 
+def test_m5_direction_table():
+    # m = 5 is above 4: off both parabolas every state blows up both ways,
+    # and the mirror -u(-t) negates the bound
+    for u0, v0, t_bound in ((1.0, 1.0, 1.5), (-1.0, 1.0, -1.5), (-1.0, -0.05, None), (1.0, -0.05, None)):
+        v = classify(P5, u0, v0)
+        assert (v.kind, v.basis) == ("no_global_solution", "w-equation"), (u0, v0)
+        if t_bound is None:
+            assert v.detail is None
+        else:
+            assert v.detail == {"t_bound": pytest.approx(t_bound, rel=1e-12)}
+        assert verify_verdict(P5, u0, v0, v, horizon=50.0).passed, (u0, v0)
+
+
+def test_m5_parabola_bound():
+    # (-+1/2, -1) lies off the parabolas; the bound 12 = -1/(k u0) is the
+    # nearer pole, on the side where kappa g_kappa(0) <= 0
+    for u0, t_bound in ((-0.5, 12.0), (0.5, -12.0)):
+        v = classify(P5, u0, -1.0)
+        assert (v.kind, v.basis) == ("no_global_solution", "w-equation")
+        assert v.detail["t_bound"] == pytest.approx(t_bound, rel=1e-12)
+        assert verify_verdict(P5, u0, -1.0, v, horizon=50.0).passed, u0
+
+
+def test_m8_energy_branches():
+    # on the parabola (G = 0) only the inward direction blows up, at the exact
+    # pole 3; off it (E > 0) both directions do
+    v = classify(P8, 1.0, 1.0 / 3.0)
+    assert (v.kind, v.basis, v.detail) == ("blowup_forward", "w-equation", {"t_bound": 3.0})
+    v = classify(P8, 1.0, 1.0)
+    assert (v.kind, v.basis) == ("no_global_solution", "w-equation")
+    assert v.detail["t_bound"] == pytest.approx(3.0, rel=1e-12)
+    for v0 in (1.0 / 3.0, 1.0):
+        assert verify_verdict(P8, 1.0, v0, classify(P8, 1.0, v0), horizon=50.0).passed, v0
+
+
+def test_m3_decay_region():
+    # below the parabola (E < 0, q < 1) the state decays both ways; above it
+    # u blows up inward, and from u0 = 0 with v0 > 0 both ways
+    for u0, v0 in ((0.0, -0.5), (1.0, 0.1), (1.0, -0.1)):
+        v = classify(P3, u0, v0)
+        assert (v.kind, v.basis, v.detail) == ("global_bounded", "w-equation", {"decays": True}), (u0, v0)
+    v = classify(P3, 0.0, 0.7)
+    assert (v.kind, v.basis, v.detail) == ("no_global_solution", "w-equation", None)
+    v = classify(P3, 1.0, 0.6)
+    assert (v.kind, v.basis, v.detail) == ("blowup_forward", "w-equation", {"t_bound": 2.0})
+    for u0, v0 in ((0.0, -0.5), (1.0, 0.1), (1.0, -0.1), (1.0, 0.6)):
+        assert verify_verdict(P3, u0, v0, classify(P3, u0, v0), horizon=50.0).passed, (u0, v0)
+
+
 def _blows(kind: str, d: float) -> bool:
     return kind == "no_global_solution" or kind == ("blowup_forward" if d > 0 else "blowup_backward")
 
