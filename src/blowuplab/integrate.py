@@ -115,13 +115,16 @@ class Trajectory:
 # infinite or NaN one, so a sum of such products tests finiteness exactly
 # without overflowing.
 #
-# Attempt contract, the driver's: attempt(A, B, u, v, h) -> (dfu, dfv, du, dv)
-# returns the full step's increment and the sum of the two half steps'
-# increments, or raises where one of them raises; the driver then halves h.
-# The full step is bit for bit increment(h).  RK4's half steps are bit for
-# bit increment(h/2) and increment(h/2) from the midpoint; Gauss6's solve
-# the same stage equations from another seed, so they agree with those
-# increments to the stage tolerance, not bit for bit.
+# Attempt contract, the driver's: attempt(A, B, u, v, h, tol) -> (dfu, dfv,
+# du, dv) returns the full step's increment and the sum of the two half
+# steps' increments, or raises where one of them raises; the driver then
+# halves h.  tol is the run's local_tol, or 0 for none; RK4 ignores it.
+# RK4's full step is bit for bit increment(h), its half steps
+# increment(h/2) and increment(h/2) from the midpoint.  At tol = 0 (and
+# wherever _STAGE_KAPPA tol <= 4 eps) Gauss6's full step is bit for bit
+# increment(h), and its half steps solve the same stage equations from
+# another seed, so they agree with those increments to the stage
+# tolerance, not bit for bit.  A larger tol loosens that tolerance.
 #
 # Gauss6 solves its stages in one place, _gauss6_solve, in Nystrom form: the
 # iteration runs on the three stage accelerations F_i = u'' at the stages,
@@ -153,8 +156,10 @@ def _rk4_increment(A: float, B: float, u: float, v: float, h: float) -> tuple[fl
     return du, dv
 
 
-def _rk4_attempt(A: float, B: float, u: float, v: float, h: float) -> tuple[float, float, float, float]:
-    """One step-doubling attempt of RK4: _rk4_increment's arithmetic, written out.
+def _rk4_attempt(
+    A: float, B: float, u: float, v: float, h: float, tol: float,
+) -> tuple[float, float, float, float]:
+    """One step-doubling attempt of RK4: _rk4_increment's arithmetic, written out; tol is unused.
 
     The full and the first half step share k1v.  0.5 * h * v evaluates as
     (0.5 * h) * v, so taking the sub-step factors once changes no bit.  A
@@ -229,12 +234,18 @@ _HALF_SEEDS = tuple(_quadratic_weights(s) for s in (
 ))
 # a sweep change within 4 eps of the stage scale is rounding noise
 _STAGE_RTOL = 4.0 * sys.float_info.epsilon
+# the attempt's absolute stage tolerances scale with max(4 eps, kappa
+# local_tol): a stage solve need not resolve what the error test cannot see
+# (Hairer & Wanner, Solving ODEs II, IV.8, stop the iteration at kappa Tol)
+_STAGE_KAPPA = 5e-3
 # fixed-point sweeps allowed per step; a step that needs more is too long
 # for the iteration to contract, and the driver halves it
 _GAUSS6_MAX_SWEEPS = 40
 
 
-def _gauss6_start(A: float, B: float, u: float, v: float) -> tuple[float, float, float]:
+def _gauss6_start(
+    A: float, B: float, u: float, v: float, R: float = _STAGE_RTOL,
+) -> tuple[float, float, float]:
     """Start state of a stage solve from (u, v): (fv, tu, tv).
 
     fv = u'' at (u, v), tested finite; tu, tv are R max(1, |u|),
@@ -244,7 +255,7 @@ def _gauss6_start(A: float, B: float, u: float, v: float) -> tuple[float, float,
     if v * 0.0 + fv * 0.0 != 0.0:
         raise NonFiniteError("stage value overflowed")
     tu, tv = abs(u), abs(v)
-    return fv, _STAGE_RTOL * (tu if tu > 1.0 else 1.0), _STAGE_RTOL * (tv if tv > 1.0 else 1.0)
+    return fv, R * (tu if tu > 1.0 else 1.0), R * (tv if tv > 1.0 else 1.0)
 
 
 def _gauss6_solve(
@@ -263,12 +274,13 @@ def _gauss6_solve(
     and takes F_i = u'' at (Y_iu, Y_iv), so every u-stage is built from the
     latest accelerations.  An F_i has converged when its sweep change is
     within min(tv/|h|, tu/h^2) or R |F_i|: that bounds the change of each
-    stage increment by a few ulps of max(1, |y0|), the rounding noise that
-    never goes away once |y| is large, or by a few ulps of the acceleration
-    itself.  The increment is du = h sum_i b_i Y_iv, dv = h sum_i b_i F_i
-    with F_i the accelerations at the last stages Y_i; those F_i are
-    returned too.  The tableau is bound as default arguments, which read
-    as locals.
+    stage increment by tu or tv, a few ulps of max(1, |y0|) from
+    _gauss6_start's default (the rounding noise that never goes away once
+    |y| is large) or a fraction of the attempt's local_tol, or by a few
+    ulps of the acceleration itself.  The increment is
+    du = h sum_i b_i Y_iv, dv = h sum_i b_i F_i with F_i the accelerations
+    at the last stages Y_i; those F_i are returned too.  The tableau is
+    bound as default arguments, which read as locals.
     """
     w1 = (C1 * h) * v
     w2 = (0.5 * h) * v
@@ -327,7 +339,8 @@ def _gauss6_increment(A: float, B: float, u: float, v: float, h: float) -> tuple
 
 
 def _gauss6_attempt(
-    A: float, B: float, u: float, v: float, h: float, W=_HALF_SEEDS,
+    A: float, B: float, u: float, v: float, h: float, tol: float,
+    W=_HALF_SEEDS, K=_STAGE_KAPPA, R=_STAGE_RTOL,
 ) -> tuple[float, float, float, float]:
     """One step-doubling attempt of Gauss6: three solves, two start states.
 
@@ -337,14 +350,20 @@ def _gauss6_attempt(
     half step is seeded with the full step's collocation polynomial, the
     quadratic through its converged (c_i, F_i), at the half step's own
     nodes (Hairer, Lubich & Wanner, Geometric Numerical Integration, VIII.6).
+    The absolute stage tolerances scale with max(R, K tol) in place of R;
+    the relative test |d| <= R |F_i| stays, so at K tol <= R the attempt
+    is the one at tol = 0.
     """
-    fv, tu, tv = _gauss6_start(A, B, u, v)
+    r = K * tol
+    if r < R:
+        r = R
+    fv, tu, tv = _gauss6_start(A, B, u, v, r)
     dfu, dfv, F1, F2, F3 = _gauss6_solve(A, B, u, v, tu, tv, h, fv, fv, fv)
     g1, g2, g3, g4, g5, g6 = [w1 * F1 + w2 * F2 + w3 * F3 for w1, w2, w3 in W]
     c = 0.5 * h
     d1u, d1v, _, _, _ = _gauss6_solve(A, B, u, v, tu, tv, c, g1, g2, g3)
     u1, v1 = u + d1u, v + d1v
-    _, tu, tv = _gauss6_start(A, B, u1, v1)
+    _, tu, tv = _gauss6_start(A, B, u1, v1, r)
     d2u, d2v, _, _, _ = _gauss6_solve(A, B, u1, v1, tu, tv, c, g4, g5, g6)
     return dfu, dfv, d1u + d2u, d1v + d2v
 
@@ -437,7 +456,7 @@ def _integrate_forward(
             termination = Termination("step_underflow", t_last=t)
             break
         try:
-            dfu, dfv, du, dv = attempt(A, B, u, v, h)
+            dfu, dfv, du, dv = attempt(A, B, u, v, h, tol)
         except (NonFiniteError, StageSolveFailure):
             h *= 0.5
             continue
@@ -467,7 +486,7 @@ def _integrate_forward(
             h *= 5.0
     if n_acc % every:  # the last accepted state is always kept
         rows += (t, u, v, ct)
-    cols = np.array(rows).reshape(-1, 4).T
+    cols = np.fromiter(rows, float, len(rows)).reshape(-1, 4).T
     states = np.rec.fromarrays(cols[:3], names="t,u,v")
     if termination is None:
         termination = Termination("blowup", t_estimate=_blowup_time(cols[0], cols[1]), direction=direction)
@@ -511,27 +530,37 @@ def quadrature_blowup_time(Acoef: float, C: float, a: float) -> float:
     anywhere on [a, inf), or a divergent integral (C = 0, a <= 0), is a
     domain error.
 
-    With lam = (|C| / Acoef)^(1/4) and x = a / lam the integral is an
-    incomplete elliptic integral F(phi | 1/2) (DLMF 19.2), evaluated by
-    elliptic.F_half:
+    With lam = (|C| / Acoef)^(1/4) and x = a / lam the radicand is
+    r_a = |C| (x^4 +- 1) and the integral is an incomplete elliptic
+    integral F(phi | 1/2) (DLMF 19.2), evaluated by elliptic.F_half:
     integral_x^inf dy / sqrt(y^4 + 1) = F(2 atan(1/x) | 1/2) / 2 and
     integral_x^inf dy / sqrt(y^4 - 1) = F(atan(sqrt 2 / sqrt(x^2 - 1)) | 1/2) / sqrt 2.
+    Both angles are formed from lam and a, never from a^4, so every finite
+    a past the turning point has a value.
     """
     if Acoef <= 0:
         raise DomainError("quartic coefficient must be positive")
-    r_a = Acoef * a**4 + C
-    if r_a < 0:
-        raise DomainError("negative radicand at the left endpoint")
     if C == 0:
         if a <= 0:
             raise DomainError("escape integral diverges for C = 0 and a <= 0")
         return 1.0 / (math.sqrt(Acoef) * a)
     lam = (abs(C) / Acoef) ** 0.25  # the turning point v* when C < 0
-    if C < 0 and a < lam:
-        raise DomainError("radicand vanishes inside the integration range")
+    if C > 0:  # atan(1/x) as atan2(lam, a): no overflow for any finite a
+        return lam / math.sqrt(C) * F_half(2.0 * math.atan2(lam, a)) / 2.0
     x = a / lam
-    if C > 0:
-        return lam / math.sqrt(C) * F_half(2.0 * math.atan2(1.0, x)) / 2.0
-    # x^2 - 1 = r_a / (|C| (x^2 + 1)) carries fewer roundings than x * x - 1 near v*
-    phi = math.atan2(math.sqrt(2.0), math.sqrt(r_a / (-C * (x * x + 1.0))))
+    if -1.0 < x < 1.0:
+        raise DomainError("negative radicand at the left endpoint")
+    if x < 1.0:
+        raise DomainError("radicand vanishes inside the integration range")
+    if x < 2.0:
+        # near v*, x^2 - 1 = r_a / (|C| (x^2 + 1)) with r_a formed from a
+        # carries fewer roundings than x * x - 1; here a^4 < 16 |C| / Acoef
+        r_a = Acoef * a**4 + C
+        if r_a < 0:
+            raise DomainError("negative radicand at the left endpoint")
+        phi = math.atan2(math.sqrt(2.0), math.sqrt(r_a / (-C * (x * x + 1.0))))
+    else:
+        # sqrt 2 / sqrt(x^2 - 1) = sqrt 2 y / sqrt((1 - y)(1 + y)) with y = 1/x = lam/a <= 1/2
+        y = lam / a
+        phi = math.atan2(math.sqrt(2.0) * y, math.sqrt((1.0 - y) * (1.0 + y)))
     return lam / math.sqrt(-C) * F_half(phi) / math.sqrt(2.0)

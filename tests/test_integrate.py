@@ -26,7 +26,7 @@ from blowuplab.errors import FitFailure, NonFiniteError, StageSolveFailure
 from blowuplab.integrate import (
     _A11, _A12, _A13, _A21, _A22, _A23, _A31, _A32, _A33, _B1, _B2, _C1, _C3, _HALF_SEEDS,
     _Q11, _Q12, _Q13, _Q21, _Q22, _Q23, _Q31, _Q32, _Q33,
-    _GAUSS6_MAX_SWEEPS, _STAGE_RTOL, _STEPPERS, _blowup_time, _gauss6_increment, _rk4_increment,
+    _GAUSS6_MAX_SWEEPS, _STAGE_KAPPA, _STAGE_RTOL, _STEPPERS, _blowup_time, _gauss6_increment, _rk4_increment,
 )
 
 # the module, which the package's function integrate shadows as an attribute
@@ -81,7 +81,7 @@ def test_increment_raises_instead_of_overflowing(kind, u, v):
     # NonFiniteError, so an attempt never returns a non-finite increment
     attempt, _ = _STEPPERS[kind]
     with pytest.raises(NonFiniteError):
-        attempt(0.0, 2.0, u, v, 1.0)
+        attempt(0.0, 2.0, u, v, 1.0, 0.0)
 
 
 def test_gauss6_stage_solve_at_escape_states():
@@ -115,6 +115,29 @@ def test_gauss6_escape_times_match_quadrature():
         t_ref = quadrature_blowup_time(p.B / 2.0, 2.0 * e0, u0)
         worst = max(worst, abs(estimate_blowup_time(traj) - t_ref) / t_ref)
     assert worst <= 3e-10
+
+
+# Worst relative error of the fitted escape time over the three initial
+# conditions below at each local_tol, with the stage tolerance set by
+# local_tol; the same to two digits as with stage tolerances at 4 eps
+# whatever local_tol (1.50e-8, 7.72e-10, 3.90e-11, 1.23e-12).  Gated at 3 times.
+_ESCAPE_TOL_WORST = {1e-6: 1.49e-8, 1e-8: 7.70e-10, 1e-10: 3.90e-11, 1e-12: 1.23e-12}
+
+
+@pytest.mark.parametrize("local_tol", sorted(_ESCAPE_TOL_WORST, reverse=True))
+def test_gauss6_escape_time_follows_local_tol(local_tol):
+    # m = 8 escapes to |u| = 1e8 against the quadrature time of the
+    # conserved energy: a stage solve stopped at a fraction of local_tol
+    # must not cost the estimate more than the step-size control does
+    p = params_from_dimension(8.0)
+    opts = IntegrateOptions(t_end=50.0, blowup_threshold=1e8, local_tol=local_tol)
+    worst = 0.0
+    for u0, v0 in ((1.0, 1.0), (0.5, 0.25), (1.25, 0.75)):
+        traj = integrate(p, State(0.0, u0, v0), IntegratorKind.GAUSS6, opts)
+        e0 = 0.5 * v0 * v0 - 0.25 * p.B * u0**4
+        t_ref = quadrature_blowup_time(p.B / 2.0, 2.0 * e0, u0)
+        worst = max(worst, abs(estimate_blowup_time(traj) - t_ref) / t_ref)
+    assert worst <= 3.0 * _ESCAPE_TOL_WORST[local_tol]
 
 
 def test_gauss6_converges_when_stage_increment_dwarfs_state():
@@ -183,12 +206,13 @@ def _gauss6_start_ref(p, u, v):
     return fv
 
 
-def _gauss6_solve_ref(p, u, v, h, F):
+def _gauss6_solve_ref(p, u, v, h, F, R=_STAGE_RTOL):
     # Y_iv = v + h sum_j a_ij F_j, Y_iu = u + c_i h v + h^2 sum_j (A^2)_ij F_j,
     # F_i <- u''(Y_iu, Y_iv) until every change is within
-    # max(min(tv/|h|, tu/h^2), R |F_i|); returns (du, dv, F)
+    # max(min(tv/|h|, tu/h^2), 4 eps |F_i|) with tu, tv = R max(1, |y|);
+    # returns (du, dv, F)
     A, B = p.A, p.B
-    tu, tv = _STAGE_RTOL * max(1.0, abs(u)), _STAGE_RTOL * max(1.0, abs(v))
+    tu, tv = R * max(1.0, abs(u)), R * max(1.0, abs(v))
     tol = min(tv / abs(h), tu / abs(h) / abs(h))
     for _ in range(_GAUSS6_MAX_SWEEPS):
         yv = [v + h * (a[0] * F[0] + a[1] * F[1] + a[2] * F[2]) for a in _A_REF]
@@ -215,16 +239,18 @@ def _gauss6_increment_ref(p, u, v, h):
     return du, dv
 
 
-def _gauss6_attempt_ref(p, u, v, h):
+def _gauss6_attempt_ref(p, u, v, h, tol):
     # the full step from the Euler seed; each half step seeded with the
-    # quadratic through the full step's (c_i, F_i) at its own nodes
+    # quadratic through the full step's (c_i, F_i) at its own nodes; the
+    # absolute stage tolerances scale with max(4 eps, kappa tol)
+    R = max(_STAGE_RTOL, _STAGE_KAPPA * tol)
     fv = _gauss6_start_ref(p, u, v)
-    dfu, dfv, F = _gauss6_solve_ref(p, u, v, h, [fv, fv, fv])
+    dfu, dfv, F = _gauss6_solve_ref(p, u, v, h, [fv, fv, fv], R)
     seeds = [w[0] * F[0] + w[1] * F[1] + w[2] * F[2] for w in _HALF_SEEDS]
-    d1u, d1v, _ = _gauss6_solve_ref(p, u, v, 0.5 * h, seeds[:3])
+    d1u, d1v, _ = _gauss6_solve_ref(p, u, v, 0.5 * h, seeds[:3], R)
     u1, v1 = u + d1u, v + d1v
     _gauss6_start_ref(p, u1, v1)
-    d2u, d2v, _ = _gauss6_solve_ref(p, u1, v1, 0.5 * h, seeds[3:])
+    d2u, d2v, _ = _gauss6_solve_ref(p, u1, v1, 0.5 * h, seeds[3:], R)
     return dfu, dfv, d1u + d2u, d1v + d2v
 
 
@@ -238,7 +264,7 @@ def _step_doubling_ref(increment, p, u, v, h):
 
 _REFERENCE_INCREMENTS = {IntegratorKind.RK4: _rk4_increment_ref, IntegratorKind.GAUSS6: _gauss6_increment_ref}
 _REFERENCE_ATTEMPTS = {
-    IntegratorKind.RK4: lambda p, u, v, h: _step_doubling_ref(_rk4_increment_ref, p, u, v, h),
+    IntegratorKind.RK4: lambda p, u, v, h, tol: _step_doubling_ref(_rk4_increment_ref, p, u, v, h),
     IntegratorKind.GAUSS6: _gauss6_attempt_ref,
 }
 # the increments step_rk4 and step_gauss6 take
@@ -285,16 +311,16 @@ def test_increment_matches_reference_bitwise(kind, case):
 
 @pytest.mark.parametrize("kind", list(IntegratorKind))
 @settings(max_examples=1500, deadline=None)
-@given(case=increment_inputs())
-def test_attempt_matches_reference_step_doubling_bitwise(kind, case):
+@given(case=increment_inputs(), tol=st.sampled_from((0.0, 1e-13, 1e-10, 1e-6)))
+def test_attempt_matches_reference_step_doubling_bitwise(kind, case, tol):
     # (dfu, dfv, du, dv) to the last bit and the sign of zero, or the same
     # exception type, as the reference attempt: three RK4 reference
     # increments composed by step doubling, or the Gauss6 full step and the
-    # two half steps from its quadratic seeds
+    # two half steps from its quadratic seeds, at the stage tolerance tol sets
     p, u, v, h = case
     attempt, _ = _STEPPERS[kind]
-    want = _outcome(_REFERENCE_ATTEMPTS[kind], p, u, v, h)
-    assert _outcome(attempt, p.A, p.B, u, v, h) == want
+    want = _outcome(_REFERENCE_ATTEMPTS[kind], p, u, v, h, tol)
+    assert _outcome(attempt, p.A, p.B, u, v, h, tol) == want
 
 
 # Worst difference of the Gauss6 attempt's half steps from the Euler-seeded
@@ -316,13 +342,40 @@ def test_gauss6_attempt_is_close_to_euler_seeded_step_doubling(case):
     p, u, v, h = case
     attempt, _ = _STEPPERS[IntegratorKind.GAUSS6]
     want = _outcome(_step_doubling_ref, _gauss6_increment_ref, p, u, v, h)
-    got = _outcome(attempt, p.A, p.B, u, v, h)
+    got = _outcome(attempt, p.A, p.B, u, v, h, 0.0)
     if not (isinstance(want, tuple) and isinstance(got, tuple)):
         return
     assert got[:2] == want[:2]
     du, dv, ru, rv = map(float.fromhex, got[2:] + want[2:])
     assert abs(du - ru) <= _HALF_SEED_GATE * max(1.0, abs(u), abs(u + ru))
     assert abs(dv - rv) <= _HALF_SEED_GATE * max(1.0, abs(v), abs(v + rv))
+
+
+# Worst difference of the Gauss6 attempt at local_tol tau from the attempt
+# at tau = 0, |d - d_0| / (max(4 eps, kappa tau) max(1, |y|, |y + d_0|)) over
+# the four increments, in 4 x 20000 draws of increment_inputs with tau in
+# each of 1e-12, 1e-10, 1e-8, 1e-6 and 1e-4, where both return: 0.59.
+# Gated at about 3.4 times that.
+_STAGE_TOL_GATE = 2.0
+
+
+@settings(max_examples=1500, deadline=None)
+@given(case=increment_inputs(), tau=st.sampled_from((1e-12, 1e-10, 1e-8, 1e-6, 1e-4)))
+def test_gauss6_attempt_moves_within_its_stage_tolerance(case, tau):
+    # a stage solve stopped at the absolute tolerance max(4 eps, kappa tau)
+    # max(1, |y|) per unit of h moves each increment by less than that
+    # tolerance: the iteration contracts, so the change it skips is
+    # smaller than the last one it made.  Where either side raises there
+    # is nothing to compare.
+    p, u, v, h = case
+    attempt, _ = _STEPPERS[IntegratorKind.GAUSS6]
+    want = _outcome(attempt, p.A, p.B, u, v, h, 0.0)
+    got = _outcome(attempt, p.A, p.B, u, v, h, tau)
+    if not (isinstance(want, tuple) and isinstance(got, tuple)):
+        return
+    unit = _STAGE_TOL_GATE * max(_STAGE_RTOL, _STAGE_KAPPA * tau)
+    for d, r, y in zip(map(float.fromhex, got), map(float.fromhex, want), (u, v, u, v)):
+        assert abs(d - r) <= unit * max(1.0, abs(y), abs(y + r))
 
 
 def test_gauss6_nystrom_tables():
@@ -339,13 +392,15 @@ def test_gauss6_nystrom_tables():
         assert np.max(np.abs(got - want)) <= 4e-15
 
 
-def test_gauss6_pinned_runs_fit_in_eight_sweeps(monkeypatch):
-    # the worst stage solve of the pinned escape run takes 5 passes, of the
-    # pinned gk run 6 (their digests hold at a budget of 5 and 6); the
-    # Euler-seeded iteration on the stage increments took 9.3 passes on
-    # average on escape runs and changed the escape run's steps at 8
-    monkeypatch.setattr(integrate_module, "_GAUSS6_MAX_SWEEPS", 8)
-    for run in PINNED_RUNS[:2]:
+def test_gauss6_pinned_runs_fit_in_their_sweep_budgets(monkeypatch):
+    # the worst stage solve of the pinned escape run takes 4 passes, of the
+    # pinned gk run 6: each keeps its digest at that budget (5 and 6 while
+    # the absolute stage tolerance stayed at 4 eps whatever local_tol; 8
+    # held both before).  The Euler-seeded iteration on the stage increments
+    # took 9.3 passes on average on escape runs and changed the escape
+    # run's steps at a budget of 8
+    for run, budget in zip(PINNED_RUNS[:2], (4, 6)):
+        monkeypatch.setattr(integrate_module, "_GAUSS6_MAX_SWEEPS", budget)
         test_whole_runs_are_pinned(*run)
 
 
@@ -362,7 +417,7 @@ def test_gauss6_stage_solve_failures_are_told_apart(A, B, u, v, h, error):
     # failure to converge StageSolveFailure
     attempt, _ = _STEPPERS[IntegratorKind.GAUSS6]
     assert _outcome(_gauss6_increment, A, B, u, v, h) is error
-    assert _outcome(attempt, A, B, u, v, h) is error
+    assert _outcome(attempt, A, B, u, v, h, 0.0) is error
     assert _outcome(step_gauss6, params_from_coeffs(A, B), State(0.0, u, v), h) is error
 
 
@@ -564,9 +619,9 @@ PINNED_TRAJECTORIES = [
     (5.0, IntegratorKind.RK4, (-1.0, 1.0), -10.0, 5, "blowup",
      "1c6b16241145e3aced87a23045a679a095f2b65d54f701fe304f884963439a67"),
     (5.0, IntegratorKind.GAUSS6, (1.0, 1.0), 10.0, 1, "blowup",
-     "854ee9acadf286088a4f3f20e33a119d36b7ea3b9b2a4cfdf0db48eafe6b9ed2"),
+     "89f7a03b411916a783b04d024a6aa86063447c6b929335b1ed34da5be1657999"),
     (4.0, IntegratorKind.GAUSS6, (0.0, -1.0), -5.0, 3, "completed",
-     "ec1f4209a67eaa90b47e782abd22d084951474de06c988aad0da63be008108fa"),
+     "a951354fd8083f01a566d2d3de2ccdb5cb14d0046f2de46d91b0439b6477a2e0"),
 ]
 
 
@@ -586,16 +641,16 @@ def test_trajectory_bits_are_pinned(m, kind, ic, t_end, every, term, digest):
 # (the fitted t_estimate, a LAPACK least-squares root, is left out).
 PINNED_RUNS = [
     # (m, method, (u0, v0), options, termination, sha256)
-    # escape to |u| = 1e8, where a stage solve takes at most 5 passes (9.3 on
+    # escape to |u| = 1e8, where a stage solve takes at most 4 passes (9.3 on
     # average before the Nystrom iteration and the half-step seeds)
     (8.0, IntegratorKind.GAUSS6, (1.0, 1.0), dict(t_end=10.0), "blowup",
-     "91d25d92d971b72918598e23570adb192937b0faa6cfe6f4850d36f098c5f9b8"),
+     "20514d8869eb7db0748c6bafc43d083f515c0b13e03aee5aae297a72fb8504af"),
     # the gk_gauss6 benchmark shape at m = 5: step ceiling, cap 0.01/max|k|, tight tolerance
     (5.0, IntegratorKind.GAUSS6, (-1.25, 0.75),
      dict(t_end=20.0, blowup_threshold=1e3, local_tol=1e-13, h_max=5e-3, h_cap_factor=0.015), "blowup",
      "7e5ad5e21668bb43f8f9351c25647b92ec9ea3821febc938b3e34a446c516df8"),
     (3.0, IntegratorKind.GAUSS6, (0.75, -1.25), dict(t_end=-20.0, h_max=0.01, max_steps=400), "max_steps",
-     "963f7f371827b0d252d2a2adbec824e00cd9bf2f8c69890de340be1019e062a6"),
+     "78706d3efe00a7689ae76b1689b9ddbe924a8200c96cc2426a96436894a3a9bd"),
     # 818 accepted steps: the last state falls between records
     (8.0, IntegratorKind.RK4, (-1.0, 0.5),
      dict(t_end=-10.0, record_every=7, blowup_threshold=1e6, h_cap_factor=0.05), "blowup",
@@ -710,6 +765,32 @@ def test_quadrature_blowup_time_matches_mpmath():
                 )
             else:
                 ref = mp.quad(lambda v: 1 / mp.sqrt(A_ * v**4 + C_), [a_, max(a_, 0) + 1, mp.inf])
+            got = quadrature_blowup_time(Acoef, C, a)
+            worst = max(worst, float(abs(got - ref) / ref))
+    finally:
+        mp.dps = 15
+    assert worst < 1e-12
+
+
+def test_quadrature_blowup_time_at_huge_endpoints_matches_mpmath():
+    # a up to 1e300: a^4 overflows past 1e77, so the radicand test and the
+    # angles must not form it.  The reference substitutes w = 1/v:
+    # integral_|a|^inf dv / sqrt(Acoef v^4 + C) = integral_0^(1/|a|) dw / sqrt(Acoef + C w^4),
+    # and for C > 0 and a < 0 it is the whole line's integral minus that tail
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    mp.dps = 40
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    try:
+        for i in range(120):
+            Acoef, C = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+            a = 10.0 ** rng.uniform(2.0, 300.0)
+            C, a = ((C, a), (C, -a), (0.0, a), (-C, a))[i % 4]
+            A_, C_ = mp.mpf(Acoef), mp.mpf(C)
+            ref = mp.quad(lambda w: 1 / mp.sqrt(A_ + C_ * w**4), [0, 1 / abs(mp.mpf(a))])
+            if a < 0:
+                ref = 2 * mp.quad(lambda v: 1 / mp.sqrt(A_ * v**4 + C_), [0, 1, mp.inf]) - ref
             got = quadrature_blowup_time(Acoef, C, a)
             worst = max(worst, float(abs(got - ref) / ref))
     finally:
