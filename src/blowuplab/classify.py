@@ -1,10 +1,10 @@
 """Qualitative classification of initial conditions with numeric checks.
 
-At B = 0, A != 0 each verdict is read off the poles of the Riccati closed
-form.  For disc = A^2 + 8B >= 0 each time direction is decided by the
-signs of w'' = a w^q, where w = exp(k int u) for a root k of
-2k^2 + A k - B = 0 (for m-derived coefficients, the conformal factor
-(f/f(0))^(-2/(m-2))); disc < 0 and A = B = 0 stay unclassified.
+For disc = A^2 + 8B >= 0 each time direction is decided by the signs of
+w'' = a w^q, where w = exp(k int u) for a root k of 2k^2 + A k - B = 0
+(for m-derived coefficients, the conformal factor (f/f(0))^(-2/(m-2)));
+at B = 0, q = 1 and a bound is the nearest exact pole of the Riccati
+closed form.  disc < 0 and A = B = 0 stay unclassified.
 """
 from __future__ import annotations
 
@@ -60,15 +60,16 @@ def _blows_up(p: OdeParams, k: float, G: float, e: float, u0: float, d: float) -
     """Whether u blows up in time direction d: whether w = exp(k int_0^t u) reaches 0 or infinity.
 
     w'' = a w^q with w(0) = 1, w'(0) = k u0, a = k G and q = 3 + A/k, so
-    q - 1 = B/k^2 has the sign of B, and disc = 0 gives q = -1; e has the
-    sign of the conserved E = w'^2/2 - a w^(q+1)/(q+1).
+    q - 1 = B/k^2 has the sign of B, B = 0 gives k = -A/2 and q = 1 (also
+    where A^2 underflows to disc = 0), and otherwise disc = 0 gives q = -1;
+    e has the sign of the conserved E = w'^2/2 - a w^(q+1)/(q+1).
     """
     inward = d * k * u0 < 0.0  # w starts towards 0
     if G == 0.0:  # a = 0: w is linear, u = u0/(1 + k u0 t)
         return inward
     if k * G < 0.0:  # a < 0: w is pulled to 0 and reaches it with w'^2 >= 2E > 0
         return True
-    if p.disc == 0.0:  # the potential -a ln w keeps w from 0, and w'^2 ~ 2a ln w takes infinite time out
+    if p.disc == 0.0 and p.B != 0.0:  # q = -1: -a ln w keeps w from 0; w'^2 ~ 2a ln w takes infinite time out
         return False
     if inward and e > 0.0:  # w'^2 >= 2E > 0 all the way to 0
         return True
@@ -82,20 +83,10 @@ def classify(p: OdeParams, u0: float, v0: float) -> Verdict:
     A, B = p.A, p.B
     if u0 == 0.0 and v0 == 0.0:
         return Verdict(TRIVIAL, "fixed-point")
-    if B == 0.0:
-        if A == 0.0:  # u'' = 0: rest on the u-axis, else a global but unbounded drift
-            return Verdict(STATIONARY, "stationary-line") if v0 == 0.0 else Verdict(UNCLASSIFIED, "linear-drift")
-        # u' + k u^2 is constant for k = -A/2, so u is the Riccati closed form
-        # for either sign of A; a lone pole is the exact blow-up time
-        k = -A / 2.0
-        before, after = riccati_poles(Riccati(k, u0, v0))
-        if before is None and after is None:
-            return Verdict(STATIONARY if v0 == 0.0 else GLOBAL_BOUNDED, "riccati", {"k": k})
-        if before is None:
-            return Verdict(BLOWUP_FORWARD, "riccati", {"k": k, "t_bound": after})
-        if after is None:
-            return Verdict(BLOWUP_BACKWARD, "riccati", {"k": k, "t_bound": before})
-        return Verdict(NO_GLOBAL, "riccati", {"k": k})
+    if B == 0.0 and v0 == 0.0:  # u'' = A u u': the u-axis is a line of rest points
+        return Verdict(STATIONARY, "stationary-line")
+    if A == 0.0 and B == 0.0:  # u'' = 0: a global but unbounded drift
+        return Verdict(UNCLASSIFIED, "linear-drift")
     if p.disc < 0.0:
         return Verdict(UNCLASSIFIED, "periodicity-conjecture")
 
@@ -105,16 +96,22 @@ def classify(p: OdeParams, u0: float, v0: float) -> Verdict:
     k, k_other = (p.k_minus, p.k_plus) if low else (p.k_plus, p.k_minus)
     G, G_other = g_k(s0, k), g_k(s0, k_other)
     forward, backward = (_blows_up(p, k, G, G_other if low else -G_other, u0, d) for d in (1.0, -1.0))
-    # g_kappa keeps its sign, so where d kappa u0 < 0 and d u0 g_kappa(0) >= 0 (for one d
-    # iff kappa g_kappa(0) <= 0), z = sign(u0) u(d tau) obeys z' >= |kappa| z^2 and escapes
-    # by the pole -1/(kappa u0), exactly then if g_kappa(0) = 0; no two poles face apart
-    poles = [-1.0 / (kappa * u0) for kappa, g in ((k, G), (k_other, G_other)) if u0 != 0.0 and kappa * g <= 0.0]
-    detail = {"t_bound": min(poles, key=abs)} if poles else None
+    if B == 0.0:  # u' + k u^2 is constant, so u is the Riccati closed form and its poles are exact
+        poles = [t for t in riccati_poles(Riccati(k, u0, v0)) if t is not None] if k * u0 != 0.0 else []
+    else:
+        # g_kappa keeps its sign, so where d kappa u0 < 0 and d u0 g_kappa(0) >= 0 (for one d
+        # iff kappa g_kappa(0) <= 0), z = sign(u0) u(d tau) obeys z' >= |kappa| z^2 and escapes
+        # by the pole -1/(kappa u0), exactly then if g_kappa(0) = 0; no two poles face apart
+        poles = [-1.0 / (kappa * u0) for kappa, g in ((k, G), (k_other, G_other))
+                 if kappa * u0 != 0.0 and kappa * g <= 0.0]
+    t_bound = min(poles, key=abs) if poles else math.inf
+    detail = {"t_bound": t_bound} if abs(t_bound) < math.inf else None  # none, or lost to overflow
     if forward and backward:
         return Verdict(NO_GLOBAL, "w-equation", detail)
     if forward or backward:
         return Verdict(BLOWUP_FORWARD if forward else BLOWUP_BACKWARD, "w-equation", detail)
-    return Verdict(GLOBAL_BOUNDED, "w-equation", {"decays": True})
+    # at B = 0 (q = 1) u tends to a non-zero constant; the Riccati closed form is checked instead
+    return Verdict(GLOBAL_BOUNDED, "w-equation", {"k": k} if B == 0.0 else {"decays": True})
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ portrait (the parabolas u' = -k u^2 are invariant manifolds).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError, NonFiniteError
 
@@ -22,14 +22,37 @@ class OdeParams:
     ``disc`` is A^2 + 8B, the discriminant of 2k^2 + A k - B = 0.
     ``k_minus <= k_plus`` are the real roots, present iff disc >= 0.
     ``m`` is the source dimension when the parameters came from one.
+    The derived fields are computed, never passed.
     """
 
     A: float
     B: float
     m: float | None = None
-    disc: float = 0.0
-    k_minus: float | None = None
-    k_plus: float | None = None
+    disc: float = field(init=False)
+    k_minus: float | None = field(init=False)
+    k_plus: float | None = field(init=False)
+
+    def __post_init__(self):
+        A, B = self.A, self.B
+        if not (math.isfinite(A) and math.isfinite(B)):
+            raise DomainError(f"coefficients must be finite, got A={A}, B={B}")
+        disc = A * A + 8.0 * B
+        k_minus = k_plus = None
+        if disc >= 0.0:
+            # roots of 2k^2 + A k - B = 0, computed cancellation-free; at B = 0
+            # they are -A/2 and 0 even where A^2 under- or overflows
+            sq = math.sqrt(disc) if B != 0.0 else abs(A)
+            k1 = (-A - sq) / 4.0
+            k2 = (-A + sq) / 4.0
+            # refine the smaller-magnitude root through the product k1*k2 = -B/2
+            if B != 0.0:
+                if abs(k1) >= abs(k2):
+                    k2 = (-B / 2.0) / k1
+                else:
+                    k1 = (-B / 2.0) / k2
+            k_minus, k_plus = min(k1, k2), max(k1, k2)
+        for name, value in (("disc", disc), ("k_minus", k_minus), ("k_plus", k_plus)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -45,27 +68,6 @@ class State:
             raise NonFiniteError(f"non-finite state ({self.t}, {self.u}, {self.v})")
 
 
-def _make_params(A: float, B: float, m: float | None) -> OdeParams:
-    if not (math.isfinite(A) and math.isfinite(B)):
-        raise DomainError(f"coefficients must be finite, got A={A}, B={B}")
-    disc = A * A + 8.0 * B
-    if disc >= 0.0:
-        # roots of 2k^2 + A k - B = 0, computed cancellation-free
-        sq = math.sqrt(disc)
-        k1 = (-A - sq) / 4.0
-        k2 = (-A + sq) / 4.0
-        # refine the smaller-magnitude root through the product k1*k2 = -B/2
-        if B != 0.0:
-            if abs(k1) >= abs(k2):
-                k2 = (-B / 2.0) / k1
-            else:
-                k1 = (-B / 2.0) / k2
-        k_minus, k_plus = min(k1, k2), max(k1, k2)
-    else:
-        k_minus = k_plus = None
-    return OdeParams(A=A, B=B, m=m, disc=disc, k_minus=k_minus, k_plus=k_plus)
-
-
 def params_from_dimension(m: float) -> OdeParams:
     """Coefficients for a finite source dimension m > 2."""
     if not 2.0 < m < math.inf:  # false for NaN too
@@ -75,12 +77,12 @@ def params_from_dimension(m: float) -> OdeParams:
     # 2 (m - 4) from overflowing to inf / inf = NaN past 9e307
     A = (8.0 - m) / (m - 2.0)
     B = 2.0 * ((m - 4.0) / ((m - 2.0) * (m - 2.0)))
-    return _make_params(A, B, m)
+    return OdeParams(A, B, m)
 
 
 def params_from_coeffs(A: float, B: float) -> OdeParams:
     """Coefficients given directly; no dimension attached."""
-    return _make_params(float(A), float(B), None)
+    return OdeParams(float(A), float(B))
 
 
 def is_characteristic_root(p: OdeParams, k: float) -> bool:

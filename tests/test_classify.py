@@ -9,6 +9,7 @@ import pytest
 from blowuplab import (
     DomainError,
     IntegratorKind,
+    Riccati,
     State,
     classify,
     detect_period,
@@ -16,6 +17,7 @@ from blowuplab import (
     lemniscate_quarter_period,
     params_from_coeffs,
     params_from_dimension,
+    riccati_poles,
     verify_verdict,
 )
 from blowuplab.errors import Inconclusive
@@ -40,27 +42,30 @@ def test_m4_stationary_line():
 
 
 def test_m4_tanh_family():
+    # at B = 0 u tends to a non-zero constant, so the verdict names the
+    # Riccati closed form that verify_verdict checks, and claims no decay
     v = classify(P4, 0.0, -1.0)
     assert v.kind == "global_bounded"
-    assert v.basis == "riccati"
+    assert v.basis == "w-equation"
     assert v.detail == {"k": -1.0}
 
 
 def test_m4_non_global_branches():
     # u' + k u^2 = g is constant for k = -A/2 = -1: the tan branch (g > 0) has
-    # poles on both sides, the rational (g = 0) and reciprocal-tanh (g < 0,
-    # u0^2 > -g) branches one exact pole each
+    # poles on both sides, the nearer one the bound, the rational (g = 0) and
+    # reciprocal-tanh (g < 0, u0^2 > -g) branches one exact pole each
     v = classify(P4, 0.5, 1.0)
-    assert (v.kind, v.basis, v.detail) == ("no_global_solution", "riccati", {"k": -1.0})
+    assert (v.kind, v.basis) == ("no_global_solution", "w-equation")
+    assert v.detail == {"t_bound": pytest.approx(2.0 * math.pi / (3.0 * math.sqrt(3.0)), rel=1e-12)}
     v = classify(P4, 2.0, 1.0)
-    assert (v.kind, v.basis) == ("blowup_forward", "riccati")
+    assert (v.kind, v.basis) == ("blowup_forward", "w-equation")
     assert v.detail["t_bound"] == pytest.approx(0.7603459963009463, rel=1e-12)
     v = classify(P4, 1.0, 1.0)
-    assert (v.kind, v.basis) == ("blowup_forward", "riccati")
+    assert (v.kind, v.basis) == ("blowup_forward", "w-equation")
     assert v.detail["t_bound"] == 1.0
     v = classify(params_from_coeffs(-2.0, 0.0), 2.0, -1.0)
-    assert (v.kind, v.basis) == ("blowup_backward", "riccati")
-    assert v.detail == {"k": 1.0, "t_bound": pytest.approx(-0.7603459963009463, rel=1e-12)}
+    assert (v.kind, v.basis) == ("blowup_backward", "w-equation")
+    assert v.detail == {"t_bound": pytest.approx(-0.7603459963009463, rel=1e-12)}
     for u0, v0 in ((2.0, 1.0), (1.0, 1.0), (-2.0, 1.0)):
         assert verify_verdict(P4, u0, v0, classify(P4, u0, v0), horizon=50.0).passed
 
@@ -74,10 +79,12 @@ def test_linear_drift_unclassified():
 # both positive, so the rule takes k = k_plus
 P_DISC0 = params_from_coeffs(1.0, -0.125)
 P_KPLUS = params_from_coeffs(-3.0, -1.0)
+P_A_B0 = params_from_coeffs(-2.0, 0.0)  # the A -> -A mirror of m = 4
 
 # (params, u0, v0, kind, t_bound): forward and backward take the branches of
 # classify's w-equation rule named in the comment (inward: d k u0 < 0;
-# q > 1 iff B > 0; E has the sign of g_kplus(0) when k = k_minus)
+# q > 1 iff B > 0, q = 1 at B = 0; E has the sign of g_kplus(0) when
+# k = k_minus, which at B = 0 is v0 for A > 0 and -v0 for A < 0)
 RULE_TABLE = [
     (P8, 1.0, 1.0 / 3.0, "blowup_forward", 3.0),  # G = 0: inward blows up at -1/(k u0), outward is global
     (P5, 1.0, 1.0, "no_global_solution", 1.5),  # a < 0 both ways
@@ -95,6 +102,13 @@ RULE_TABLE = [
     (P_DISC0, 2.0, 1.0, "blowup_forward", 2.0),  # disc = 0, G = 0
     (P_KPLUS, 1.0, -0.6, "blowup_backward", -2.0),  # k = k_plus, a > 0: inward with E > 0; outward
     (P_KPLUS, 1.0, -0.4, "global_bounded", None),  # k = k_plus, a > 0: inward with E < 0; outward
+    # B = 0, k = -A/2, q = 1: the bound is the nearest exact Riccati pole
+    (P4, 0.5, 1.0, "no_global_solution", 2.0 * math.pi / (3.0 * math.sqrt(3.0))),  # a < 0 both ways
+    (P4, 1.0, 1.0, "blowup_forward", 1.0),  # G = 0: inward at -1/(k u0); outward is global
+    (P4, 2.0, 1.0, "blowup_forward", 0.7603459963009463),  # a > 0: inward with E > 0; outward with q = 1
+    (P_A_B0, 2.0, -1.0, "blowup_backward", -0.7603459963009463),  # the A -> -A mirror of the row above
+    (P4, 1.0, -0.5, "global_bounded", None),  # a > 0: inward with E < 0; outward with q = 1
+    (P_A_B0, 1.0, 0.5, "global_bounded", None),  # k = k_plus = 1, a > 0: the mirror of the row above
 ]
 
 
@@ -103,7 +117,7 @@ def test_w_equation_rule_table():
         v = classify(p, u0, v0)
         assert (v.kind, v.basis) == (kind, "w-equation"), (p.A, p.B, u0, v0)
         if kind == "global_bounded":
-            assert v.detail == {"decays": True}
+            assert v.detail == ({"k": -p.A / 2.0} if p.B == 0.0 else {"decays": True}), (p.A, p.B, u0, v0)
         elif t_bound is None:
             assert v.detail is None, (p.A, p.B, u0, v0)
         else:
@@ -114,6 +128,11 @@ def test_w_equation_rule_table():
     for e in (-1.0, 0.0, 1.0):
         for d in (1.0, -1.0):
             assert not classify_module._blows_up(P_DISC0, k, -0.5, e, 1.0, d)
+    # at B = 0, E = A v0 / 4 is 0 only on the line of rest points, which classify
+    # settles first; in the rule, w = exp(-sqrt(a) t) never reaches 0 (q = 1)
+    assert classify(P4, 1.0, 0.0).basis == "stationary-line"
+    assert not classify_module._blows_up(P4, -1.0, -1.0, 0.0, 1.0, 1.0)
+    assert classify_module._blows_up(P4, -1.0, -1.0, 1e-300, 1.0, 1.0)
 
 
 def test_w_equation_reference_points():
@@ -255,8 +274,33 @@ def test_w_equation_rule_agrees_with_gauss6():
     assert kinds >= {"no_global_solution", "global_bounded", "blowup_forward", "blowup_backward"}, kinds
 
 
+def test_b0_rule_agrees_with_riccati_poles():
+    # at B = 0 u is the Riccati closed form with k = -A/2, whose poles
+    # (riccati_poles, an independent reading) are the blow-up times: the rule's
+    # kind must name exactly the directions that have a pole, and t_bound must
+    # be the nearer pole, none at u0 = 0.  u0 scales with |A|^(-1/2), which
+    # keeps k u0^2 / v0, so the last three A, where A^2 under- or overflows,
+    # meet the same cases
+    want = {(False, False): "global_bounded", (True, False): "blowup_backward",
+            (False, True): "blowup_forward", (True, True): "no_global_solution"}
+    rng = np.random.default_rng(53)
+    grid = np.linspace(-2.0, 2.0, 9).tolist()
+    kinds = set()
+    for A in (0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 7.0, 1e-170, -1e-155, 1e200):
+        p = params_from_coeffs(A, 0.0)
+        for u0, v0 in [*_seeded_states(rng, 60), *((u, v) for u in grid for v in grid if v != 0.0)]:
+            u0 /= math.sqrt(abs(A))
+            v = classify(p, u0, v0)
+            before, after = riccati_poles(Riccati(-A / 2.0, u0, v0))
+            assert v.kind == want[before is not None, after is not None], (A, u0, v0)
+            poles = [t for t in (before, after) if t is not None and u0 != 0.0]
+            assert (v.detail or {}).get("t_bound") == (min(poles, key=abs) if poles else None), (A, u0, v0)
+            kinds.add(v.kind)
+    assert len(kinds) == 4, kinds
+
+
 SWAP = {"blowup_forward": "blowup_backward", "blowup_backward": "blowup_forward"}
-# B = 0 coefficients: the Riccati verdicts, one exact pole per one-sided blow-up
+# B = 0 coefficients: every blow-up off u0 = 0 carries its nearest exact pole
 B0 = [params_from_coeffs(A, 0.0) for A in (2.0, -2.0, 0.5, -0.5)]
 
 
@@ -278,6 +322,9 @@ def test_m9_mirrors_m5_with_swapped_directions():
         for _ in range(25):
             u0, v0 = rng.uniform(-2.0, 2.0, size=2)
             bounds += _assert_conjugate(classify(mirror, u0, -v0), classify(p, u0, v0))
+    # m = 4 at u0 = 0: riccati_poles has poles at -+pi/(2 om), and no bound is taken
+    for v0 in (1.0, -1.0):
+        _assert_conjugate(classify(P_A_B0, 0.0, -v0), classify(P4, 0.0, v0))
     assert bounds > 0
 
 
@@ -291,6 +338,8 @@ def test_sign_conjugacy_swaps_direction():
             if abs(u0) < 1e-3:
                 continue
             bounds += _assert_conjugate(classify(p, u0, v0), classify(p, -u0, v0))
+    for v0 in (1.0, -1.0):  # m = 4 at u0 = 0, where -u0 is -0.0
+        _assert_conjugate(classify(P4, 0.0, v0), classify(P4, -0.0, v0))
     assert bounds > 0
 
 
@@ -310,6 +359,19 @@ def test_negative_discriminant_is_conjectural():
     assert classify(p, 0.0, 1.0).basis == "periodicity-conjecture"
     p = params_from_coeffs(0.0, -2.0)
     assert classify(p, 0.0, 1.0).basis == "periodicity-conjecture"
+
+
+def test_underflowed_root_or_pole_gives_no_bound():
+    # k_plus underflows to 0 at B = 5e-324 (to -0.0 at B = -5e-324), and at
+    # B = 1e-320 it is subnormal and its pole -1/(k_plus u0) overflows: neither
+    # gives a bound, and the pole of k_minus = -1/2 stays
+    for B in (5e-324, -5e-324, 1e-320):
+        p = params_from_coeffs(1.0, B)
+        for u0, v0 in ((1.0, 1.0), (1.0, -0.2), (-1.0, 0.5), (0.5, -2.0), (0.0, 1.0)):
+            t_bound = (classify(p, u0, v0).detail or {}).get("t_bound")
+            assert t_bound is None or math.isfinite(t_bound), (B, u0, v0, t_bound)
+        assert classify(p, 1.0, 1.0).detail == {"t_bound": 2.0}
+    assert classify(params_from_coeffs(1.0, 1e-320), 1.0, -0.2).detail is None
 
 
 def test_verify_tanh_verdict():
@@ -498,7 +560,7 @@ def test_verdict_census_is_pinned():
             for v0 in grid:
                 v = classify(p, u0, v0)
                 h.update(repr((p.A, p.B, u0, v0, v.kind, v.basis, v.detail)).encode())
-    assert h.hexdigest() == "4d11674b75869165dcdeed248d8eaf069e8ba04c99a5c2f70a3cab10f18b272e"
+    assert h.hexdigest() == "5ed8b56d0b7b42e9674b9adf1c4fdd4349b0822530b1fafc08f276ec63d52c3b"
 
 
 def test_verify_no_global_m8():

@@ -1,4 +1,6 @@
 import math
+import pickle
+from dataclasses import asdict
 
 import pytest
 
@@ -93,6 +95,21 @@ def test_dimension_domain_error():
 def test_coefficients_must_be_finite(A, B):
     with pytest.raises(DomainError):
         params_from_coeffs(A, B)
+
+
+def test_derived_fields_are_computed_not_passed():
+    # disc, k_minus and k_plus follow from A and B and cannot be passed
+    p = OdeParams(1.0, 2.0)
+    assert p == params_from_coeffs(1.0, 2.0)
+    assert p.disc == 17.0
+    assert (p.k_minus, p.k_plus) == (pytest.approx(-1.2807764064044151), pytest.approx(0.7807764064044151))
+    assert list(asdict(p)) == ["A", "B", "m", "disc", "k_minus", "k_plus"]
+    assert pickle.loads(pickle.dumps(p)) == p
+    for name in ("disc", "k_minus", "k_plus"):
+        with pytest.raises(TypeError):
+            OdeParams(1.0, 2.0, **{name: 0.0})
+    with pytest.raises(DomainError):
+        OdeParams(math.nan, 1.0)
 
 
 @pytest.mark.parametrize("m", [1e155, 1e200, 1e308, 1.7976931348623157e308])
