@@ -33,7 +33,7 @@ blowuplab classify --m 4 --grid -2:2:9 -2:2:9 --verify --out c4.csv
 blowuplab classify --A -2 --B 0 --grid -2:2:8 -2:2:8 --verify --out c0.csv
 blowuplab classify --m 3 --grid 0:0:1 -1:1:5 --verify --out m3.csv
 blowuplab classify --m 3 --grid -2:2:9 -2:2:9 --verify --out m3g.csv
-# a subnormal B underflows the root k_plus to 0, which gives no bound
+# a subnormal B underflows the root k_plus to 0, which leaves the verdict unclassified
 blowuplab classify --A 1 --B 5e-324 --grid -1:1:3 -1:1:3 --out sub.csv
 blowuplab integrate --A 1 --B 5e-324 --u0 1 --v0 1 --t-end 1 --out sub_t.csv
 

@@ -4,7 +4,7 @@ For disc = A^2 + 8B >= 0 each time direction is decided by the signs of
 w'' = a w^q, where w = exp(k int u) for a root k of 2k^2 + A k - B = 0
 (for m-derived coefficients, the conformal factor (f/f(0))^(-2/(m-2)));
 at B = 0, q = 1 and a bound is the nearest exact pole of the Riccati
-closed form.  disc < 0 and A = B = 0 stay unclassified.
+closed form.  disc < 0, A = B = 0 and roots lost to rounding stay unclassified.
 """
 from __future__ import annotations
 
@@ -94,6 +94,8 @@ def classify(p: OdeParams, u0: float, v0: float) -> Verdict:
     # on the other root k', and 4k + A is -sqrt(disc) for k_minus, +sqrt(disc) for k_plus
     s0, low = State(0.0, u0, v0), p.k_minus < 0.0
     k, k_other = (p.k_minus, p.k_plus) if low else (p.k_plus, p.k_minus)
+    if not 0.0 < abs(k * k_other if B != 0.0 else k) < math.inf:  # k k' = -B/2, and k = -A/2 at B = 0
+        return Verdict(UNCLASSIFIED, "root-out-of-range")  # a root lost to under- or overflow has no sign to read
     G, G_other = g_k(s0, k), g_k(s0, k_other)
     forward, backward = (_blows_up(p, k, G, G_other if low else -G_other, u0, d) for d in (1.0, -1.0))
     if B == 0.0:  # u' + k u^2 is constant, so u is the Riccati closed form and its poles are exact
@@ -103,7 +105,7 @@ def classify(p: OdeParams, u0: float, v0: float) -> Verdict:
         # iff kappa g_kappa(0) <= 0), z = sign(u0) u(d tau) obeys z' >= |kappa| z^2 and escapes
         # by the pole -1/(kappa u0), exactly then if g_kappa(0) = 0; no two poles face apart
         poles = [-1.0 / (kappa * u0) for kappa, g in ((k, G), (k_other, G_other))
-                 if kappa * u0 != 0.0 and kappa * g <= 0.0]
+                 if kappa * u0 != 0.0 and kappa * g <= 0.0]  # none at u0 = 0, nor where kappa u0 underflows
     t_bound = min(poles, key=abs) if poles else math.inf
     detail = {"t_bound": t_bound} if abs(t_bound) < math.inf else None  # none, or lost to overflow
     if forward and backward:

@@ -39,17 +39,15 @@ class OdeParams:
         disc = A * A + 8.0 * B
         k_minus = k_plus = None
         if disc >= 0.0:
-            # roots of 2k^2 + A k - B = 0, computed cancellation-free; at B = 0
-            # they are -A/2 and 0 even where A^2 under- or overflows
+            # roots of 2k^2 + A k - B = 0, the smaller-magnitude one refined through k1*k2 = -B/2;
+            # at B = 0 they are -A/2 and 0 even where A^2 or A + A under- or overflows
             sq = math.sqrt(disc) if B != 0.0 else abs(A)
-            k1 = (-A - sq) / 4.0
-            k2 = (-A + sq) / 4.0
-            # refine the smaller-magnitude root through the product k1*k2 = -B/2
-            if B != 0.0:
-                if abs(k1) >= abs(k2):
-                    k2 = (-B / 2.0) / k1
-                else:
-                    k1 = (-B / 2.0) / k2
+            k1 = -A / 4.0 - sq / 4.0
+            k2 = -A / 4.0 + sq / 4.0
+            if B != 0.0 and abs(k1) >= abs(k2):
+                k2 = (-B / 2.0) / k1
+            elif B != 0.0:
+                k1 = (-B / 2.0) / k2
             k_minus, k_plus = min(k1, k2), max(k1, k2)
         for name, value in (("disc", disc), ("k_minus", k_minus), ("k_plus", k_plus)):
             object.__setattr__(self, name, value)

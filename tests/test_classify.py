@@ -11,6 +11,7 @@ from blowuplab import (
     IntegratorKind,
     Riccati,
     State,
+    Verdict,
     classify,
     detect_period,
     g_k,
@@ -362,16 +363,26 @@ def test_negative_discriminant_is_conjectural():
 
 
 def test_underflowed_root_or_pole_gives_no_bound():
-    # k_plus underflows to 0 at B = 5e-324 (to -0.0 at B = -5e-324), and at
-    # B = 1e-320 it is subnormal and its pole -1/(k_plus u0) overflows: neither
-    # gives a bound, and the pole of k_minus = -1/2 stays
-    for B in (5e-324, -5e-324, 1e-320):
-        p = params_from_coeffs(1.0, B)
-        for u0, v0 in ((1.0, 1.0), (1.0, -0.2), (-1.0, 0.5), (0.5, -2.0), (0.0, 1.0)):
-            t_bound = (classify(p, u0, v0).detail or {}).get("t_bound")
-            assert t_bound is None or math.isfinite(t_bound), (B, u0, v0, t_bound)
-        assert classify(p, 1.0, 1.0).detail == {"t_bound": 2.0}
-    assert classify(params_from_coeffs(1.0, 1e-320), 1.0, -0.2).detail is None
+    # k_plus underflows to 0 at B = 5e-324 (to -0.0 at B = -5e-324), A^2
+    # overflows at A = 1e200, and -A/2 rounds to -0.0 at A = 5e-324, B = 0:
+    # a lost root has no sign to read, so no verdict is taken from it
+    for A, B in ((1.0, 5e-324), (1.0, -5e-324), (1e200, 1.0), (5e-324, 0.0)):
+        p = params_from_coeffs(A, B)
+        for u0, v0 in ((1.0, 0.0), (-1.0, 0.0), (1.0, 1.0), (1.0, -0.2), (-1.0, 0.5), (0.5, -2.0), (0.0, 1.0)):
+            if B != 0.0 or v0 != 0.0:
+                assert classify(p, u0, v0) == Verdict("unclassified", "root-out-of-range"), (A, B, u0, v0)
+    # at B = 1e-320 k_plus is subnormal and its pole -1/(k_plus u0) overflows:
+    # it gives no bound, the pole of k_minus = -1/2 stays, and the sign of
+    # g_kplus still decides (+-1, 0), where u'' = u u' + B u^3 blows up both ways
+    p = params_from_coeffs(1.0, 1e-320)
+    assert classify(p, 1.0, 1.0).detail == {"t_bound": 2.0}
+    assert classify(p, 1.0, -0.2).detail is None
+    for u0 in (1.0, -1.0):
+        assert classify(p, u0, 0.0) == Verdict("no_global_solution", "w-equation"), u0
+    # at B = 0 the roots -A/2 and 0 stay exact where A + A overflows
+    p = params_from_coeffs(1e308, 0.0)
+    assert (p.k_minus, p.k_plus) == (-5e307, 0.0)
+    assert classify(p, 1e-154, 0.0).kind == "stationary"
 
 
 def test_verify_tanh_verdict():
