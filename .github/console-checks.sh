@@ -1,12 +1,20 @@
 #!/usr/bin/env bash
 # Checks of the installed blowuplab console script: every subcommand runs,
-# the m = 8 escapes blow up at the quadrature time of their energy, and
+# K(0.99) matches its quadrature value, the m = 8 escapes blow up at the
+# quadrature time of their energy, the m = 3 parabola start verifies, and
 # non-finite input exits with status 2 and an error: line.
 # Usage: bash .github/console-checks.sh [work directory]
 set -eu
 unset PYTHONPATH  # the installed package, not the source tree
 cd "${1:-$(mktemp -d)}"
 blowuplab elliptic --quarter-period
+blowuplab elliptic --K 0.5 --K 0.99 | tee K.txt
+python - <<'PY'
+K = [float(line) for line in open("K.txt")]
+ref = 3.35660052336119237603347  # K(0.99) by tanh-sinh quadrature
+if len(K) != 2 or not abs(K[1] - ref) <= 1e-14 * ref:
+    raise SystemExit(f"elliptic --K 0.99: want {ref} within 1e-14 relative, got {K}")
+PY
 blowuplab elliptic --sl --t 1.5
 blowuplab elliptic --table --out sl.csv
 blowuplab integrate --m 5 --u0 0.5 --v0 0 --t-end 1 --out t.csv
@@ -33,6 +41,13 @@ blowuplab classify --m 4 --grid -2:2:9 -2:2:9 --verify --out c4.csv
 blowuplab classify --A -2 --B 0 --grid -2:2:8 -2:2:8 --verify --out c0.csv
 blowuplab classify --m 3 --grid 0:0:1 -1:1:5 --verify --out m3.csv
 blowuplab classify --m 3 --grid -2:2:9 -2:2:9 --verify --out m3g.csv
+# (2, 2) lies on the invariant parabola u' = u^2/2, whose exact pole t = 1 the verdict must claim
+blowuplab classify --m 3 --grid 2:2:1 2:2:1 --verify --out m3p.csv
+cat m3p.csv
+if ! grep -q ",pass$" m3p.csv; then
+  echo "blowuplab classify --m 3 from (2, 2): want the verdict verified as pass"
+  exit 1
+fi
 # a subnormal B underflows the root k_plus to 0, which leaves the verdict unclassified
 blowuplab classify --A 1 --B 5e-324 --grid -1:1:3 -1:1:3 --out sub.csv
 blowuplab integrate --A 1 --B 5e-324 --u0 1 --v0 1 --t-end 1 --out sub_t.csv

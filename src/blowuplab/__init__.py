@@ -5,7 +5,6 @@ from .closed_forms import ClosedForm, Lemniscatic, PoleAt, Riccati, eval_closed_
 from .colehopf import ProfileF, eq0_residual_fd, eq0_residual_from_u, reconstruct_f
 from .diagnostics import (
     DiagnosticsReport,
-    check_energy_law,
     check_gk_identity,
     cumulative_u_integral,
     diagnostics_report,
@@ -21,7 +20,6 @@ from .errors import (
     DomainError,
     FitFailure,
     Inconclusive,
-    InsufficientData,
     InsufficientSamples,
     NonFiniteError,
     NonUniformGrid,

@@ -37,8 +37,9 @@ NO_GLOBAL = "no_global_solution"
 UNCLASSIFIED = "unclassified"
 
 # relative slack on a t_bound comparison: a fitted blow-up time misses the
-# true one by about 1e-10 relative (criterion 4), and on the invariant
-# parabola the bound is the exact blow-up time
+# true one by about 1e-10 relative (criterion 4), and a bound can be the
+# exact blow-up time (an A = 0 energy bound) or within rounding of it (a
+# start within rounding of an invariant parabola)
 _T_BOUND_SLACK = 1e-8
 
 
@@ -166,6 +167,20 @@ def _escape_bound(p: OdeParams, u0: float, v0: float, d: float) -> float | None:
     return d * t if math.isfinite(t) else None
 
 
+def _parabola_pole(p: OdeParams, u0: float, v0: float) -> float | None:
+    """The pole -1/(kappa u0) when (u0, v0) lies on an invariant parabola, else None.
+
+    A root kappa with kappa u0^2 != 0 and v0 + kappa u0^2 == 0 in floats makes
+    g_kappa vanish for all time, so u' = -kappa u^2 and u = u0 / (1 + kappa u0 t)
+    exactly; a pole lost to overflow gives None.
+    """
+    for kappa in (p.k_minus, p.k_plus) if p.disc >= 0.0 else ():
+        if kappa * u0 * u0 != 0.0 and v0 + kappa * u0 * u0 == 0.0:
+            pole = -1.0 / (kappa * u0)
+            return pole if math.isfinite(pole) else None
+    return None
+
+
 def _confirms(d: float, t: float | None, bound: float | None) -> bool:
     """A blow-up, at 0 < d t <= d bound plus slack when there is a bound."""
     return t is not None and (bound is None or 0.0 < d * t <= d * bound + _T_BOUND_SLACK * abs(bound))
@@ -174,17 +189,22 @@ def _confirms(d: float, t: float | None, bound: float | None) -> bool:
 def verify_verdict(p: OdeParams, u0: float, v0: float, verdict: Verdict, horizon: float) -> VerdictCheck:
     """Integrate in RK4 the time directions the verdict's claim concerns, and confirm it.
 
-    ``trivial``, ``stationary`` and ``global_bounded`` run both directions to
-    the horizon.  A blow-up claim with a ``t_bound`` runs the direction of
+    A start on an invariant parabola (see ``_parabola_pole``) runs nothing:
+    ``u = u0 / (1 + kappa u0 t)`` exactly, so the verdict must be the blow-up
+    in the direction of the pole with that pole as its ``t_bound``; the
+    pole is that direction's ``t_blow_*``.  Otherwise ``trivial``,
+    ``stationary`` and ``global_bounded`` run both directions to the
+    horizon.  A blow-up claim with a ``t_bound`` runs the direction of
     its sign alone, as ``blowup_forward`` and ``blowup_backward`` without one
     run their own; ``no_global_solution`` without one runs first the
     direction in which ``|u|`` grows, then the other only if the first
     confirmed no blow-up; ``unclassified`` runs nothing.  A blow-up run goes
     out to its bound when that lies past the horizon: the ``t_bound``, else
     the energy bound of ``_escape_bound`` where one applies; the fitted time
-    must not pass the bound, and a bound RK4 cannot confirm is settled by
-    one Gauss6 run.  A direction not run reports ``t_blow_* = None``, and
-    ``max_abs_u`` covers the runs made; an ``Inconclusive`` run raises.
+    must not pass the bound, and a bound RK4 cannot confirm, such as the
+    energy bound that is exact at A = 0, is settled by one Gauss6 run.  A
+    direction not run reports ``t_blow_* = None``, and ``max_abs_u`` covers
+    the runs made; an ``Inconclusive`` run raises.
     """
     if not 0.0 < horizon < math.inf:  # false for NaN too
         raise DomainError("horizon must be positive and finite")
@@ -192,6 +212,10 @@ def verify_verdict(p: OdeParams, u0: float, v0: float, verdict: Verdict, horizon
     detail = verdict.detail or {}
     blowup_claim = kind in (BLOWUP_FORWARD, BLOWUP_BACKWARD, NO_GLOBAL)
     t_bound = detail.get("t_bound") if blowup_claim else None
+    pole = _parabola_pole(p, u0, v0) if kind != UNCLASSIFIED else None
+    if pole is not None:
+        exact = kind == (BLOWUP_FORWARD if pole > 0.0 else BLOWUP_BACKWARD) and t_bound == pole
+        return VerdictCheck(exact, "invariant-parabola pole", *((pole, None) if pole > 0.0 else (None, pole)))
     claimed = {BLOWUP_FORWARD: 1.0, BLOWUP_BACKWARD: -1.0}.get(kind)  # direction of a claimed blow-up
     if t_bound is not None:
         claimed = math.copysign(1.0, t_bound)  # a bound claims the blow-up in its own direction
@@ -216,8 +240,8 @@ def verify_verdict(p: OdeParams, u0: float, v0: float, verdict: Verdict, horizon
         if not blowup_claim:
             continue
         if bound is not None and not _confirms(d, t_blow[d], bound):
-            # RK4 at 1e-10 can fit a pole at an exact bound late by more than the slack, or step
-            # across it; Gauss6 at 1e-12 fits such poles to about 1e-13 and settles the claim
+            # RK4 at 1e-10 can fit a pole at an exact bound (the A = 0 energy bound) late by more
+            # than the slack, or step across it; Gauss6 at 1e-12 fits such poles to about 1e-13
             t_blow[d] = _run(p, u0, v0, d * t_end, IntegratorKind.GAUSS6, 1e-12)[1]
         confirmed[d] = _confirms(d, t_blow[d], bound)
         if confirmed[d]:

@@ -25,10 +25,6 @@ class BranchMismatch(BlowupLabError):
     """Closed-form family is inconsistent with the given coefficients."""
 
 
-class InsufficientData(BlowupLabError):
-    """Not enough recorded states for the requested diagnostic."""
-
-
 class NotACharacteristicRoot(BlowupLabError):
     """k does not solve 2k^2 + A k - B = 0."""
 

@@ -527,8 +527,8 @@ def quadrature_blowup_time(Acoef: float, C: float, a: float) -> float:
     This is the escape time of v' = sqrt(Acoef v^4 + C) from v(0) = a.
     A vanishing radicand at the left endpoint is allowed (integrable
     inverse-square-root singularity); a radicand that turns negative
-    anywhere on [a, inf), or a divergent integral (C = 0, a <= 0), is a
-    domain error.
+    anywhere on [a, inf), a divergent integral (C = 0, a <= 0) or a
+    non-finite argument is a domain error.
 
     With lam = (|C| / Acoef)^(1/4) and x = a / lam the radicand is
     r_a = |C| (x^4 +- 1) and the integral is an incomplete elliptic
@@ -538,6 +538,8 @@ def quadrature_blowup_time(Acoef: float, C: float, a: float) -> float:
     Both angles are formed from lam and a, never from a^4, so every finite
     a past the turning point has a value.
     """
+    if not (math.isfinite(Acoef) and math.isfinite(C) and math.isfinite(a)):
+        raise DomainError(f"arguments must be finite, got Acoef={Acoef}, C={C}, a={a}")
     if Acoef <= 0:
         raise DomainError("quartic coefficient must be positive")
     if C == 0:

@@ -83,9 +83,9 @@ def params_from_coeffs(A: float, B: float) -> OdeParams:
     return OdeParams(float(A), float(B))
 
 
-def is_characteristic_root(p: OdeParams, k: float) -> bool:
-    """Whether k solves 2k^2 + A k - B = 0 to 1e-10 relative to the larger of 1, |B| and 2k^2."""
-    return abs(2.0 * k * k + p.A * k - p.B) <= 1e-10 * max(1.0, abs(p.B), 2.0 * k * k)
+def is_characteristic_root(p: OdeParams, k: complex) -> bool:
+    """Whether k, real or complex, solves 2k^2 + A k - B = 0 to 1e-10 relative to max(1, |B|, 2|k^2|)."""
+    return abs(2.0 * k * k + p.A * k - p.B) <= 1e-10 * max(1.0, abs(p.B), 2.0 * abs(k * k))
 
 
 def rhs(p: OdeParams, s: State) -> tuple[float, float]:

@@ -420,28 +420,33 @@ def test_verify_parabola_points_at_exact_bound():
 
 
 def test_verify_exact_parabola_bound_past_the_horizon():
-    # on v = -k_plus u^2 the bound is the exact blow-up time, here past the
-    # horizon; RK4 at local_tol 1e-10 puts the pole past t_bound (1 + 1e-8),
-    # so the claim is settled by Gauss6
-    for m, u0, v0, kind in (
-        (6.0, -0.011876724742972744, -3.526414765508525e-05, "blowup_forward"),
-        (7.0, 0.02292329390047332, -0.00015764322097424317, "blowup_backward"),
+    # on v = -kappa u^2, u = u0 / (1 + kappa u0 t) exactly, so verify_verdict
+    # runs nothing and takes the pole -1/(kappa u0), the verdict's t_bound, as
+    # the blow-up time.  At m = 6 and 7 the pole lies past the horizon, where
+    # RK4 at local_tol 1e-10 put it past t_bound (1 + 1e-8); at m = 3 RK4
+    # stepped across the pole at t = 1 and Gauss6 fitted it 0.8% early
+    for p, u0, v0, t_bound in (
+        (params_from_dimension(6.0), -0.011876724742972744, -3.526414765508525e-05, 336.79318891066595),
+        (params_from_dimension(7.0), 0.02292329390047332, -0.00015764322097424317, -145.41249385039325),
+        (P3, 2.0, 2.0, 1.0),
+        (P3, -2.0, 2.0, -1.0),
+        (params_from_coeffs(0.5, 0.25), -2.0, -1.0, 2.0),
+        (params_from_coeffs(0.5, 0.25), 2.0, -1.0, -2.0),
     ):
-        p = params_from_dimension(m)
         v = classify(p, u0, v0)
-        assert v.kind == kind
-        assert abs(v.detail["t_bound"]) > 50.0
+        assert v.kind == ("blowup_forward" if t_bound > 0.0 else "blowup_backward")
+        assert v.detail["t_bound"] == t_bound
         check = verify_verdict(p, u0, v0, v, horizon=50.0)
         assert check.passed
-        t_blow = check.t_blow_forward if kind == "blowup_forward" else check.t_blow_backward
-        assert t_blow == pytest.approx(v.detail["t_bound"], rel=1e-12)
+        t_blow, t_other = (check.t_blow_forward, check.t_blow_backward)[:: 1 if t_bound > 0.0 else -1]
+        assert t_blow == t_bound and t_other is None and check.max_abs_u is None
 
 
 def test_verify_rejects_bound_below_blowup_time():
-    for u0 in (-2.0, 2.0):
-        v = classify(P5, u0, -2.0 / 3.0)
+    for p, u0, v0 in ((P5, -2.0, -2.0 / 3.0), (P5, 2.0, -2.0 / 3.0), (P3, 2.0, 2.0), (P3, -2.0, 2.0)):
+        v = classify(p, u0, v0)
         shrunk = replace(v, detail={"t_bound": v.detail["t_bound"] * (1.0 - 1e-6)})
-        assert not verify_verdict(P5, u0, -2.0 / 3.0, shrunk, horizon=50.0).passed
+        assert not verify_verdict(p, u0, v0, shrunk, horizon=50.0).passed
 
 
 def test_verify_blowup_bound_beyond_horizon():
@@ -499,7 +504,7 @@ def test_verify_runs_only_the_claimed_directions(monkeypatch):
         (P5, -1.0, 1.0, "no_global_solution", 10.0, "-"),  # t_bound -1.5
         (P3, 1.0, 0.6, "blowup_forward", 10.0, "+"),
         (params_from_coeffs(2.0, -4.0), 1.0, 0.6, "unclassified", 10.0, ""),
-        (P8, 1.0, 1.0 / 3.0, "blowup_forward", 10.0, "+"),
+        (P8, 1.0, 1.0 / 3.0, "blowup_forward", 10.0, ""),  # on the parabola v = u^2/3: the exact pole
         # no bound: |u| grows backward, where the blow-up is at -6.42, past
         # the horizon; forward it is at 2.81
         (P5, 1.0, -0.05, "no_global_solution", 5.0, "-+"),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from blowuplab import (
     IntegrateOptions,
     IntegratorKind,
     State,
-    check_energy_law,
     check_gk_identity,
     cumulative_u_integral,
     diagnostics_report,
@@ -18,7 +18,7 @@ from blowuplab import (
     params_from_coeffs,
     params_from_dimension,
 )
-from blowuplab.errors import InsufficientData, NotACharacteristicRoot
+from blowuplab.errors import NotACharacteristicRoot
 from blowuplab.integrate import Termination, Trajectory
 
 
@@ -47,12 +47,44 @@ def test_gk_accepts_the_roots_of_large_coefficients():
         check_gk_identity(p, traj, p.k_plus * (1.0 + 1e-6))
 
 
-def test_energy_law_needs_three_states():
-    p = params_from_dimension(4.0)
-    traj = integrate(p, State(0.0, 0.0, -1.0), IntegratorKind.RK4, IntegrateOptions(t_end=1.0))
-    short = Trajectory(p, traj.states[:2], traj.termination, traj.integrator, traj.options)
-    with pytest.raises(InsufficientData):
-        check_energy_law(p, short)
+# the four disc < 0 runs: (A, B), (u0, v0) and t_end
+DISC_NEGATIVE_RUNS = (
+    ((2.0, -4.0), (0.0, 1.0), 20.0),
+    ((-3.0, -2.0), (1.0, 1.0), 30.0),
+    ((0.0, -2.0), (0.0, 1.0), 20.0),
+    ((1.0, -1.0), (1.0, 0.0), 30.0),
+)
+
+
+def test_gk_identity_at_the_complex_root():
+    # the law holds at k = (-A + i sqrt(-disc)) / 4 too, and is then the
+    # only exact check of a disc < 0 run; the report gives its residual
+    for (A, B), (u0, v0), t_end in DISC_NEGATIVE_RUNS:
+        p = params_from_coeffs(A, B)
+        assert p.disc < 0.0
+        k = complex(-A / 4.0, math.sqrt(-p.disc) / 4.0)
+        for kind, tol, gate in ((IntegratorKind.GAUSS6, 1e-12, 1e-9), (IntegratorKind.RK4, 1e-10, 1e-7)):
+            traj = integrate(p, State(0.0, u0, v0), kind, IntegrateOptions(t_end=t_end, local_tol=tol))
+            assert traj.termination.kind == "completed"
+            res = check_gk_identity(p, traj, k)
+            assert 0.0 < res < gate, (A, B, kind, res)
+            assert diagnostics_report(p, traj).gk_identity_residual_max == res
+            assert check_gk_identity(p, traj, k.conjugate()) == pytest.approx(res, rel=1e-12)
+        with pytest.raises(NotACharacteristicRoot):
+            check_gk_identity(p, traj, k * (1.0 + 1e-6))
+
+
+def test_diagnostics_report_flags_a_corrupted_state():
+    # one state off the solution breaks the g_k law far above its gate, for
+    # disc < 0 (the complex root) as for disc >= 0
+    for p, u0, v0 in ((params_from_coeffs(2.0, -4.0), 0.0, 1.0), (params_from_dimension(3.0), 0.0, -0.5)):
+        opts = IntegrateOptions(t_end=20.0, local_tol=1e-12)
+        traj = integrate(p, State(0.0, u0, v0), IntegratorKind.GAUSS6, opts)
+        assert diagnostics_report(p, traj).gk_identity_residual_max < 1e-9
+        states = traj.states.copy()
+        states.v[len(states) // 2] += 1e-3
+        bad = diagnostics_report(p, replace(traj, states=states))
+        assert bad.gk_identity_residual_max > 1e-4
 
 
 def test_cumulative_integral_matches_log_cosh():
@@ -83,13 +115,6 @@ def test_cumulative_integral_matches_fsum_prefixes():
     assert np.all(np.abs(cumulative_u_integral(p, traj) - ref) <= ulp)
     plain = np.concatenate(([0.0], np.cumsum(seg)))
     assert np.max(np.abs(plain - ref) / ulp) > 10.0
-
-
-def test_energy_law_residual_m4():
-    p = params_from_dimension(4.0)
-    opts = IntegrateOptions(t_end=3.0, local_tol=1e-10, h_max=1e-2)
-    traj = integrate(p, State(0.0, 0.0, -1.0), IntegratorKind.RK4, opts)
-    assert check_energy_law(p, traj) < 1e-3
 
 
 def test_energy_drift_conserved_when_A_zero():
@@ -158,7 +183,6 @@ def test_diagnostics_report_fields():
     opts = IntegrateOptions(t_end=2.0, local_tol=1e-12, h_max=1e-2)
     traj = integrate(p, State(0.0, 0.5, 0.0), IntegratorKind.GAUSS6, opts)
     rep = diagnostics_report(p, traj)
-    assert rep.energy_law_residual_max < 1e-3
     assert rep.gk_identity_residual_max < 1e-8
     assert rep.energy_drift_rel < 1e-11
     p3 = params_from_dimension(3.0)

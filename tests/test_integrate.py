@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from blowuplab import (
     DomainError,
+    F_half,
     IntegrateOptions,
     IntegratorKind,
     State,
@@ -718,6 +719,14 @@ def test_quadrature_blowup_time_domain_errors():
     for a in (0.0, -1.0, -1e-3):
         with pytest.raises(DomainError):
             quadrature_blowup_time(1.0, 0.0, a)
+    # a non-finite argument, here and in F_half
+    for args in ((math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan), (math.inf, 1.0, 1.0),
+                 (1.0, -math.inf, 1.0), (1.0, 1.0, math.inf), (1.0, -1.0, -math.inf)):
+        with pytest.raises(DomainError):
+            quadrature_blowup_time(*args)
+    for phi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            F_half(phi)
 
 
 def _escape_time_cases(n=200, seed=11):
