@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Checks of the installed blowuplab console script: every subcommand runs,
 # K(0.99) matches its quadrature value, the m = 8 escapes blow up at the
-# quadrature time of their energy, the m = 3 parabola start verifies, and
-# non-finite input exits with status 2 and an error: line.
+# quadrature time of their energy, a Gauss6 m = 4 run stays within 1e-9 of
+# -tanh t both ways, the m = 3 parabola start verifies, and non-finite
+# input exits with status 2 and an error: line.
 # Usage: bash .github/console-checks.sh [work directory]
 set -eu
 unset PYTHONPATH  # the installed package, not the source tree
@@ -33,6 +34,20 @@ for name, gate in (("g8", 1e-8), ("g8t", 1e-9)):
     print(name, "termination", side["termination"]["kind"], "estimate", side["blowup_estimate"], "quadrature", t_ref)
     if side["termination"]["kind"] != "blowup" or not abs(side["blowup_estimate"] - t_ref) <= gate * t_ref:
         raise SystemExit(f"{name}: want a blowup within {gate:g} relative of the quadrature time")
+PY
+# Gauss6 on the exact m = 4 solution u = -tanh t, u' = -sech^2 t, forward and backward
+blowuplab integrate --integrator gauss6 --m 4 --u0 0 --v0 -1 --t-end 5 --out tanh_f.csv
+blowuplab integrate --integrator gauss6 --m 4 --u0 0 --v0 -1 --t-end -5 --out tanh_b.csv
+python - <<'PY'
+import csv
+import math
+for name in ("tanh_f", "tanh_b"):
+    rows = list(csv.DictReader(open(name + ".csv")))
+    eu = max(abs(float(r["u"]) + math.tanh(float(r["t"]))) for r in rows)
+    ev = max(abs(float(r["du"]) + 1.0 / math.cosh(float(r["t"])) ** 2) for r in rows)
+    print(name, "rows", len(rows), "t_last", rows[-1]["t"], "max abs error u", eu, "u'", ev)
+    if len(rows) < 2 or abs(abs(float(rows[-1]["t"])) - 5.0) > 1e-12 or not max(eu, ev) <= 1e-9:
+        raise SystemExit(f"{name}: want a run to |t| = 5 within 1e-9 of -tanh t and -sech^2 t")
 PY
 blowuplab integrate --m 5 --u0 0.5 --v0 0 --t-end 1 --blowup-threshold 1e200 --out big.csv
 blowuplab portrait --m 5 --grid -1:1:3 -1:1:3 --horizon 3 --out p.csv

@@ -106,10 +106,14 @@ def check_gk_identity(p: OdeParams, traj: Trajectory, k: complex) -> float:
     Deviation is relative to max(1, |g_k(0)|).  k must be a
     characteristic root, real or complex.
     """
+    return _gk_deviation(p, traj, k, cumulative_u_integral(p, traj))
+
+
+def _gk_deviation(p: OdeParams, traj: Trajectory, k: complex, integral: np.ndarray) -> float:
+    """check_gk_identity's deviation, given int_0^t u at the recorded states."""
     if not is_characteristic_root(p, k):
         raise NotACharacteristicRoot(f"k={k} does not solve 2k^2 + Ak - B = 0")
     g = g_k(traj.states, k)
-    integral = cumulative_u_integral(p, traj)
     predicted = g[0] * np.exp((p.A + 2.0 * k) * integral)
     dev = np.abs(g - predicted) / max(1.0, abs(g[0]))
     return float(dev.max())
@@ -120,13 +124,14 @@ def diagnostics_report(p: OdeParams, traj: Trajectory) -> DiagnosticsReport:
 
     The law is checked at k_minus and k_plus when disc >= 0, and at
     k = (-A + i sqrt(-disc)) / 4 when disc < 0, whose conjugate root's
-    law is the conjugate of its own.
+    law is the conjugate of its own.  Every root shares one int_0^t u.
     """
     if p.disc >= 0.0:
         roots = (p.k_minus, p.k_plus)
     else:
         roots = (complex(-p.A / 4.0, math.sqrt(-p.disc) / 4.0),)
+    integral = cumulative_u_integral(p, traj)
     return DiagnosticsReport(
-        gk_identity_residual_max=max(check_gk_identity(p, traj, k) for k in roots),
+        gk_identity_residual_max=max(_gk_deviation(p, traj, k, integral) for k in roots),
         energy_drift_rel=energy_drift(p, traj) if p.A == 0.0 else math.nan,
     )

@@ -129,12 +129,14 @@ class Trajectory:
 # Gauss6 solves its stages in one place, _gauss6_solve, in Nystrom form: the
 # iteration runs on the three stage accelerations F_i = u'' at the stages,
 # from a start state that _gauss6_start computes and tests once per
-# starting point.  The increment is start then solve from the Euler seed
-# F_i = u''(u, v).  The attempt shares the start at (u, v) between the full
-# and the first half step, solves the full step from the Euler seed and
-# seeds both half steps from the full step's converged F_i.  The solver
-# tests the finiteness of its iterates once, when its sweeps run out, not
-# per sweep.
+# starting point.  The increment is start then solve from the Taylor seeds
+# of _gauss6_seed, u'' at the nodes to O(h^4) from the on-shell derivatives
+# at (u, v), or the Euler seed F_i = u''(u, v) where those overflow.  The
+# attempt shares the start at (u, v) between the full and the first half
+# step, solves the full step from the same seeds and seeds both half steps
+# from the quartic through the full step's converged F_i and u'' at both of
+# its ends.  The solver tests the finiteness of its iterates once, when its
+# sweeps run out, not per sweep.
 
 
 def _rk4_increment(A: float, B: float, u: float, v: float, h: float) -> tuple[float, float]:
@@ -220,16 +222,17 @@ _A_ROWS = ((_A11, _A12, _A13), (_A21, _A22, _A23), (_A31, _A32, _A33))
 )
 
 
-def _quadratic_weights(s: float) -> tuple[float, float, float]:
-    """Lagrange weights at s of the quadratic through the nodes c_1, c_2 = 1/2, c_3."""
-    c = (_C1, 0.5, _C3)
-    return tuple(math.prod((s - c[k]) / (c[j] - c[k]) for k in range(3) if k != j) for j in range(3))
+def _lagrange_weights(s: float) -> tuple[float, ...]:
+    """Lagrange weights at s of the quartic through the nodes 0, c_1, c_2 = 1/2, c_3, 1."""
+    c = (0.0, _C1, 0.5, _C3, 1.0)
+    return tuple(math.prod((s - c[k]) / (c[j] - c[k]) for k in range(5) if k != j) for j in range(5))
 
 
 # Seeds of the half steps' stage accelerations, one row per seed: the
-# quadratic through the full step's (c_i, F_i), in units of its h, at the
-# first half step's nodes s = c_i/2, then the second's s = 1/2 + c_i/2
-_HALF_SEEDS = tuple(_quadratic_weights(s) for s in (
+# quartic through the full step's (0, f), (c_i, F_i) and (1, f_end), in
+# units of its h, at the first half step's nodes s = c_i/2, then the
+# second's s = 1/2 + c_i/2
+_HALF_SEEDS = tuple(_lagrange_weights(s) for s in (
     0.5 * _C1, 0.25, 0.5 * _C3, 0.5 + 0.5 * _C1, 0.75, 0.5 + 0.5 * _C3,
 ))
 # a sweep change within 4 eps of the stage scale is rounding noise
@@ -256,6 +259,34 @@ def _gauss6_start(
         raise NonFiniteError("stage value overflowed")
     tu, tv = abs(u), abs(v)
     return fv, R * (tu if tu > 1.0 else 1.0), R * (tv if tv > 1.0 else 1.0)
+
+
+def _gauss6_seed(
+    A: float, B: float, u: float, v: float, f: float, h: float, C1=_C1, C3=_C3,
+) -> tuple[float, float, float]:
+    """Seeds of a full step's stage accelerations from (u, v), f = u'' there: (F1, F2, F3).
+
+    F_i = f + x (f1 + x (f2 + x f3)) at x = c_i h is the Taylor polynomial
+    of u'' at the node, from the on-shell derivatives f1 = u''',
+    f2 = u''''/2 and f3 = u'''''/6, so each seed is within O(h^4) of the
+    stage acceleration (Hairer & Wanner, Solving ODEs II, IV.8, starting
+    values).  The derivative terms can overflow where f does not; where a
+    seed is not finite, every stage starts from f, the Euler seed.
+    """
+    f1 = A * (v * v + u * f) + 3.0 * B * u * u * v  # u'''
+    d4 = A * (3.0 * v * f + u * f1) + 3.0 * B * u * (2.0 * v * v + u * f)  # u''''
+    d5 = A * (3.0 * f * f + 4.0 * v * f1 + u * d4) + 3.0 * B * (2.0 * v * v * v + 6.0 * u * v * f + u * u * f1)
+    f2 = 0.5 * d4
+    f3 = d5 / 6.0
+    x = C1 * h
+    F1 = f + x * (f1 + x * (f2 + x * f3))
+    x = 0.5 * h
+    F2 = f + x * (f1 + x * (f2 + x * f3))
+    x = C3 * h
+    F3 = f + x * (f1 + x * (f2 + x * f3))
+    if F1 * 0.0 + F2 * 0.0 + F3 * 0.0 != 0.0:
+        return f, f, f
+    return F1, F2, F3
 
 
 def _gauss6_solve(
@@ -332,9 +363,9 @@ def _gauss6_solve(
 
 
 def _gauss6_increment(A: float, B: float, u: float, v: float, h: float) -> tuple[float, float]:
-    """State increment of one Gauss6 step: the start state at (u, v), then the solve from the Euler seed."""
+    """State increment of one Gauss6 step: the start state at (u, v), then the solve from the Taylor seeds."""
     fv, tu, tv = _gauss6_start(A, B, u, v)
-    du, dv, _, _, _ = _gauss6_solve(A, B, u, v, tu, tv, h, fv, fv, fv)
+    du, dv, _, _, _ = _gauss6_solve(A, B, u, v, tu, tv, h, *_gauss6_seed(A, B, u, v, fv, h))
     return du, dv
 
 
@@ -346,24 +377,34 @@ def _gauss6_attempt(
 
     The full step and the first half step start from (u, v) and share its
     start state; the second half step starts from the midpoint.  The full
-    step is solved from the Euler seed, as step_gauss6 solves it.  Each
-    half step is seeded with the full step's collocation polynomial, the
-    quadratic through its converged (c_i, F_i), at the half step's own
-    nodes (Hairer, Lubich & Wanner, Geometric Numerical Integration, VIII.6).
-    The absolute stage tolerances scale with max(R, K tol) in place of R;
-    the relative test |d| <= R |F_i| stays, so at K tol <= R the attempt
-    is the one at tol = 0.
+    step is solved from the Taylor seeds, as step_gauss6 solves it.  Each
+    half step is seeded with the quartic through the full step's (0, f),
+    its converged (c_i, F_i) and (1, f_end), f_end = u'' at the full
+    step's end, at the half step's own nodes: the full step's collocation
+    values (Hairer, Lubich & Wanner, Geometric Numerical Integration,
+    VIII.6) with both ends on shell added.  Where one of the six half-step
+    seeds is not finite, each half step starts from the Euler seed, u'' at
+    its own start.  The absolute stage tolerances scale with max(R, K tol)
+    in place of R; the relative test |d| <= R |F_i| stays, so at K tol <= R
+    the attempt is the one at tol = 0.
     """
     r = K * tol
     if r < R:
         r = R
     fv, tu, tv = _gauss6_start(A, B, u, v, r)
-    dfu, dfv, F1, F2, F3 = _gauss6_solve(A, B, u, v, tu, tv, h, fv, fv, fv)
-    g1, g2, g3, g4, g5, g6 = [w1 * F1 + w2 * F2 + w3 * F3 for w1, w2, w3 in W]
+    dfu, dfv, F1, F2, F3 = _gauss6_solve(A, B, u, v, tu, tv, h, *_gauss6_seed(A, B, u, v, fv, h))
+    a, b = u + dfu, v + dfv
+    fe = A * a * b + B * a * a * a
+    g1, g2, g3, g4, g5, g6 = [w0 * fv + w1 * F1 + w2 * F2 + w3 * F3 + w4 * fe for w0, w1, w2, w3, w4 in W]
+    euler = g1 * 0.0 + g2 * 0.0 + g3 * 0.0 + g4 * 0.0 + g5 * 0.0 + g6 * 0.0 != 0.0
+    if euler:
+        g1 = g2 = g3 = fv
     c = 0.5 * h
     d1u, d1v, _, _, _ = _gauss6_solve(A, B, u, v, tu, tv, c, g1, g2, g3)
     u1, v1 = u + d1u, v + d1v
-    _, tu, tv = _gauss6_start(A, B, u1, v1, r)
+    fv, tu, tv = _gauss6_start(A, B, u1, v1, r)
+    if euler:
+        g4 = g5 = g6 = fv
     d2u, d2v, _, _, _ = _gauss6_solve(A, B, u1, v1, tu, tv, c, g4, g5, g6)
     return dfu, dfv, d1u + d2u, d1v + d2v
 
@@ -381,7 +422,7 @@ def step_rk4(p: OdeParams, s: State, h: float) -> State:
 
 
 def step_gauss6(p: OdeParams, s: State, h: float) -> State:
-    """One step of the 3-stage Gauss-Legendre method (order 6)."""
+    """One step of the 3-stage Gauss-Legendre method (order 6), its stages solved from Taylor seeds."""
     return _step(_gauss6_increment, p, s, h)
 
 

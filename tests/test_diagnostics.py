@@ -189,3 +189,9 @@ def test_diagnostics_report_fields():
     traj3 = integrate(p3, State(0.0, 0.0, -0.5), IntegratorKind.GAUSS6, opts)
     rep3 = diagnostics_report(p3, traj3)
     assert math.isnan(rep3.energy_drift_rel)  # only meaningful when A = 0
+    # for disc >= 0 the report is the larger check of k_minus and k_plus,
+    # bit for bit, although it integrates u once for both
+    for q, tr in ((p, traj), (p3, traj3)):
+        assert q.disc >= 0.0
+        want = max(check_gk_identity(q, tr, q.k_minus), check_gk_identity(q, tr, q.k_plus))
+        assert diagnostics_report(q, tr).gk_identity_residual_max == want

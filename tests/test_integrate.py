@@ -27,7 +27,8 @@ from blowuplab.errors import FitFailure, NonFiniteError, StageSolveFailure
 from blowuplab.integrate import (
     _A11, _A12, _A13, _A21, _A22, _A23, _A31, _A32, _A33, _B1, _B2, _C1, _C3, _HALF_SEEDS,
     _Q11, _Q12, _Q13, _Q21, _Q22, _Q23, _Q31, _Q32, _Q33,
-    _GAUSS6_MAX_SWEEPS, _STAGE_KAPPA, _STAGE_RTOL, _STEPPERS, _blowup_time, _gauss6_increment, _rk4_increment,
+    _GAUSS6_MAX_SWEEPS, _STAGE_KAPPA, _STAGE_RTOL, _STEPPERS, _blowup_time, _gauss6_increment, _gauss6_seed,
+    _gauss6_solve, _rk4_increment,
 )
 
 # the module, which the package's function integrate shadows as an attribute
@@ -233,7 +234,25 @@ def _gauss6_solve_ref(p, u, v, h, F, R=_STAGE_RTOL):
     return du, dv, F
 
 
+def _gauss6_taylor_seeds_ref(p, u, v, f, h):
+    # u'' at the nodes to O(h^4): f + x (u''' + x (u''''/2 + x u'''''/6)) at
+    # x = c_i h, from the on-shell derivatives at (u, v); the Euler seed f at
+    # every stage where any of these seeds is not finite
+    A, B = p.A, p.B
+    d3 = A * (v * v + u * f) + 3.0 * B * u * u * v
+    d4 = A * (3.0 * v * f + u * d3) + 3.0 * B * u * (2.0 * v * v + u * f)
+    d5 = A * (3.0 * f * f + 4.0 * v * d3 + u * d4) + 3.0 * B * (2.0 * v * v * v + 6.0 * u * v * f + u * u * d3)
+    seeds = [f + c * h * (d3 + c * h * (d4 / 2.0 + c * h * (d5 / 6.0))) for c in _C_REF]
+    return seeds if all(map(math.isfinite, seeds)) else [f, f, f]
+
+
 def _gauss6_increment_ref(p, u, v, h):
+    fv = _gauss6_start_ref(p, u, v)
+    du, dv, _ = _gauss6_solve_ref(p, u, v, h, _gauss6_taylor_seeds_ref(p, u, v, fv, h))
+    return du, dv
+
+
+def _gauss6_euler_increment_ref(p, u, v, h):
     # the Euler seed: every stage acceleration starts at u''(u, v)
     fv = _gauss6_start_ref(p, u, v)
     du, dv, _ = _gauss6_solve_ref(p, u, v, h, [fv, fv, fv])
@@ -241,17 +260,21 @@ def _gauss6_increment_ref(p, u, v, h):
 
 
 def _gauss6_attempt_ref(p, u, v, h, tol):
-    # the full step from the Euler seed; each half step seeded with the
-    # quadratic through the full step's (c_i, F_i) at its own nodes; the
-    # absolute stage tolerances scale with max(4 eps, kappa tol)
+    # the full step from the Taylor seeds; each half step seeded with the
+    # quartic through the full step's (0, f), (c_i, F_i) and (1, f_end) at
+    # its own nodes, or from its own Euler seed where any of the six is not
+    # finite; the absolute stage tolerances scale with max(4 eps, kappa tol)
     R = max(_STAGE_RTOL, _STAGE_KAPPA * tol)
     fv = _gauss6_start_ref(p, u, v)
-    dfu, dfv, F = _gauss6_solve_ref(p, u, v, h, [fv, fv, fv], R)
-    seeds = [w[0] * F[0] + w[1] * F[1] + w[2] * F[2] for w in _HALF_SEEDS]
-    d1u, d1v, _ = _gauss6_solve_ref(p, u, v, 0.5 * h, seeds[:3], R)
+    dfu, dfv, F = _gauss6_solve_ref(p, u, v, h, _gauss6_taylor_seeds_ref(p, u, v, fv, h), R)
+    ue, ve = u + dfu, v + dfv
+    y = [fv, *F, p.A * ue * ve + p.B * ue * ue * ue]
+    seeds = [w[0] * y[0] + w[1] * y[1] + w[2] * y[2] + w[3] * y[3] + w[4] * y[4] for w in _HALF_SEEDS]
+    euler = not all(map(math.isfinite, seeds))
+    d1u, d1v, _ = _gauss6_solve_ref(p, u, v, 0.5 * h, [fv] * 3 if euler else seeds[:3], R)
     u1, v1 = u + d1u, v + d1v
-    _gauss6_start_ref(p, u1, v1)
-    d2u, d2v, _ = _gauss6_solve_ref(p, u1, v1, 0.5 * h, seeds[3:], R)
+    fv1 = _gauss6_start_ref(p, u1, v1)
+    d2u, d2v, _ = _gauss6_solve_ref(p, u1, v1, 0.5 * h, [fv1] * 3 if euler else seeds[3:], R)
     return dfu, dfv, d1u + d2u, d1v + d2v
 
 
@@ -324,39 +347,41 @@ def test_attempt_matches_reference_step_doubling_bitwise(kind, case, tol):
     assert _outcome(attempt, p.A, p.B, u, v, h, tol) == want
 
 
-# Worst difference of the Gauss6 attempt's half steps from the Euler-seeded
-# step doubling, |d - d_ref| / max(1, |y|, |y + d_ref|), over 4 x 20000 draws
-# of increment_inputs where both return: 4.33 eps (9.6e-16).  Gated at about
-# 3.7 times that.  Without |y| in the scale a step that cancels most of y
-# reads up to 79 eps: the stage tolerance is set by |y|, not by |y + d|.
+# Worst difference of the Gauss6 attempt from the Euler-seeded step
+# doubling, |d - d_ref| / max(1, |y|, |y + d_ref|), over 4 x 20000 draws of
+# increment_inputs (44,796 where both return): 5.67 eps (1.3e-15) for the
+# Taylor-seeded full step and 3.32 eps for the quartic-seeded half steps
+# (4.33 eps with the half steps seeded by the quadratic through the F_i).
+# Gated at about 2.8 times the worst.  Without |y| in the scale a step that
+# cancels most of y reads up to 79 eps: the stage tolerance is set by |y|,
+# not by |y + d|.
 _HALF_SEED_GATE = 16.0 * sys.float_info.epsilon
 
 
 @settings(max_examples=1500, deadline=None)
 @given(case=increment_inputs())
 def test_gauss6_attempt_is_close_to_euler_seeded_step_doubling(case):
-    # the half steps solve the same stage equations as step_gauss6 from
-    # another seed: the full step keeps its bits, the half steps agree to
-    # the stage tolerance.  Where either side raises there is nothing to
-    # compare: at the edge of contraction a half-step solve may converge
+    # the full step and the half steps solve the same stage equations as
+    # Euler-seeded increments from other seeds, so all three agree with
+    # those to the stage tolerance.  Where either side raises there is
+    # nothing to compare: at the edge of contraction a solve may converge
     # from one seed and not from the other.
     p, u, v, h = case
     attempt, _ = _STEPPERS[IntegratorKind.GAUSS6]
-    want = _outcome(_step_doubling_ref, _gauss6_increment_ref, p, u, v, h)
+    want = _outcome(_step_doubling_ref, _gauss6_euler_increment_ref, p, u, v, h)
     got = _outcome(attempt, p.A, p.B, u, v, h, 0.0)
     if not (isinstance(want, tuple) and isinstance(got, tuple)):
         return
-    assert got[:2] == want[:2]
-    du, dv, ru, rv = map(float.fromhex, got[2:] + want[2:])
-    assert abs(du - ru) <= _HALF_SEED_GATE * max(1.0, abs(u), abs(u + ru))
-    assert abs(dv - rv) <= _HALF_SEED_GATE * max(1.0, abs(v), abs(v + rv))
+    for d, r, y in zip(map(float.fromhex, got), map(float.fromhex, want), (u, v, u, v)):
+        assert abs(d - r) <= _HALF_SEED_GATE * max(1.0, abs(y), abs(y + r))
 
 
 # Worst difference of the Gauss6 attempt at local_tol tau from the attempt
 # at tau = 0, |d - d_0| / (max(4 eps, kappa tau) max(1, |y|, |y + d_0|)) over
 # the four increments, in 4 x 20000 draws of increment_inputs with tau in
-# each of 1e-12, 1e-10, 1e-8, 1e-6 and 1e-4, where both return: 0.59.
-# Gated at about 3.4 times that.
+# each of 1e-12, 1e-10, 1e-8, 1e-6 and 1e-4, where both return: 0.59 with
+# the Euler-seeded full step.  With the Taylor and quartic seeds, 4 x 20000
+# draws with one of these tau each read 0.29.  Gated at about 3.4 times 0.59.
 _STAGE_TOL_GATE = 2.0
 
 
@@ -381,28 +406,84 @@ def test_gauss6_attempt_moves_within_its_stage_tolerance(case, tau):
 
 def test_gauss6_nystrom_tables():
     # (A^2)_ij is the square of the Gauss tableau; each half-step seed row
-    # is the Lagrange basis at its node, so it reproduces every quadratic
+    # is the Lagrange basis at its node on the nodes 0, c_1, 1/2, c_3, 1, so
+    # it reproduces every quartic
     a = np.array([[_A11, _A12, _A13], [_A21, _A22, _A23], [_A31, _A32, _A33]])
     q = np.array([[_Q11, _Q12, _Q13], [_Q21, _Q22, _Q23], [_Q31, _Q32, _Q33]])
     assert np.max(np.abs(q - a @ a)) <= 1e-16
-    c = np.array([_C1, 0.5, _C3])
-    nodes = np.concatenate([0.5 * c, 0.5 + 0.5 * c])
-    for poly in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-0.7, 2.5, 3.0]):
+    c = np.array([0.0, _C1, 0.5, _C3, 1.0])
+    nodes = np.concatenate([0.5 * c[1:4], 0.5 + 0.5 * c[1:4]])
+    assert np.shape(_HALF_SEEDS) == (6, 5)
+    for poly in np.eye(5).tolist() + [[-0.7, 2.5, 3.0, -1.5, 0.8]]:
         want = np.polyval(poly[::-1], nodes)
         got = np.array(_HALF_SEEDS) @ np.polyval(poly[::-1], c)
         assert np.max(np.abs(got - want)) <= 4e-15
 
 
 def test_gauss6_pinned_runs_fit_in_their_sweep_budgets(monkeypatch):
-    # the worst stage solve of the pinned escape run takes 4 passes, of the
-    # pinned gk run 6: each keeps its digest at that budget (5 and 6 while
-    # the absolute stage tolerance stayed at 4 eps whatever local_tol; 8
-    # held both before).  The Euler-seeded iteration on the stage increments
-    # took 9.3 passes on average on escape runs and changed the escape
-    # run's steps at a budget of 8
-    for run, budget in zip(PINNED_RUNS[:2], (4, 6)):
+    # the worst stage solve of the pinned escape run and of the pinned gk
+    # run takes 3 passes: each keeps its digest at that budget (4 and 6
+    # while the full step started from the Euler seed and the half steps
+    # from the quadratic through its F_i; 5 and 6 while the absolute stage
+    # tolerance stayed at 4 eps whatever local_tol; 8 held both before).
+    # The Euler-seeded iteration on the stage increments took 9.3 passes on
+    # average on escape runs and changed the escape run's steps at a budget
+    # of 8
+    for run, budget in zip(PINNED_RUNS[:2], (3, 3)):
         monkeypatch.setattr(integrate_module, "_GAUSS6_MAX_SWEEPS", budget)
         test_whole_runs_are_pinned(*run)
+
+
+def test_gauss6_taylor_seeds_are_fourth_order():
+    # the Taylor seed's distance from the converged stage accelerations
+    # falls 16-fold per halving of h (O(h^4)), the Euler seed's 2-fold
+    # (O(h)): a wrong derivative coefficient would cost sweeps, not bits
+    p = params_from_dimension(5.0)
+    u, v = 0.5, 0.1
+    fv = p.A * u * v + p.B * u**3
+    taylor, euler = [], []
+    for h in (0.08, 0.04, 0.02, 0.01, 0.005):
+        seeds = _gauss6_seed(p.A, p.B, u, v, fv, h)
+        _, _, *F = _gauss6_solve(p.A, p.B, u, v, _STAGE_RTOL, _STAGE_RTOL, h, *seeds)
+        taylor.append(max(abs(s - f) for s, f in zip(seeds, F)))
+        euler.append(max(abs(fv - f) for f in F))
+    for big, small in zip(taylor, taylor[1:]):
+        assert 15.0 < big / small < 17.0
+    for big, small in zip(euler, euler[1:]):
+        assert 1.9 < big / small < 2.1
+
+
+# States where the Taylor seeds overflow although u'' does not: (params, u,
+# v, h, whether f_end and the half-step seeds overflow too).  The first is a
+# Hypothesis draw of increment_inputs where 2 v^2 overflows although
+# u'' = 0; without the fallback the attempt raised NonFiniteError there.
+# The second is an m = 5 state at the driver's cap h = 0.1/|u|.  In the
+# third u'' grows past float max between the full step's last node and its
+# end, while every stage solve stays finite.
+_SEED_OVERFLOWS = [
+    (params_from_coeffs(0.0, 0.0), 0.0, -9.480751908109177e153, 0.1, False),
+    (params_from_dimension(5.0), 1e100, 1e200, 1e-101, False),
+    (params_from_coeffs(0.0, 2.11e8), -5e98, 1e210, 1e-110, True),
+]
+
+
+@pytest.mark.parametrize("p, u, v, h, half", _SEED_OVERFLOWS)
+def test_gauss6_seeds_fall_back_to_euler_where_they_overflow(p, u, v, h, half):
+    # where a Taylor seed is not finite every stage of the full step starts
+    # from the Euler seed, and where a half-step seed is not finite each
+    # half step starts from its own: the increment and the attempt are then
+    # the Euler-seeded ones bit for bit
+    A, B = p.A, p.B
+    fv = A * u * v + B * u * u * u
+    assert math.isfinite(fv) and _gauss6_seed(A, B, u, v, fv, h) == (fv, fv, fv)
+    want = _outcome(_gauss6_euler_increment_ref, p, u, v, h)
+    assert isinstance(want, tuple)
+    assert _outcome(_gauss6_increment, A, B, u, v, h) == want
+    attempt, _ = _STEPPERS[IntegratorKind.GAUSS6]
+    got = _outcome(attempt, A, B, u, v, h, 0.0)
+    assert got == _outcome(_step_doubling_ref, _gauss6_euler_increment_ref, p, u, v, h)
+    ue, ve = u + float.fromhex(got[0]), v + float.fromhex(got[1])
+    assert math.isinf(A * ue * ve + B * ue * ue * ue) is half
 
 
 @pytest.mark.parametrize("A, B, u, v, h, error", [
@@ -620,9 +701,9 @@ PINNED_TRAJECTORIES = [
     (5.0, IntegratorKind.RK4, (-1.0, 1.0), -10.0, 5, "blowup",
      "1c6b16241145e3aced87a23045a679a095f2b65d54f701fe304f884963439a67"),
     (5.0, IntegratorKind.GAUSS6, (1.0, 1.0), 10.0, 1, "blowup",
-     "89f7a03b411916a783b04d024a6aa86063447c6b929335b1ed34da5be1657999"),
+     "097206c5340322f39ce01934f8ec9bbcc21b445a7be806721dab46ecb92a62fd"),
     (4.0, IntegratorKind.GAUSS6, (0.0, -1.0), -5.0, 3, "completed",
-     "a951354fd8083f01a566d2d3de2ccdb5cb14d0046f2de46d91b0439b6477a2e0"),
+     "de248a03562cfbfecdad556ec635d50e4dbae916bc07857479e81ffc8219b416"),
 ]
 
 
@@ -642,16 +723,16 @@ def test_trajectory_bits_are_pinned(m, kind, ic, t_end, every, term, digest):
 # (the fitted t_estimate, a LAPACK least-squares root, is left out).
 PINNED_RUNS = [
     # (m, method, (u0, v0), options, termination, sha256)
-    # escape to |u| = 1e8, where a stage solve takes at most 4 passes (9.3 on
-    # average before the Nystrom iteration and the half-step seeds)
+    # escape to |u| = 1e8, where a stage solve takes at most 3 passes (9.3 on
+    # average before the Nystrom iteration and the seeds)
     (8.0, IntegratorKind.GAUSS6, (1.0, 1.0), dict(t_end=10.0), "blowup",
-     "20514d8869eb7db0748c6bafc43d083f515c0b13e03aee5aae297a72fb8504af"),
+     "cb94fbcc05672a5416050e4d5e8dd69368777b307b84d62ff2cef784c7264054"),
     # the gk_gauss6 benchmark shape at m = 5: step ceiling, cap 0.01/max|k|, tight tolerance
     (5.0, IntegratorKind.GAUSS6, (-1.25, 0.75),
      dict(t_end=20.0, blowup_threshold=1e3, local_tol=1e-13, h_max=5e-3, h_cap_factor=0.015), "blowup",
-     "7e5ad5e21668bb43f8f9351c25647b92ec9ea3821febc938b3e34a446c516df8"),
+     "af3883d8c84c5ba6651f5f1c48559d3fc9c64b1f7f03927fee503e0efcc836b4"),
     (3.0, IntegratorKind.GAUSS6, (0.75, -1.25), dict(t_end=-20.0, h_max=0.01, max_steps=400), "max_steps",
-     "78706d3efe00a7689ae76b1689b9ddbe924a8200c96cc2426a96436894a3a9bd"),
+     "41b6e1c6280c170ac667f5ca3853282655983f5f04249d586f21c5fa235d02db"),
     # 818 accepted steps: the last state falls between records
     (8.0, IntegratorKind.RK4, (-1.0, 0.5),
      dict(t_end=-10.0, record_every=7, blowup_threshold=1e6, h_cap_factor=0.05), "blowup",
