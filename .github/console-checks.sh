@@ -2,8 +2,9 @@
 # Checks of the installed blowuplab console script: every subcommand runs,
 # K(0.99) matches its quadrature value, the m = 8 escapes blow up at the
 # quadrature time of their energy, a Gauss6 m = 4 run stays within 1e-9 of
-# -tanh t both ways, the m = 3 parabola start verifies, and non-finite
-# input exits with status 2 and an error: line.
+# -tanh t both ways, the m = 3 parabola start, the disc = 0 grid, an m = 3.5
+# decay and a bound of -1e300 verify, and non-finite input exits with
+# status 2 and an error: line.
 # Usage: bash .github/console-checks.sh [work directory]
 set -eu
 unset PYTHONPATH  # the installed package, not the source tree
@@ -61,6 +62,23 @@ blowuplab classify --m 3 --grid 2:2:1 2:2:1 --verify --out m3p.csv
 cat m3p.csv
 if ! grep -q ",pass$" m3p.csv; then
   echo "blowuplab classify --m 3 from (2, 2): want the verdict verified as pass"
+  exit 1
+fi
+# the exact module checks every verdict: all 81 rows at disc = 0 (48 of them
+# global_bounded), an m = 3.5 global_bounded row, whose u decays like 6/t, and
+# the bound -1e300 at B = 1e-300, checked from the horizon without a run to it
+blowuplab classify --A 1 --B -0.125 --grid -2:2:9 -2:2:9 --verify --out d0.csv
+blowuplab classify --m 3.5 --grid 1:1:1 -0.5:-0.5:1 --verify --out m35.csv
+timeout 20 blowuplab classify --A 1 --B 1e-300 --grid 1:1:1 -0.2:-0.2:1 --verify --out tiny.csv
+cat m35.csv tiny.csv
+for name in d0 m35 tiny; do
+  if grep -v ",pass$" "$name.csv" | grep -qv "^u0,"; then
+    echo "blowuplab classify --verify: every row of $name.csv must read pass"
+    exit 1
+  fi
+done
+if ! grep -q ",global_bounded,.*,pass$" m35.csv; then
+  echo "blowuplab classify --m 3.5 from (1, -0.5): want a global_bounded row that passes"
   exit 1
 fi
 # a subnormal B underflows the root k_plus to 0, which leaves the verdict unclassified

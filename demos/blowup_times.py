@@ -18,7 +18,7 @@ def main():
     t_quad = bl.quadrature_blowup_time(p8.B / 2.0, 0.0, 1.0)
     pole = bl.eval_closed_form(bl.Riccati(k=p8.k_minus, u0=1.0, v0=-p8.k_minus), p8, 10.0)
     print("m = 8 from (u, u') = (1, 1/3):   u = 3/(3 - t)")
-    print(f"  fitted blow-up time    {t_est:.9f}")
+    print(f"  run + exact remainder  {t_est:.9f}")
     print(f"  quadrature prediction  {t_quad:.9f}")
     print(f"  closed-form pole       {pole.t_pole:.9f}\n")
 
@@ -29,7 +29,7 @@ def main():
     t_est = bl.estimate_blowup_time(traj)
     t_quad = bl.quadrature_blowup_time(1.0, 1.0, 0.0)
     print("w'' = 2 w^3 from (0, 1):   escape time of (w')^2 = 1 + w^4")
-    print(f"  fitted blow-up time    {t_est:.9f}")
+    print(f"  run + exact remainder  {t_est:.9f}")
     print(f"  quadrature prediction  {t_quad:.9f}\n")
 
     # m = 4 reciprocal-tanh branch: B = 0, so u' + k u^2 is constant for k = -A/2
@@ -39,7 +39,7 @@ def main():
     traj = bl.integrate(p4, bl.State(0.0, 2.0, 1.0), bl.IntegratorKind.RK4, opts)
     t_est = bl.estimate_blowup_time(traj)
     print("m = 4 from (2, 1): reciprocal-tanh branch")
-    print(f"  fitted blow-up time    {t_est:.9f}")
+    print(f"  run + exact remainder  {t_est:.9f}")
     print(f"  closed-form pole       {pole.t_pole:.9f}")
 
 

@@ -1,10 +1,13 @@
 """Qualitative classification of initial conditions with numeric checks.
 
-For disc = A^2 + 8B >= 0 each time direction is decided by the signs of
-w'' = a w^q, where w = exp(k int u) for a root k of 2k^2 + A k - B = 0
-(for m-derived coefficients, the conformal factor (f/f(0))^(-2/(m-2)));
-at B = 0, q = 1 and a bound is the nearest exact pole of the Riccati
-closed form.  disc < 0, A = B = 0 and roots lost to rounding stay unclassified.
+For disc = A^2 + 8B >= 0 each time direction is decided by the end-root
+rule of ``exact.blows_up``: in p = u'/u^2 the direction ends at one root
+-k of 2k^2 + A k - B = 0 and blows up iff that root's exponent is
+positive.  A bound is the nearest pole of an invariant-parabola
+comparison, or at B = 0 the nearest exact pole of the Riccati closed form.
+disc < 0, A = B = 0 and roots lost to rounding stay unclassified.  A
+verdict is verified by RK4 runs against the exact times and states of
+``exact``.
 """
 from __future__ import annotations
 
@@ -13,16 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_forms import PoleAt, Riccati, eval_closed_form, riccati_poles
+from .closed_forms import Riccati, riccati_poles
 from .errors import DomainError, Inconclusive
-from .integrate import (
-    IntegrateOptions,
-    IntegratorKind,
-    estimate_blowup_time,
-    integrate,
-    quadrature_blowup_time,
-    step_gauss6,
-)
+from .exact import blows_up, escape_time, state_at
+from .integrate import IntegrateOptions, IntegratorKind, integrate, step_gauss6
 from .diagnostics import g_k
 from .model import OdeParams, State, rhs
 
@@ -35,12 +32,6 @@ BLOWUP_FORWARD = "blowup_forward"
 BLOWUP_BACKWARD = "blowup_backward"
 NO_GLOBAL = "no_global_solution"
 UNCLASSIFIED = "unclassified"
-
-# relative slack on a t_bound comparison: a fitted blow-up time misses the
-# true one by about 1e-10 relative (criterion 4), and a bound can be the
-# exact blow-up time (an A = 0 energy bound) or within rounding of it (a
-# start within rounding of an invariant parabola)
-_T_BOUND_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -57,29 +48,6 @@ class PeriodReport:
     closure_error: float
 
 
-def _blows_up(p: OdeParams, k: float, G: float, e: float, u0: float, d: float) -> bool:
-    """Whether u blows up in time direction d: whether w = exp(k int_0^t u) reaches 0 or infinity.
-
-    w'' = a w^q with w(0) = 1, w'(0) = k u0, a = k G and q = 3 + A/k, so
-    q - 1 = B/k^2 has the sign of B, B = 0 gives k = -A/2 and q = 1 (also
-    where A^2 underflows to disc = 0), and otherwise disc = 0 gives q = -1;
-    e has the sign of the conserved E = w'^2/2 - a w^(q+1)/(q+1).
-    """
-    inward = d * k * u0 < 0.0  # w starts towards 0
-    if G == 0.0:  # a = 0: w is linear, u = u0/(1 + k u0 t)
-        return inward
-    if k * G < 0.0:  # a < 0: w is pulled to 0 and reaches it with w'^2 >= 2E > 0
-        return True
-    if p.disc == 0.0 and p.B != 0.0:  # q = -1: -a ln w keeps w from 0; w'^2 ~ 2a ln w takes infinite time out
-        return False
-    if inward and e > 0.0:  # w'^2 >= 2E > 0 all the way to 0
-        return True
-    if inward and e == 0.0:  # w'^2 ~ w^(q+1): w reaches 0 in finite time iff q < 1
-        return p.B < 0.0
-    # outward, or turning back out at the root of w'^2 (E < 0): w escapes in finite time iff q > 1
-    return p.B > 0.0
-
-
 def classify(p: OdeParams, u0: float, v0: float) -> Verdict:
     A, B = p.A, p.B
     if u0 == 0.0 and v0 == 0.0:
@@ -91,29 +59,27 @@ def classify(p: OdeParams, u0: float, v0: float) -> Verdict:
     if p.disc < 0.0:
         return Verdict(UNCLASSIFIED, "periodicity-conjecture")
 
-    # q + 1 > 0 for k_minus if it is negative, else for k_plus; E = -k^2 g_k'(0)/(4k + A)
-    # on the other root k', and 4k + A is -sqrt(disc) for k_minus, +sqrt(disc) for k_plus
-    s0, low = State(0.0, u0, v0), p.k_minus < 0.0
-    k, k_other = (p.k_minus, p.k_plus) if low else (p.k_plus, p.k_minus)
+    # at B = 0, k = -A/2 is the root whose Riccati closed form u is
+    k, k_other = (p.k_minus, p.k_plus) if p.k_minus < 0.0 else (p.k_plus, p.k_minus)
     if not 0.0 < abs(k * k_other if B != 0.0 else k) < math.inf:  # k k' = -B/2, and k = -A/2 at B = 0
         return Verdict(UNCLASSIFIED, "root-out-of-range")  # a root lost to under- or overflow has no sign to read
-    G, G_other = g_k(s0, k), g_k(s0, k_other)
-    forward, backward = (_blows_up(p, k, G, G_other if low else -G_other, u0, d) for d in (1.0, -1.0))
+    forward, backward = blows_up(p, u0, v0, 1.0), blows_up(p, u0, v0, -1.0)
     if B == 0.0:  # u' + k u^2 is constant, so u is the Riccati closed form and its poles are exact
         poles = [t for t in riccati_poles(Riccati(k, u0, v0)) if t is not None] if k * u0 != 0.0 else []
     else:
         # g_kappa keeps its sign, so where d kappa u0 < 0 and d u0 g_kappa(0) >= 0 (for one d
         # iff kappa g_kappa(0) <= 0), z = sign(u0) u(d tau) obeys z' >= |kappa| z^2 and escapes
         # by the pole -1/(kappa u0), exactly then if g_kappa(0) = 0; no two poles face apart
-        poles = [-1.0 / (kappa * u0) for kappa, g in ((k, G), (k_other, G_other))
-                 if kappa * u0 != 0.0 and kappa * g <= 0.0]  # none at u0 = 0, nor where kappa u0 underflows
+        s0 = State(0.0, u0, v0)
+        poles = [-1.0 / (kappa * u0) for kappa in (k, k_other)
+                 if kappa * u0 != 0.0 and kappa * g_k(s0, kappa) <= 0.0]  # none at u0 = 0, nor where kappa u0 underflows
     t_bound = min(poles, key=abs) if poles else math.inf
     detail = {"t_bound": t_bound} if abs(t_bound) < math.inf else None  # none, or lost to overflow
     if forward and backward:
         return Verdict(NO_GLOBAL, "w-equation", detail)
     if forward or backward:
         return Verdict(BLOWUP_FORWARD if forward else BLOWUP_BACKWARD, "w-equation", detail)
-    # at B = 0 (q = 1) u tends to a non-zero constant; the Riccati closed form is checked instead
+    # at B = 0 u tends to a non-zero constant; the detail names the Riccati root k
     return Verdict(GLOBAL_BOUNDED, "w-equation", {"k": k} if B == 0.0 else {"decays": True})
 
 
@@ -125,10 +91,11 @@ def classify(p: OdeParams, u0: float, v0: float) -> Verdict:
 class VerdictCheck:
     """The outcome of ``verify_verdict``.
 
-    ``t_blow_forward`` and ``t_blow_backward`` are the fitted blow-up times
-    of the runs made; ``None`` means that direction ran to its end without
-    a blow-up or was not run.  ``max_abs_u`` is the largest ``|u|`` over the
-    runs made, ``None`` when the verdict needed none.
+    ``t_blow_forward`` and ``t_blow_backward`` are each run's last time plus
+    the exact remaining time from its last state; ``None`` where that
+    direction was not run or its last state's direction is global.
+    ``max_abs_u`` is the largest ``|u|`` over the runs made, ``None`` when
+    the verdict needed none.
     """
 
     passed: bool
@@ -138,33 +105,25 @@ class VerdictCheck:
     max_abs_u: float | None = None
 
 
-def _run(p: OdeParams, u0: float, v0: float, t_end: float, kind=IntegratorKind.RK4, local_tol=1e-10):
-    """The run from (u0, v0) at t = 0 to t_end, and its fitted blow-up time or None."""
-    traj = integrate(p, State(0.0, u0, v0), kind, IntegrateOptions(h0=1e-3, t_end=t_end, local_tol=local_tol))
-    if traj.termination.kind in ("step_underflow", "max_steps"):
-        raise Inconclusive(f"integration ended with {traj.termination.kind}")
-    return traj, estimate_blowup_time(traj) if traj.termination.kind == "blowup" else None
+# A run stops at |u| = 1e3 and adds the exact remainder.  The gates are about
+# 30 times the worst RK4 error (local_tol 1e-10) measured on the verify
+# census, the verify_grid_rk4 mix and seeded sets at horizon 50: 3.6e-8 in
+# a blow-up time relative, 2.8e-9 in an end state per component relative to
+# max(1, |exact|).  _T_ACCURACY is exact.py's stated accuracy on T.
+_RUN_STOP, _T_GATE, _STATE_GATE, _T_ACCURACY = 1e3, 1e-6, 1e-7, 1e-12
 
 
-def _escape_bound(p: OdeParams, u0: float, v0: float, d: float) -> float | None:
-    """A bound on the blow-up time in direction d from energy comparison, or None.
-
-    With s = sign(u0) (sign(d v0) at u0 = 0), z(tau) = s u(d tau) solves
-    z'' = s d A z z' + B z^3.
-    When B > 0 and z(0), z'(0) and s d A are >= 0, z and z' never decrease,
-    so z'^2 >= (B/2) z^4 + C with C = v0^2 - (B/2) u0^4, and z escapes no
-    later than v' = sqrt((B/2) v^4 + C) does from |u0|; for A = 0 the two
-    times are equal.
-    """
-    s = math.copysign(1.0, u0 if u0 != 0.0 else d * v0)
-    if not (p.B > 0.0 and s * d * v0 >= 0.0 and s * d * p.A >= 0.0):
-        return None
-    try:
-        quartic = p.B / 2.0 * abs(u0) ** 4  # as quadrature_blowup_time forms it, so its radicand is >= 0
-        t = quadrature_blowup_time(p.B / 2.0, max(v0 * v0 - quartic, -quartic), abs(u0))
-    except (DomainError, OverflowError):  # v0 = 0: a turning point at |u0| rounded past it; u0^4 overflows
-        return None
-    return d * t if math.isfinite(t) else None
+def _run(p: OdeParams, u0: float, v0: float, t_end: float):
+    """The RK4 run from (u0, v0) at t = 0 to t_end or |u| = 1e3, and its last time plus the exact remaining time, or None."""
+    opts = IntegrateOptions(h0=1e-3, t_end=t_end, local_tol=1e-10, blowup_threshold=_RUN_STOP)
+    traj = integrate(p, State(0.0, u0, v0), IntegratorKind.RK4, opts)
+    end = traj.termination
+    if end.kind in ("step_underflow", "max_steps"):
+        raise Inconclusive(f"integration ended with {end.kind}")
+    if end.kind == "blowup":
+        return traj, end.t_estimate
+    rest = escape_time(p, float(traj.u[-1]), float(traj.v[-1]), math.copysign(1.0, t_end))
+    return traj, None if rest is None else float(traj.t[-1]) + rest
 
 
 def _parabola_pole(p: OdeParams, u0: float, v0: float) -> float | None:
@@ -181,30 +140,44 @@ def _parabola_pole(p: OdeParams, u0: float, v0: float) -> float | None:
     return None
 
 
-def _confirms(d: float, t: float | None, bound: float | None) -> bool:
-    """A blow-up, at 0 < d t <= d bound plus slack when there is a bound."""
-    return t is not None and (bound is None or 0.0 < d * t <= d * bound + _T_BOUND_SLACK * abs(bound))
+def _judge(p: OdeParams, u0: float, v0: float, d: float, traj, t_blow, blowup: bool, bound) -> str:
+    """Why direction d's run fails the claim against the exact answer, or "" where it holds.
+
+    A claimed blow-up needs an exact time T (``exact.escape_time``), the
+    run's blow-up time within _T_GATE of T relative and 0 < d T <= d bound
+    within _T_ACCURACY, so a T far past the horizon is checked from the
+    run's end; a claimed global direction needs the exact rule to agree
+    and the end state within _STATE_GATE of ``exact.state_at``.
+    """
+    T = escape_time(p, u0, v0, d)
+    if not blowup:
+        if T is not None:
+            return "exact rule: blows up"
+        u, v = state_at(p, u0, v0, float(traj.t[-1]))
+        err = max(abs(float(traj.u[-1]) - u) / max(1.0, abs(u)), abs(float(traj.v[-1]) - v) / max(1.0, abs(v)))
+        return "" if err <= _STATE_GATE else f"end state error {err:.2e}"
+    if T is None:
+        return "exact rule: global"
+    if t_blow is None or not abs(t_blow - T) <= _T_GATE * abs(T):
+        return f"blow-up time {t_blow!r} against exact {T!r}"
+    if bound is not None and not 0.0 < d * T <= d * bound * (1.0 + _T_ACCURACY):
+        return f"exact blow-up time {T!r} past t_bound {bound!r}"
+    return ""
 
 
 def verify_verdict(p: OdeParams, u0: float, v0: float, verdict: Verdict, horizon: float) -> VerdictCheck:
-    """Integrate in RK4 the time directions the verdict's claim concerns, and confirm it.
+    """Run in RK4 the time directions the verdict's claim concerns, and hold each to the exact answer.
 
-    A start on an invariant parabola (see ``_parabola_pole``) runs nothing:
-    ``u = u0 / (1 + kappa u0 t)`` exactly, so the verdict must be the blow-up
-    in the direction of the pole with that pole as its ``t_bound``; the
-    pole is that direction's ``t_blow_*``.  Otherwise ``trivial``,
-    ``stationary`` and ``global_bounded`` run both directions to the
-    horizon.  A blow-up claim with a ``t_bound`` runs the direction of
-    its sign alone, as ``blowup_forward`` and ``blowup_backward`` without one
-    run their own; ``no_global_solution`` without one runs first the
-    direction in which ``|u|`` grows, then the other only if the first
-    confirmed no blow-up; ``unclassified`` runs nothing.  A blow-up run goes
-    out to its bound when that lies past the horizon: the ``t_bound``, else
-    the energy bound of ``_escape_bound`` where one applies; the fitted time
-    must not pass the bound, and a bound RK4 cannot confirm, such as the
-    energy bound that is exact at A = 0, is settled by one Gauss6 run.  A
-    direction not run reports ``t_blow_* = None``, and ``max_abs_u`` covers
-    the runs made; an ``Inconclusive`` run raises.
+    A start on an invariant parabola (``_parabola_pole``) runs nothing and
+    must claim the blow-up at its pole, as ``t_bound``.  ``trivial`` and
+    ``stationary`` (checked by their drift) and ``global_bounded`` run both
+    directions; a blow-up claim the direction of its ``t_bound``'s sign or
+    of its kind; ``no_global_solution`` without a bound first the direction
+    where ``|u|`` grows, then the other only if the first confirmed no
+    blow-up; ``unclassified`` none.  Each run stops at the horizon or at
+    ``|u| = 1e3`` (``_run``) and is judged by ``_judge``; a run direction
+    whose exact kind contradicts the verdict fails it.  A direction not run
+    reports ``t_blow_* = None``; an ``Inconclusive`` run raises.
     """
     if not 0.0 < horizon < math.inf:  # false for NaN too
         raise DomainError("horizon must be positive and finite")
@@ -227,49 +200,29 @@ def verify_verdict(p: OdeParams, u0: float, v0: float, verdict: Verdict, horizon
     elif kind in (TRIVIAL, STATIONARY, GLOBAL_BOUNDED):
         directions = (1.0, -1.0)
     else:
-        directions = ()
-    runs, t_blow = {}, {1.0: None, -1.0: None}  # direction -> trajectory and fitted blow-up time
-    confirmed = {}  # direction -> a blow-up within its bound
+        return VerdictCheck(True, "nothing claimed")
+    runs, t_blow, failed = {}, {1.0: None, -1.0: None}, {}  # per direction: run, blow-up time, failure or ""
     for d in directions:
-        bound = t_bound if d == claimed else None
-        if bound is None and blowup_claim:
-            bound = _escape_bound(p, u0, v0, d)
-        # a claimed blow-up is checked out to its bound, even past the horizon
-        t_end = horizon if bound is None else max(horizon, d * bound * (1.0 + _T_BOUND_SLACK))
-        runs[d], t_blow[d] = _run(p, u0, v0, d * t_end)
-        if not blowup_claim:
-            continue
-        if bound is not None and not _confirms(d, t_blow[d], bound):
-            # RK4 at 1e-10 can fit a pole at an exact bound (the A = 0 energy bound) late by more
-            # than the slack, or step across it; Gauss6 at 1e-12 fits such poles to about 1e-13
-            t_blow[d] = _run(p, u0, v0, d * t_end, IntegratorKind.GAUSS6, 1e-12)[1]
-        confirmed[d] = _confirms(d, t_blow[d], bound)
-        if confirmed[d]:
-            break  # one blow-up settles a no_global_solution claim
-    max_u = max((float(abs(r.u).max()) for r in runs.values()), default=None)
+        runs[d], t_blow[d] = _run(p, u0, v0, d * horizon)
+        if kind not in (TRIVIAL, STATIONARY):
+            failed[d] = _judge(p, u0, v0, d, runs[d], t_blow[d], blowup_claim, t_bound if d == claimed else None)
+            if blowup_claim and not failed[d]:
+                break  # one blow-up settles a no_global_solution claim
+    max_u = max(float(abs(r.u).max()) for r in runs.values())
 
     def check(ok: bool, reason: str) -> VerdictCheck:
         return VerdictCheck(ok, reason, t_blow[1.0], t_blow[-1.0], max_u)
 
-    completed = all(r.termination.kind == "completed" for r in runs.values())
+    failures = "; ".join(f"{'forward' if d > 0 else 'backward'}: {r}" for d, r in failed.items() if r)
     if kind in (TRIVIAL, STATIONARY):
+        completed = all(r.termination.kind == "completed" for r in runs.values())
         drift = max(float(abs(r.u - u0).max()) for r in runs.values())
         return check(completed and drift <= 1e-8, "stationary drift")
     if kind == GLOBAL_BOUNDED:
-        ok, reason = completed, "completed both directions"
-        if ok and detail.get("decays"):
-            ok, reason = all(abs(r.u[-1]) <= 0.05 for r in runs.values()), "decay at horizon"
-        if ok and "k" in detail:
-            cf = Riccati(detail["k"], u0, v0)
-            exact = [(r.u[-1], eval_closed_form(cf, p, r.t[-1])) for r in runs.values()]
-            err = max(math.inf if isinstance(e, PoleAt) else abs(u - e[0]) for u, e in exact)
-            ok, reason = err <= 1e-6, f"closed-form endpoint error {err:.2e}"
-        return check(ok, reason)
-    if claimed is not None:
-        return check(confirmed[claimed], ("forward" if claimed > 0 else "backward") + " blow-up")
-    if kind == NO_GLOBAL:
-        return check(any(confirmed.values()), "blow-up in some direction")
-    return check(True, "nothing claimed")
+        return check(not failures, failures or "exact end states both directions")
+    ok = "" in failed.values() and "exact rule: global" not in failed.values()
+    what = "blow-up in some direction" if claimed is None else ("forward" if claimed > 0 else "backward") + " blow-up"
+    return check(ok, what if ok else failures)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import numpy as np
 
 from .elliptic import F_half
 from .errors import DomainError, FitFailure, NonFiniteError, StageSolveFailure
+from .exact import escape_time
 from .model import OdeParams, State, params_from_coeffs
 
 __all__ = [
@@ -68,7 +69,9 @@ class Termination:
     """How a run ended: Completed, BlowUp, StepUnderflow or MaxSteps."""
 
     kind: str  # "completed" | "blowup" | "step_underflow" | "max_steps"
-    t_estimate: float | None = None  # fitted blow-up time; None if the tail was too short
+    # the last time plus the exact remaining time from the last state; None where
+    # disc < 0 or the exact rule calls that direction global (separatrix rounding)
+    t_estimate: float | None = None
     direction: int | None = None  # +1 forward in t, -1 backward
     t_last: float | None = None
 
@@ -530,35 +533,21 @@ def _integrate_forward(
     cols = np.fromiter(rows, float, len(rows)).reshape(-1, 4).T
     states = np.rec.fromarrays(cols[:3], names="t,u,v")
     if termination is None:
-        termination = Termination("blowup", t_estimate=_blowup_time(cols[0], cols[1]), direction=direction)
+        try:  # the last time plus the exact remaining time: none for disc < 0 or a root lost to rounding
+            rest = escape_time(p, u, v, 1.0)
+        except DomainError:
+            rest = None
+        termination = Termination("blowup", t_estimate=None if rest is None else t + rest, direction=direction)
     return Trajectory(p, states, termination, kind, opts, n_acc, t_residual=cols[3])
 
 
-def _blowup_time(t: np.ndarray, u: np.ndarray, min_u: float = 1e3) -> float | None:
-    """Root of 1/u fitted affine in t on the blow-up tail, or None.
-
-    The fit runs in t - t[tail[-1]]: far from t = 0 the tail times share
-    their leading digits, and a fit in raw t loses the root.
-    """
-    tail = np.flatnonzero(np.abs(u) >= min_u)[-20:]
-    if len(tail) < 4:
-        return None
-    t_ref = t[tail[-1]]
-    if t[tail[0]] == t_ref:  # the steps fell below the resolution of t: no slope to fit
-        return None
-    slope, intercept = np.polyfit(t[tail] - t_ref, 1.0 / u[tail], 1)
-    if slope == 0.0 or not math.isfinite(slope) or not math.isfinite(intercept):
-        return None
-    return float(t_ref - intercept / slope)
-
-
 def estimate_blowup_time(traj: Trajectory) -> float:
-    """The driver's fitted blow-up time, from the asymptotic model u ~ c/(T - t)."""
+    """The driver's blow-up time: the last time plus the exact remaining time from the last state."""
     term = traj.termination
     if term.kind != "blowup":
         raise FitFailure("trajectory did not terminate in blow-up")
     if term.t_estimate is None:
-        raise FitFailure("blow-up tail too short or degenerate to fit")
+        raise FitFailure("no exact blow-up time: disc < 0, or the last state's direction is global")
     return term.t_estimate
 
 

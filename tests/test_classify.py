@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from blowuplab import (
     DomainError,
+    IntegrateOptions,
     IntegratorKind,
     Riccati,
     State,
@@ -15,6 +17,7 @@ from blowuplab import (
     classify,
     detect_period,
     g_k,
+    integrate,
     lemniscate_quarter_period,
     params_from_coeffs,
     params_from_dimension,
@@ -22,6 +25,7 @@ from blowuplab import (
     verify_verdict,
 )
 from blowuplab.errors import Inconclusive
+from blowuplab.exact import blows_up, escape_time
 
 classify_module = importlib.import_module("blowuplab.classify")  # the package's classify is the function
 
@@ -123,17 +127,15 @@ def test_w_equation_rule_table():
             assert v.detail is None, (p.A, p.B, u0, v0)
         else:
             assert v.detail == {"t_bound": pytest.approx(t_bound, rel=1e-12)}, (p.A, p.B, u0, v0)
-    # at disc = 0 (q = -1) E has no power-law form, and a > 0 is global both ways
-    # whatever sign is passed for it: the potential -a ln w keeps w from 0
-    k = P_DISC0.k_minus
-    for e in (-1.0, 0.0, 1.0):
-        for d in (1.0, -1.0):
-            assert not classify_module._blows_up(P_DISC0, k, -0.5, e, 1.0, d)
-    # at B = 0, E = A v0 / 4 is 0 only on the line of rest points, which classify
-    # settles first; in the rule, w = exp(-sqrt(a) t) never reaches 0 (q = 1)
+    # at disc = 0 a direction blows up iff r g > 0, the same both ways: from
+    # (1, -0.5), g = -0.75 < 0 < r = 1/4, and from (1, 0.5) g = 0.25 > 0
+    for d in (1.0, -1.0):
+        assert not blows_up(P_DISC0, 1.0, -0.5, d)
+        assert blows_up(P_DISC0, 1.0, 0.5, d)
+    # at B = 0 the root k = 0 has exponent 0: u tends to a constant, and
+    # classify settles the line of rest points u' = 0 first
     assert classify(P4, 1.0, 0.0).basis == "stationary-line"
-    assert not classify_module._blows_up(P4, -1.0, -1.0, 0.0, 1.0, 1.0)
-    assert classify_module._blows_up(P4, -1.0, -1.0, 1e-300, 1.0, 1.0)
+    assert not blows_up(P4, 1.0, -0.5, 1.0) and not blows_up(P4, 1.0, -0.5, -1.0)
 
 
 def test_w_equation_reference_points():
@@ -270,7 +272,8 @@ def test_w_equation_rule_agrees_with_gauss6():
         kind = classify(p, u0, v0).kind
         kinds.add(kind)
         for d in (1.0, -1.0):
-            traj, _ = classify_module._run(p, u0, v0, d * 200.0, IntegratorKind.GAUSS6, 1e-12)
+            opts = IntegrateOptions(h0=1e-3, t_end=d * 200.0, local_tol=1e-12)
+            traj = integrate(p, State(0.0, u0, v0), IntegratorKind.GAUSS6, opts)
             assert (traj.termination.kind == "blowup") == _blows(kind, d), (p.A, p.B, u0, v0, d, kind)
     assert kinds >= {"no_global_solution", "global_bounded", "blowup_forward", "blowup_backward"}, kinds
 
@@ -475,24 +478,27 @@ def test_verify_blowup_bound_beyond_horizon():
 
 
 def test_verify_backward_blowup_far_from_origin():
-    # the blow-up tail lies near t = -552256, where the tail times share
-    # their leading digits; an uncentred fit of 1/u put the root at +552256
+    # the blow-up lies near t = -552256, far past the horizon: the run stops
+    # at t = -50 and adds the exact remaining time from its state there.  The
+    # exact time is -552256.50672 by exact.escape_time and by 40-digit mpmath
+    # (betainc); RK4 run out to the blow-up had fitted -552256.245
     v = classify(P5, 1e-5, -3.33e-11)
     assert v.kind == "no_global_solution"
     assert v.detail["t_bound"] == pytest.approx(-6e5, rel=1e-12)
+    assert escape_time(P5, 1e-5, -3.33e-11, -1.0) == pytest.approx(-552256.50672, rel=1e-11)
     check = verify_verdict(P5, 1e-5, -3.33e-11, v, horizon=50.0)
     assert check.passed
     assert check.t_blow_forward is None  # a backward t_bound claims no forward blow-up, so none is run
-    assert check.t_blow_backward == pytest.approx(-552256.245, rel=1e-8)
+    assert check.t_blow_backward == pytest.approx(-552256.50672, rel=1e-10)
 
 
 def test_verify_runs_only_the_claimed_directions(monkeypatch):
     signs = []
     run = classify_module._run
 
-    def recording_run(p, u0, v0, t_end, *args):
+    def recording_run(p, u0, v0, t_end):
         signs.append("+" if t_end > 0.0 else "-")
-        return run(p, u0, v0, t_end, *args)
+        return run(p, u0, v0, t_end)
 
     monkeypatch.setattr(classify_module, "_run", recording_run)
     m8_far = (-0.030497883397175962, 0.0007917138562474335)  # blow-ups at 160.14 and -77.82
@@ -506,8 +512,9 @@ def test_verify_runs_only_the_claimed_directions(monkeypatch):
         (params_from_coeffs(2.0, -4.0), 1.0, 0.6, "unclassified", 10.0, ""),
         (P8, 1.0, 1.0 / 3.0, "blowup_forward", 10.0, ""),  # on the parabola v = u^2/3: the exact pole
         # no bound: |u| grows backward, where the blow-up is at -6.42, past
-        # the horizon; forward it is at 2.81
-        (P5, 1.0, -0.05, "no_global_solution", 5.0, "-+"),
+        # the horizon, which the exact remainder from the run's end state
+        # confirms, so the forward blow-up at 2.81 is not run
+        (P5, 1.0, -0.05, "no_global_solution", 5.0, "-"),
         (P8, *m8_far, "no_global_solution", 100.0, "-"),  # t_bound -98.37
     ):
         v = classify(p, u0, v0)
@@ -524,13 +531,18 @@ def test_verify_runs_only_the_claimed_directions(monkeypatch):
 def test_verify_blowups_past_the_horizon_without_t_bound():
     # none of these verdicts has a t_bound (g_kminus(0) < 0 < g_kplus(0)), and
     # the blow-up in the direction where |u| grows, which runs first, lies
-    # past the horizon of 50; the energy bound of _escape_bound takes the run
-    # out to it.  At A = 0 that bound is the exact time; the m = 9 time is
-    # Gauss6's at local_tol 1e-12
+    # past the horizon of 50; the run stops there and adds the exact
+    # remaining time.  The m = 8 times are the A = 0 energy quadrature's, the
+    # first m = 9 time is Gauss6's at local_tol 1e-12, the last two are exact
+    # (escape_time and 40-digit mpmath): m = 5, whose other blow-up is at
+    # 93.713 and which failed before, and the m = 9 point that failed a
+    # verify_grid_rk4 operation at seed 100
     for m, u0, v0, d, t_blow in (
         (8.0, 0.03, -4.5e-05, -1.0, -124.2651522584542),
         (8.0, 0.03, 1.8e-05, 1.0, 128.2157228601776),
         (9.0, 0.03, -4.5e-05, -1.0, -119.6083369239576),
+        (5.0, 0.03, -4.5e-05, -1.0, -214.163296954990),
+        (9.0, 0.0598, 0.000456, 1.0, 65.63468388496041),
     ):
         p = params_from_dimension(m)
         v = classify(p, u0, v0)
@@ -541,26 +553,42 @@ def test_verify_blowups_past_the_horizon_without_t_bound():
         assert (check.t_blow_forward, check.t_blow_backward)[d > 0] is None
 
 
-def test_escape_bound_is_an_upper_bound_and_exact_at_A0():
-    rng = np.random.default_rng(17)
-    seen = {"exact": 0, "strict": 0, "none": 0}
-    for p in (P5, P8, P9, params_from_coeffs(-1.0, 0.5), params_from_coeffs(0.0, 2.0)):
-        for u0, v0 in rng.uniform(-2.0, 2.0, size=(8, 2)).tolist():
-            for d in (1.0, -1.0):
-                bound = classify_module._escape_bound(p, u0, v0, d)
-                if bound is None:
-                    seen["none"] += 1
-                    continue
-                _, t = classify_module._run(p, u0, v0, bound * (1.0 + 1e-6), IntegratorKind.GAUSS6, 1e-12)
-                assert t is not None and 0.0 < d * t <= d * bound * (1.0 + 1e-11), (p, u0, v0, d)
-                if p.A == 0.0:
-                    assert t == pytest.approx(bound, rel=1e-11)
-                    seen["exact"] += 1
-                else:
-                    seen["strict"] += 1
-    assert min(seen.values()) > 0, seen
-    assert classify_module._escape_bound(P3, 0.0, 0.7, 1.0) is None  # B < 0
-    assert classify_module._escape_bound(P5, 1e200, 1.0, 1.0) is None  # u0^4 overflows
+def test_verify_global_decay_at_m_3_5():
+    # u decays like 6/t, so u(50) is about 0.11: global_bounded verdicts are
+    # checked by the exact end state, not by a decay threshold
+    p = params_from_dimension(3.5)
+    for u0, v0 in ((1.0, -0.5), (-1.0, -0.5), (-2.0, -3.0)):
+        v = classify(p, u0, v0)
+        assert v.kind == "global_bounded"
+        check = verify_verdict(p, u0, v0, v, horizon=50.0)
+        assert check.passed, (u0, v0, check)
+        assert check.max_abs_u > 0.05
+
+
+def test_verify_disc0_grid():
+    # disc = 0, where u decays like 1/(|k| t) up to logarithms: every verdict
+    # of the 9 x 9 grid verifies, the 48 global_bounded rows among them
+    grid = np.linspace(-2.0, 2.0, 9).tolist()
+    kinds = []
+    for u0 in grid:
+        for v0 in grid:
+            v = classify(P_DISC0, u0, v0)
+            kinds.append(v.kind)
+            assert verify_verdict(P_DISC0, u0, v0, v, horizon=50.0).passed, (u0, v0, v)
+    assert kinds.count("global_bounded") == 48
+
+
+def test_verify_huge_t_bound_without_running_to_it():
+    # at B = 1e-300, k_plus = 1e-300 gives the bound -1e300; the run stops at
+    # the horizon and the exact time is checked against the bound
+    p = params_from_coeffs(1.0, 1e-300)
+    v = classify(p, 1.0, -0.2)
+    assert v.detail["t_bound"] == pytest.approx(-1e300, rel=1e-12)
+    start = time.perf_counter()
+    check = verify_verdict(p, 1.0, -0.2, v, horizon=50.0)
+    assert time.perf_counter() - start < 1.0
+    assert check.passed, check
+    assert -1e300 <= check.t_blow_backward < -1e299
 
 
 def test_verdict_census_is_pinned():

@@ -15,6 +15,12 @@ import blowuplab, blowuplab.cli
 loaded = {name: name in sys.modules for name in ("scipy", "multiprocessing", "concurrent.futures.process")}
 blowuplab.quadrature_blowup_time(1.0, 1.0, 0.3)
 loaded["scipy after quadrature_blowup_time"] = "scipy" in sys.modules
+from blowuplab.exact import escape_time, state_at
+p5 = blowuplab.params_from_dimension(5.0)
+escape_time(p5, 0.03, -4.5e-5, -1.0)
+state_at(blowuplab.params_from_dimension(3.5), -1.0, -0.5, 50.0)
+state_at(blowuplab.params_from_coeffs(1.0, -0.125), 1.0, -0.5, 50.0)
+loaded["scipy or mpmath after the exact module"] = "scipy" in sys.modules or "mpmath" in sys.modules
 p = blowuplab.params_from_dimension(4.0)
 opts = blowuplab.IntegrateOptions(t_end=1.0)
 traj = blowuplab.integrate(p, blowuplab.State(0.0, 0.0, -1.0), blowuplab.IntegratorKind.RK4, opts)
@@ -43,6 +49,7 @@ def test_runtime_never_loads_scipy():
         "multiprocessing": False,
         "concurrent.futures.process": False,
         "scipy after quadrature_blowup_time": False,
+        "scipy or mpmath after the exact module": False,
         "scipy after reconstruct_f": False,
         "scipy after sl": False,
         "cli elliptic exit codes": [0, 0],

@@ -27,7 +27,7 @@ from blowuplab.errors import FitFailure, NonFiniteError, StageSolveFailure
 from blowuplab.integrate import (
     _A11, _A12, _A13, _A21, _A22, _A23, _A31, _A32, _A33, _B1, _B2, _C1, _C3, _HALF_SEEDS,
     _Q11, _Q12, _Q13, _Q21, _Q22, _Q23, _Q31, _Q32, _Q33,
-    _GAUSS6_MAX_SWEEPS, _STAGE_KAPPA, _STAGE_RTOL, _STEPPERS, _blowup_time, _gauss6_increment, _gauss6_seed,
+    _GAUSS6_MAX_SWEEPS, _STAGE_KAPPA, _STAGE_RTOL, _STEPPERS, _gauss6_increment, _gauss6_seed,
     _gauss6_solve, _rk4_increment,
 )
 
@@ -622,22 +622,23 @@ def test_estimate_requires_blowup_termination():
         estimate_blowup_time(traj)
 
 
-def test_short_blowup_tail_has_no_estimate():
-    # the run stops at |u| > 500, so fewer than 4 states reach |u| >= 1e3
+def test_short_blowup_tail_has_the_exact_estimate():
+    # the run stops at |u| > 500 (no state reaches 1e3); the estimate is its
+    # last time plus the exact remaining time, here within 7.2e-10 of the
+    # quadrature time of the conserved energy (A = 0)
     p = params_from_dimension(8.0)
     opts = IntegrateOptions(t_end=10.0, blowup_threshold=500.0)
     traj = integrate(p, State(0.0, 1.0, 1.0), IntegratorKind.RK4, opts)
     assert traj.termination.kind == "blowup"
+    t_ref = quadrature_blowup_time(p.B / 2.0, 1.0 - 0.5 * p.B, 1.0)
+    assert estimate_blowup_time(traj) == pytest.approx(t_ref, rel=5e-9)
+    # disc < 0 never blows up: a run stopped by a low threshold has no estimate
+    q = params_from_coeffs(0.0, -2.0)
+    traj = integrate(q, State(0.0, 0.0, 1.0), IntegratorKind.RK4, IntegrateOptions(t_end=10.0, blowup_threshold=0.5))
+    assert traj.termination.kind == "blowup"
     assert traj.termination.t_estimate is None
     with pytest.raises(FitFailure):
         estimate_blowup_time(traj)
-
-
-def test_blowup_fit_needs_a_time_span():
-    # near |t| = 7.6e12 steps of 1e-8 leave t unchanged, so the tail has no slope
-    u = np.geomspace(1e3, 1e8, 20)
-    assert _blowup_time(np.full(20, 7.6e12), u) is None
-    assert _blowup_time(np.linspace(1.0, 2.0, 20), u) is not None
 
 
 def test_estimate_is_the_drivers_fit():
@@ -707,7 +708,14 @@ PINNED_TRAJECTORIES = [
 ]
 
 
-@pytest.mark.parametrize("m, kind, ic, t_end, every, term, digest", PINNED_TRAJECTORIES)
+def _pin_id(row) -> str:
+    """A pinned run's test id, (m, method, start): it stays when the digest is re-pinned."""
+    m, kind, (u0, v0) = row[:3]
+    return f"m{m:g}-{kind.value}-({u0:g},{v0:g})"
+
+
+@pytest.mark.parametrize("m, kind, ic, t_end, every, term, digest", PINNED_TRAJECTORIES,
+                         ids=[_pin_id(r) for r in PINNED_TRAJECTORIES])
 def test_trajectory_bits_are_pinned(m, kind, ic, t_end, every, term, digest):
     opts = IntegrateOptions(t_end=t_end, record_every=every)
     traj = integrate(params_from_dimension(m), State(0.0, *ic), kind, opts)
@@ -720,7 +728,7 @@ def test_trajectory_bits_are_pinned(m, kind, ic, t_end, every, term, digest):
 
 # Whole-run pins, for the paths the pins above miss: the digest covers
 # t, u, v and t_residual, then the line "kind direction t_last n_steps"
-# (the fitted t_estimate, a LAPACK least-squares root, is left out).
+# (t_estimate, the exact remaining time through libm, is left out).
 PINNED_RUNS = [
     # (m, method, (u0, v0), options, termination, sha256)
     # escape to |u| = 1e8, where a stage solve takes at most 3 passes (9.3 on
@@ -740,7 +748,7 @@ PINNED_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("m, kind, ic, options, term, digest", PINNED_RUNS)
+@pytest.mark.parametrize("m, kind, ic, options, term, digest", PINNED_RUNS, ids=[_pin_id(r) for r in PINNED_RUNS])
 def test_whole_runs_are_pinned(m, kind, ic, options, term, digest):
     traj = integrate(params_from_dimension(m), State(0.0, *ic), kind, IntegrateOptions(**options))
     assert traj.termination.kind == term
