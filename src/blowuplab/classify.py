@@ -18,7 +18,7 @@ import numpy as np
 
 from .closed_forms import Riccati, riccati_poles
 from .errors import DomainError, Inconclusive
-from .exact import blows_up, escape_time, state_at
+from .exact import blows_up, escape_time, parabola_pole, state_at
 from .integrate import IntegrateOptions, IntegratorKind, integrate, step_gauss6
 from .diagnostics import g_k
 from .model import OdeParams, State, rhs
@@ -109,55 +109,35 @@ class VerdictCheck:
 # 30 times the worst RK4 error (local_tol 1e-10) measured on the verify
 # census, the verify_grid_rk4 mix and seeded sets at horizon 50: 3.6e-8 in
 # a blow-up time relative, 2.8e-9 in an end state per component relative to
-# max(1, |exact|).  _T_ACCURACY is exact.py's stated accuracy on T.
+# max(1, |exact|).  _T_ACCURACY bounds exact.py's error in T, measured at
+# 1.3e-14 or less for every exponent (tests/test_exact.py).
 _RUN_STOP, _T_GATE, _STATE_GATE, _T_ACCURACY = 1e3, 1e-6, 1e-7, 1e-12
 
 
 def _run(p: OdeParams, u0: float, v0: float, t_end: float):
-    """The RK4 run from (u0, v0) at t = 0 to t_end or |u| = 1e3, and its last time plus the exact remaining time, or None."""
+    """The RK4 run from (u0, v0) at t = 0 to t_end or |u| = 1e3, and its ``t_estimate`` (last time plus exact remaining time)."""
     opts = IntegrateOptions(h0=1e-3, t_end=t_end, local_tol=1e-10, blowup_threshold=_RUN_STOP)
     traj = integrate(p, State(0.0, u0, v0), IntegratorKind.RK4, opts)
-    end = traj.termination
-    if end.kind in ("step_underflow", "max_steps"):
-        raise Inconclusive(f"integration ended with {end.kind}")
-    if end.kind == "blowup":
-        return traj, end.t_estimate
-    rest = escape_time(p, float(traj.u[-1]), float(traj.v[-1]), math.copysign(1.0, t_end))
-    return traj, None if rest is None else float(traj.t[-1]) + rest
-
-
-def _parabola_pole(p: OdeParams, u0: float, v0: float) -> float | None:
-    """The pole -1/(kappa u0) when (u0, v0) lies on an invariant parabola, else None.
-
-    A root kappa with kappa u0^2 != 0 and v0 + kappa u0^2 == 0 in floats makes
-    g_kappa vanish for all time, so u' = -kappa u^2 and u = u0 / (1 + kappa u0 t)
-    exactly; a pole lost to overflow gives None.
-    """
-    for kappa in (p.k_minus, p.k_plus) if p.disc >= 0.0 else ():
-        if kappa * u0 * u0 != 0.0 and v0 + kappa * u0 * u0 == 0.0:
-            pole = -1.0 / (kappa * u0)
-            return pole if math.isfinite(pole) else None
-    return None
+    if traj.termination.kind in ("step_underflow", "max_steps"):
+        raise Inconclusive(f"integration ended with {traj.termination.kind}")
+    return traj, traj.termination.t_estimate
 
 
 def _judge(p: OdeParams, u0: float, v0: float, d: float, traj, t_blow, blowup: bool, bound) -> str:
     """Why direction d's run fails the claim against the exact answer, or "" where it holds.
 
-    A claimed blow-up needs an exact time T (``exact.escape_time``), the
-    run's blow-up time within _T_GATE of T relative and 0 < d T <= d bound
-    within _T_ACCURACY, so a T far past the horizon is checked from the
-    run's end; a claimed global direction needs the exact rule to agree
-    and the end state within _STATE_GATE of ``exact.state_at``.
+    A claimed blow-up needs escape_time's T, the run's blow-up time within
+    _T_GATE of T relative and 0 < d T <= d bound within _T_ACCURACY; a
+    claimed global direction needs the exact rule to agree and the end
+    state within _STATE_GATE of ``state_at``'s.
     """
     T = escape_time(p, u0, v0, d)
+    if (T is not None) != blowup:
+        return "exact rule: " + ("blows up" if T is not None else "global")
     if not blowup:
-        if T is not None:
-            return "exact rule: blows up"
         u, v = state_at(p, u0, v0, float(traj.t[-1]))
         err = max(abs(float(traj.u[-1]) - u) / max(1.0, abs(u)), abs(float(traj.v[-1]) - v) / max(1.0, abs(v)))
         return "" if err <= _STATE_GATE else f"end state error {err:.2e}"
-    if T is None:
-        return "exact rule: global"
     if t_blow is None or not abs(t_blow - T) <= _T_GATE * abs(T):
         return f"blow-up time {t_blow!r} against exact {T!r}"
     if bound is not None and not 0.0 < d * T <= d * bound * (1.0 + _T_ACCURACY):
@@ -168,8 +148,8 @@ def _judge(p: OdeParams, u0: float, v0: float, d: float, traj, t_blow, blowup: b
 def verify_verdict(p: OdeParams, u0: float, v0: float, verdict: Verdict, horizon: float) -> VerdictCheck:
     """Run in RK4 the time directions the verdict's claim concerns, and hold each to the exact answer.
 
-    A start on an invariant parabola (``_parabola_pole``) runs nothing and
-    must claim the blow-up at its pole, as ``t_bound``.  ``trivial`` and
+    A start on an invariant parabola (``exact.parabola_pole``) runs nothing
+    and must claim the blow-up at its pole, as ``t_bound``.  ``trivial`` and
     ``stationary`` (checked by their drift) and ``global_bounded`` run both
     directions; a blow-up claim the direction of its ``t_bound``'s sign or
     of its kind; ``no_global_solution`` without a bound first the direction
@@ -182,10 +162,9 @@ def verify_verdict(p: OdeParams, u0: float, v0: float, verdict: Verdict, horizon
     if not 0.0 < horizon < math.inf:  # false for NaN too
         raise DomainError("horizon must be positive and finite")
     kind = verdict.kind
-    detail = verdict.detail or {}
     blowup_claim = kind in (BLOWUP_FORWARD, BLOWUP_BACKWARD, NO_GLOBAL)
-    t_bound = detail.get("t_bound") if blowup_claim else None
-    pole = _parabola_pole(p, u0, v0) if kind != UNCLASSIFIED else None
+    t_bound = (verdict.detail or {}).get("t_bound") if blowup_claim else None
+    pole = parabola_pole(p, u0, v0) if kind != UNCLASSIFIED else None
     if pole is not None:
         exact = kind == (BLOWUP_FORWARD if pole > 0.0 else BLOWUP_BACKWARD) and t_bound == pole
         return VerdictCheck(exact, "invariant-parabola pole", *((pole, None) if pole > 0.0 else (None, pole)))
@@ -208,21 +187,18 @@ def verify_verdict(p: OdeParams, u0: float, v0: float, verdict: Verdict, horizon
             failed[d] = _judge(p, u0, v0, d, runs[d], t_blow[d], blowup_claim, t_bound if d == claimed else None)
             if blowup_claim and not failed[d]:
                 break  # one blow-up settles a no_global_solution claim
-    max_u = max(float(abs(r.u).max()) for r in runs.values())
-
-    def check(ok: bool, reason: str) -> VerdictCheck:
-        return VerdictCheck(ok, reason, t_blow[1.0], t_blow[-1.0], max_u)
-
     failures = "; ".join(f"{'forward' if d > 0 else 'backward'}: {r}" for d, r in failed.items() if r)
     if kind in (TRIVIAL, STATIONARY):
-        completed = all(r.termination.kind == "completed" for r in runs.values())
         drift = max(float(abs(r.u - u0).max()) for r in runs.values())
-        return check(completed and drift <= 1e-8, "stationary drift")
-    if kind == GLOBAL_BOUNDED:
-        return check(not failures, failures or "exact end states both directions")
-    ok = "" in failed.values() and "exact rule: global" not in failed.values()
-    what = "blow-up in some direction" if claimed is None else ("forward" if claimed > 0 else "backward") + " blow-up"
-    return check(ok, what if ok else failures)
+        ok = all(r.termination.kind == "completed" for r in runs.values()) and drift <= 1e-8
+        reason = "stationary drift"
+    elif kind == GLOBAL_BOUNDED:
+        ok, reason = not failures, failures or "exact end states both directions"
+    else:
+        ok = "" in failed.values() and "exact rule: global" not in failed.values()
+        what = "blow-up in some direction" if claimed is None else ("forward" if claimed > 0 else "backward") + " blow-up"
+        reason = what if ok else failures
+    return VerdictCheck(ok, reason, t_blow[1.0], t_blow[-1.0], max(float(abs(r.u).max()) for r in runs.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,18 @@ Each leg of p takes (K/(2 sqrt D)) int t^(a-1) (1-t)^(b-1) dt, an
 incomplete beta integral (DLMF 8.17): between the roots x = (p - r1)/D
 with (a, b) = (a1, a2), above r2 x = (p - r2)/(p - r1) with (a2, 1/2),
 below r1 x = (r1 - p)/(r2 - p) with (a1, 1/2); every x and 1 - x is
-formed from the g_k, never from a rounded p - r.  At disc = 0, with
-y = r/(2(p - r)), |z| = |g|^-1/2 e^y |p - r|^1/2 e^-y and the legs are
-erf, erfc and Dawson integrals in y (DLMF 7).  Where one exponent exceeds
-_ALPHA_MAX (disc -> 0+, where a = +-k/sqrt(disc) grows without bound and
-the beta series cancel), the double-root form takes over with r the mean
-root, for the kind and the times alike.
+formed from the g_k, never from a rounded p - r.  Where an exponent
+exceeds _ALPHA_MAX (disc -> 0+, where a = +-k/sqrt(disc) grows without
+bound and the beta series cancel) and at disc = 0, the legs are instead
+integrals in w = ln((p - r1)/(p - r2))/D (1/(p - r) at disc = 0), whose
+integrand is smooth and tends to the double root's as disc -> 0+, taken
+by adaptive Gauss-Legendre quadrature (``_NearDouble``).  Either way the
+kind is read from signs alone, and the times agree with 40-digit mpmath
+within 1e-13 relative at every exponent tested: worst 1.3e-14 for the
+beta series, 3e-15 for the quadrature (tests/test_exact.py).  Near
+disc = 0 the time is ill-conditioned in its inputs: the large exponents
+amplify the rounding of the float roots and the g_k (2.3e-11 seen at an
+exponent of 7e4 against mpmath's exact roots).
 
 disc < 0 (periodic orbits) and A = B = 0 (u'' = 0, no root to end at) raise
 DomainError.  A run can stop early and add the exact remainder from its
@@ -34,22 +40,21 @@ Stdlib only.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from functools import cached_property
 
 from .errors import DomainError
 from .model import OdeParams
 
-__all__ = ["blows_up", "escape_time", "state_at"]
+__all__ = ["blows_up", "escape_time", "state_at", "parabola_pole"]
 
-# the largest |exponent| handled by the beta series; above it the
-# double-root (erf) form with the mean root takes over.  The series' error
-# in T grows with |a| (2.4e-5 at 64), the erf form's falls like disc (1.0e-3
-# at 64); tests/test_exact.py holds the measurements
-_ALPHA_MAX = 64.0
+# the largest |exponent| handled by the beta series; above it (and at
+# disc = 0) _NearDouble's quadrature takes over
+_ALPHA_MAX = 12.0
 _TINY = 2.0**-56  # a series stops once its term is below this share of the sum
-_MAX_TERMS = 2000  # a bound on a series' terms: about 60 plus 2 |a| are needed below the handover
-_SQRT_PI = math.sqrt(math.pi)
+_MAX_TERMS = 2000  # a bound on a series' terms: about 60 plus 2 |a| are needed up to _ALPHA_MAX
+_LN2 = math.log(2.0)
 
 
 def _frame(p: OdeParams, u: float, v: float, d: float) -> tuple[float, float, float]:
@@ -63,22 +68,13 @@ def _frame(p: OdeParams, u: float, v: float, d: float) -> tuple[float, float, fl
     return -p.k_plus, -p.k_minus, -v  # A -> -A negates and swaps the roots
 
 
-def _double(km: float, kp: float) -> bool:
-    """Whether the double-root form applies: equal roots, or an exponent k/(2D), D = k_plus - k_minus, past _ALPHA_MAX.
-
-    The roots decide, not disc: at B = 0, A^2 can underflow to disc = 0
-    while the roots -A/2 and 0 stay apart.
-    """
-    return max(abs(km), abs(kp)) >= 2.0 * _ALPHA_MAX * (kp - km)
-
-
 def blows_up(p: OdeParams, u0: float, v0: float, d: float) -> bool:
     """Whether the solution from (u0, u'0) blows up in time direction d (+1 or -1).
 
     The end-root rule: direction d blows up iff its end root has a positive
     exponent, which is the sign of k_plus at the end root r1 and of
     -k_minus at r2; on an invariant parabola u = u0/(1 + kappa u0 t), iff
-    d kappa u0 < 0; at disc = 0 (and past the handover), iff r g > 0.
+    d kappa u0 < 0; at disc = 0, iff r g > 0.
     Evaluates no special function.
     """
     return not (u0 == 0.0 and v0 == 0.0) and _legs(p, u0, v0, d).blows
@@ -107,6 +103,20 @@ def state_at(p: OdeParams, u0: float, v0: float, t: float) -> tuple[float, float
         raise DomainError(f"t = {t} lies at or past the blow-up time {d * legs.escape()}")
     u, v = legs.state(abs(t))
     return u, d * v
+
+
+def parabola_pole(p: OdeParams, u0: float, v0: float) -> float | None:
+    """The pole -1/(kappa u0) where (u0, u'0) lies on an invariant parabola, else None.
+
+    On g_kappa = u' + kappa u^2 = 0 as evaluated (``_on_parabola``),
+    u = u0/(1 + kappa u0 t) exactly; a rest point (kappa u0^2 = 0) and a
+    pole lost to overflow give None.
+    """
+    kappa = _on_parabola(p.k_minus, p.k_plus, u0, v0) if p.disc >= 0.0 else None
+    if kappa is None or kappa * u0 * u0 == 0.0:
+        return None
+    pole = -1.0 / (kappa * u0)
+    return pole if math.isfinite(pole) else None
 
 
 # ---------------------------------------------------------------------------
@@ -160,44 +170,6 @@ def _beta(a: float, b: float, x0: float, x0c: float, x1: float, x1c: float) -> f
     return total
 
 
-def _erfcx(y: float) -> float:
-    """e^y erfc(sqrt y) for y >= 0."""
-    if y < 700.0:
-        return math.exp(y) * math.erfc(math.sqrt(y))
-    # DLMF 7.12.1: (1/sqrt(pi y)) sum (-1)^n (1/2)_n / y^n, terms below 1e-17 after n = 6
-    term, total = 1.0, 1.0
-    for n in range(1, 8):
-        term *= -(n - 0.5) / y
-        total += term
-    return total / math.sqrt(math.pi * y)
-
-
-def _log_dawson_integral(s: float) -> float:
-    """ln E(sqrt s), E(x) = int_0^x e^(w^2) dw, for s > 0.
-
-    E(x) = sum x^(2n+1)/(n! (2n+1)) (positive terms) for s <= 40; past it
-    E(x) = e^(x^2) F(x) with Dawson's F(x) = (1/(2x)) sum (2n-1)!!/(2x^2)^n
-    (its asymptotic series, DLMF 7.12), cut at its smallest term, below e^-40.
-    """
-    x = math.sqrt(s)
-    if s <= 40.0:
-        term, total, n = x, x, 0
-        while term > _TINY * total:
-            n += 1
-            term *= s / n
-            total += term / (2 * n + 1)
-        return math.log(total)
-    term, total, n = 1.0, 1.0, 0
-    while True:
-        n += 1
-        nxt = term * (2 * n - 1) / (2.0 * s)
-        if nxt >= term or nxt <= _TINY * total:
-            break
-        term = nxt
-        total += term
-    return s + math.log(total / (2.0 * x))
-
-
 # ---------------------------------------------------------------------------
 # the legs of one direction, in its forward frame
 #
@@ -211,12 +183,20 @@ def _log_dawson_integral(s: float) -> float:
 def _legs(p: OdeParams, u: float, v: float, d: float):
     """The legs of direction d from (u, v), (u, v) not both 0."""
     km, kp, v = _frame(p, u, v, d)
+    kappa = _on_parabola(km, kp, u, v)
+    if kappa is not None:
+        return _Parabola(kappa, u)
+    if km == kp or max(abs(km), abs(kp)) > 2.0 * _ALPHA_MAX * (kp - km):
+        return _NearDouble(km, kp, u, v)
+    return _TwoRoots(km, kp, u, v)
+
+
+def _on_parabola(km: float, kp: float, u: float, v: float) -> float | None:
+    """The first root kappa of (km, kp) with u != 0 and v + kappa u^2 == 0 in floats, else None."""
     for kappa in (km, kp):
         if u != 0.0 and v + kappa * u * u == 0.0:
-            return _Parabola(kappa, u)
-    if _double(km, kp):
-        return _DoubleRoot(0.5 * (km + kp), u, v)
-    return _TwoRoots(km, kp, u, v)
+            return kappa
+    return None
 
 
 class _Parabola:
@@ -319,76 +299,219 @@ class _TwoRoots:
         return u, u * u * p
 
 
-class _DoubleRoot:
-    """disc = 0 (and past the handover, with the mean root): erf and Dawson legs in y = r/(2(p - r))."""
+class _NearDouble:
+    """disc = 0, or an exponent past _ALPHA_MAX: the legs in w by Gauss-Legendre quadrature.
 
-    def __init__(self, k: float, u: float, v: float):
-        r, g = -k, v + k * u * u
-        self.r, self.g = r, g
-        self.blows = r * g > 0.0
-        if r == 0.0:
+    With c = (r1 + r2)/2 and delta = D/2, w = ln((p - r1)/(p - r2))/D
+    (1/(p - r) at D = 0) moves as dw/dt = 2u, and
+
+        |z| = |z0| e^(-c (w - w0)/2) sqrt(R(w0)/R(w)),    dt = |z| |dw|/2,
+
+    with R = sinh(delta |w|)/delta (|w| at D = 0) outside [r1, r2] and
+    R = cosh(delta w) between.  As disc -> 0+ the integrand tends to the
+    double root's, so no series cancels however large the exponents grow.
+    Outside, |w| = s^2 falls to 0 (p = +-inf, u = 0) on the crossing leg
+    and then rises on the same side, and the time is int F ds with
+    F = |z| s = e^(ln P0 - sigma c (s^2 - s0^2)/2) (delta s^2/sinh(delta s^2))^1/2,
+    smooth through s = 0 and taken in e = s - s0; between, w runs from w0
+    by omega >= 0 towards the end root.  Every time is an integral from the
+    start (``_integral``).
+    """
+
+    def __init__(self, km: float, kp: float, u: float, v: float):
+        if km == kp == 0.0:
             raise DomainError("A = B = 0 has no root to end at")
-        self.y0 = abs(r * u * u / (2.0 * g))  # |y| at the start; y has the sign of r g throughout
-        self.c = 1.0 / math.sqrt(2.0 * abs(r * g))  # |g|^-1/2 / sqrt(2|r|), before the e^y0 factor
-        self.crosses = u * g < 0.0  # u = 0 starts at y = 0, where a crossing takes no time
-        self.sign = 1.0 if g > 0.0 else -1.0  # u's sign on the final leg: p > r iff g > 0
+        D = kp - km
+        g1, g2, Du2 = v + kp * u * u, v + km * u * u, D * u * u
+        self.D, self.delta, self.lam = D, 0.5 * D, -0.25 * (km + kp)  # lam = c/2
+        self.r1, self.r2 = -kp, -km
+        self.between = g1 > 0.0 > g2
+        if self.between:  # w runs from w0 with the sign of u
+            self.w0, self.tau = (math.log(g1) - math.log(-g2)) / D, 1.0 if u > 0.0 else -1.0
+            self.log_z0 = -math.log(abs(u))
+            self.blows = km < 0.0 if u > 0.0 else kp > 0.0
+            self.crosses = False
+            return
+        self.sigma = 1.0 if g2 > 0.0 else -1.0  # above r2 (w > 0) or below r1
+        y = Du2 / g2  # 1 + y = g1/g2 = (p - r1)/(p - r2)
+        if y == 0.0:
+            q0 = 1.0 / abs(g2)
+        else:
+            q0 = abs(math.log1p(y) / (y * g2) if abs(y) <= 0.5 else (math.log(abs(g1)) - math.log(abs(g2))) / Du2)
+        self.s0 = math.sqrt(q0) * abs(u)  # |w0| = q0 u^2 and s0 = sqrt|w0|, both 0 at u = 0
+        self.log_p0 = 0.5 * math.log(q0) + 0.5 * _log_shc(self.delta * self.s0 * self.s0)  # ln(|z0| sqrt R(w0))
+        self.crosses = self.sigma * u < 0.0
+        self.blows = km < 0.0 if self.sigma > 0.0 else kp > 0.0
+
+    def _log_f(self, e: float) -> float:
+        """ln F at s = s0 + e outside; e, not s, carries the precision near the start."""
+        s = self.s0 + e
+        return self.log_p0 - self.sigma * self.lam * e * (e + 2.0 * self.s0) - 0.5 * _log_shc(self.delta * s * s)
+
+    def _log_g(self, omega: float) -> float:
+        """ln(|z|/2) between, omega past w0 towards the end root."""
+        w = self.w0 + self.tau * omega
+        return (self.log_z0 - _LN2 - self.tau * self.lam * omega
+                + 0.5 * (_log_cosh(self.delta * self.w0) - _log_cosh(self.delta * w)))
+
+    def _f(self, e: float) -> float:
+        return math.exp(self._log_f(e))
+
+    def _g(self, omega: float) -> float:
+        return math.exp(self._log_g(omega))
+
+    def _span(self, a: float, b: float) -> float:
+        """int_a^b of F in e (outside) or of |z|/2 in omega (between), cut where the integrand is below e^-50 of its peak.
+
+        Its exponent is monotone, falling along the leg at rate at least
+        mu = sigma lam in s^2 (tau lam in omega, less delta/2) where it
+        blows up and rising at least as fast where it is global, so the
+        peak is at one end and the cut follows from mu; the quadrature
+        then spans about 50 e-folds however far the ends lie apart.
+        """
+        mu = self.tau * self.lam if self.between else self.sigma * self.lam
+        rate = abs(mu) - 0.5 * self.delta
+        if self.between:
+            a, b = (a, min(b, a + 50.0 / rate)) if mu > 0.0 else (max(a, b - 50.0 / rate), b)
+        elif mu > 0.0:
+            s = self.s0 + a
+            b = min(b, math.sqrt(s * s + 50.0 / mu) - self.s0)
+        else:
+            s = self.s0 + b
+            a = max(a, math.sqrt(max(0.0, s * s - 50.0 / rate)) - self.s0)
+        return _integral(self._g if self.between else self._f, a, b) if a < b else 0.0
 
     @cached_property
     def cross(self) -> float:
-        """The time to the crossing, where |y| falls from y0 to 0."""
-        if not self.crosses:
-            return 0.0
-        if self.blows:
-            return self.c * _SQRT_PI * math.exp(self.y0) * math.erf(math.sqrt(self.y0))
-        return 2.0 * self.c * math.exp(_log_dawson_integral(self.y0) - self.y0)
+        return self._span(-self.s0, 0.0) if self.crosses else 0.0
 
-    def _time(self, w: float, crossed: bool) -> float:
-        """The time from the start to |y| = w, on the final leg if crossed, else on the crossing leg.
-
-        Blowing up, it is c e^y0 int |y|^-1/2 e^-y dy over y > 0 (erf, erfc);
-        global, c e^-s0 int s^-1/2 e^s ds with s = -y, 2 c e^-s0 (E(sqrt s)
-        - E(sqrt s0)) in Dawson's integral E.
-        """
-        y0, c = self.y0, self.c
-        if self.blows:
-            if not crossed:
-                return c * _SQRT_PI * math.exp(y0) * (math.erf(math.sqrt(y0)) - math.erf(math.sqrt(w)))
-            if self.crosses:
-                return self.cross + c * _SQRT_PI * math.exp(y0) * math.erf(math.sqrt(w))
-            return c * _SQRT_PI * (_erfcx(y0) - math.exp(y0 - w) * _erfcx(w))
-        ew = 2.0 * c * math.exp(_log_dawson_integral(w) - y0) if w > 0.0 else 0.0
-        if not crossed:
-            return self.cross - ew
-        if self.crosses:
-            return self.cross + ew
-        return ew - (2.0 * c * math.exp(_log_dawson_integral(y0) - y0) if y0 > 0.0 else 0.0)
+    def _time(self, x: float) -> float:
+        """The time from the start to e = x on the final leg (outside) or to omega = x (between)."""
+        if self.between:
+            return self._span(0.0, x)
+        return self.cross + self._span(-self.s0 if self.crosses else 0.0, x)
 
     def escape(self) -> float:
-        return self._time(math.inf, True)
+        return self._time(math.inf)
 
     def state(self, t: float) -> tuple[float, float]:
-        y0, c, blows = self.y0, self.c, self.blows
+        if self.between:
+            return self._state_between(self._rise(t))
+        if not self.crosses:
+            return self._state_outside(self._rise(t), self.sigma)
+        if t < self.cross:
+            return self._state_outside(self._fall(t), -self.sigma)
+        # past the crossing s rises through the values it fell through: at
+        # s <= s0 the time is 2 cross - (the time from s to s0)
+        back = 2.0 * self.cross - t
+        e = self._fall(back) if back > 0.0 else (self._rise(-back) if back < 0.0 else 0.0)
+        return self._state_outside(e, self.sigma)
 
-        def rate(w: float) -> float:  # |d time / d ln |y||
-            return c * math.exp(y0 - w if blows else w - y0) * math.sqrt(w)
+    def _rise(self, t: float) -> float:
+        """The e > 0 (omega > 0 between) whose span from 0 takes time t: Newton in -ln e."""
+        g = self._g if self.between else self._f
+        return math.exp(-_newton(lambda L: (self._span(0.0, math.exp(-L)), -g(math.exp(-L)) * math.exp(-L)), math.inf, t))
 
-        if self.crosses and t < self.cross:  # |y| falls from y0 to 0: Newton in ln |y|
-            L = _newton(lambda L: (self._time(math.exp(L), False), -rate(math.exp(L))), math.log(y0), t)
-            return self._state(math.exp(L), -self.sign)
-        # on the final leg |y| rises from y0 (or 0) to infinity: Newton in -ln |y|
-        hi = -math.log(y0) if y0 > 0.0 and not self.crosses else math.inf
-        L = _newton(lambda L: (self._time(math.exp(-L), True), -rate(math.exp(-L))), hi, t)
-        return self._state(math.exp(-L), self.sign)
+    def _fall(self, t: float) -> float:
+        """The e in [-s0, 0] whose span to 0 takes time t: Newton in L = kappa ln(s/s0).
 
-    def _state(self, w: float, sign: float) -> tuple[float, float]:
-        """(u, u') where |y| = w and u has the given sign."""
-        r, g = self.r, self.g
-        if w == 0.0:
-            return 0.0, self.sign * abs(g)  # u = 0: u' = g
-        y = math.copysign(w, r * g)
-        # 1/|u| = |g0|^-1/2 e^y0 |p - r|^1/2 e^-y with p - r = r/(2y), y0 signed as y
-        u = sign * math.exp(0.5 * math.log(abs(g)) - math.copysign(self.y0, y) + y - 0.5 * math.log(abs(r / (2.0 * y))))
-        return u, u * u * (r + r / (2.0 * y))
+        kappa = max(1, 2 |lam| s0^2) makes a unit of L about an e-fold of F
+        near s0, so Newton's tolerance in L holds the time there to rounding.
+        """
+        s0, kappa = self.s0, max(1.0, 2.0 * abs(self.lam) * self.s0 * self.s0)
+
+        def f(L: float) -> tuple[float, float]:
+            e = s0 * math.expm1(L / kappa)
+            return self._span(e, 0.0), -self._f(e) * (s0 + e) / kappa
+
+        return s0 * math.expm1(_newton(f, 0.0, t) / kappa)
+
+    def _state_outside(self, e: float, sign: float) -> tuple[float, float]:
+        """(u, u') at s = s0 + e, where u has the given sign: |u| = s/F and u' = u^2 r + sigma/(F^2 E(D s^2)), E(x) = expm1(x)/x.
+
+        (p - r)/u^2 is formed from s, never from p: p - r2 = 1/(w E(D w)) above r2 and p - r1 = 1/(w E(-D w)) below r1.
+        """
+        s, log_f = self.s0 + e, self._log_f(e)
+        r = self.r2 if self.sigma > 0.0 else self.r1
+        u = sign * math.exp(math.log(s) - log_f) if s > 0.0 else 0.0
+        x = self.D * s * s
+        log_e = 0.0 if x == 0.0 else (x - math.log(x) if x > 700.0 else math.log(math.expm1(x) / x))
+        return u, u * u * r + self.sigma * math.exp(-2.0 * log_f - log_e)
+
+    def _state_between(self, omega: float) -> tuple[float, float]:
+        """(u, u') at omega: |u| = 1/|z|, and p from the nearer root, p - r1 = D/(1 + e^(-D w)), r2 - p = D/(1 + e^(D w))."""
+        w = self.w0 + self.tau * omega
+        u = self.tau * 0.5 * math.exp(-self._log_g(omega))
+        near = self.D * math.exp(-self.D * abs(w)) / (1.0 + math.exp(-self.D * abs(w)))  # the distance to the nearer root
+        return u, u * u * (self.r2 - near if w > 0.0 else self.r1 + near)
+
+
+def _log_shc(x: float) -> float:
+    """ln(sinh(x)/x) for x >= 0."""
+    if x == 0.0:
+        return 0.0
+    if x > 20.0:
+        return x - math.log(2.0 * x) + math.log1p(-math.exp(-2.0 * x))
+    return math.log(math.sinh(x) / x)
+
+
+def _log_cosh(x: float) -> float:
+    x = abs(x)
+    return x - _LN2 + math.log1p(math.exp(-2.0 * x))
+
+
+def _gauss_legendre(n: int) -> list[tuple[float, float]]:
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], by Newton on P_n from Tricomi's first guesses."""
+    rule = []
+    for i in range(1, n // 2 + 1):
+        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(100):
+            p0, p1 = 1.0, x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = n * (x * p1 - p0) / (x * x - 1.0)
+            dx = p1 / dp
+            x -= dx
+            if abs(dx) <= 1e-16:
+                break
+        rule += [(x, 2.0 / ((1.0 - x * x) * dp * dp)), (-x, 2.0 / ((1.0 - x * x) * dp * dp))]
+    return rule
+
+
+_GAUSS20 = _gauss_legendre(20)
+
+
+def _integral(f, a: float, b: float) -> float:
+    """int_a^b f for a smooth f >= 0: 20-point Gauss-Legendre panels, globally adaptive.
+
+    A panel's error is taken as the change from it to its two halves, or 0
+    once that is within 1e-14 of them (rounding); the panel of largest
+    error is halved until the errors sum to 1e-14 of the integral
+    (QUADPACK's QAG strategy, Piessens et al. 1983), so an f that spans
+    hundreds of e-folds spends no panels where it is negligible.
+    """
+    def panel(a: float, b: float) -> float:
+        m, h = 0.5 * (a + b), 0.5 * (b - a)
+        return h * sum(w * f(m + h * x) for x, w in _GAUSS20)
+
+    def halved(a: float, b: float, whole: float):
+        m = 0.5 * (a + b)
+        left, right = panel(a, m), panel(m, b)
+        err = abs(left + right - whole)
+        return (0.0 if err <= 1e-14 * (left + right) else -err, a, b, left, right)
+
+    try:
+        heap = [halved(a, b, panel(a, b))]
+        for _ in range(500):
+            if -sum(h[0] for h in heap) <= 1e-14 * sum(h[3] + h[4] for h in heap):
+                break
+            _, a, b, left, right = heapq.heappop(heap)
+            m = 0.5 * (a + b)
+            heapq.heappush(heap, halved(a, m, left))
+            heapq.heappush(heap, halved(m, b, right))
+    except OverflowError:  # a time past floats
+        return math.inf
+    return math.fsum(h[3] + h[4] for h in heap)
 
 
 def _newton(f, hi: float, t: float) -> float:

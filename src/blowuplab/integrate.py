@@ -69,8 +69,9 @@ class Termination:
     """How a run ended: Completed, BlowUp, StepUnderflow or MaxSteps."""
 
     kind: str  # "completed" | "blowup" | "step_underflow" | "max_steps"
-    # the last time plus the exact remaining time from the last state; None where
-    # disc < 0 or the exact rule calls that direction global (separatrix rounding)
+    # the last time plus the exact remaining time from the last state, for every
+    # kind of end; None where disc < 0 or the exact rule calls the direction from
+    # the last state global (at a blow-up, separatrix rounding)
     t_estimate: float | None = None
     direction: int | None = None  # +1 forward in t, -1 backward
     t_last: float | None = None
@@ -532,12 +533,12 @@ def _integrate_forward(
         rows += (t, u, v, ct)
     cols = np.fromiter(rows, float, len(rows)).reshape(-1, 4).T
     states = np.rec.fromarrays(cols[:3], names="t,u,v")
-    if termination is None:
-        try:  # the last time plus the exact remaining time: none for disc < 0 or a root lost to rounding
-            rest = escape_time(p, u, v, 1.0)
-        except DomainError:
-            rest = None
-        termination = Termination("blowup", t_estimate=None if rest is None else t + rest, direction=direction)
+    try:  # the last time plus the exact remaining time: none for disc < 0 or a root lost to rounding
+        rest = escape_time(p, u, v, 1.0)
+    except DomainError:
+        rest = None
+    termination = replace(termination or Termination("blowup", direction=direction),
+                          t_estimate=None if rest is None else t + rest)
     return Trajectory(p, states, termination, kind, opts, n_acc, t_residual=cols[3])
 
 

@@ -578,6 +578,39 @@ def test_verify_disc0_grid():
     assert kinds.count("global_bounded") == 48
 
 
+def test_nearly_double_roots():
+    # A = 1, B = -1/8 + 1e-9: the roots r1 < r2 lie 4.5e-5 apart about 1/4,
+    # with exponents near 2800.  From (1, 0.24999), between them with u > 0,
+    # forward ends at r2 and blows up, backward is global; the mean root
+    # 1/4 would call both global.  On the mean root's parabola u' = u^2/4
+    # (between the roots too) the kinds are the same, with no division by
+    # its g = 0.
+    p = params_from_coeffs(1.0, -0.125 + 1e-9)
+    for u0, v0 in ((1.0, 0.24999), (1.0, 0.25), (2.0, 1.0)):
+        assert -p.k_plus < v0 / u0**2 < -p.k_minus
+        v = classify(p, u0, v0)
+        assert v.kind == "blowup_forward", (u0, v0, v)
+        check = verify_verdict(p, u0, v0, v, horizon=50.0)
+        assert check.passed, (u0, v0, check)
+        assert check.t_blow_forward == pytest.approx(escape_time(p, u0, v0, 1.0), rel=1e-6)
+    assert classify(p, -1.0, 0.25).kind == "blowup_backward"
+
+
+def test_verify_near_disc0_grid():
+    # B = -1/8 + 1e-7: exponents near 900, past the beta series, where the
+    # exact times and states come from the quadrature in w; every verdict of
+    # the 9 x 9 grid verifies against them
+    p = params_from_coeffs(1.0, -0.125 + 1e-7)
+    grid = np.linspace(-2.0, 2.0, 9).tolist()
+    kinds = []
+    for u0 in grid:
+        for v0 in grid:
+            v = classify(p, u0, v0)
+            kinds.append(v.kind)
+            assert verify_verdict(p, u0, v0, v, horizon=50.0).passed, (u0, v0, v)
+    assert kinds.count("global_bounded") == 48
+
+
 def test_verify_huge_t_bound_without_running_to_it():
     # at B = 1e-300, k_plus = 1e-300 gives the bound -1e300; the run stops at
     # the horizon and the exact time is checked against the bound

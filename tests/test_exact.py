@@ -18,7 +18,7 @@ from blowuplab import (
     riccati_poles,
 )
 from blowuplab.errors import DomainError
-from blowuplab.exact import _ALPHA_MAX, blows_up, escape_time, state_at
+from blowuplab.exact import _ALPHA_MAX, _GAUSS20, blows_up, escape_time, parabola_pole, state_at
 
 HALF = mp.mpf(1) / 2
 
@@ -134,28 +134,31 @@ def test_escape_time_matches_mpmath():
 
 
 def test_handover_near_the_double_root():
-    # A = 1, B -> -1/8 from above: the exponents k/(2D) grow like
-    # 1/sqrt(disc).  Measured worst relative errors of the blow-up time over
-    # these ten states: the beta series 3.5e-10 at |a| = 32 and 1.5e-5 at
-    # 63, the double-root (erf) form with the mean root 5.4e-4 at 65 and
-    # 5.7e-5 at 200, falling like disc; each gate is about 3 times its
-    # measurement.  The handover sits at _ALPHA_MAX = 64, near where the
-    # two forms' errors cross (2.4e-5 and 1.0e-3 at 64 over 30 states).
-    assert _ALPHA_MAX == 64.0
+    # B -> -A^2/8 from above: the exponents k/(2D) grow like 1/sqrt(disc).
+    # Past _ALPHA_MAX = 12 (and at disc = 0) the quadrature in w takes over
+    # from the beta series; the kind must be mpmath's and the time within
+    # 1e-13 relative on both sides of the handover, up to exponents of 1e7.
+    # Measured worst: 1.3e-14 (beta, |a| = 8), 3e-15 (quadrature, any |a|).
+    # (1, 0.24999) lies between the roots at A = 1, where the mean root
+    # would call the forward blow-up global.
+    assert _ALPHA_MAX == 12.0
     rng = np.random.default_rng(7)
     states = [(float(s * rng.uniform(0.3, 2.0)), float(rng.uniform(-2.0, 2.0))) for s in (1.0, -1.0) for _ in range(5)]
-    for alpha, gate in ((8.0, 1e-13), (32.0, 1e-9), (63.0, 5e-5), (65.0, 2e-3), (200.0, 2e-4)):
-        disc = 4.0 * (1.0 / (8.0 * alpha)) ** 2
-        p = params_from_coeffs(1.0, (disc - 1.0) / 8.0)
-        assert _max_alpha(p) == pytest.approx(alpha + 0.25, rel=1e-6)  # |k_minus| = |k| + D/2
-        worst, n = 0.0, 0
-        for u0, v0 in states:
-            for d in (1.0, -1.0):
-                got, want = escape_time(p, u0, v0, d), mp_escape_time(p, u0, v0, d)
-                assert blows_up(p, u0, v0, d) == (got is not None)
-                if got is not None and want is not None:
-                    worst, n = max(worst, abs(got - want) / abs(want)), n + 1
-        assert n >= 8 and worst <= gate, (alpha, worst)
+    states += [(1.0, 0.24999), (-1.0, 0.24999), (0.0, 1.0), (0.0, -1.0)]
+    for A in (1.0, -1.0, 2.5):
+        for alpha in (8.0, 12.5, 32.0, 64.0, 200.0, 1e4, 1e7, math.inf):
+            p = params_from_coeffs(A, A * A * ((1.0 / (4.0 * alpha)) ** 2 - 1.0) / 8.0)
+            if alpha < 1e7:
+                assert _max_alpha(p) == pytest.approx(alpha + 0.25, rel=1e-6)  # |k_minus| = |k| + D/2
+            worst, n = 0.0, 0
+            for u0, v0 in states:
+                for d in (1.0, -1.0):
+                    got, want = escape_time(p, u0, v0, d), mp_escape_time(p, u0, v0, d)
+                    assert (got is None) == (want is None), (A, alpha, u0, v0, d, got, want)
+                    assert blows_up(p, u0, v0, d) == (got is not None)
+                    if got is not None:
+                        worst, n = max(worst, abs(got - want) / abs(want)), n + 1
+            assert n >= 8 and worst <= 1e-13, (A, alpha, worst)
 
 
 def _mp_state(A, B, u0, v0, t):
@@ -188,9 +191,39 @@ def test_state_at_matches_mpmath(A, B, u0, v0, t):
     assert (u, -v) == (pytest.approx(ur, rel=1e-13), pytest.approx(vr, rel=1e-13))
 
 
+def _mp_state_near_parabola(u0, v0, t):
+    """(u, u') at t from (u0, v0) with u0 > 0 below the double root 1/4 of A = 1, B = -1/8, at 40 digits.
+
+    At disc = 0 the leg time is int |z|/2 |dw| with w = 1/(p - 1/4) and
+    |z| = |z0| e^(-(w - w0)/8) sqrt(w0/w); u crosses 0 at w = 0 and w then
+    falls from 0 below w0 again.  mpmath's quad and findroot solve for the
+    w where the time is t.
+    """
+    with mp.workdps(40):
+        u0, v0 = mp.mpf(u0), mp.mpf(v0)
+        w0 = u0**2 / (v0 - u0**2 / 4)
+        z = lambda w: mp.exp(-(w - w0) / 8) * mp.sqrt(w0 / w) / u0
+        near = lambda w: [w, w + 1, w + 10, w + 100, w / 2, 0]
+        cross = mp.quad(lambda w: z(w) / 2, near(w0))
+        w1 = mp.findroot(lambda w: cross + mp.quad(lambda x: z(x) / 2, near(w)) - t, (w0 - 30, w0 - 3), solver="anderson")
+        u = -1 / z(w1)
+        return float(u), float(u**2 * (mp.mpf(1) / 4 + 1 / w1))
+
+
+@pytest.mark.parametrize("u0, v0, t", [(1.0, 0.24999, 10.0), (1.0, 0.24999, 50.0), (0.5, 0.0625 * (1.0 - 1e-6), 50.0)])
+def test_state_at_hugging_the_double_roots_parabola(u0, v0, t):
+    # within 1e-5 and 1e-6 of g = 0 at disc = 0: u rides the parabola to a
+    # maximum near e^12499 (from (1, 0.24999), just past t = 4), falls
+    # through 0 to near -e^12499 and then decays, which no float run can
+    # follow; a unit of the leg variable is 500 e-folds there
+    u, v = state_at(params_from_coeffs(1.0, -0.125), u0, v0, t)
+    ur, vr = _mp_state_near_parabola(u0, v0, t)
+    assert u == pytest.approx(ur, rel=1e-13) and v == pytest.approx(vr, rel=1e-13)
+
+
 def test_state_at_matches_gauss6():
     # Gauss6 at local_tol 1e-12 with h_max 0.01 against state_at, through
-    # zero crossings, disc = 0 blow-up and global legs, B = 0 and m = 3.5,
+    # zero crossings, disc = 0 and disc -> 0+ blow-up and global legs, B = 0 and m = 3.5,
     # whose decay x falls to 1e-16 by t = 50; relative to max(1e-3, |exact|)
     cases = [
         (params_from_dimension(3.5), -1.0, -0.5, 50.0), (params_from_dimension(3.5), -2.0, -3.0, 50.0),
@@ -199,6 +232,10 @@ def test_state_at_matches_gauss6():
         (params_from_coeffs(1.0, -0.125), 0.0, -1.0, 30.0), (params_from_coeffs(1.0, -0.125), 1.0, 0.5, 2.0),
         (params_from_coeffs(1.0, -0.125), 1.0, 0.5, -2.0), (params_from_dimension(5.0), 0.03, -4.5e-5, 50.0),
         (params_from_dimension(8.0), -1.0, 0.5, -1.0), (params_from_coeffs(-3.0, -1.0), 1.0, -0.4, -20.0),
+        # exponents near 2800 (quadrature in w): between the roots both ways,
+        # and outside through the crossing u = 0 towards a blow-up and a global end
+        (params_from_coeffs(1.0, -0.125 + 1e-9), 1.0, 0.24999, 3.0), (params_from_coeffs(1.0, -0.125 + 1e-9), 1.0, 0.24999, -3.0),
+        (params_from_coeffs(1.0, -0.125 + 1e-9), -1.0, 0.5, 8.0), (params_from_coeffs(-1.0, -0.125 + 1e-9), 0.5, 2.0, -0.9),
     ]
     for p, u0, v0, t in cases:
         u, v = state_at(p, u0, v0, t)
@@ -254,11 +291,25 @@ def test_parabola_pole_is_exact():
         assert v0 + kappa * u0 * u0 == 0.0
         T = -1.0 / (kappa * u0)
         d = math.copysign(1.0, T)
-        assert escape_time(p, u0, v0, d) == T
+        assert escape_time(p, u0, v0, d) == T == parabola_pole(p, u0, v0)
         assert escape_time(p, u0, v0, -d) is None
         assert state_at(p, u0, v0, 0.5 * T) == (u0 / (1.0 + kappa * u0 * 0.5 * T), pytest.approx(-kappa * (2.0 * u0) ** 2))
         with pytest.raises(DomainError):
             state_at(p, u0, v0, T)
+    # off the parabolas, at a rest point (B = 0, u' = 0), at u0 = 0 and for disc < 0: no pole
+    for p, u0, v0 in ((params_from_dimension(8.0), 1.0, 0.3), (params_from_coeffs(2.0, 0.0), 1.5, 0.0),
+                      (params_from_dimension(3.0), 0.0, 0.0), (params_from_coeffs(2.0, -4.0), 1.0, 0.5)):
+        assert parabola_pole(p, u0, v0) is None
+
+
+def test_gauss_legendre_rule():
+    # the quadrature's 20-point rule, computed at import, against the roots
+    # of P_20 and the weights 2/((1 - x^2) P_20'(x)^2) at 40 digits
+    with mp.workdps(40):
+        for x, w in _GAUSS20:
+            r = mp.findroot(lambda t: mp.legendre(20, t), mp.mpf(x))
+            ref = 2 / ((1 - r**2) * mp.diff(lambda t: mp.legendre(20, t), r) ** 2)
+            assert abs(x - r) <= 2e-16 and abs(w / ref - 1) <= 2e-14, (x, w)
 
 
 def test_conjugacies():

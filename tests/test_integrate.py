@@ -24,6 +24,7 @@ from blowuplab import (
     step_rk4,
 )
 from blowuplab.errors import FitFailure, NonFiniteError, StageSolveFailure
+from blowuplab.exact import escape_time
 from blowuplab.integrate import (
     _A11, _A12, _A13, _A21, _A22, _A23, _A31, _A32, _A33, _B1, _B2, _C1, _C3, _HALF_SEEDS,
     _Q11, _Q12, _Q13, _Q21, _Q22, _Q23, _Q31, _Q32, _Q33,
@@ -618,6 +619,14 @@ def test_backward_blowup_estimate_is_negative():
 def test_estimate_requires_blowup_termination():
     p = params_from_dimension(4.0)
     traj = integrate(p, State(0.0, 0.0, -1.0), IntegratorKind.RK4, IntegrateOptions(t_end=1.0))
+    assert traj.termination.t_estimate is None  # u = -tanh t is global
+    with pytest.raises(FitFailure):
+        estimate_blowup_time(traj)
+    # a run that completes short of its blow-up carries the exact time all the same
+    p5 = params_from_dimension(5.0)
+    traj = integrate(p5, State(0.0, 1.0, 1.0), IntegratorKind.RK4, IntegrateOptions(t_end=0.5))
+    assert traj.termination.kind == "completed"
+    assert traj.termination.t_estimate == pytest.approx(escape_time(p5, 1.0, 1.0, 1.0), rel=1e-9)
     with pytest.raises(FitFailure):
         estimate_blowup_time(traj)
 
