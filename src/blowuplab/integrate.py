@@ -40,7 +40,7 @@ class IntegratorKind(enum.Enum):
 
 @dataclass(frozen=True)
 class IntegrateOptions:
-    """Driver parameters; t_end finite, all thresholds positive and finite."""
+    """Driver parameters; t_end finite, all thresholds positive and finite, both counts ints >= 1."""
 
     h0: float = 1e-3
     t_end: float = 1.0
@@ -60,6 +60,9 @@ class IntegrateOptions:
             raise DomainError("h_max must be positive and finite when given")
         if not math.isfinite(self.t_end):
             raise DomainError("t_end must be finite")
+        counts = (self.max_steps, self.record_every)
+        if not all(isinstance(n, int) and not isinstance(n, bool) for n in counts):
+            raise DomainError("max_steps and record_every must be ints")
         if self.max_steps < 1 or self.record_every < 1:
             raise DomainError("max_steps and record_every must be >= 1")
 
@@ -125,10 +128,11 @@ class Trajectory:
 # halves h.  tol is the run's local_tol, or 0 for none; RK4 ignores it.
 # RK4's full step is bit for bit increment(h), its half steps
 # increment(h/2) and increment(h/2) from the midpoint.  At tol = 0 (and
-# wherever _STAGE_KAPPA tol <= 4 eps) Gauss6's full step is bit for bit
+# wherever _FULL_KAPPA tol <= 4 eps) Gauss6's full step is bit for bit
 # increment(h), and its half steps solve the same stage equations from
 # another seed, so they agree with those increments to the stage
-# tolerance, not bit for bit.  A larger tol loosens that tolerance.
+# tolerance, not bit for bit.  A larger tol loosens the half steps' stop
+# to _STAGE_KAPPA tol and the full step's to _FULL_KAPPA tol.
 #
 # Gauss6 solves its stages in one place, _gauss6_solve, in Nystrom form: the
 # iteration runs on the three stage accelerations F_i = u'' at the stages,
@@ -137,7 +141,8 @@ class Trajectory:
 # of _gauss6_seed, u'' at the nodes to O(h^4) from the on-shell derivatives
 # at (u, v), or the Euler seed F_i = u''(u, v) where those overflow.  The
 # attempt shares the start at (u, v) between the full and the first half
-# step, solves the full step from the same seeds and seeds both half steps
+# step, each scaling its stage scales by its own stop, solves the full step
+# from the same seeds and seeds both half steps
 # from the quartic through the full step's converged F_i and u'' at both of
 # its ends.  The solver tests the finiteness of its iterates once, when its
 # sweeps run out, not per sweep.
@@ -241,28 +246,33 @@ _HALF_SEEDS = tuple(_lagrange_weights(s) for s in (
 ))
 # a sweep change within 4 eps of the stage scale is rounding noise
 _STAGE_RTOL = 4.0 * sys.float_info.epsilon
-# the attempt's absolute stage tolerances scale with max(4 eps, kappa
-# local_tol): a stage solve need not resolve what the error test cannot see
-# (Hairer & Wanner, Solving ODEs II, IV.8, stop the iteration at kappa Tol)
-_STAGE_KAPPA = 5e-3
+# the attempt's half steps scale their absolute stage tolerances with
+# max(4 eps, kappa local_tol): a stage solve need not resolve what the error
+# test cannot see (Hairer & Wanner, Solving ODEs II, IV.8, stop the
+# iteration at kappa Tol, kappa in 1e-2 to 1e-1)
+_STAGE_KAPPA = 5e-2
+# the full step enters the error estimate |full - half| / (2^6 - 1) and
+# seeds the half steps, nothing else, so its stop may be 2^6 - 1 times
+# looser: it then moves the estimate by no more than the half steps' stop
+# moves the solution
+_FULL_KAPPA = (2**6 - 1) * _STAGE_KAPPA
 # fixed-point sweeps allowed per step; a step that needs more is too long
 # for the iteration to contract, and the driver halves it
 _GAUSS6_MAX_SWEEPS = 40
 
 
-def _gauss6_start(
-    A: float, B: float, u: float, v: float, R: float = _STAGE_RTOL,
-) -> tuple[float, float, float]:
-    """Start state of a stage solve from (u, v): (fv, tu, tv).
+def _gauss6_start(A: float, B: float, u: float, v: float) -> tuple[float, float, float]:
+    """Start state of a stage solve from (u, v): (fv, su, sv).
 
-    fv = u'' at (u, v), tested finite; tu, tv are R max(1, |u|),
-    R max(1, |v|), the stage scales of the convergence test.
+    fv = u'' at (u, v), tested finite; su, sv are max(1, |u|),
+    max(1, |v|), the stage scales that each solve multiplies by its own
+    tolerance R for its convergence test.
     """
     fv = A * u * v + B * u * u * u
     if v * 0.0 + fv * 0.0 != 0.0:
         raise NonFiniteError("stage value overflowed")
-    tu, tv = abs(u), abs(v)
-    return fv, R * (tu if tu > 1.0 else 1.0), R * (tv if tv > 1.0 else 1.0)
+    su, sv = abs(u), abs(v)
+    return fv, (su if su > 1.0 else 1.0), (sv if sv > 1.0 else 1.0)
 
 
 def _gauss6_seed(
@@ -368,14 +378,15 @@ def _gauss6_solve(
 
 def _gauss6_increment(A: float, B: float, u: float, v: float, h: float) -> tuple[float, float]:
     """State increment of one Gauss6 step: the start state at (u, v), then the solve from the Taylor seeds."""
-    fv, tu, tv = _gauss6_start(A, B, u, v)
-    du, dv, _, _, _ = _gauss6_solve(A, B, u, v, tu, tv, h, *_gauss6_seed(A, B, u, v, fv, h))
+    fv, su, sv = _gauss6_start(A, B, u, v)
+    R = _STAGE_RTOL
+    du, dv, _, _, _ = _gauss6_solve(A, B, u, v, R * su, R * sv, h, *_gauss6_seed(A, B, u, v, fv, h))
     return du, dv
 
 
 def _gauss6_attempt(
     A: float, B: float, u: float, v: float, h: float, tol: float,
-    W=_HALF_SEEDS, K=_STAGE_KAPPA, R=_STAGE_RTOL,
+    W=_HALF_SEEDS, K=_STAGE_KAPPA, KF=_FULL_KAPPA, R=_STAGE_RTOL,
 ) -> tuple[float, float, float, float]:
     """One step-doubling attempt of Gauss6: three solves, two start states.
 
@@ -388,28 +399,43 @@ def _gauss6_attempt(
     values (Hairer, Lubich & Wanner, Geometric Numerical Integration,
     VIII.6) with both ends on shell added.  Where one of the six half-step
     seeds is not finite, each half step starts from the Euler seed, u'' at
-    its own start.  The absolute stage tolerances scale with max(R, K tol)
-    in place of R; the relative test |d| <= R |F_i| stays, so at K tol <= R
-    the attempt is the one at tol = 0.
+    its own start.  The half steps' absolute stage tolerances scale with
+    rh = max(R, K tol), the full step's with rf = max(R, KF tol); the
+    relative test |d| <= R |F_i| stays, so where KF tol <= R the attempt is
+    the one at tol = 0.
     """
-    r = K * tol
-    if r < R:
-        r = R
-    fv, tu, tv = _gauss6_start(A, B, u, v, r)
-    dfu, dfv, F1, F2, F3 = _gauss6_solve(A, B, u, v, tu, tv, h, *_gauss6_seed(A, B, u, v, fv, h))
+    rh = K * tol
+    if rh < R:
+        rh = R
+    rf = KF * tol
+    if rf < R:
+        rf = R
+    fv, su, sv = _gauss6_start(A, B, u, v)
+    dfu, dfv, F1, F2, F3 = _gauss6_solve(A, B, u, v, rf * su, rf * sv, h, *_gauss6_seed(A, B, u, v, fv, h))
     a, b = u + dfu, v + dfv
     fe = A * a * b + B * a * a * a
-    g1, g2, g3, g4, g5, g6 = [w0 * fv + w1 * F1 + w2 * F2 + w3 * F3 + w4 * fe for w0, w1, w2, w3, w4 in W]
+    w0, w1, w2, w3, w4 = W[0]
+    g1 = w0 * fv + w1 * F1 + w2 * F2 + w3 * F3 + w4 * fe
+    w0, w1, w2, w3, w4 = W[1]
+    g2 = w0 * fv + w1 * F1 + w2 * F2 + w3 * F3 + w4 * fe
+    w0, w1, w2, w3, w4 = W[2]
+    g3 = w0 * fv + w1 * F1 + w2 * F2 + w3 * F3 + w4 * fe
+    w0, w1, w2, w3, w4 = W[3]
+    g4 = w0 * fv + w1 * F1 + w2 * F2 + w3 * F3 + w4 * fe
+    w0, w1, w2, w3, w4 = W[4]
+    g5 = w0 * fv + w1 * F1 + w2 * F2 + w3 * F3 + w4 * fe
+    w0, w1, w2, w3, w4 = W[5]
+    g6 = w0 * fv + w1 * F1 + w2 * F2 + w3 * F3 + w4 * fe
     euler = g1 * 0.0 + g2 * 0.0 + g3 * 0.0 + g4 * 0.0 + g5 * 0.0 + g6 * 0.0 != 0.0
     if euler:
         g1 = g2 = g3 = fv
     c = 0.5 * h
-    d1u, d1v, _, _, _ = _gauss6_solve(A, B, u, v, tu, tv, c, g1, g2, g3)
+    d1u, d1v, _, _, _ = _gauss6_solve(A, B, u, v, rh * su, rh * sv, c, g1, g2, g3)
     u1, v1 = u + d1u, v + d1v
-    fv, tu, tv = _gauss6_start(A, B, u1, v1, r)
+    fv, su, sv = _gauss6_start(A, B, u1, v1)
     if euler:
         g4 = g5 = g6 = fv
-    d2u, d2v, _, _, _ = _gauss6_solve(A, B, u1, v1, tu, tv, c, g4, g5, g6)
+    d2u, d2v, _, _, _ = _gauss6_solve(A, B, u1, v1, rh * su, rh * sv, c, g4, g5, g6)
     return dfu, dfv, d1u + d2u, d1v + d2v
 
 

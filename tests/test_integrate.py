@@ -123,7 +123,9 @@ def test_gauss6_escape_times_match_quadrature():
 # Worst relative error of the fitted escape time over the three initial
 # conditions below at each local_tol, with the stage tolerance set by
 # local_tol; the same to two digits as with stage tolerances at 4 eps
-# whatever local_tol (1.50e-8, 7.72e-10, 3.90e-11, 1.23e-12).  Gated at 3 times.
+# whatever local_tol (1.50e-8, 7.72e-10, 3.90e-11, 1.23e-12), and with the
+# half steps stopped at 5e-2 local_tol and the full step at 63 times that
+# (1.52e-8, 7.70e-10, 3.91e-11, 1.23e-12).  Gated at 3 times.
 _ESCAPE_TOL_WORST = {1e-6: 1.49e-8, 1e-8: 7.70e-10, 1e-10: 3.90e-11, 1e-12: 1.23e-12}
 
 
@@ -260,14 +262,19 @@ def _gauss6_euler_increment_ref(p, u, v, h):
     return du, dv
 
 
-def _gauss6_attempt_ref(p, u, v, h, tol):
-    # the full step from the Taylor seeds; each half step seeded with the
-    # quartic through the full step's (0, f), (c_i, F_i) and (1, f_end) at
-    # its own nodes, or from its own Euler seed where any of the six is not
-    # finite; the absolute stage tolerances scale with max(4 eps, kappa tol)
-    R = max(_STAGE_RTOL, _STAGE_KAPPA * tol)
+def _stage_tols_ref(tol):
+    # the attempt's stage tolerances: the half steps' max(4 eps, kappa tol)
+    # and the full step's max(4 eps, (2^6 - 1) kappa tol)
+    return max(_STAGE_RTOL, _STAGE_KAPPA * tol), max(_STAGE_RTOL, 63.0 * _STAGE_KAPPA * tol)
+
+
+def _gauss6_attempt_ref(p, u, v, h, R, Rf):
+    # the full step from the Taylor seeds, stopped at Rf; each half step,
+    # stopped at R, seeded with the quartic through the full step's (0, f),
+    # (c_i, F_i) and (1, f_end) at its own nodes, or from its own Euler seed
+    # where any of the six is not finite
     fv = _gauss6_start_ref(p, u, v)
-    dfu, dfv, F = _gauss6_solve_ref(p, u, v, h, _gauss6_taylor_seeds_ref(p, u, v, fv, h), R)
+    dfu, dfv, F = _gauss6_solve_ref(p, u, v, h, _gauss6_taylor_seeds_ref(p, u, v, fv, h), Rf)
     ue, ve = u + dfu, v + dfv
     y = [fv, *F, p.A * ue * ve + p.B * ue * ue * ue]
     seeds = [w[0] * y[0] + w[1] * y[1] + w[2] * y[2] + w[3] * y[3] + w[4] * y[4] for w in _HALF_SEEDS]
@@ -290,7 +297,7 @@ def _step_doubling_ref(increment, p, u, v, h):
 _REFERENCE_INCREMENTS = {IntegratorKind.RK4: _rk4_increment_ref, IntegratorKind.GAUSS6: _gauss6_increment_ref}
 _REFERENCE_ATTEMPTS = {
     IntegratorKind.RK4: lambda p, u, v, h, tol: _step_doubling_ref(_rk4_increment_ref, p, u, v, h),
-    IntegratorKind.GAUSS6: _gauss6_attempt_ref,
+    IntegratorKind.GAUSS6: lambda p, u, v, h, tol: _gauss6_attempt_ref(p, u, v, h, *_stage_tols_ref(tol)),
 }
 # the increments step_rk4 and step_gauss6 take
 _INCREMENTS = {IntegratorKind.RK4: _rk4_increment, IntegratorKind.GAUSS6: _gauss6_increment}
@@ -378,31 +385,64 @@ def test_gauss6_attempt_is_close_to_euler_seeded_step_doubling(case):
 
 
 # Worst difference of the Gauss6 attempt at local_tol tau from the attempt
-# at tau = 0, |d - d_0| / (max(4 eps, kappa tau) max(1, |y|, |y + d_0|)) over
-# the four increments, in 4 x 20000 draws of increment_inputs with tau in
-# each of 1e-12, 1e-10, 1e-8, 1e-6 and 1e-4, where both return: 0.59 with
-# the Euler-seeded full step.  With the Taylor and quartic seeds, 4 x 20000
-# draws with one of these tau each read 0.29.  Gated at about 3.4 times 0.59.
-_STAGE_TOL_GATE = 2.0
+# at tau = 0, |d - d_0| / max(1, |y|, |y + d_0|) in units of the stop of the
+# solves that made d, in 4 x 20000 draws of increment_inputs with tau in
+# each of 1e-12, 1e-10, 1e-8, 1e-6 and 1e-4 (44,612 where both return): 0.261
+# for the full step's increments in units of max(4 eps, 63 kappa tau), 0.448
+# for the half steps' sum in units of max(4 eps, kappa tau).  The error
+# estimate (full - half) / 63 moved by at most 0.261 kappa tau in the same
+# scale.  Each gated at about 3.4 times its worst (one gate of 2 at 3.4 times
+# 0.59 while all three solves stopped at max(4 eps, 5e-3 tau)).
+_FULL_TOL_GATE = 0.9
+_HALF_TOL_GATE = 1.5
+_ESTIMATE_TOL_GATE = 0.9
 
 
-@settings(max_examples=1500, deadline=None)
-@given(case=increment_inputs(), tau=st.sampled_from((1e-12, 1e-10, 1e-8, 1e-6, 1e-4)))
-def test_gauss6_attempt_moves_within_its_stage_tolerance(case, tau):
-    # a stage solve stopped at the absolute tolerance max(4 eps, kappa tau)
-    # max(1, |y|) per unit of h moves each increment by less than that
-    # tolerance: the iteration contracts, so the change it skips is
-    # smaller than the last one it made.  Where either side raises there
-    # is nothing to compare.
+def _attempts_at(case, tau):
+    """The Gauss6 attempt at local_tol tau and at 0, as floats, or None where either raises."""
     p, u, v, h = case
     attempt, _ = _STEPPERS[IntegratorKind.GAUSS6]
     want = _outcome(attempt, p.A, p.B, u, v, h, 0.0)
     got = _outcome(attempt, p.A, p.B, u, v, h, tau)
     if not (isinstance(want, tuple) and isinstance(got, tuple)):
+        return None
+    return [float.fromhex(x) for x in got], [float.fromhex(x) for x in want]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(case=increment_inputs(), tau=st.sampled_from((1e-12, 1e-10, 1e-8, 1e-6, 1e-4)))
+def test_gauss6_attempt_moves_within_its_stage_tolerance(case, tau):
+    # a stage solve stopped at the absolute tolerance R max(1, |y|) per unit
+    # of h moves its increment by less than that tolerance: the iteration
+    # contracts, so the change it skips is smaller than the last one it
+    # made.  R is the full step's max(4 eps, 63 kappa tau) and the half
+    # steps' max(4 eps, kappa tau).  Where either side raises there is
+    # nothing to compare.
+    pair = _attempts_at(case, tau)
+    if pair is None:
         return
-    unit = _STAGE_TOL_GATE * max(_STAGE_RTOL, _STAGE_KAPPA * tau)
-    for d, r, y in zip(map(float.fromhex, got), map(float.fromhex, want), (u, v, u, v)):
+    (got, want), (_, u, v, _) = pair, case
+    rh, rf = _stage_tols_ref(tau)
+    units = (_FULL_TOL_GATE * rf,) * 2 + (_HALF_TOL_GATE * rh,) * 2
+    for d, r, y, unit in zip(got, want, (u, v, u, v), units):
         assert abs(d - r) <= unit * max(1.0, abs(y), abs(y + r))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(case=increment_inputs(), tau=st.sampled_from((1e-12, 1e-10, 1e-8, 1e-6, 1e-4)))
+def test_gauss6_error_estimate_moves_within_kappa_tau(case, tau):
+    # the full step's looser stop moves the error estimate (full - half) / 63
+    # by no more than the half steps' stop moves the solution: at most a
+    # small multiple of kappa tau max(1, |y|, |y + d_0|), d_0 the half steps'
+    # sum at tau = 0
+    pair = _attempts_at(case, tau)
+    if pair is None:
+        return
+    (got, want), (_, u, v, _) = pair, case
+    unit = _ESTIMATE_TOL_GATE * _stage_tols_ref(tau)[0]
+    for i, y in enumerate((u, v)):
+        moved = (got[i] - got[i + 2]) / 63.0 - (want[i] - want[i + 2]) / 63.0
+        assert abs(moved) <= unit * max(1.0, abs(y), abs(y + want[i + 2]))
 
 
 def test_gauss6_nystrom_tables():
@@ -422,15 +462,16 @@ def test_gauss6_nystrom_tables():
 
 
 def test_gauss6_pinned_runs_fit_in_their_sweep_budgets(monkeypatch):
-    # the worst stage solve of the pinned escape run and of the pinned gk
-    # run takes 3 passes: each keeps its digest at that budget (4 and 6
-    # while the full step started from the Euler seed and the half steps
-    # from the quadratic through its F_i; 5 and 6 while the absolute stage
-    # tolerance stayed at 4 eps whatever local_tol; 8 held both before).
-    # The Euler-seeded iteration on the stage increments took 9.3 passes on
-    # average on escape runs and changed the escape run's steps at a budget
-    # of 8
-    for run, budget in zip(PINNED_RUNS[:2], (3, 3)):
+    # the worst stage solve of the pinned escape run takes 3 passes and that
+    # of the pinned gk run 2: each keeps its digest at that budget and moves
+    # at one less (3 and 3 while every stage solve of the attempt stopped at
+    # max(4 eps, 5e-3 local_tol); 4 and 6 while the full step started from
+    # the Euler seed and the half steps from the quadratic through its F_i;
+    # 5 and 6 while the absolute stage tolerance stayed at 4 eps whatever
+    # local_tol; 8 held both before).  The Euler-seeded iteration on the
+    # stage increments took 9.3 passes on average on escape runs and changed
+    # the escape run's steps at a budget of 8
+    for run, budget in zip(PINNED_RUNS[:2], (3, 2)):
         monkeypatch.setattr(integrate_module, "_GAUSS6_MAX_SWEEPS", budget)
         test_whole_runs_are_pinned(*run)
 
@@ -548,6 +589,16 @@ def test_options_validation():
         IntegrateOptions(h_cap_factor=0.0)
     with pytest.raises(DomainError):
         IntegrateOptions(h_max=-0.1)
+
+
+@pytest.mark.parametrize("name", ["max_steps", "record_every"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+def test_options_reject_counts_that_are_not_ints(name, value):
+    # the driver tests n % record_every and n >= max_steps: record_every = 2.5
+    # kept rows after steps 5 and 10 of a 13-step run, max_steps = 2.5 stopped
+    # after 3 steps, and True passed for 1
+    with pytest.raises(DomainError):
+        IntegrateOptions(**{name: value})
 
 
 @pytest.mark.parametrize("kind", list(IntegratorKind))
@@ -711,9 +762,9 @@ PINNED_TRAJECTORIES = [
     (5.0, IntegratorKind.RK4, (-1.0, 1.0), -10.0, 5, "blowup",
      "1c6b16241145e3aced87a23045a679a095f2b65d54f701fe304f884963439a67"),
     (5.0, IntegratorKind.GAUSS6, (1.0, 1.0), 10.0, 1, "blowup",
-     "097206c5340322f39ce01934f8ec9bbcc21b445a7be806721dab46ecb92a62fd"),
+     "f113ed1648207707a69e3c8d02c8e5f2b77f7e798995077547660f006d86ad27"),
     (4.0, IntegratorKind.GAUSS6, (0.0, -1.0), -5.0, 3, "completed",
-     "de248a03562cfbfecdad556ec635d50e4dbae916bc07857479e81ffc8219b416"),
+     "f8e8a4accc738031f5cc858ef35c7a6a81cc5f3ed97544ff35cc674deb5aa77e"),
 ]
 
 
@@ -743,13 +794,13 @@ PINNED_RUNS = [
     # escape to |u| = 1e8, where a stage solve takes at most 3 passes (9.3 on
     # average before the Nystrom iteration and the seeds)
     (8.0, IntegratorKind.GAUSS6, (1.0, 1.0), dict(t_end=10.0), "blowup",
-     "cb94fbcc05672a5416050e4d5e8dd69368777b307b84d62ff2cef784c7264054"),
+     "4439ef84addc54bec66a1461bafeb738fba030d029d118b520cb84b2a837b9b5"),
     # the gk_gauss6 benchmark shape at m = 5: step ceiling, cap 0.01/max|k|, tight tolerance
     (5.0, IntegratorKind.GAUSS6, (-1.25, 0.75),
      dict(t_end=20.0, blowup_threshold=1e3, local_tol=1e-13, h_max=5e-3, h_cap_factor=0.015), "blowup",
-     "af3883d8c84c5ba6651f5f1c48559d3fc9c64b1f7f03927fee503e0efcc836b4"),
+     "4e68e2bddb1ccdd88cae37e682991eebd9d3c058f4684a43d9c16e824f5c1948"),
     (3.0, IntegratorKind.GAUSS6, (0.75, -1.25), dict(t_end=-20.0, h_max=0.01, max_steps=400), "max_steps",
-     "41b6e1c6280c170ac667f5ca3853282655983f5f04249d586f21c5fa235d02db"),
+     "99011b2ceb2610607f49c419bc0b2923aedf29e107ccb4d46d102686d89c47bd"),
     # 818 accepted steps: the last state falls between records
     (8.0, IntegratorKind.RK4, (-1.0, 0.5),
      dict(t_end=-10.0, record_every=7, blowup_threshold=1e6, h_cap_factor=0.05), "blowup",
