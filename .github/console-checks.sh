@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Checks of the installed blowuplab console script: every subcommand runs,
 # K(0.99) matches its quadrature value, the m = 8 escapes blow up at the
-# quadrature time of their energy, a Gauss6 m = 4 run stays within 1e-9 of
-# -tanh t both ways, the m = 3 parabola start, the disc = 0 grid, an m = 3.5
-# decay and a bound of -1e300 verify, and non-finite input exits with
-# status 2 and an error: line.
+# quadrature time of their energy, which the verdict's t_bound gives too, a
+# Gauss6 m = 4 run stays within 1e-9 of -tanh t both ways, the m = 3
+# parabola start, the disc = 0 grid, an m = 3.5 decay and a t_bound of
+# -8.45e299 verify, and non-finite input exits with status 2 and an error:
+# line.
 # Usage: bash .github/console-checks.sh [work directory]
 set -eu
 unset PYTHONPATH  # the installed package, not the source tree
@@ -38,6 +39,11 @@ for name, gate in (("g8", 1e-8), ("g8t", 1e-9), ("g8l", 5e-11)):
     print(name, "termination", side["termination"]["kind"], "estimate", side["blowup_estimate"], "quadrature", t_ref)
     if side["termination"]["kind"] != "blowup" or not abs(side["blowup_estimate"] - t_ref) <= gate * t_ref:
         raise SystemExit(f"{name}: want a blowup within {gate:g} relative of the quadrature time")
+# the verdict's t_bound is exact.escape_time's, 2e-16 from the quadrature time
+t_bound = json.load(open("g8.json"))["verdict"]["detail"]["t_bound"]
+print("g8 verdict t_bound", t_bound)
+if not abs(t_bound - t_ref) <= 1e-13 * t_ref:
+    raise SystemExit("g8: want the verdict's t_bound within 1e-13 relative of the quadrature time")
 PY
 # Gauss6 on the exact m = 4 solution u = -tanh t, u' = -sech^2 t, forward and backward
 blowuplab integrate --integrator gauss6 --m 4 --u0 0 --v0 -1 --t-end 5 --out tanh_f.csv
@@ -69,7 +75,8 @@ if ! grep -q ",pass$" m3p.csv; then
 fi
 # the exact module checks every verdict: all 81 rows at disc = 0 (48 of them
 # global_bounded), an m = 3.5 global_bounded row, whose u decays like 6/t, and
-# the bound -1e300 at B = 1e-300, checked from the horizon without a run to it
+# at B = 1e-300 the exact times +-8.4515e299, equal in floats, whose tie goes
+# backward to t_bound -8.4515e299, checked from the horizon without a run to it
 blowuplab classify --A 1 --B -0.125 --grid -2:2:9 -2:2:9 --verify --out d0.csv
 blowuplab classify --m 3.5 --grid 1:1:1 -0.5:-0.5:1 --verify --out m35.csv
 timeout 20 blowuplab classify --A 1 --B 1e-300 --grid 1:1:1 -0.2:-0.2:1 --verify --out tiny.csv

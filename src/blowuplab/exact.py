@@ -30,8 +30,9 @@ kind is read from signs alone, and the times agree with 40-digit mpmath
 within 1e-13 relative at every exponent tested: worst 1.3e-14 for the
 beta series, 3e-15 for the quadrature (tests/test_exact.py).  Near
 disc = 0 the time is ill-conditioned in its inputs: the large exponents
-amplify the rounding of the float roots and the g_k (2.3e-11 seen at an
-exponent of 7e4 against mpmath's exact roots).
+amplify the rounding of the g_k and of the roots, whose disc OdeParams
+rounds once (worst 4.1e-13 against mpmath at disc 1e-12 to 1e-9 and
+exponents up to 6e5; 2.1e-11 with A A rounded).
 
 disc < 0 (periodic orbits) and A = B = 0 (u'' = 0, no root to end at) raise
 DomainError.  A run can stop early and add the exact remainder from its
@@ -47,7 +48,7 @@ from functools import cached_property
 from .errors import DomainError
 from .model import OdeParams
 
-__all__ = ["blows_up", "escape_time", "state_at", "parabola_pole"]
+__all__ = ["escape_time", "state_at", "parabola_pole"]
 
 # the largest |exponent| handled by the beta series; above it (and at
 # disc = 0) _NearDouble's quadrature takes over
@@ -68,20 +69,8 @@ def _frame(p: OdeParams, u: float, v: float, d: float) -> tuple[float, float, fl
     return -p.k_plus, -p.k_minus, -v  # A -> -A negates and swaps the roots
 
 
-def blows_up(p: OdeParams, u0: float, v0: float, d: float) -> bool:
-    """Whether the solution from (u0, u'0) blows up in time direction d (+1 or -1).
-
-    The end-root rule: direction d blows up iff its end root has a positive
-    exponent, which is the sign of k_plus at the end root r1 and of
-    -k_minus at r2; on an invariant parabola u = u0/(1 + kappa u0 t), iff
-    d kappa u0 < 0; at disc = 0, iff r g > 0.
-    Evaluates no special function.
-    """
-    return not (u0 == 0.0 and v0 == 0.0) and _legs(p, u0, v0, d).blows
-
-
 def escape_time(p: OdeParams, u0: float, v0: float, d: float) -> float | None:
-    """The blow-up time T (of sign d) from (u0, u'0) at t = 0, or None where direction d is global."""
+    """The blow-up time T (of sign d) from (u0, u'0) at t = 0, inf past floats, or None where direction d is global."""
     if u0 == 0.0 and v0 == 0.0:
         return None
     legs = _legs(p, u0, v0, d)

@@ -36,7 +36,13 @@ class OdeParams:
         A, B = self.A, self.B
         if not (math.isfinite(A) and math.isfinite(B)):
             raise DomainError(f"coefficients must be finite, got A={A}, B={B}")
-        disc = A * A + 8.0 * B
+        # A A's rounding error (Veltkamp's split at 2^27 + 1, Dekker's product; math.fma needs
+        # Python 3.13) makes disc round once where A A + 8B cancels; NaN or inf where A A overflows
+        c = 134217729.0 * A
+        hi = c - (c - A)
+        lo = A - hi
+        err = ((hi * hi - A * A) + 2.0 * hi * lo) + lo * lo
+        disc = A * A + 8.0 * B + (err if math.isfinite(err) else 0.0)
         k_minus = k_plus = None
         if disc >= 0.0:
             # roots of 2k^2 + A k - B = 0, the smaller-magnitude one refined through k1*k2 = -B/2;

@@ -21,11 +21,12 @@ from blowuplab import (
     lemniscate_quarter_period,
     params_from_coeffs,
     params_from_dimension,
+    quadrature_blowup_time,
     riccati_poles,
     verify_verdict,
 )
 from blowuplab.errors import Inconclusive
-from blowuplab.exact import blows_up, escape_time
+from blowuplab.exact import escape_time
 
 classify_module = importlib.import_module("blowuplab.classify")  # the package's classify is the function
 
@@ -47,12 +48,12 @@ def test_m4_stationary_line():
 
 
 def test_m4_tanh_family():
-    # at B = 0 u tends to a non-zero constant, so the verdict names the
-    # Riccati closed form that verify_verdict checks, and claims no decay
+    # at B = 0 u tends to a non-zero constant; a global verdict carries no
+    # detail, and verify_verdict holds both runs to exact.state_at
     v = classify(P4, 0.0, -1.0)
     assert v.kind == "global_bounded"
     assert v.basis == "w-equation"
-    assert v.detail == {"k": -1.0}
+    assert v.detail is None
 
 
 def test_m4_non_global_branches():
@@ -87,27 +88,31 @@ P_KPLUS = params_from_coeffs(-3.0, -1.0)
 P_A_B0 = params_from_coeffs(-2.0, 0.0)  # the A -> -A mirror of m = 4
 
 # (params, u0, v0, kind, t_bound): forward and backward take the branches of
-# classify's w-equation rule named in the comment (inward: d k u0 < 0;
-# q > 1 iff B > 0, q = 1 at B = 0; E has the sign of g_kplus(0) when
-# k = k_minus, which at B = 0 is v0 for A > 0 and -v0 for A < 0)
+# the w-equation rule named in the comment (inward: d k u0 < 0; q > 1 iff
+# B > 0, q = 1 at B = 0; E has the sign of g_kplus(0) when k = k_minus,
+# which at B = 0 is v0 for A > 0 and -v0 for A < 0).  t_bound is the nearer
+# exact blow-up time: a pole -1/(k u0) on a parabola (G = 0), a Riccati
+# pole at B = 0, 40-digit mpmath's (ROADMAP item 15) for m = 3 and the far
+# m = 5 start, else exact.escape_time's, which tests/test_exact.py holds to
+# mpmath within 1e-13
 RULE_TABLE = [
     (P8, 1.0, 1.0 / 3.0, "blowup_forward", 3.0),  # G = 0: inward blows up at -1/(k u0), outward is global
-    (P5, 1.0, 1.0, "no_global_solution", 1.5),  # a < 0 both ways
-    (P5, 1.0, -0.05, "no_global_solution", None),  # a > 0: inward with E > 0; outward with q > 1
-    (P3, 1.0, 0.6, "blowup_forward", 2.0),  # a > 0: inward with E > 0; outward with q < 1 is global
-    (P3, -1.0, 0.6, "blowup_backward", -2.0),  # the mirror -u(-t) of the row above
-    (P3, 2.0, 2.0, "blowup_forward", 1.0),  # a > 0: inward with E = 0, q < 1; the bound is exact
+    (P5, 1.0, 1.0, "no_global_solution", 1.327297248983794),  # a < 0 both ways
+    (P5, 1.0, -0.05, "no_global_solution", 2.811391593833385),  # a > 0: inward with E > 0; outward with q > 1
+    (P3, 1.0, 0.6, "blowup_forward", 0.93467406781),  # a > 0: inward with E > 0; outward with q < 1 is global
+    (P3, -1.0, 0.6, "blowup_backward", -0.93467406781),  # the mirror -u(-t) of the row above
+    (P3, 2.0, 2.0, "blowup_forward", 1.0),  # a > 0: inward with E = 0, q < 1: the parabola's pole
     (P5, -1.0, -P5.k_plus, "blowup_forward", 6.0),  # a > 0: inward with E = 0, q > 1 is global; outward
-    (P5, 1e-5, -3.33e-11, "no_global_solution", -6e5),  # a > 0: inward with E < 0, q > 1; outward
+    (P5, 1e-5, -3.33e-11, "no_global_solution", -552256.50672),  # a > 0: inward with E < 0, q > 1; outward
     (P3, 1.0, 0.1, "global_bounded", None),  # a > 0: inward with E < 0, q < 1; outward with q < 1
-    (P3, 0.0, 0.7, "no_global_solution", None),  # a < 0 at u0 = 0: no direction has a bound
+    (P3, 0.0, 0.7, "no_global_solution", 1.26238020379),  # a < 0 at u0 = 0: u is odd, and the tie goes forward
     (P3, 0.0, -0.5, "global_bounded", None),  # a > 0 at u0 = 0: outward both ways, q < 1
-    (P_DISC0, 1.0, 0.5, "no_global_solution", 4.0),  # disc = 0, a < 0
+    (P_DISC0, 1.0, 0.5, "no_global_solution", 2.622718169675194),  # disc = 0, a < 0
     (P_DISC0, 1.0, -0.5, "global_bounded", None),  # disc = 0, a > 0
     (P_DISC0, 2.0, 1.0, "blowup_forward", 2.0),  # disc = 0, G = 0
-    (P_KPLUS, 1.0, -0.6, "blowup_backward", -2.0),  # k = k_plus, a > 0: inward with E > 0; outward
+    (P_KPLUS, 1.0, -0.6, "blowup_backward", -1.3819660112501053),  # k = k_plus, a > 0: inward with E > 0; outward
     (P_KPLUS, 1.0, -0.4, "global_bounded", None),  # k = k_plus, a > 0: inward with E < 0; outward
-    # B = 0, k = -A/2, q = 1: the bound is the nearest exact Riccati pole
+    # B = 0, k = -A/2, q = 1: the nearer exact Riccati pole
     (P4, 0.5, 1.0, "no_global_solution", 2.0 * math.pi / (3.0 * math.sqrt(3.0))),  # a < 0 both ways
     (P4, 1.0, 1.0, "blowup_forward", 1.0),  # G = 0: inward at -1/(k u0); outward is global
     (P4, 2.0, 1.0, "blowup_forward", 0.7603459963009463),  # a > 0: inward with E > 0; outward with q = 1
@@ -121,28 +126,26 @@ def test_w_equation_rule_table():
     for p, u0, v0, kind, t_bound in RULE_TABLE:
         v = classify(p, u0, v0)
         assert (v.kind, v.basis) == (kind, "w-equation"), (p.A, p.B, u0, v0)
-        if kind == "global_bounded":
-            assert v.detail == ({"k": -p.A / 2.0} if p.B == 0.0 else {"decays": True}), (p.A, p.B, u0, v0)
-        elif t_bound is None:
+        if t_bound is None:
             assert v.detail is None, (p.A, p.B, u0, v0)
-        else:
-            assert v.detail == {"t_bound": pytest.approx(t_bound, rel=1e-12)}, (p.A, p.B, u0, v0)
+        else:  # the mpmath references carry 11 digits
+            assert v.detail == {"t_bound": pytest.approx(t_bound, rel=1e-10)}, (p.A, p.B, u0, v0)
     # at disc = 0 a direction blows up iff r g > 0, the same both ways: from
     # (1, -0.5), g = -0.75 < 0 < r = 1/4, and from (1, 0.5) g = 0.25 > 0
     for d in (1.0, -1.0):
-        assert not blows_up(P_DISC0, 1.0, -0.5, d)
-        assert blows_up(P_DISC0, 1.0, 0.5, d)
+        assert escape_time(P_DISC0, 1.0, -0.5, d) is None
+        assert escape_time(P_DISC0, 1.0, 0.5, d) is not None
     # at B = 0 the root k = 0 has exponent 0: u tends to a constant, and
     # classify settles the line of rest points u' = 0 first
     assert classify(P4, 1.0, 0.0).basis == "stationary-line"
-    assert not blows_up(P4, 1.0, -0.5, 1.0) and not blows_up(P4, 1.0, -0.5, -1.0)
+    assert escape_time(P4, 1.0, -0.5, 1.0) is None and escape_time(P4, 1.0, -0.5, -1.0) is None
 
 
 def test_w_equation_reference_points():
-    # m = 3 from (1, 0.6) was left unclassified by the decision tree; RK4
-    # blows up at 0.93467406781, well inside the bound 2
+    # m = 3 from (1, 0.6) was left unclassified by the decision tree; it
+    # blows up at 0.93467406781 (40-digit mpmath), its t_bound, and so does RK4
     v = classify(P3, 1.0, 0.6)
-    assert (v.kind, v.detail) == ("blowup_forward", {"t_bound": 2.0})
+    assert (v.kind, v.detail) == ("blowup_forward", {"t_bound": pytest.approx(0.93467406781, rel=1e-10)})
     check = verify_verdict(P3, 1.0, 0.6, v, horizon=50.0)
     assert check.passed
     assert check.t_blow_forward == pytest.approx(0.93467406781, rel=1e-7)
@@ -153,49 +156,55 @@ def test_w_equation_reference_points():
 
 def test_m5_direction_table():
     # m = 5 is above 4: off both parabolas every state blows up both ways,
-    # and the mirror -u(-t) negates the bound
-    for u0, v0, t_bound in ((1.0, 1.0, 1.5), (-1.0, 1.0, -1.5), (-1.0, -0.05, None), (1.0, -0.05, None)):
+    # and the mirror -u(-t) negates the nearer exact time (escape_time's;
+    # the other times are -4.8313 and -6.4249)
+    for u0, v0, t_bound in ((1.0, 1.0, 1.327297248983794), (-1.0, 1.0, -1.327297248983794),
+                            (-1.0, -0.05, -2.811391593833385), (1.0, -0.05, 2.811391593833385)):
         v = classify(P5, u0, v0)
         assert (v.kind, v.basis) == ("no_global_solution", "w-equation"), (u0, v0)
-        if t_bound is None:
-            assert v.detail is None
-        else:
-            assert v.detail == {"t_bound": pytest.approx(t_bound, rel=1e-12)}
+        assert v.detail == {"t_bound": pytest.approx(t_bound, rel=1e-12)}
+        assert classify(P5, -u0, v0).detail["t_bound"] == -v.detail["t_bound"]
         assert verify_verdict(P5, u0, v0, v, horizon=50.0).passed, (u0, v0)
 
 
 def test_m5_parabola_bound():
-    # (-+1/2, -1) lies off the parabolas; the bound 12 = -1/(k u0) is the
-    # nearer pole, on the side where kappa g_kappa(0) <= 0
-    for u0, t_bound in ((-0.5, 12.0), (0.5, -12.0)):
+    # (-+1/2, -1) lies off the parabolas; the comparison with the parabola
+    # on the side where kappa g_kappa(0) <= 0 bounds the blow-up by its
+    # pole 12 = -1/(k u0), and the exact time 5.3927 lies well inside it
+    for u0, t_bound in ((-0.5, 5.3926951474984035), (0.5, -5.3926951474984035)):
         v = classify(P5, u0, -1.0)
         assert (v.kind, v.basis) == ("no_global_solution", "w-equation")
         assert v.detail["t_bound"] == pytest.approx(t_bound, rel=1e-12)
+        assert abs(v.detail["t_bound"]) < 12.0
         assert verify_verdict(P5, u0, -1.0, v, horizon=50.0).passed, u0
 
 
 def test_m8_energy_branches():
     # on the parabola (G = 0) only the inward direction blows up, at the exact
-    # pole 3; off it (E > 0) both directions do
+    # pole 3; off it (E > 0) both directions do, the nearer at the escape time
+    # of the conserved energy (A = 0: u'^2 = (B/2) u^4 + 1 - B/2 from (1, 1))
     v = classify(P8, 1.0, 1.0 / 3.0)
     assert (v.kind, v.basis, v.detail) == ("blowup_forward", "w-equation", {"t_bound": 3.0})
     v = classify(P8, 1.0, 1.0)
     assert (v.kind, v.basis) == ("no_global_solution", "w-equation")
-    assert v.detail["t_bound"] == pytest.approx(3.0, rel=1e-12)
+    assert v.detail["t_bound"] == pytest.approx(quadrature_blowup_time(P8.B / 2.0, 1.0 - P8.B / 2.0, 1.0), rel=1e-13)
     for v0 in (1.0 / 3.0, 1.0):
         assert verify_verdict(P8, 1.0, v0, classify(P8, 1.0, v0), horizon=50.0).passed, v0
 
 
 def test_m3_decay_region():
     # below the parabola (E < 0, q < 1) the state decays both ways; above it
-    # u blows up inward, and from u0 = 0 with v0 > 0 both ways
+    # u blows up inward, and from u0 = 0 with v0 > 0 both ways, at the
+    # 40-digit mpmath times +-1.26238020379 (the tie goes to sign(u0) sign(v0))
     for u0, v0 in ((0.0, -0.5), (1.0, 0.1), (1.0, -0.1)):
         v = classify(P3, u0, v0)
-        assert (v.kind, v.basis, v.detail) == ("global_bounded", "w-equation", {"decays": True}), (u0, v0)
+        assert (v.kind, v.basis, v.detail) == ("global_bounded", "w-equation", None), (u0, v0)
     v = classify(P3, 0.0, 0.7)
-    assert (v.kind, v.basis, v.detail) == ("no_global_solution", "w-equation", None)
+    assert (v.kind, v.basis) == ("no_global_solution", "w-equation")
+    assert v.detail == {"t_bound": pytest.approx(1.26238020379, rel=1e-10)}
+    assert classify(P3, -0.0, 0.7).detail == {"t_bound": -v.detail["t_bound"]}
     v = classify(P3, 1.0, 0.6)
-    assert (v.kind, v.basis, v.detail) == ("blowup_forward", "w-equation", {"t_bound": 2.0})
+    assert (v.kind, v.basis, v.detail) == ("blowup_forward", "w-equation", {"t_bound": pytest.approx(0.93467406781, rel=1e-10)})
     for u0, v0 in ((0.0, -0.5), (1.0, 0.1), (1.0, -0.1), (1.0, 0.6)):
         assert verify_verdict(P3, u0, v0, classify(P3, u0, v0), horizon=50.0).passed, (u0, v0)
 
@@ -282,7 +291,8 @@ def test_b0_rule_agrees_with_riccati_poles():
     # at B = 0 u is the Riccati closed form with k = -A/2, whose poles
     # (riccati_poles, an independent reading) are the blow-up times: the rule's
     # kind must name exactly the directions that have a pole, and t_bound must
-    # be the nearer pole, none at u0 = 0.  u0 scales with |A|^(-1/2), which
+    # be the nearer pole within 1e-13, at u0 = 0 (where u is odd) the one in
+    # the direction sign(u0) sign(v0).  u0 scales with |A|^(-1/2), which
     # keeps k u0^2 / v0, so the last three A, where A^2 under- or overflows,
     # meet the same cases
     want = {(False, False): "global_bounded", (True, False): "blowup_backward",
@@ -297,14 +307,17 @@ def test_b0_rule_agrees_with_riccati_poles():
             v = classify(p, u0, v0)
             before, after = riccati_poles(Riccati(-A / 2.0, u0, v0))
             assert v.kind == want[before is not None, after is not None], (A, u0, v0)
-            poles = [t for t in (before, after) if t is not None and u0 != 0.0]
-            assert (v.detail or {}).get("t_bound") == (min(poles, key=abs) if poles else None), (A, u0, v0)
+            poles = [t for t in (before, after) if t is not None]
+            tie = math.copysign(1.0, u0) * math.copysign(1.0, v0)
+            nearest = min(poles, key=lambda t: (abs(t), t * tie < 0.0)) if poles else None
+            got = (v.detail or {}).get("t_bound")
+            assert got == (None if nearest is None else pytest.approx(nearest, rel=1e-13)), (A, u0, v0, got, nearest)
             kinds.add(v.kind)
     assert len(kinds) == 4, kinds
 
 
 SWAP = {"blowup_forward": "blowup_backward", "blowup_backward": "blowup_forward"}
-# B = 0 coefficients: every blow-up off u0 = 0 carries its nearest exact pole
+# B = 0 coefficients: every blow-up carries its nearest exact pole
 B0 = [params_from_coeffs(A, 0.0) for A in (2.0, -2.0, 0.5, -0.5)]
 
 
@@ -326,9 +339,9 @@ def test_m9_mirrors_m5_with_swapped_directions():
         for _ in range(25):
             u0, v0 = rng.uniform(-2.0, 2.0, size=2)
             bounds += _assert_conjugate(classify(mirror, u0, -v0), classify(p, u0, v0))
-    # m = 4 at u0 = 0: riccati_poles has poles at -+pi/(2 om), and no bound is taken
+    # m = 4 at u0 = 0: the poles -+pi/(2 om) tie, and the tie goes to sign(u0) sign(v0)
     for v0 in (1.0, -1.0):
-        _assert_conjugate(classify(P_A_B0, 0.0, -v0), classify(P4, 0.0, v0))
+        bounds += _assert_conjugate(classify(P_A_B0, 0.0, -v0), classify(P4, 0.0, v0))
     assert bounds > 0
 
 
@@ -343,7 +356,7 @@ def test_sign_conjugacy_swaps_direction():
                 continue
             bounds += _assert_conjugate(classify(p, u0, v0), classify(p, -u0, v0))
     for v0 in (1.0, -1.0):  # m = 4 at u0 = 0, where -u0 is -0.0
-        _assert_conjugate(classify(P4, 0.0, v0), classify(P4, -0.0, v0))
+        bounds += _assert_conjugate(classify(P4, 0.0, v0), classify(P4, -0.0, v0))
     assert bounds > 0
 
 
@@ -374,14 +387,18 @@ def test_underflowed_root_or_pole_gives_no_bound():
         for u0, v0 in ((1.0, 0.0), (-1.0, 0.0), (1.0, 1.0), (1.0, -0.2), (-1.0, 0.5), (0.5, -2.0), (0.0, 1.0)):
             if B != 0.0 or v0 != 0.0:
                 assert classify(p, u0, v0) == Verdict("unclassified", "root-out-of-range"), (A, B, u0, v0)
-    # at B = 1e-320 k_plus is subnormal and its pole -1/(k_plus u0) overflows:
-    # it gives no bound, the pole of k_minus = -1/2 stays, and the sign of
-    # g_kplus still decides (+-1, 0), where u'' = u u' + B u^3 blows up both ways
+    # at B = 1e-320 k_plus is subnormal: from (1, 1) the nearer time is the
+    # Riccati pole pi/2 of k = -1/2; from (1, -0.2) both exact times overflow,
+    # so the verdict carries none; and the sign of g_kplus still decides
+    # (+-1, 0), where u'' = u u' + B u^3 blows up both ways, the nearer time
+    # within 3.2e-7 of 800-digit mpmath's 737.520388 (k_plus keeps 11 bits)
     p = params_from_coeffs(1.0, 1e-320)
-    assert classify(p, 1.0, 1.0).detail == {"t_bound": 2.0}
-    assert classify(p, 1.0, -0.2).detail is None
+    assert classify(p, 1.0, 1.0).detail == {"t_bound": pytest.approx(math.pi / 2.0, rel=1e-13)}
+    assert classify(p, 1.0, -0.2) == Verdict("no_global_solution", "w-equation")
     for u0 in (1.0, -1.0):
-        assert classify(p, u0, 0.0) == Verdict("no_global_solution", "w-equation"), u0
+        v = classify(p, u0, 0.0)
+        assert (v.kind, v.basis) == ("no_global_solution", "w-equation"), u0
+        assert v.detail["t_bound"] == pytest.approx(u0 * 737.520388071534, rel=1e-6)
     # at B = 0 the roots -A/2 and 0 stay exact where A + A overflows
     p = params_from_coeffs(1e308, 0.0)
     assert (p.k_minus, p.k_plus) == (-5e307, 0.0)
@@ -453,12 +470,13 @@ def test_verify_rejects_bound_below_blowup_time():
 
 
 def test_verify_blowup_bound_beyond_horizon():
-    # t_bound lies past the horizon of 50; the blow-up it claims is checked
-    # out to the bound (it happens at about -184.0 and 75.5, and at the
-    # exact times given for the last four)
+    # t_bound lies past the horizon of 50; the run stops there and adds the
+    # exact remaining time.  The m = 8 references are 40-digit mpmath's, the
+    # m = 9 one from (-0.0248, -0.00065) Gauss6's at local_tol 1e-12, and
+    # the first two exact.escape_time's
     for m, u0, v0, t_exact in (
-        (5.0, 0.017425351017666624, -0.0007791294921964953, None),
-        (9.0, 0.002390275606063308, 0.0022000072518919556, None),
+        (5.0, 0.017425351017666624, -0.0007791294921964953, -183.98737377592366),
+        (9.0, 0.002390275606063308, 0.0022000072518919556, 75.45533229090009),
         (8.0, -0.030497883397175962, 0.0007917138562474335, -77.82267285707),
         (8.0, 0.033684937989015395, 0.0019283492347536013, 56.10646958759),
         (8.0, 0.01959198550545671, -0.00013550917209603774, -151.349059576545),
@@ -469,22 +487,22 @@ def test_verify_blowup_bound_beyond_horizon():
         assert v.kind == "no_global_solution"
         bound = v.detail["t_bound"]
         assert abs(bound) > 50.0
+        assert bound == pytest.approx(t_exact, rel=1e-10)
         check = verify_verdict(p, u0, v0, v, horizon=50.0)
         assert check.passed, (m, u0, v0, check)
         t_blow = check.t_blow_forward if bound > 0 else check.t_blow_backward
-        assert 50.0 < abs(t_blow) < abs(bound)
-        if t_exact is not None:
-            assert t_blow == pytest.approx(t_exact, rel=1e-7)
+        assert t_blow == pytest.approx(t_exact, rel=1e-7)
 
 
 def test_verify_backward_blowup_far_from_origin():
     # the blow-up lies near t = -552256, far past the horizon: the run stops
     # at t = -50 and adds the exact remaining time from its state there.  The
     # exact time is -552256.50672 by exact.escape_time and by 40-digit mpmath
-    # (betainc); RK4 run out to the blow-up had fitted -552256.245
+    # (betainc), and it is the verdict's t_bound; RK4 run out to the blow-up
+    # had fitted -552256.245, and the parabola comparison bounded it by -6e5
     v = classify(P5, 1e-5, -3.33e-11)
     assert v.kind == "no_global_solution"
-    assert v.detail["t_bound"] == pytest.approx(-6e5, rel=1e-12)
+    assert v.detail["t_bound"] == pytest.approx(-552256.50672, rel=1e-10)
     assert escape_time(P5, 1e-5, -3.33e-11, -1.0) == pytest.approx(-552256.50672, rel=1e-11)
     check = verify_verdict(P5, 1e-5, -3.33e-11, v, horizon=50.0)
     assert check.passed
@@ -511,11 +529,11 @@ def test_verify_runs_only_the_claimed_directions(monkeypatch):
         (P3, 1.0, 0.6, "blowup_forward", 10.0, "+"),
         (params_from_coeffs(2.0, -4.0), 1.0, 0.6, "unclassified", 10.0, ""),
         (P8, 1.0, 1.0 / 3.0, "blowup_forward", 10.0, ""),  # on the parabola v = u^2/3: the exact pole
-        # no bound: |u| grows backward, where the blow-up is at -6.42, past
-        # the horizon, which the exact remainder from the run's end state
-        # confirms, so the forward blow-up at 2.81 is not run
-        (P5, 1.0, -0.05, "no_global_solution", 5.0, "-"),
-        (P8, *m8_far, "no_global_solution", 100.0, "-"),  # t_bound -98.37
+        # t_bound 2.81, nearer than the backward blow-up at -6.42, where |u| grows
+        (P5, 1.0, -0.05, "no_global_solution", 5.0, "+"),
+        (P8, *m8_far, "no_global_solution", 100.0, "-"),  # t_bound -77.82
+        # both exact times overflow: no t_bound, and the run goes forward
+        (params_from_coeffs(1.0, 1e-320), 1.0, -0.2, "no_global_solution", 10.0, "+"),
     ):
         v = classify(p, u0, v0)
         assert v.kind == kind
@@ -524,29 +542,30 @@ def test_verify_runs_only_the_claimed_directions(monkeypatch):
         assert check.passed, (kind, check)
         assert "".join(signs) == want, (kind, signs)
         assert (check.max_abs_u is None) == (want == "")
-    assert check.t_blow_forward is None
-    assert check.t_blow_backward == pytest.approx(-77.82, rel=1e-3)
+        if (u0, v0) == m8_far:
+            assert check.t_blow_forward is None
+            assert check.t_blow_backward == pytest.approx(-77.82267285707, rel=1e-7)
 
 
 def test_verify_blowups_past_the_horizon_without_t_bound():
-    # none of these verdicts has a t_bound (g_kminus(0) < 0 < g_kplus(0)), and
-    # the blow-up in the direction where |u| grows, which runs first, lies
-    # past the horizon of 50; the run stops there and adds the exact
+    # the parabola comparison gave these verdicts no bound (g_kminus(0) < 0 <
+    # g_kplus(0)); each now carries its nearer exact time, past the horizon
+    # of 50, and the run in its direction stops there and adds the exact
     # remaining time.  The m = 8 times are the A = 0 energy quadrature's, the
     # first m = 9 time is Gauss6's at local_tol 1e-12, the last two are exact
     # (escape_time and 40-digit mpmath): m = 5, whose other blow-up is at
-    # 93.713 and which failed before, and the m = 9 point that failed a
+    # -214.163 and which failed before, and the m = 9 point that failed a
     # verify_grid_rk4 operation at seed 100
     for m, u0, v0, d, t_blow in (
         (8.0, 0.03, -4.5e-05, -1.0, -124.2651522584542),
         (8.0, 0.03, 1.8e-05, 1.0, 128.2157228601776),
         (9.0, 0.03, -4.5e-05, -1.0, -119.6083369239576),
-        (5.0, 0.03, -4.5e-05, -1.0, -214.163296954990),
+        (5.0, 0.03, -4.5e-05, 1.0, 93.713053127780),
         (9.0, 0.0598, 0.000456, 1.0, 65.63468388496041),
     ):
         p = params_from_dimension(m)
         v = classify(p, u0, v0)
-        assert (v.kind, v.detail) == ("no_global_solution", None)
+        assert (v.kind, v.detail) == ("no_global_solution", {"t_bound": pytest.approx(t_blow, rel=1e-10)})
         check = verify_verdict(p, u0, v0, v, horizon=50.0)
         assert check.passed, (m, u0, v0, check)
         assert (check.t_blow_forward, check.t_blow_backward)[d < 0] == pytest.approx(t_blow, rel=1e-7)
@@ -612,11 +631,14 @@ def test_verify_near_disc0_grid():
 
 
 def test_verify_huge_t_bound_without_running_to_it():
-    # at B = 1e-300, k_plus = 1e-300 gives the bound -1e300; the run stops at
-    # the horizon and the exact time is checked against the bound
+    # at B = 1e-300 (k_plus = 1e-300) both exact times are 8.4515425472852e299
+    # in size (800-digit mpmath: equal to 30 digits, and equal in floats), so
+    # the tie goes to sign(u0) sign(v0), backward; the run stops at the
+    # horizon and adds the exact remaining time
     p = params_from_coeffs(1.0, 1e-300)
     v = classify(p, 1.0, -0.2)
-    assert v.detail["t_bound"] == pytest.approx(-1e300, rel=1e-12)
+    assert v.detail["t_bound"] == pytest.approx(-8.4515425472852e299, rel=1e-12)
+    assert v.detail["t_bound"] == -escape_time(p, 1.0, -0.2, 1.0)
     start = time.perf_counter()
     check = verify_verdict(p, 1.0, -0.2, v, horizon=50.0)
     assert time.perf_counter() - start < 1.0
@@ -624,20 +646,64 @@ def test_verify_huge_t_bound_without_running_to_it():
     assert -1e300 <= check.t_blow_backward < -1e299
 
 
-def test_verdict_census_is_pinned():
-    # sha256 over every verdict on a 21 x 21 grid of [-2, 2]^2 for seven
-    # dimensions and twenty (A, B) pairs: any change to the sign rule or its
-    # t_bound arithmetic changes the digest
-    h = hashlib.sha256()
+def _census():
+    """(p, u0, v0) on a 21 x 21 grid of [-2, 2]^2 for seven dimensions and twenty (A, B) pairs."""
     grid = np.linspace(-2.0, 2.0, 21).tolist()
     params = [params_from_dimension(m) for m in (3.0, 3.5, 4.0, 5.0, 6.0, 8.0, 9.0)]
     params += [params_from_coeffs(A, B) for A in (-2, -1, 0, 1, 2) for B in (-1, 0, 0.5, 2)]
-    for p in params:
-        for u0 in grid:
-            for v0 in grid:
-                v = classify(p, u0, v0)
-                h.update(repr((p.A, p.B, u0, v0, v.kind, v.basis, v.detail)).encode())
-    assert h.hexdigest() == "5ed8b56d0b7b42e9674b9adf1c4fdd4349b0822530b1fafc08f276ec63d52c3b"
+    return [(p, u0, v0) for p in params for u0 in grid for v0 in grid]
+
+
+def test_verdict_census_is_pinned():
+    # sha256 over every verdict of the census: any change to the rule or
+    # to its exact times changes the digest
+    h = hashlib.sha256()
+    for p, u0, v0 in _census():
+        v = classify(p, u0, v0)
+        h.update(repr((p.A, p.B, u0, v0, v.kind, v.basis, v.detail)).encode())
+    assert h.hexdigest() == "c3866861de7e4c5c0718b6e08710d12aeb956d0cafe69280b8d7b6b31ed8f4bc"
+
+
+def _comparison_bound(p, u0, v0):
+    """The bound classify took before exact times: the nearer Riccati pole at B = 0 (none at u0 = 0), else the nearer pole -1/(kappa u0) over the roots with kappa g_kappa(0) <= 0."""
+    k = p.k_minus if p.k_minus < 0.0 else p.k_plus  # -A/2 at B = 0
+    if p.B == 0.0:
+        poles = [t for t in riccati_poles(Riccati(k, u0, v0)) if t is not None] if k * u0 != 0.0 else []
+    else:
+        s0 = State(0.0, u0, v0)
+        poles = [-1.0 / (kappa * u0) for kappa in (p.k_minus, p.k_plus) if kappa * u0 != 0.0 and kappa * g_k(s0, kappa) <= 0.0]
+    return min(poles, key=abs) if poles else None
+
+
+def test_exact_time_is_never_looser_than_the_comparison_bound():
+    # wherever the parabola comparison (or the Riccati pole) bounded a
+    # blow-up verdict, the verdict's exact t_bound lies no further out
+    compared = 0
+    for p, u0, v0 in _census():
+        v = classify(p, u0, v0)
+        if v.kind not in ("blowup_forward", "blowup_backward", "no_global_solution"):
+            continue
+        bound = _comparison_bound(p, u0, v0)
+        if bound is not None and abs(bound) < math.inf:
+            assert abs(v.detail["t_bound"]) <= abs(bound) * (1.0 + 1e-12), (p.A, p.B, u0, v0, v.detail, bound)
+            compared += 1
+    assert compared == 4766
+
+
+def test_verify_blowup_claim_without_a_finite_t_bound():
+    # at B = 1e-320 from (1, -0.2) both exact times overflow: the verdict
+    # carries no t_bound, and its forward run must end with an exact time,
+    # here past floats too; a claim without t_bound whose run direction is
+    # global fails, and so does a t_bound of NaN or inf
+    p = params_from_coeffs(1.0, 1e-320)
+    v = classify(p, 1.0, -0.2)
+    check = verify_verdict(p, 1.0, -0.2, v, horizon=10.0)
+    assert check.passed and "no finite t_bound" in check.reason, check
+    assert check.t_blow_forward == math.inf and check.t_blow_backward is None
+    check = verify_verdict(P3, 1.0, 0.1, Verdict("blowup_forward", "w-equation"), horizon=10.0)
+    assert not check.passed and "not seen" in check.reason, check
+    for bad in (math.nan, math.inf, -math.inf):
+        assert not verify_verdict(P3, 1.0, 0.6, Verdict("blowup_forward", "w-equation", {"t_bound": bad}), 10.0).passed
 
 
 def test_verify_no_global_m8():

@@ -18,7 +18,7 @@ from blowuplab import (
     riccati_poles,
 )
 from blowuplab.errors import DomainError
-from blowuplab.exact import _ALPHA_MAX, _GAUSS20, blows_up, escape_time, parabola_pole, state_at
+from blowuplab.exact import _ALPHA_MAX, _GAUSS20, escape_time, parabola_pole, state_at
 
 HALF = mp.mpf(1) / 2
 
@@ -123,7 +123,6 @@ def test_escape_time_matches_mpmath():
             for d in (1.0, -1.0):
                 got, want = escape_time(p, u0, v0, d), mp_escape_time(p, u0, v0, d)
                 assert (got is None) == (want is None), (p.A, p.B, u0, v0, d, got, want)
-                assert blows_up(p, u0, v0, d) == (got is not None)
                 if got is None:
                     checked["global"] += 1
                     continue
@@ -155,7 +154,6 @@ def test_handover_near_the_double_root():
                 for d in (1.0, -1.0):
                     got, want = escape_time(p, u0, v0, d), mp_escape_time(p, u0, v0, d)
                     assert (got is None) == (want is None), (A, alpha, u0, v0, d, got, want)
-                    assert blows_up(p, u0, v0, d) == (got is not None)
                     if got is not None:
                         worst, n = max(worst, abs(got - want) / abs(want)), n + 1
             assert n >= 8 and worst <= 1e-13, (A, alpha, worst)
@@ -335,7 +333,7 @@ def test_conjugacies():
 
 def test_domain():
     for p in (params_from_coeffs(2.0, -4.0), params_from_coeffs(0.0, 0.0)):  # disc < 0; u'' = 0
-        for call in (escape_time, blows_up, lambda p, u, v, d: state_at(p, u, v, d)):
+        for call in (escape_time, lambda p, u, v, d: state_at(p, u, v, d)):
             with pytest.raises(DomainError):
                 call(p, 1.0, 0.5, 1.0)
     p5 = params_from_dimension(5.0)

@@ -2,6 +2,8 @@ import math
 import pickle
 from dataclasses import asdict
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 from blowuplab import (
@@ -72,6 +74,24 @@ def test_small_root_is_cancellation_free():
     p = params_from_coeffs(1e8, 1.0)
     small = min(abs(p.k_minus), abs(p.k_plus))
     assert small == pytest.approx(1e-8, rel=1e-12)
+
+
+def test_root_gap_near_double_root():
+    # near disc = 0, A A + 8B cancels: rounded A A would leave disc, and the
+    # gap k_plus - k_minus = sqrt(disc)/2, off by up to 3e-2 relative at
+    # disc = 1e-14; with A A error-free the worst of 2000 seeded cases is 2e-9
+    rng = np.random.default_rng(29)
+    worst, n = 0.0, 0
+    with mp.workdps(40):
+        while n < 2000:
+            A = float(rng.uniform(-4.0, 4.0))
+            B = (10.0 ** rng.uniform(-14.0, -6.0) - A * A) / 8.0
+            disc = mp.mpf(A) ** 2 + 8 * mp.mpf(B)
+            if not 1e-14 <= disc <= 1e-6:
+                continue
+            p, want, n = params_from_coeffs(A, B), mp.sqrt(disc) / 2, n + 1
+            worst = max(worst, float(abs((p.k_plus - p.k_minus) - want) / want))
+    assert worst <= 1e-8, worst
 
 
 def test_params_from_coeffs_has_no_dimension():
