@@ -123,10 +123,10 @@ def verify_verdict(p: OdeParams, u0: float, v0: float, verdict: Verdict, horizon
     """Run in RK4 the time directions the verdict's claim concerns, and hold each to the exact answer.
 
     A start on an invariant parabola (``exact.parabola_pole``) runs nothing
-    and must claim the blow-up at its pole, as ``t_bound``.  ``trivial``,
-    ``stationary`` and ``global_bounded`` run both directions, and each
-    run's last state must be global and within _STATE_GATE of
-    ``exact.state_at``'s.  A blow-up claim runs one direction, that of its
+    and must claim the blow-up at its pole, as ``t_bound``.  ``trivial`` and
+    ``stationary`` need a rest point (u'0 = 0 and B u0 = 0), and then, like
+    ``global_bounded``, run both directions, and each run's last state must
+    be global and within _STATE_GATE of ``exact.state_at``'s.  A blow-up claim runs one direction, that of its
     ``t_bound``'s sign (of its kind without one, forward for
     ``no_global_solution``), and the run's ``t_estimate`` must lie within
     _T_GATE of ``t_bound`` relative; a claim without a finite ``t_bound``
@@ -148,6 +148,8 @@ def verify_verdict(p: OdeParams, u0: float, v0: float, verdict: Verdict, horizon
         return VerdictCheck(exact, "invariant-parabola pole", *((pole, None) if pole > 0.0 else (None, pole)))
     t_blow = {1.0: None, -1.0: None}
     if not blowup_claim:
+        if kind in (TRIVIAL, STATIONARY) and not (v0 == 0.0 and (u0 == 0.0 or p.B == 0.0)):
+            return VerdictCheck(False, "not a rest point")
         runs, failed = [], []
         for d in (1.0, -1.0):
             traj, t_blow[d] = _run(p, u0, v0, d * horizon)

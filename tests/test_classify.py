@@ -99,13 +99,13 @@ RULE_TABLE = [
     (P8, 1.0, 1.0 / 3.0, "blowup_forward", 3.0),  # G = 0: inward blows up at -1/(k u0), outward is global
     (P5, 1.0, 1.0, "no_global_solution", 1.327297248983794),  # a < 0 both ways
     (P5, 1.0, -0.05, "no_global_solution", 2.811391593833385),  # a > 0: inward with E > 0; outward with q > 1
-    (P3, 1.0, 0.6, "blowup_forward", 0.93467406781),  # a > 0: inward with E > 0; outward with q < 1 is global
-    (P3, -1.0, 0.6, "blowup_backward", -0.93467406781),  # the mirror -u(-t) of the row above
+    (P3, 1.0, 0.6, "blowup_forward", 0.9346740678055715),  # a > 0: inward with E > 0; outward with q < 1 is global
+    (P3, -1.0, 0.6, "blowup_backward", -0.9346740678055715),  # the mirror -u(-t) of the row above
     (P3, 2.0, 2.0, "blowup_forward", 1.0),  # a > 0: inward with E = 0, q < 1: the parabola's pole
     (P5, -1.0, -P5.k_plus, "blowup_forward", 6.0),  # a > 0: inward with E = 0, q > 1 is global; outward
-    (P5, 1e-5, -3.33e-11, "no_global_solution", -552256.50672),  # a > 0: inward with E < 0, q > 1; outward
+    (P5, 1e-5, -3.33e-11, "no_global_solution", -552256.5067186183),  # a > 0: inward with E < 0, q > 1; outward
     (P3, 1.0, 0.1, "global_bounded", None),  # a > 0: inward with E < 0, q < 1; outward with q < 1
-    (P3, 0.0, 0.7, "no_global_solution", 1.26238020379),  # a < 0 at u0 = 0: u is odd, and the tie goes forward
+    (P3, 0.0, 0.7, "no_global_solution", 1.2623802037891),  # a < 0 at u0 = 0: u is odd, and the tie goes forward
     (P3, 0.0, -0.5, "global_bounded", None),  # a > 0 at u0 = 0: outward both ways, q < 1
     (P_DISC0, 1.0, 0.5, "no_global_solution", 2.622718169675194),  # disc = 0, a < 0
     (P_DISC0, 1.0, -0.5, "global_bounded", None),  # disc = 0, a > 0
@@ -128,8 +128,8 @@ def test_w_equation_rule_table():
         assert (v.kind, v.basis) == (kind, "w-equation"), (p.A, p.B, u0, v0)
         if t_bound is None:
             assert v.detail is None, (p.A, p.B, u0, v0)
-        else:  # the mpmath references carry 11 digits
-            assert v.detail == {"t_bound": pytest.approx(t_bound, rel=1e-10)}, (p.A, p.B, u0, v0)
+        else:
+            assert v.detail == {"t_bound": pytest.approx(t_bound, rel=1e-12)}, (p.A, p.B, u0, v0)
     # at disc = 0 a direction blows up iff r g > 0, the same both ways: from
     # (1, -0.5), g = -0.75 < 0 < r = 1/4, and from (1, 0.5) g = 0.25 > 0
     for d in (1.0, -1.0):
@@ -143,9 +143,9 @@ def test_w_equation_rule_table():
 
 def test_w_equation_reference_points():
     # m = 3 from (1, 0.6) was left unclassified by the decision tree; it
-    # blows up at 0.93467406781 (40-digit mpmath), its t_bound, and so does RK4
+    # blows up at 0.9346740678055715 (40-digit mpmath), its t_bound, and so does RK4
     v = classify(P3, 1.0, 0.6)
-    assert (v.kind, v.detail) == ("blowup_forward", {"t_bound": pytest.approx(0.93467406781, rel=1e-10)})
+    assert (v.kind, v.detail) == ("blowup_forward", {"t_bound": pytest.approx(0.9346740678055715, rel=1e-12)})
     check = verify_verdict(P3, 1.0, 0.6, v, horizon=50.0)
     assert check.passed
     assert check.t_blow_forward == pytest.approx(0.93467406781, rel=1e-7)
@@ -195,16 +195,16 @@ def test_m8_energy_branches():
 def test_m3_decay_region():
     # below the parabola (E < 0, q < 1) the state decays both ways; above it
     # u blows up inward, and from u0 = 0 with v0 > 0 both ways, at the
-    # 40-digit mpmath times +-1.26238020379 (the tie goes to sign(u0) sign(v0))
+    # 40-digit mpmath times +-1.2623802037891 (the tie goes to sign(u0) sign(v0))
     for u0, v0 in ((0.0, -0.5), (1.0, 0.1), (1.0, -0.1)):
         v = classify(P3, u0, v0)
         assert (v.kind, v.basis, v.detail) == ("global_bounded", "w-equation", None), (u0, v0)
     v = classify(P3, 0.0, 0.7)
     assert (v.kind, v.basis) == ("no_global_solution", "w-equation")
-    assert v.detail == {"t_bound": pytest.approx(1.26238020379, rel=1e-10)}
+    assert v.detail == {"t_bound": pytest.approx(1.2623802037891, rel=1e-12)}
     assert classify(P3, -0.0, 0.7).detail == {"t_bound": -v.detail["t_bound"]}
     v = classify(P3, 1.0, 0.6)
-    assert (v.kind, v.basis, v.detail) == ("blowup_forward", "w-equation", {"t_bound": pytest.approx(0.93467406781, rel=1e-10)})
+    assert (v.kind, v.basis, v.detail) == ("blowup_forward", "w-equation", {"t_bound": pytest.approx(0.9346740678055715, rel=1e-12)})
     for u0, v0 in ((0.0, -0.5), (1.0, 0.1), (1.0, -0.1), (1.0, 0.6)):
         assert verify_verdict(P3, u0, v0, classify(P3, u0, v0), horizon=50.0).passed, (u0, v0)
 
@@ -417,6 +417,17 @@ def test_verify_stationary():
     assert verify_verdict(P4, 2.0, 0.0, v, horizon=3.0).passed
 
 
+def test_verify_rejects_rest_claims_off_rest_points():
+    # a trivial or stationary claim needs a rest point, as the runs' end-state
+    # gate alone would pass any global start; at disc < 0, where the exact
+    # state is not defined, such a claim fails before any run
+    for p, u0, v0 in ((P3, 1.0, 0.1), (P4, 2.0, 0.5), (params_from_coeffs(0.0, -2.0), 0.0, 1.0)):
+        for kind in ("trivial", "stationary"):
+            check = verify_verdict(p, u0, v0, Verdict(kind, "fixed-point"), horizon=3.0)
+            assert (check.passed, check.reason, check.max_abs_u) == (False, "not a rest point", None), (p.A, u0, v0, kind)
+    assert verify_verdict(params_from_coeffs(0.0, -2.0), 0.0, 0.0, Verdict("trivial", "fixed-point"), horizon=3.0).passed
+
+
 def test_verify_parabola_bound_respected():
     v = classify(P5, -0.5, -1.0)
     check = verify_verdict(P5, -0.5, -1.0, v, horizon=20.0)
@@ -471,23 +482,22 @@ def test_verify_rejects_bound_below_blowup_time():
 
 def test_verify_blowup_bound_beyond_horizon():
     # t_bound lies past the horizon of 50; the run stops there and adds the
-    # exact remaining time.  The m = 8 references are 40-digit mpmath's, the
-    # m = 9 one from (-0.0248, -0.00065) Gauss6's at local_tol 1e-12, and
-    # the first two exact.escape_time's
+    # exact remaining time.  The references are 40-digit mpmath's
+    # (tests/test_exact.py's mp_escape_time)
     for m, u0, v0, t_exact in (
-        (5.0, 0.017425351017666624, -0.0007791294921964953, -183.98737377592366),
-        (9.0, 0.002390275606063308, 0.0022000072518919556, 75.45533229090009),
-        (8.0, -0.030497883397175962, 0.0007917138562474335, -77.82267285707),
-        (8.0, 0.033684937989015395, 0.0019283492347536013, 56.10646958759),
-        (8.0, 0.01959198550545671, -0.00013550917209603774, -151.349059576545),
-        (9.0, -0.024760670114000294, -0.0006506120489702116, 84.00497420143),
+        (5.0, 0.017425351017666624, -0.0007791294921964953, -183.9873737759236),
+        (9.0, 0.002390275606063308, 0.0022000072518919556, 75.4553322909001),
+        (8.0, -0.030497883397175962, 0.0007917138562474335, -77.82267285707145),
+        (8.0, 0.033684937989015395, 0.0019283492347536013, 56.106469587587306),
+        (8.0, 0.01959198550545671, -0.00013550917209603774, -151.34905957654522),
+        (9.0, -0.024760670114000294, -0.0006506120489702116, 84.00497419923799),
     ):
         p = params_from_dimension(m)
         v = classify(p, u0, v0)
         assert v.kind == "no_global_solution"
         bound = v.detail["t_bound"]
         assert abs(bound) > 50.0
-        assert bound == pytest.approx(t_exact, rel=1e-10)
+        assert bound == pytest.approx(t_exact, rel=1e-12)
         check = verify_verdict(p, u0, v0, v, horizon=50.0)
         assert check.passed, (m, u0, v0, check)
         t_blow = check.t_blow_forward if bound > 0 else check.t_blow_backward
@@ -497,12 +507,12 @@ def test_verify_blowup_bound_beyond_horizon():
 def test_verify_backward_blowup_far_from_origin():
     # the blow-up lies near t = -552256, far past the horizon: the run stops
     # at t = -50 and adds the exact remaining time from its state there.  The
-    # exact time is -552256.50672 by exact.escape_time and by 40-digit mpmath
-    # (betainc), and it is the verdict's t_bound; RK4 run out to the blow-up
+    # exact time is -552256.5067186183 by 40-digit mpmath (betainc), and
+    # exact.escape_time's is the verdict's t_bound; RK4 run out to the blow-up
     # had fitted -552256.245, and the parabola comparison bounded it by -6e5
     v = classify(P5, 1e-5, -3.33e-11)
     assert v.kind == "no_global_solution"
-    assert v.detail["t_bound"] == pytest.approx(-552256.50672, rel=1e-10)
+    assert v.detail["t_bound"] == pytest.approx(-552256.5067186183, rel=1e-12)
     assert escape_time(P5, 1e-5, -3.33e-11, -1.0) == pytest.approx(-552256.50672, rel=1e-11)
     check = verify_verdict(P5, 1e-5, -3.33e-11, v, horizon=50.0)
     assert check.passed
@@ -551,25 +561,30 @@ def test_verify_blowups_past_the_horizon_without_t_bound():
     # the parabola comparison gave these verdicts no bound (g_kminus(0) < 0 <
     # g_kplus(0)); each now carries its nearer exact time, past the horizon
     # of 50, and the run in its direction stops there and adds the exact
-    # remaining time.  The m = 8 times are the A = 0 energy quadrature's, the
-    # first m = 9 time is Gauss6's at local_tol 1e-12, the last two are exact
-    # (escape_time and 40-digit mpmath): m = 5, whose other blow-up is at
-    # -214.163 and which failed before, and the m = 9 point that failed a
-    # verify_grid_rk4 operation at seed 100
+    # remaining time.  The times are 40-digit mpmath's: among them m = 5,
+    # which failed before in its backward run (to -214.163, checked below),
+    # and the m = 9 point that failed a verify_grid_rk4 operation at seed 100
     for m, u0, v0, d, t_blow in (
-        (8.0, 0.03, -4.5e-05, -1.0, -124.2651522584542),
-        (8.0, 0.03, 1.8e-05, 1.0, 128.2157228601776),
-        (9.0, 0.03, -4.5e-05, -1.0, -119.6083369239576),
-        (5.0, 0.03, -4.5e-05, 1.0, 93.713053127780),
+        (8.0, 0.03, -4.5e-05, -1.0, -124.26515225845424),
+        (8.0, 0.03, 1.8e-05, 1.0, 128.21572286017755),
+        (9.0, 0.03, -4.5e-05, -1.0, -119.6083369278181),
+        (5.0, 0.03, -4.5e-05, 1.0, 93.71305312777953),
         (9.0, 0.0598, 0.000456, 1.0, 65.63468388496041),
     ):
         p = params_from_dimension(m)
         v = classify(p, u0, v0)
-        assert (v.kind, v.detail) == ("no_global_solution", {"t_bound": pytest.approx(t_blow, rel=1e-10)})
+        assert (v.kind, v.detail) == ("no_global_solution", {"t_bound": pytest.approx(t_blow, rel=1e-12)})
         check = verify_verdict(p, u0, v0, v, horizon=50.0)
         assert check.passed, (m, u0, v0, check)
         assert (check.t_blow_forward, check.t_blow_backward)[d < 0] == pytest.approx(t_blow, rel=1e-7)
         assert (check.t_blow_forward, check.t_blow_backward)[d > 0] is None
+    # the m = 5 point's farther blow-up, claimed by a backward t_bound: the
+    # backward run stops at -50 and its estimate meets the exact time
+    t_back = escape_time(P5, 0.03, -4.5e-05, -1.0)
+    assert t_back == pytest.approx(-214.16329695499036, rel=1e-12)
+    check = verify_verdict(P5, 0.03, -4.5e-05, Verdict("no_global_solution", "w-equation", {"t_bound": t_back}), horizon=50.0)
+    assert check.passed, check
+    assert (check.t_blow_forward, check.t_blow_backward) == (None, pytest.approx(-214.16329695499036, rel=1e-7))
 
 
 def test_verify_global_decay_at_m_3_5():
