@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Checks of the installed blowuplab console script: every subcommand runs,
-# K(0.99) matches its quadrature value, the m = 8 escapes blow up at the
-# quadrature time of their energy, which the verdict's t_bound gives too, a
-# Gauss6 m = 4 run stays within 1e-9 of -tanh t both ways, the m = 3
-# parabola start, the disc = 0 grid, an m = 3.5 decay and a t_bound of
-# -8.45e299 verify, and non-finite input exits with status 2 and an error:
-# line.
+# K(0.99) matches its quadrature value, sl(1.5) keeps its first integral,
+# the m = 8 escapes blow up at the quadrature time of their energy, which
+# the verdict's t_bound gives too, a Gauss6 m = 4 run stays within 1e-9 of
+# -tanh t both ways, the m = 3 parabola start, the disc = 0 grid, an
+# m = 3.5 decay and a t_bound of -8.45e299 verify, and non-finite input
+# exits with status 2 and an error: line.
 # Usage: bash .github/console-checks.sh [work directory]
 set -eu
 unset PYTHONPATH  # the installed package, not the source tree
@@ -18,7 +18,15 @@ ref = 3.35660052336119237603347  # K(0.99) by tanh-sinh quadrature
 if len(K) != 2 or not abs(K[1] - ref) <= 1e-14 * ref:
     raise SystemExit(f"elliptic --K 0.99: want {ref} within 1e-14 relative, got {K}")
 PY
-blowuplab elliptic --sl --t 1.5
+blowuplab elliptic --sl --t 1.5 | tee sl.txt
+python - <<'PY'
+# sl solves y'^2 + y^4 = 1; the defect read 4.4e-16 at t = 1.5 and at most
+# 1.3e-15 on [-15, 15]
+y, dy = (float(x) for x in open("sl.txt").read().split(","))
+defect = abs(dy * dy + y**4 - 1.0)
+if not defect <= 2e-15:
+    raise SystemExit(f"elliptic --sl --t 1.5: want |y'^2 + y^4 - 1| <= 2e-15, got {defect}")
+PY
 blowuplab elliptic --table --out sl.csv
 blowuplab integrate --m 5 --u0 0.5 --v0 0 --t-end 1 --out t.csv
 blowuplab integrate --integrator gauss6 --m 5 --u0 1 --v0 1 --t-end 10 --out g.csv

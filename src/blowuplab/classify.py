@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, Inconclusive
 from .exact import escape_time, parabola_pole, state_at
 from .integrate import IntegrateOptions, IntegratorKind, integrate, step_gauss6
@@ -198,6 +196,8 @@ def detect_period(p: OdeParams, s0: State, t_max: float, tol: float = 1e-5) -> P
     # a return must cross the section the way s0 does: same sign of u' (axis 0) or u'' (axis 1)
     orient = lambda s: rhs(p, s)[axis]
     o_ref = orient(s0)
+
+    import numpy as np  # here, not at the top: classify and import blowuplab load no numpy
 
     rows = traj.states
     sec = section(rows)  # the section function on every recorded state at once

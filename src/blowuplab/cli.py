@@ -5,7 +5,9 @@ Four subcommands: ``integrate`` (one trajectory as CSV + JSON sidecar),
 (verdict table over a grid, optionally numerically verified) and
 ``elliptic`` (lemniscatic constants and tables).  All floats are written
 with 17 significant digits so files round-trip exactly; identical
-arguments produce byte-identical output.
+arguments produce byte-identical output.  numpy is imported only where
+an array is built, so ``elliptic`` --sl, --K and --quarter-period run
+without it.
 
 Exit codes: 0 success, 1 verification or inconclusive-integration
 failure, 2 usage error.
@@ -21,15 +23,16 @@ import os
 import re
 import sys
 from dataclasses import asdict, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .classify import classify, verify_verdict
-from .diagnostics import energy, g_k
 from .elliptic import K_agm, lemniscate_quarter_period, sl
 from .errors import BlowupLabError, Inconclusive
 from .integrate import IntegrateOptions, IntegratorKind, integrate
 from .model import OdeParams, State, params_from_coeffs, params_from_dimension
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["main"]
 
@@ -48,6 +51,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"grid spec {spec!r}: endpoints must be finite")
     if n < 1:
         raise ValueError(f"grid spec {spec!r}: need at least one point")
+    import numpy as np
+
     return np.linspace(lo, hi, n)
 
 
@@ -131,6 +136,8 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_integrate(args: argparse.Namespace) -> int:
+    from .diagnostics import energy, g_k
+
     if args.t_end is None:
         raise ValueError("--t-end is required (flag or config file)")
     p = _params_from_args(args)
@@ -226,6 +233,8 @@ def cmd_portrait(args: argparse.Namespace) -> int:
     }
     if p.disc >= 0 and p.B >= 0:
         # separatrix parabolas du = -k u^2 organizing the blow-up portraits
+        import numpy as np
+
         us = np.linspace(float(u_grid[0]), float(u_grid[-1]), 201)
         manifest["separatrices"] = {
             "u": [float(x) for x in us],
@@ -292,6 +301,8 @@ def cmd_elliptic(args: argparse.Namespace) -> int:
         print(f"{_fmt(y)},{_fmt(dy)}")
         did_something = True
     if args.table:
+        import numpy as np
+
         period = 4.0 * lemniscate_quarter_period()
         ts = np.linspace(0.0, period, args.n)
         ys, dys = sl(ts)

@@ -3,22 +3,26 @@
 sl solves (y')^2 = 1 - y^4 with y(0) = 0, y'(0) = 1, equivalently
 y'' = -2 y^3.  It is the Jacobi function sd at parameter m = 1/2 with the
 argument scaled by sqrt(2); sn, cn and dn come from the descending Landen
-transformation (A&S 16.4, DLMF 22.20), one numpy path for scalars and
-arrays alike.  One arithmetic-geometric mean table serves every quantity:
-sl runs its Landen recurrence down, the incomplete F(phi | 1/2) runs the
-inverse recurrence up (A&S 17.6, DLMF 19.8), both on the m = 1/2 table
-built once at import, and the complete integral K is pi / (2 a_N) of the
-table at its own parameter, all in plain float arithmetic.  The quarter
+transformation (A&S 16.4, DLMF 22.20), evaluated with the math module
+one point at a time; an array call applies the same function to each
+element, so only array calls load numpy.  One arithmetic-geometric mean
+table serves every quantity: sl runs its Landen recurrence down, the
+incomplete F(phi | 1/2) runs the inverse recurrence up (A&S 17.6, DLMF
+19.8), both on the m = 1/2 table built once at import, and the complete
+integral K is pi / (2 a_N) of the table at its own parameter, all in
+plain float arithmetic.  The quarter
 period of sl, its first maximum, is K(1/sqrt 2) / sqrt 2.
 """
 from __future__ import annotations
 
 import math
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["lemniscate_quarter_period", "K_agm", "F_half", "sl"]
 
@@ -97,6 +101,18 @@ def F_half(phi: float) -> float:
     return 2.0 * j * _K_HALF + r / _LANDEN_SCALE
 
 
+def _sl_point(t: float) -> tuple[float, float]:
+    """sl(t) and sl'(t) at one float t; NaN where the scaled argument is not finite."""
+    phi = _SL_PHI_SCALE * t
+    if not math.isfinite(phi):  # math.sin raises on +-inf
+        return math.nan, math.nan
+    for ratio in _SL_RATIOS:
+        phi = 0.5 * (phi + math.asin(ratio * math.sin(phi)))
+    sn = math.sin(phi)
+    two_dn2 = 2.0 - sn * sn
+    return sn / math.sqrt(two_dn2), 2.0 * math.cos(phi) / two_dn2
+
+
 def sl(t: float | np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Lemniscatic sine and its derivative at real t (scalar or array).
 
@@ -106,13 +122,15 @@ def sl(t: float | np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
     recurrence phi_{n-1} = (phi_n + asin((c_n / a_n) sin phi_n)) / 2
     (DLMF 22.20(ii)); then sn = sin phi, cn = cos phi and
     2 dn^2 = 2 - sn^2, which lies in [1, 2] and so cancels nowhere.  A
-    scalar t gives np.float64 values; a non-finite t gives NaN without a
-    warning.
+    Python int or float t gives Python floats without importing numpy;
+    any other t is taken as a float64 array and gives float64 arrays of
+    its shape, each element the scalar call's value bit for bit.  A
+    non-finite t gives NaN without a warning.
     """
-    phi = _SL_PHI_SCALE * np.asarray(t, dtype=np.float64)
-    with np.errstate(invalid="ignore"):  # sin(+-inf)
-        for ratio in _SL_RATIOS:
-            phi = 0.5 * (phi + np.arcsin(ratio * np.sin(phi)))
-        sn = np.sin(phi)
-    two_dn2 = 2.0 - sn * sn
-    return sn / np.sqrt(two_dn2), 2.0 * np.cos(phi) / two_dn2
+    if isinstance(t, (int, float)):
+        return _sl_point(float(t))
+    import numpy as np  # only array calls pay for numpy
+
+    ts = np.asarray(t, dtype=np.float64)
+    pairs = np.array([_sl_point(x) for x in ts.ravel().tolist()], dtype=np.float64).reshape(-1, 2)
+    return pairs[:, 0].reshape(ts.shape), pairs[:, 1].reshape(ts.shape)

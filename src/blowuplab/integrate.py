@@ -12,13 +12,15 @@ import enum
 import math
 import sys
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .elliptic import F_half
 from .errors import DomainError, FitFailure, NonFiniteError, StageSolveFailure
 from .exact import escape_time
 from .model import OdeParams, State, params_from_coeffs
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "IntegratorKind",
@@ -98,6 +100,8 @@ class Trajectory:
 
     def __post_init__(self):
         if self.t_residual is None:
+            import numpy as np
+
             self.t_residual = np.zeros(len(self.states))
 
     @property
@@ -481,6 +485,8 @@ def integrate(p: OdeParams, s0: State, kind: IntegratorKind, opts: IntegrateOpti
         term = replace(term, t_estimate=-term.t_estimate)
     if term.t_last is not None:
         term = replace(term, t_last=-term.t_last)
+    import numpy as np
+
     states = np.rec.fromarrays([-traj.t, traj.u, -traj.v], names="t,u,v")
     return Trajectory(p, states, term, kind, opts, traj.n_steps, t_residual=-traj.t_residual)
 
@@ -557,6 +563,8 @@ def _integrate_forward(
             h *= 5.0
     if n_acc % every:  # the last accepted state is always kept
         rows += (t, u, v, ct)
+    import numpy as np  # only here: import blowuplab and its scalar functions load no numpy
+
     cols = np.fromiter(rows, float, len(rows)).reshape(-1, 4).T
     states = np.rec.fromarrays(cols[:3], names="t,u,v")
     try:  # the last time plus the exact remaining time: none for disc < 0 or a root lost to rounding

@@ -158,7 +158,7 @@ def test_sl_scalar_and_array_calls_agree_bitwise():
         assert np.array_equal(y_n, y[3 : 3 + n]) and np.array_equal(dy_n, dy[3 : 3 + n])
     for t, yi, dyi in zip(ts, y, dy):
         ys, dys = sl(float(t))
-        assert type(ys) is np.float64 and type(dys) is np.float64
+        assert type(ys) is float and type(dys) is float
         assert (ys, dys) == (yi, dyi)
 
 

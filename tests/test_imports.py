@@ -55,3 +55,55 @@ def test_runtime_never_loads_scipy():
         "cli elliptic exit codes": [0, 0],
         "scipy after cli elliptic": False,
     }
+
+
+
+# numpy blocked as a missing install blocks it; the block is lifted at the
+# end, so every export can load
+NO_NUMPY_PROBE = """
+import contextlib, io, json, sys, types
+sys.modules["numpy"] = None
+import blowuplab
+import blowuplab.cli, blowuplab.integrate, blowuplab.classify
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes = [blowuplab.cli.main(argv) for argv in
+             (["elliptic", "--sl", "--t=0.5"], ["elliptic", "--K", "0.99"], ["elliptic", "--quarter-period"])]
+report = {
+    "cli exit codes": codes,
+    "cli lines": len(out.getvalue().splitlines()),
+    "sl": [type(x).__name__ for x in blowuplab.sl(0.5)],
+    "K_agm": blowuplab.K_agm(0.5) > 1.0,
+    "F_half": blowuplab.F_half(1.0) > 1.0,
+    "classify": blowuplab.classify(blowuplab.params_from_dimension(5.0), 1.0, 1.0).kind,
+    "functions": [type(f).__name__ for f in (blowuplab.integrate, blowuplab.classify)],
+}
+del sys.modules["numpy"]
+report["unresolved"] = [name for name in blowuplab.__all__ if not hasattr(blowuplab, name)]
+report["not in dir"] = sorted(set(blowuplab.__all__) - set(dir(blowuplab)))
+report["leaf modules"] = [blowuplab.diagnostics.g_k is blowuplab.g_k, blowuplab.colehopf.__name__]
+try:
+    blowuplab.no_such_name
+except AttributeError as exc:
+    report["unknown name"] = str(exc)
+print(json.dumps(report))
+"""
+
+
+def test_import_and_scalar_paths_load_no_numpy():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_PROBE], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "cli exit codes": [0, 0, 0],
+        "cli lines": 3,
+        "sl": ["float", "float"],
+        "K_agm": True,
+        "F_half": True,
+        "classify": "no_global_solution",
+        "functions": ["function", "function"],
+        "unresolved": [],
+        "not in dir": [],
+        "leaf modules": [True, "blowuplab.colehopf"],
+        "unknown name": "module 'blowuplab' has no attribute 'no_such_name'",
+    }
