@@ -2,7 +2,8 @@
 # Checks of the installed blowuplab console script: every subcommand runs,
 # K(0.99) matches its quadrature value, sl(1.5) keeps its first integral,
 # the m = 8 escapes blow up at the quadrature time of their energy, which
-# the verdict's t_bound gives too, a Gauss6 m = 4 run stays within 1e-9 of
+# the verdict's t_bound gives too, a backward Gauss6 m = 9 escape blows up
+# at its verdict's t_bound, a Gauss6 m = 4 run stays within 1e-9 of
 # -tanh t both ways, the m = 3 parabola start, the disc = 0 grid, an
 # m = 3.5 decay and a t_bound of -8.45e299 verify, and non-finite input
 # exits with status 2 and an error: line.
@@ -52,6 +53,17 @@ t_bound = json.load(open("g8.json"))["verdict"]["detail"]["t_bound"]
 print("g8 verdict t_bound", t_bound)
 if not abs(t_bound - t_ref) <= 1e-13 * t_ref:
     raise SystemExit("g8: want the verdict's t_bound within 1e-13 relative of the quadrature time")
+PY
+# a backward Gauss6 escape: the driver runs it forward in t -> -t, and its
+# estimate lay 1.05e-11 relative from the verdict's t_bound
+blowuplab integrate --integrator gauss6 --m 9 --u0 -0.5 --v0 1 --t-end -20 --out g9b.csv
+python - <<'PY'
+import json
+side = json.load(open("g9b.json"))
+end, est, t_bound = side["termination"], side["blowup_estimate"], side["verdict"]["detail"]["t_bound"]
+print("g9b termination", end["kind"], "direction", end["direction"], "estimate", est, "t_bound", t_bound)
+if end["kind"] != "blowup" or end["direction"] != -1 or not abs(est - t_bound) <= 1e-9 * abs(t_bound):
+    raise SystemExit("g9b: want a backward blowup (direction -1) within 1e-9 relative of the verdict's t_bound")
 PY
 # Gauss6 on the exact m = 4 solution u = -tanh t, u' = -sech^2 t, forward and backward
 blowuplab integrate --integrator gauss6 --m 4 --u0 0 --v0 -1 --t-end 5 --out tanh_f.csv

@@ -18,7 +18,7 @@ class StageSolveFailure(BlowupLabError):
 
 
 class FitFailure(BlowupLabError):
-    """Too few or degenerate samples for a fit."""
+    """A run has no blow-up time to report: it did not end in blow-up, or no exact time exists."""
 
 
 class BranchMismatch(BlowupLabError):

@@ -70,7 +70,9 @@ def _frame(p: OdeParams, u: float, v: float, d: float) -> tuple[float, float, fl
 
 
 def escape_time(p: OdeParams, u0: float, v0: float, d: float) -> float | None:
-    """The blow-up time T (of sign d) from (u0, u'0) at t = 0, inf past floats, or None where direction d is global."""
+    """The blow-up time T (of sign d = +-1) from (u0, u'0) at t = 0, inf past floats, or None where direction d is global."""
+    if d != 1.0 and d != -1.0:  # true for NaN too
+        raise DomainError(f"direction d must be 1 or -1, got {d}")
     if u0 == 0.0 and v0 == 0.0:
         return None
     legs = _legs(p, u0, v0, d)

@@ -11,13 +11,13 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .elliptic import F_half
 from .errors import DomainError, FitFailure, NonFiniteError, StageSolveFailure
 from .exact import escape_time
-from .model import OdeParams, State, params_from_coeffs
+from .model import OdeParams, State
 
 if TYPE_CHECKING:
     import numpy as np
@@ -470,36 +470,18 @@ _STEPPERS = {IntegratorKind.RK4: (_rk4_attempt, 4), IntegratorKind.GAUSS6: (_gau
 def integrate(p: OdeParams, s0: State, kind: IntegratorKind, opts: IntegrateOptions) -> Trajectory:
     """March from s0 toward opts.t_end with step-doubling error control.
 
-    Backward targets are handled by integrating the time-reversed system
-    (t -> -t, v -> -v, A -> -A) forward and mapping the result back, so a
-    single forward driver serves both directions.
+    One loop serves both time directions d = +-1: it runs forward in the
+    frame (d t, u, d u', d A), where the equation keeps its form, and the
+    recorded t, u' and t residual columns are multiplied by d once at the
+    end (Hairer, Lubich & Wanner, Geometric Numerical Integration, V.1).
     """
-    t0, u0, v0 = float(s0.t), float(s0.u), float(s0.v)
-    if opts.t_end >= t0:
-        return _integrate_forward(p, t0, u0, v0, kind, opts, direction=+1)
-    p_rev = params_from_coeffs(-p.A, p.B)
-    opts_rev = replace(opts, t_end=-opts.t_end)
-    traj = _integrate_forward(p_rev, -t0, u0, -v0, kind, opts_rev, direction=-1)
-    term = traj.termination
-    if term.t_estimate is not None:
-        term = replace(term, t_estimate=-term.t_estimate)
-    if term.t_last is not None:
-        term = replace(term, t_last=-term.t_last)
-    import numpy as np
-
-    states = np.rec.fromarrays([-traj.t, traj.u, -traj.v], names="t,u,v")
-    return Trajectory(p, states, term, kind, opts, traj.n_steps, t_residual=-traj.t_residual)
-
-
-def _integrate_forward(
-    p: OdeParams, t: float, u: float, v: float, kind: IntegratorKind, opts: IntegrateOptions,
-    direction: int,
-) -> Trajectory:
+    d = 1 if opts.t_end >= s0.t else -1
     attempt, order = _STEPPERS[kind]
-    A, B = p.A, p.B
+    A, B = d * p.A, p.B
+    t, u, v = d * float(s0.t), float(s0.u), d * float(s0.v)
     gain = 1.0 / (2**order - 1.0)
     expo = 1.0 / (order + 1)
-    tol, h_min, h_cap, t_end = opts.local_tol, opts.h_min, opts.h_cap_factor, opts.t_end
+    tol, h_min, h_cap, t_end = opts.local_tol, opts.h_min, opts.h_cap_factor, d * opts.t_end
     every, max_steps = opts.record_every, opts.max_steps
     h_max = math.inf if opts.h_max is None else opts.h_max
     t_done = t_end - 1e-15 * (abs(t_end) if abs(t_end) > 1.0 else 1.0)
@@ -513,13 +495,13 @@ def _integrate_forward(
     h = opts.h0
     rows = [t, u, v, 0.0]  # flat: t, u, v and the t residual of each recorded state
     n_acc = 0
-    termination = None  # stays None on blow-up
+    end = "blowup"
     while True:
         if t >= t_done:
-            termination = Termination("completed")
+            end = "completed"
             break
         if n_acc >= max_steps:
-            termination = Termination("max_steps", t_last=t)
+            end = "max_steps"
             break
         # h = min(h, h_cap/|u|, h_max, t_end - t); 1/|u| is the natural
         # time scale near blow-up
@@ -530,7 +512,7 @@ def _integrate_forward(
         if t_end - t < h:
             h = t_end - t
         if h < h_min:
-            termination = Termination("step_underflow", t_last=t)
+            end = "step_underflow"
             break
         try:
             dfu, dfv, du, dv = attempt(A, B, u, v, h, tol)
@@ -566,13 +548,17 @@ def _integrate_forward(
     import numpy as np  # only here: import blowuplab and its scalar functions load no numpy
 
     cols = np.fromiter(rows, float, len(rows)).reshape(-1, 4).T
+    if d < 0:  # back to the caller's frame; -1.0 * x is -x, signed zeros too
+        cols[[0, 2, 3]] *= -1.0
     states = np.rec.fromarrays(cols[:3], names="t,u,v")
+    t, v = d * t, d * v
     try:  # the last time plus the exact remaining time: none for disc < 0 or a root lost to rounding
-        rest = escape_time(p, u, v, 1.0)
+        rest = escape_time(p, u, v, d)
     except DomainError:
         rest = None
-    termination = replace(termination or Termination("blowup", direction=direction),
-                          t_estimate=None if rest is None else t + rest)
+    termination = Termination(end, t_estimate=None if rest is None else t + rest,
+                              direction=d if end == "blowup" else None,
+                              t_last=t if end in ("max_steps", "step_underflow") else None)
     return Trajectory(p, states, termination, kind, opts, n_acc, t_residual=cols[3])
 
 

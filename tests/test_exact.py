@@ -347,3 +347,14 @@ def test_domain():
     # the B = 0 rest point u' = 0 stays put; B = 1e-300 blows up at about -1e300
     assert state_at(params_from_coeffs(2.0, 0.0), 1.5, 0.0, 7.0) == (1.5, 0.0)
     assert escape_time(params_from_coeffs(1.0, 1e-300), 1.0, -0.2, -1.0) < -1e299
+
+
+@pytest.mark.parametrize("d", [0.0, 2.0, -2.0, 0.5, math.nan, math.inf, -math.inf])
+def test_escape_time_takes_only_the_directions_plus_and_minus_one(d):
+    # d signs the time and picks the frame, so any other d would scale the time or make it NaN
+    p5 = params_from_dimension(5.0)
+    for u0, v0 in ((1.0, 1.0), (0.0, 0.0)):
+        with pytest.raises(DomainError):
+            escape_time(p5, u0, v0, d)
+    assert escape_time(p5, 1.0, 1.0, 1) == escape_time(p5, 1.0, 1.0, 1.0) > 0.0
+    assert escape_time(p5, 1.0, 1.0, -1) == escape_time(p5, 1.0, 1.0, -1.0)

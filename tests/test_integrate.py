@@ -644,6 +644,50 @@ def test_backward_run_mirrors_forward_symmetric_ic():
     assert abs(bwd.v[-1] - fwd.v[-1]) < 1e-9
 
 
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x, dtype="<f8").tobytes()
+
+
+# the paper's m = 3, 5, 8, 9, then A = 2, B = -4 (disc < 0: no exact time) and
+# A = 1, B = -1/8 (disc = 0)
+CONJUGACY_PARAMS = [params_from_dimension(m) for m in (3.0, 5.0, 8.0, 9.0)] + [
+    params_from_coeffs(2.0, -4.0), params_from_coeffs(1.0, -0.125)]
+
+
+@pytest.mark.parametrize("kind", list(IntegratorKind))
+def test_backward_runs_are_conjugate_to_forward_runs(kind):
+    # (t, u', A) -> (-t, -u', -A) and u(t) -> -u(-t) map solutions onto
+    # solutions, and the driver's arithmetic is odd under each, so a backward
+    # run is the mirrored forward run bit for bit; the exact remainder comes
+    # from escape_time in the caller's frame, so t_estimate need only agree to
+    # test_exact's 1e-13; on these 48 pairs per method it is negated exactly
+    rng = np.random.default_rng(25)
+    worst = 0.0
+    for p in CONJUGACY_PARAMS:
+        mirror = params_from_coeffs(-p.A, p.B)
+        for u0, v0 in rng.uniform(-2.0, 2.0, size=(2, 2)):
+            for t0 in (0.0, 0.75):
+                def run(q, t, u, v, t_end):
+                    return integrate(q, State(t, u, v), kind, IntegrateOptions(t_end=t_end, blowup_threshold=1e6))
+
+                bwd = run(p, t0, u0, v0, t0 - 5.0)
+                pairs = (
+                    (bwd, run(mirror, -t0, u0, -v0, -t0 + 5.0), (-1.0, 1.0, -1.0)),  # (t, u', A) -> -(t, u', A)
+                    (run(p, -t0, -u0, v0, -t0 - 5.0), run(p, t0, u0, v0, t0 + 5.0), (-1.0, -1.0, 1.0)),  # u -> -u(-t)
+                )
+                for back, fwd, (st, su, sv) in pairs:
+                    assert _bits(back.t) == _bits(st * fwd.t) and _bits(back.t_residual) == _bits(st * fwd.t_residual)
+                    assert _bits(back.u) == _bits(su * fwd.u) and _bits(back.v) == _bits(sv * fwd.v)
+                    eb, ef = back.termination, fwd.termination
+                    assert (back.n_steps, eb.kind) == (fwd.n_steps, ef.kind)
+                    assert eb.t_last == (None if ef.t_last is None else -ef.t_last)
+                    assert eb.direction == (None if ef.direction is None else -ef.direction)
+                    assert (eb.t_estimate is None) == (ef.t_estimate is None)
+                    if ef.t_estimate is not None:
+                        worst = max(worst, abs(eb.t_estimate + ef.t_estimate) / abs(ef.t_estimate))
+    assert worst <= 1e-13
+
+
 def test_blowup_detection_and_estimate():
     # u = 3/(3 - t): pole at t = 3
     p = params_from_dimension(8.0)
@@ -728,6 +772,30 @@ def test_max_steps_termination():
     traj = integrate(p, State(0.0, 0.0, -1.0), IntegratorKind.RK4, opts)
     assert traj.termination.kind == "max_steps"
     assert traj.n_steps == 5
+
+
+@pytest.mark.parametrize("d", [1.0, -1.0])
+def test_t_last_is_the_last_recorded_time(d):
+    # max_steps and step_underflow report their last time, in the caller's
+    # frame; 40 and the underflow's step counts are no multiples of 7, so the
+    # last state falls between records.  Only a blow-up has a direction.
+    p4, p8 = params_from_dimension(4.0), params_from_dimension(8.0)
+    runs = {
+        "max_steps": (p4, State(0.75, 0.0, -1.0), dict(t_end=0.75 + d * 100.0, max_steps=40)),
+        # u = 3/(3 - (t - 0.75) d) at m = 8: the step cap 0.1/|u| falls below h_min near the pole
+        "step_underflow": (p8, State(0.75, 1.0, d / 3.0), dict(t_end=0.75 + d * 10.0, h_min=1e-4)),
+        "blowup": (p8, State(0.75, 1.0, d / 3.0), dict(t_end=0.75 + d * 10.0)),
+        "completed": (p4, State(0.75, 0.0, -1.0), dict(t_end=0.75 + d * 2.0)),
+    }
+    for want, (p, s0, options) in runs.items():
+        traj = integrate(p, s0, IntegratorKind.RK4, IntegrateOptions(record_every=7, **options))
+        end = traj.termination
+        assert end.kind == want
+        if want in ("max_steps", "step_underflow"):
+            assert traj.n_steps % 7 and float(traj.t[-1]).hex() == end.t_last.hex()
+        else:
+            assert end.t_last is None
+        assert end.direction == (d if want == "blowup" else None)
 
 
 def test_record_every_thins_output():
