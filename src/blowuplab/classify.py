@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, Inconclusive
 from .exact import escape_time, parabola_pole, state_at
-from .integrate import IntegrateOptions, IntegratorKind, integrate, step_gauss6
+from .integrate import IntegrateOptions, IntegratorKind, _march, integrate, step_gauss6
 from .model import OdeParams, State, rhs
 
 __all__ = ["Verdict", "PeriodReport", "VerdictCheck", "classify", "verify_verdict", "detect_period"]
@@ -99,21 +99,26 @@ class VerdictCheck:
 _RUN_STOP, _T_GATE, _STATE_GATE = 1e3, 1e-6, 1e-7
 
 
-def _run(p: OdeParams, u0: float, v0: float, t_end: float):
-    """The RK4 run from (u0, v0) at t = 0 to t_end or |u| = 1e3, and its ``t_estimate`` (last time plus exact remaining time)."""
+def _run(p: OdeParams, u0: float, v0: float, t_end: float) -> tuple[list, float | None]:
+    """The RK4 run from (u0, v0) at t = 0 to t_end or |u| = 1e3.
+
+    Returns its flat rows (``integrate._march``) and its ``t_estimate``, the
+    last time plus the exact remaining time.
+    """
     opts = IntegrateOptions(h0=1e-3, t_end=t_end, local_tol=1e-10, blowup_threshold=_RUN_STOP)
-    traj = integrate(p, State(0.0, u0, v0), IntegratorKind.RK4, opts)
-    if traj.termination.kind in ("step_underflow", "max_steps"):
-        raise Inconclusive(f"integration ended with {traj.termination.kind}")
-    return traj, traj.termination.t_estimate
+    rows, _, termination = _march(p, State(0.0, u0, v0), IntegratorKind.RK4, opts)
+    if termination.kind in ("step_underflow", "max_steps"):
+        raise Inconclusive(f"integration ended with {termination.kind}")
+    return rows, termination.t_estimate
 
 
-def _end_state_error(p: OdeParams, u0: float, v0: float, traj, t_blow) -> str:
+def _end_state_error(p: OdeParams, u0: float, v0: float, rows: list, t_blow) -> str:
     """Why a run claimed global fails, or "": its last state must be global and within _STATE_GATE of ``state_at``'s."""
     if t_blow is not None:
         return f"blows up at {t_blow!r}"
-    u, v = state_at(p, u0, v0, float(traj.t[-1]))
-    err = max(abs(float(traj.u[-1]) - u) / max(1.0, abs(u)), abs(float(traj.v[-1]) - v) / max(1.0, abs(v)))
+    t_last, u_last, v_last = rows[-4:-1]
+    u, v = state_at(p, u0, v0, t_last)
+    err = max(abs(u_last - u) / max(1.0, abs(u)), abs(v_last - v) / max(1.0, abs(v)))
     return "" if err <= _STATE_GATE else f"end state error {err:.2e}"
 
 
@@ -150,23 +155,23 @@ def verify_verdict(p: OdeParams, u0: float, v0: float, verdict: Verdict, horizon
             return VerdictCheck(False, "not a rest point")
         runs, failed = [], []
         for d in (1.0, -1.0):
-            traj, t_blow[d] = _run(p, u0, v0, d * horizon)
-            runs.append(traj)
-            why = _end_state_error(p, u0, v0, traj, t_blow[d])
+            rows, t_blow[d] = _run(p, u0, v0, d * horizon)
+            runs.append(rows)
+            why = _end_state_error(p, u0, v0, rows, t_blow[d])
             if why:
                 failed.append(f"{'forward' if d > 0.0 else 'backward'}: {why}")
         ok, reason = not failed, "; ".join(failed) or "exact end states both directions"
     else:
         d = math.copysign(1.0, t_bound) if t_bound is not None else (-1.0 if kind == BLOWUP_BACKWARD else 1.0)
-        traj, t_blow[d] = _run(p, u0, v0, d * horizon)
-        runs, what = [traj], ("forward" if d > 0.0 else "backward") + " blow-up"
+        rows, t_blow[d] = _run(p, u0, v0, d * horizon)
+        runs, what = [rows], ("forward" if d > 0.0 else "backward") + " blow-up"
         if t_bound is None:
             ok = t_blow[d] is not None
             reason = f"{what} at {t_blow[d]!r}, no finite t_bound" if ok else f"{what} not seen: the run's last state is global"
         else:  # false for a NaN or infinite t_bound too
             ok = t_blow[d] is not None and abs(t_blow[d] - t_bound) <= _T_GATE * abs(t_bound) < math.inf
             reason = what if ok else f"blow-up time {t_blow[d]!r} against t_bound {t_bound!r}"
-    return VerdictCheck(ok, reason, t_blow[1.0], t_blow[-1.0], max(float(abs(r.u).max()) for r in runs))
+    return VerdictCheck(ok, reason, t_blow[1.0], t_blow[-1.0], max(abs(u) for rows in runs for u in rows[1::4]))
 
 
 # ---------------------------------------------------------------------------

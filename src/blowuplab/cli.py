@@ -5,9 +5,9 @@ Four subcommands: ``integrate`` (one trajectory as CSV + JSON sidecar),
 (verdict table over a grid, optionally numerically verified) and
 ``elliptic`` (lemniscatic constants and tables).  All floats are written
 with 17 significant digits so files round-trip exactly; identical
-arguments produce byte-identical output.  numpy is imported only where
-an array is built, so ``elliptic`` --sl, --K and --quarter-period run
-without it.
+arguments produce byte-identical output.  Every subcommand but
+``elliptic --table`` runs without numpy: trajectories are read as the
+driver's flat rows of Python floats, and grids come from ``_linspace``.
 
 Exit codes: 0 success, 1 verification or inconclusive-integration
 failure, 2 usage error.
@@ -23,16 +23,12 @@ import os
 import re
 import sys
 from dataclasses import asdict, replace
-from typing import TYPE_CHECKING
 
 from .classify import classify, verify_verdict
 from .elliptic import K_agm, lemniscate_quarter_period, sl
 from .errors import BlowupLabError, Inconclusive
-from .integrate import IntegrateOptions, IntegratorKind, integrate
+from .integrate import IntegrateOptions, IntegratorKind, _march
 from .model import OdeParams, State, params_from_coeffs, params_from_dimension
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["main"]
 
@@ -41,7 +37,22 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``np.linspace(lo, hi, n).tolist()`` bit for bit, n >= 1: i step + lo, then the last point set to hi."""
+    delta = hi - lo
+    if n == 1:  # numpy's 0 * delta + lo: -0.0 becomes 0.0 where delta >= 0
+        return [0.0 * delta + lo]
+    div = n - 1
+    step = delta / div
+    if step == 0.0:  # a subnormal span whose step underflows: numpy scales i/div by delta
+        xs = [(i / div) * delta + lo for i in range(n)]
+    else:
+        xs = [i * step + lo for i in range(n)]
+    xs[-1] = hi
+    return xs
+
+
+def _parse_grid(spec: str) -> list[float]:
     """Parse ``lo:hi:n`` into n equally spaced points, endpoints included."""
     parts = spec.split(":")
     if len(parts) != 3:
@@ -51,9 +62,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"grid spec {spec!r}: endpoints must be finite")
     if n < 1:
         raise ValueError(f"grid spec {spec!r}: need at least one point")
-    import numpy as np
-
-    return np.linspace(lo, hi, n)
+    return _linspace(lo, hi, n)
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -146,14 +155,13 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         h0=args.h0, t_end=args.t_end, blowup_threshold=args.blowup_threshold,
         local_tol=args.local_tol, record_every=args.record_every,
     )
-    traj = integrate(p, State(args.t0, args.u0, args.v0), kind, opts)
+    rows, n_steps, termination = _march(p, State(args.t0, args.u0, args.v0), kind, opts)
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,u,du,e,g_kminus,g_kplus\n")
-        # scalar energy and g_k on Python floats: numpy's array u**4 can
-        # differ from Python's by one ulp, and State rows read ten times
-        # faster than record-array rows
-        for s in itertools.starmap(State, traj.states.tolist()):
+        # scalar energy and g_k on the driver's Python floats: numpy's array
+        # u**4 can differ from Python's by one ulp
+        for s in itertools.starmap(State, zip(rows[0::4], rows[1::4], rows[2::4])):
             gm = _fmt(g_k(s, p.k_minus)) if p.k_minus is not None else ""
             gp = _fmt(g_k(s, p.k_plus)) if p.k_plus is not None else ""
             fh.write(f"{_fmt(s.t)},{_fmt(s.u)},{_fmt(s.v)},{_fmt(energy(p, s))},{gm},{gp}\n")
@@ -163,14 +171,14 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         "params": asdict(p),
         "initial": {"t": args.t0, "u": args.u0, "du": args.v0},
         "integrator": kind.value,
-        "termination": asdict(traj.termination),
-        "blowup_estimate": traj.termination.t_estimate,
+        "termination": asdict(termination),
+        "blowup_estimate": termination.t_estimate,
         "verdict": asdict(verdict),
-        "n_steps": traj.n_steps,
+        "n_steps": n_steps,
     }
     _write_json(_sidecar_path(args.out), payload)
-    if traj.termination.kind in ("step_underflow", "max_steps"):
-        print(f"integration inconclusive: {traj.termination.kind}", file=sys.stderr)
+    if termination.kind in ("step_underflow", "max_steps"):
+        print(f"integration inconclusive: {termination.kind}", file=sys.stderr)
         return 1
     return 0
 
@@ -184,9 +192,9 @@ def _portrait_one(p: OdeParams, opts: IntegrateOptions, task: tuple[int, float, 
     idx, u0, v0 = task
     rows = []
     for branch, t_end in (("fwd", opts.t_end), ("bwd", -opts.t_end)):
-        traj = integrate(p, State(0.0, u0, v0), IntegratorKind.RK4, replace(opts, t_end=t_end))
-        kind = traj.termination.kind
-        rows += [(idx, branch, t, u, v, kind) for t, u, v in traj.states.tolist()]
+        states, _, termination = _march(p, State(0.0, u0, v0), IntegratorKind.RK4, replace(opts, t_end=t_end))
+        kind = termination.kind
+        rows += [(idx, branch, t, u, v, kind) for t, u, v in zip(states[0::4], states[1::4], states[2::4])]
     return rows
 
 
@@ -206,7 +214,7 @@ def cmd_portrait(args: argparse.Namespace) -> int:
         t_end=args.horizon, blowup_threshold=args.blowup_threshold, record_every=args.record_every
     )
     run = functools.partial(_portrait_one, p, opts)
-    tasks = [(idx, float(u0), float(v0)) for idx, (u0, v0) in enumerate(itertools.product(u_grid, v_grid))]
+    tasks = [(idx, u0, v0) for idx, (u0, v0) in enumerate(itertools.product(u_grid, v_grid))]
 
     # a fork-started pool forks all its workers at once, however few the tasks
     workers = min(_thread_count(), len(tasks))
@@ -227,19 +235,17 @@ def cmd_portrait(args: argparse.Namespace) -> int:
 
     manifest = {
         "params": asdict(p),
-        "grid": {"u": [float(x) for x in u_grid], "du": [float(x) for x in v_grid]},
+        "grid": {"u": u_grid, "du": v_grid},
         "horizon": args.horizon,
         "n_trajectories": len(tasks),
     }
     if p.disc >= 0 and p.B >= 0:
         # separatrix parabolas du = -k u^2 organizing the blow-up portraits
-        import numpy as np
-
-        us = np.linspace(float(u_grid[0]), float(u_grid[-1]), 201)
+        us = _linspace(u_grid[0], u_grid[-1], 201)
         manifest["separatrices"] = {
-            "u": [float(x) for x in us],
-            "du_kplus": [float(-p.k_plus * x * x) for x in us],
-            "du_kminus": [float(-p.k_minus * x * x) for x in us],
+            "u": us,
+            "du_kplus": [-p.k_plus * x * x for x in us],
+            "du_kminus": [-p.k_minus * x * x for x in us],
         }
     _write_json(_sidecar_path(args.out), manifest)
     return 0
@@ -260,18 +266,17 @@ def cmd_classify(args: argparse.Namespace) -> int:
         fh.write("u0,v0,verdict,basis,verified\n")
         for u0 in u_grid:
             for v0 in v_grid:
-                u0f, v0f = float(u0), float(v0)
-                verdict = classify(p, u0f, v0f)
+                verdict = classify(p, u0, v0)
                 verified = ""
                 if args.verify:
                     try:
-                        check = verify_verdict(p, u0f, v0f, verdict, args.horizon)
+                        check = verify_verdict(p, u0, v0, verdict, args.horizon)
                         verified = "pass" if check.passed else "fail"
                     except Inconclusive:
                         verified = "inconclusive"
                     if verified != "pass":
                         failures += 1
-                fh.write(f"{_fmt(u0f)},{_fmt(v0f)},{verdict.kind},{verdict.basis},{verified}\n")
+                fh.write(f"{_fmt(u0)},{_fmt(v0)},{verdict.kind},{verdict.basis},{verified}\n")
     if failures:
         print(f"{failures} verified rows failed", file=sys.stderr)
         return 1

@@ -5,18 +5,21 @@ integral when A = 0.  For every root k of 2k^2 + A k - B = 0, complex
 roots included, the quantity g_k(u) = u' + k u^2 evolves multiplicatively:
 g_k(t) = g_k(0) exp((A + 2k) int_0^t u).  That law is exact for every
 (A, B), so it is the one check of a run's accuracy; for a real k it also
-keeps the sign of g_k invariant.
+keeps the sign of g_k invariant.  numpy loads in the functions that
+build arrays, so the scalar energy and g_k run without it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import NotACharacteristicRoot
 from .integrate import Trajectory
 from .model import OdeParams, State, is_characteristic_root, rhs
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DiagnosticsReport",
@@ -53,6 +56,8 @@ def cumulative_u_integral(p: OdeParams, traj: Trajectory) -> np.ndarray:
     through degree-7 and keeps the exponential g_k identity testable
     even on blow-up tails.
     """
+    import numpy as np
+
     t, u, v = traj.t, traj.u, traj.v
     a = rhs(p, traj.states)[1]  # u'' on-shell
     j = p.A * (v * v + u * a) + 3.0 * p.B * u * u * v  # u''' on-shell
@@ -80,6 +85,8 @@ def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
     the float64 cumsum gives each prefix as if summed in twice the
     working precision (Ogita, Rump & Oishi 2005, Algorithm Sum2).
     """
+    import numpy as np
+
     s = np.cumsum(x)
     prev = np.concatenate(([0.0], s[:-1]))
     x_part = s - prev
@@ -94,6 +101,8 @@ def energy_drift(p: OdeParams, traj: Trajectory) -> float:
     energy's constituent terms there (at least 1), which keeps the
     number meaningful near blow-up where the terms cancel to a small e.
     """
+    import numpy as np
+
     u, v = traj.u, traj.v
     e = energy(p, traj.states)
     scale = np.maximum(1.0, 0.5 * v * v + 0.25 * abs(p.B) * u**4)
@@ -111,6 +120,8 @@ def check_gk_identity(p: OdeParams, traj: Trajectory, k: complex) -> float:
 
 def _gk_deviation(p: OdeParams, traj: Trajectory, k: complex, integral: np.ndarray) -> float:
     """check_gk_identity's deviation, given int_0^t u at the recorded states."""
+    import numpy as np
+
     if not is_characteristic_root(p, k):
         raise NotACharacteristicRoot(f"k={k} does not solve 2k^2 + Ak - B = 0")
     g = g_k(traj.states, k)

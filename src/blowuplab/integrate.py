@@ -468,12 +468,28 @@ _STEPPERS = {IntegratorKind.RK4: (_rk4_attempt, 4), IntegratorKind.GAUSS6: (_gau
 # driver
 
 def integrate(p: OdeParams, s0: State, kind: IntegratorKind, opts: IntegrateOptions) -> Trajectory:
-    """March from s0 toward opts.t_end with step-doubling error control.
+    """March from s0 toward opts.t_end with step-doubling error control (``_march``).
 
-    One loop serves both time directions d = +-1: it runs forward in the
-    frame (d t, u, d u', d A), where the equation keeps its form, and the
-    recorded t, u' and t residual columns are multiplied by d once at the
-    end (Hairer, Lubich & Wanner, Geometric Numerical Integration, V.1).
+    The recorded states are packed into the trajectory's record array.
+    """
+    rows, n_acc, termination = _march(p, s0, kind, opts)
+    import numpy as np  # only here: import blowuplab and its scalar functions load no numpy
+
+    cols = np.fromiter(rows, float, len(rows)).reshape(-1, 4).T
+    states = np.rec.fromarrays(cols[:3], names="t,u,v")
+    return Trajectory(p, states, termination, kind, opts, n_acc, t_residual=cols[3])
+
+
+def _march(p: OdeParams, s0: State, kind: IntegratorKind, opts: IntegrateOptions) -> tuple[list, int, Termination]:
+    """The driver of ``integrate``: (rows, n_steps, termination), no numpy.
+
+    rows is flat, t, u, u' and the t residual of each recorded state as
+    Python floats; callers that only read the states take it in place of
+    a Trajectory.  One loop serves both time directions d = +-1: it runs
+    forward in the frame (d t, u, d u', d A), where the equation keeps its
+    form, and where d = -1 the recorded t, u' and t residuals are negated
+    once at the end (Hairer, Lubich & Wanner, Geometric Numerical
+    Integration, V.1).
     """
     d = 1 if opts.t_end >= s0.t else -1
     attempt, order = _STEPPERS[kind]
@@ -545,13 +561,10 @@ def integrate(p: OdeParams, s0: State, kind: IntegratorKind, opts: IntegrateOpti
             h *= 5.0
     if n_acc % every:  # the last accepted state is always kept
         rows += (t, u, v, ct)
-    import numpy as np  # only here: import blowuplab and its scalar functions load no numpy
-
-    cols = np.fromiter(rows, float, len(rows)).reshape(-1, 4).T
-    if d < 0:  # back to the caller's frame; -1.0 * x is -x, signed zeros too
-        cols[[0, 2, 3]] *= -1.0
-    states = np.rec.fromarrays(cols[:3], names="t,u,v")
-    t, v = d * t, d * v
+    if d < 0:  # back to the caller's frame: -x negates signed zeros too
+        for i in (0, 2, 3):
+            rows[i::4] = [-x for x in rows[i::4]]
+        t, v = -t, -v
     try:  # the last time plus the exact remaining time: none for disc < 0 or a root lost to rounding
         rest = escape_time(p, u, v, d)
     except DomainError:
@@ -559,7 +572,7 @@ def integrate(p: OdeParams, s0: State, kind: IntegratorKind, opts: IntegrateOpti
     termination = Termination(end, t_estimate=None if rest is None else t + rest,
                               direction=d if end == "blowup" else None,
                               t_last=t if end in ("max_steps", "step_underflow") else None)
-    return Trajectory(p, states, termination, kind, opts, n_acc, t_residual=cols[3])
+    return rows, n_acc, termination
 
 
 def estimate_blowup_time(traj: Trajectory) -> float:

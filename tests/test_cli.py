@@ -3,10 +3,11 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from blowuplab import sl
-from blowuplab.cli import _fmt, main
+from blowuplab.cli import _fmt, _linspace, main
 
 
 def _read_csv(path):
@@ -145,6 +146,27 @@ def test_config_rejects_non_option_keys(tmp_path, capsys, command, line):
     assert main(command + ["--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and line.split()[0] in err
+
+
+def test_linspace_is_numpys_bit_for_bit():
+    # the grids and the separatrix sample come from _linspace, so the files
+    # of classify and portrait are those np.linspace gave, signed zeros,
+    # infinities and NaNs included (float.hex tells them all apart)
+    rng = np.random.default_rng(26)
+    specs = [
+        (0.0, 1.0, 1), (-0.0, 1.0, 1), (-0.0, -1.0, 1), (0.0, -0.0, 1), (2.5, 2.5, 1), (2.5, 2.5, 7),
+        (-0.0, -0.0, 3), (2.0, -2.0, 9), (1.0, -3.0, 4), (-2.0, 2.0, 201),
+        # subnormal spans whose step rounds to 0, and spans that overflow
+        (0.0, 5e-324, 4), (5e-324, 0.0, 4), (-5e-324, 1e-323, 7), (-1e308, 1e308, 1), (-1e308, 1e308, 3),
+    ]
+    for _ in range(1000):
+        n = int(rng.integers(1, 300))
+        specs.append((*rng.uniform(-2.0, 2.0, 2).tolist(), n))
+        specs.append((*(rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-320.0, 308.0, 2)).tolist(), n))
+    with np.errstate(all="ignore"):
+        for lo, hi, n in specs:
+            want = np.linspace(lo, hi, n).tolist()
+            assert [x.hex() for x in _linspace(lo, hi, n)] == [x.hex() for x in want], (lo, hi, n)
 
 
 def test_portrait_outputs(tmp_path, monkeypatch):

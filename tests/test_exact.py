@@ -331,6 +331,16 @@ def test_conjugacies():
                 assert (-us, vs) == (pytest.approx(u, rel=1e-12, abs=1e-300), pytest.approx(v, rel=1e-12, abs=1e-300))
 
 
+def test_time_reversal_is_exact_at_zero_A():
+    # (A, u', t) -> (-A, -u', -t) at A = 0: the backward time is the exact
+    # negation of the mirrored forward time, as the roots are exact negatives
+    rng = np.random.default_rng(62)
+    for B, u0, v0 in zip(rng.uniform(1e-3, 10.0, 4000).tolist(), *rng.uniform(-2.0, 2.0, (2, 4000)).tolist()):
+        T = escape_time(params_from_coeffs(0.0, B), u0, v0, -1.0)
+        other = escape_time(params_from_coeffs(-0.0, B), u0, -v0, 1.0)
+        assert (other is None) == (T is None) and (T is None or T == -other), (B, u0, v0)
+
+
 def test_domain():
     for p in (params_from_coeffs(2.0, -4.0), params_from_coeffs(0.0, 0.0)):  # disc < 0; u'' = 0
         for call in (escape_time, lambda p, u, v, d: state_at(p, u, v, d)):

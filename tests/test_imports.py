@@ -59,19 +59,45 @@ def test_runtime_never_loads_scipy():
 
 
 # numpy blocked as a missing install blocks it; the block is lifted at the
-# end, so every export can load
+# end, so every export can load.  integrate (RK4 forward, Gauss6 backward),
+# classify --verify and portrait (serial and with a pool of 2) run blocked,
+# then again with numpy loaded, and must write the same bytes.
 NO_NUMPY_PROBE = """
-import contextlib, io, json, sys, types
+import contextlib, io, json, os, sys, tempfile
 sys.modules["numpy"] = None
 import blowuplab
 import blowuplab.cli, blowuplab.integrate, blowuplab.classify
+
+RUNS = [  # (BLOWUPLAB_THREADS, argv, output file)
+    ("1", ["integrate", "--m", "5", "--u0", "0.5", "--v0", "-0.3", "--t-end", "5"], "rk4_forward.csv"),
+    ("1", ["integrate", "--m", "9", "--u0", "-0.5", "--v0", "1", "--t-end", "-20", "--integrator", "gauss6",
+           "--record-every", "3"], "gauss6_backward.csv"),
+    ("1", ["classify", "--m", "5", "--grid", "-2:2:4", "-2:2:4", "--verify"], "classify.csv"),
+    ("1", ["portrait", "--m", "8", "--grid", "-1:1:3", "-1:1:3", "--horizon", "3"], "portrait_1.csv"),
+    ("2", ["portrait", "--m", "8", "--grid", "-1:1:3", "-1:1:3", "--horizon", "3"], "portrait_2.csv"),
+]
+
+def run_subcommands():
+    codes, files = [], {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for threads, argv, name in RUNS:
+            os.environ["BLOWUPLAB_THREADS"] = threads
+            codes.append(blowuplab.cli.main([*argv, "--out", os.path.join(tmp, name)]))
+        for name in os.listdir(tmp):
+            with open(os.path.join(tmp, name), "rb") as fh:
+                files[name] = fh.read()
+    return codes, files
+
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     codes = [blowuplab.cli.main(argv) for argv in
              (["elliptic", "--sl", "--t=0.5"], ["elliptic", "--K", "0.99"], ["elliptic", "--quarter-period"])]
+blocked_codes, blocked_files = run_subcommands()
 report = {
     "cli exit codes": codes,
     "cli lines": len(out.getvalue().splitlines()),
+    "subcommand exit codes": blocked_codes,
+    "files": sorted(blocked_files),
     "sl": [type(x).__name__ for x in blowuplab.sl(0.5)],
     "K_agm": blowuplab.K_agm(0.5) > 1.0,
     "F_half": blowuplab.F_half(1.0) > 1.0,
@@ -79,6 +105,8 @@ report = {
     "functions": [type(f).__name__ for f in (blowuplab.integrate, blowuplab.classify)],
 }
 del sys.modules["numpy"]
+import numpy
+report["same with numpy"] = run_subcommands() == (blocked_codes, blocked_files)
 report["unresolved"] = [name for name in blowuplab.__all__ if not hasattr(blowuplab, name)]
 report["not in dir"] = sorted(set(blowuplab.__all__) - set(dir(blowuplab)))
 report["leaf modules"] = [blowuplab.diagnostics.g_k is blowuplab.g_k, blowuplab.colehopf.__name__]
@@ -97,11 +125,15 @@ def test_import_and_scalar_paths_load_no_numpy():
     assert json.loads(proc.stdout) == {
         "cli exit codes": [0, 0, 0],
         "cli lines": 3,
+        "subcommand exit codes": [0, 0, 0, 0, 0],
+        "files": ["classify.csv", "gauss6_backward.csv", "gauss6_backward.json", "portrait_1.csv", "portrait_1.json",
+                  "portrait_2.csv", "portrait_2.json", "rk4_forward.csv", "rk4_forward.json"],
         "sl": ["float", "float"],
         "K_agm": True,
         "F_half": True,
         "classify": "no_global_solution",
         "functions": ["function", "function"],
+        "same with numpy": True,
         "unresolved": [],
         "not in dir": [],
         "leaf modules": [True, "blowuplab.colehopf"],

@@ -63,6 +63,16 @@ def test_known_root_values():
     assert p.k_plus == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
+def test_roots_at_zero_A_are_exact_negatives():
+    # at A = +-0 the roots are -+sqrt(B/2); refining one of them through
+    # k1 k2 = -B/2 broke the tie k_minus == -k_plus in the last ulp
+    rng = np.random.default_rng(61)
+    for B in (*rng.uniform(1e-3, 10.0, 2000).tolist(), 1e-300, 1.0, 3.0, 2.0 / 9.0):
+        for A in (0.0, -0.0):
+            p = params_from_coeffs(A, B)
+            assert p.k_minus == -p.k_plus == -math.sqrt(B / 2.0), (A, B)
+
+
 def test_negative_discriminant_has_no_roots():
     p = params_from_coeffs(1.0, -1.0)
     assert p.disc < 0.0
