@@ -5,8 +5,9 @@
 # the verdict's t_bound gives too, a backward Gauss6 m = 9 escape blows up
 # at its verdict's t_bound, a Gauss6 m = 4 run stays within 1e-9 of
 # -tanh t both ways, the m = 3 parabola start, the disc = 0 grid, an
-# m = 3.5 decay and a t_bound of -8.45e299 verify, and non-finite input
-# exits with status 2 and an error: line.
+# m = 3.5 decay and a t_bound of -8.45e299 verify, non-finite input
+# exits with status 2 and an error: line, and a grid whose span overflows
+# is refused by its spec before any file is written.
 # Usage: bash .github/console-checks.sh [work directory]
 set -eu
 unset PYTHONPATH  # the installed package, not the source tree
@@ -131,3 +132,13 @@ if [ -e c.csv ]; then
   echo "blowuplab classify with a NaN grid left c.csv behind"
   exit 1
 fi
+# finite endpoints whose span hi - lo overflows
+for cmd in classify portrait; do
+  status=0
+  blowuplab $cmd --m 5 --grid -1e308:1e308:3 0:1:2 --out span.csv 2> err.txt || status=$?
+  cat err.txt
+  if [ "$status" -ne 2 ] || ! grep -q "^error: grid spec '-1e308:1e308:3'" err.txt || [ -e span.csv ] || [ -e span.json ]; then
+    echo "blowuplab $cmd with an overflowing grid span: want exit status 2, a grid spec error: line and no file, got $status"
+    exit 1
+  fi
+done

@@ -10,21 +10,10 @@ import importlib
 
 # eager: integrate and classify are also the names of functions exported
 # here, and importing a submodule binds its module over a lazily bound name
-from .classify import PeriodReport, Verdict, VerdictCheck, classify, detect_period, verify_verdict
+from .classify import Verdict, VerdictCheck, classify, verify_verdict
 from .elliptic import F_half, K_agm, lemniscate_quarter_period, sl
-from .errors import (
-    BlownUpTrajectory,
-    BlowupLabError,
-    BranchMismatch,
-    DomainError,
-    FitFailure,
-    Inconclusive,
-    InsufficientSamples,
-    NonFiniteError,
-    NonUniformGrid,
-    NotACharacteristicRoot,
-    StageSolveFailure,
-)
+from .errors import BlowupLabError, DomainError, Inconclusive, NonFiniteError, StageSolveFailure
+from .exact import period
 from .integrate import (
     IntegrateOptions,
     IntegratorKind,
@@ -48,10 +37,10 @@ _LAZY = {
 }
 
 __all__ = [
-    "PeriodReport", "Verdict", "VerdictCheck", "classify", "detect_period", "verify_verdict",
+    "Verdict", "VerdictCheck", "classify", "verify_verdict",
     "F_half", "K_agm", "lemniscate_quarter_period", "sl",
-    "BlownUpTrajectory", "BlowupLabError", "BranchMismatch", "DomainError", "FitFailure", "Inconclusive",
-    "InsufficientSamples", "NonFiniteError", "NonUniformGrid", "NotACharacteristicRoot", "StageSolveFailure",
+    "BlowupLabError", "DomainError", "Inconclusive", "NonFiniteError", "StageSolveFailure",
+    "period",
     "IntegrateOptions", "IntegratorKind", "Termination", "Trajectory", "estimate_blowup_time", "integrate",
     "quadrature_blowup_time", "step_gauss6", "step_rk4",
     "OdeParams", "State", "params_from_coeffs", "params_from_dimension", "rhs",

@@ -4,9 +4,10 @@ For disc = A^2 + 8B >= 0 each time direction is decided and timed by
 ``exact.escape_time``: in p = u'/u^2 the direction ends at one root -k of
 2k^2 + A k - B = 0 and blows up iff that root's exponent is positive, at
 the time the leg integrals give.  A blow-up verdict carries the nearer
-blow-up time as ``t_bound``, none where both overflow.  disc < 0,
-A = B = 0 and roots lost to rounding stay unclassified.  A verdict is
-verified by RK4 runs against the exact times and states of ``exact``.
+blow-up time as ``t_bound``, none where both overflow.  disc < 0 (whose
+closed orbits ``exact.period`` times), A = B = 0 and roots lost to
+rounding stay unclassified.  A verdict is verified by RK4 runs against the
+exact times and states of ``exact``.
 """
 from __future__ import annotations
 
@@ -15,10 +16,10 @@ from dataclasses import dataclass
 
 from .errors import DomainError, Inconclusive
 from .exact import escape_time, parabola_pole, state_at
-from .integrate import IntegrateOptions, IntegratorKind, _march, integrate, step_gauss6
-from .model import OdeParams, State, rhs
+from .integrate import IntegrateOptions, IntegratorKind, _march
+from .model import OdeParams, State
 
-__all__ = ["Verdict", "PeriodReport", "VerdictCheck", "classify", "verify_verdict", "detect_period"]
+__all__ = ["Verdict", "VerdictCheck", "classify", "verify_verdict"]
 
 TRIVIAL = "trivial"
 STATIONARY = "stationary"
@@ -34,13 +35,6 @@ class Verdict:
     kind: str
     basis: str
     detail: dict | None = None
-
-
-@dataclass(frozen=True)
-class PeriodReport:
-    periodic: bool
-    period: float | None
-    closure_error: float
 
 
 def classify(p: OdeParams, u0: float, v0: float) -> Verdict:
@@ -172,72 +166,3 @@ def verify_verdict(p: OdeParams, u0: float, v0: float, verdict: Verdict, horizon
             ok = t_blow[d] is not None and abs(t_blow[d] - t_bound) <= _T_GATE * abs(t_bound) < math.inf
             reason = what if ok else f"blow-up time {t_blow[d]!r} against t_bound {t_bound!r}"
     return VerdictCheck(ok, reason, t_blow[1.0], t_blow[-1.0], max(abs(u) for rows in runs for u in rows[1::4]))
-
-
-# ---------------------------------------------------------------------------
-# periodic-orbit detection
-
-
-def detect_period(p: OdeParams, s0: State, t_max: float, tol: float = 1e-5) -> PeriodReport:
-    """Return-map search on the section through s0.
-
-    The section is u = u0 crossed with the sign of v matching v0 (or
-    v = 0 with matching acceleration sign when v0 = 0).  Crossing times
-    are refined by bisection on the bracketing accepted step.
-    """
-    if not 0.0 < t_max < math.inf:  # false for NaN too
-        raise DomainError(f"t_max must be positive and finite, got {t_max}")
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    opts = IntegrateOptions(h0=1e-3, t_end=s0.t + t_max, local_tol=1e-12, record_every=1)
-    traj = integrate(p, s0, IntegratorKind.GAUSS6, opts)
-    if traj.termination.kind == "blowup":
-        raise Inconclusive("orbit blew up before returning to the section")
-
-    if s0.v != 0.0:
-        section, axis = (lambda s: s.u - s0.u), 0
-    else:
-        section, axis = (lambda s: s.v), 1
-    # a return must cross the section the way s0 does: same sign of u' (axis 0) or u'' (axis 1)
-    orient = lambda s: rhs(p, s)[axis]
-    o_ref = orient(s0)
-
-    import numpy as np  # here, not at the top: classify and import blowuplab load no numpy
-
-    rows = traj.states
-    sec = section(rows)  # the section function on every recorded state at once
-    # a return counts only after the orbit has left the section
-    away = np.flatnonzero(np.abs(sec[1:]) > 1e-8) + 1
-    armed = away[0] if len(away) else len(sec)
-    brackets = np.flatnonzero((sec[:-1] != 0.0) & (sec[:-1] * sec[1:] <= 0.0)) + 1
-    best_closure = math.inf
-    for i in brackets[brackets > armed]:
-        a = State(*rows[i - 1].tolist())
-        crossing = _refine_crossing(p, a, float(rows.t[i]) - a.t, section)
-        if orient(crossing) * o_ref <= 0.0:
-            continue
-        closure = math.sqrt(
-            (crossing.u - s0.u) ** 2 + (crossing.v - s0.v) ** 2 / max(1.0, s0.v**2)
-        )
-        if closure <= tol:
-            return PeriodReport(True, crossing.t - s0.t, closure)
-        best_closure = min(best_closure, closure)
-    return PeriodReport(False, None, best_closure)
-
-
-def _refine_crossing(p: OdeParams, start: State, h: float, section) -> State:
-    f_lo = section(start)
-    lo, hi = 0.0, h
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        s_mid = step_gauss6(p, start, mid) if mid > 0 else start
-        f_mid = section(s_mid)
-        if f_mid == 0.0:
-            return s_mid
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-        if hi - lo < 1e-16 * max(1.0, h):
-            break
-    return step_gauss6(p, start, 0.5 * (lo + hi))

@@ -58,8 +58,8 @@ def _parse_grid(spec: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"grid spec {spec!r} is not of the form lo:hi:n")
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"grid spec {spec!r}: endpoints must be finite")
+    if not math.isfinite(hi - lo):  # false for a NaN or infinite endpoint too
+        raise ValueError(f"grid spec {spec!r}: endpoints and their span hi - lo must be finite")
     if n < 1:
         raise ValueError(f"grid spec {spec!r}: need at least one point")
     return _linspace(lo, hi, n)

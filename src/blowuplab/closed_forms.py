@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .elliptic import sl
-from .errors import BranchMismatch, DomainError
+from .errors import DomainError
 from .model import OdeParams, is_characteristic_root
 
 __all__ = ["Riccati", "Lemniscatic", "ClosedForm", "PoleAt", "eval_closed_form", "riccati_poles"]
@@ -54,7 +54,7 @@ class PoleAt:
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
-        raise BranchMismatch(msg)
+        raise DomainError(msg)
 
 
 def riccati_poles(cf: Riccati) -> tuple[float | None, float | None]:

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BlownUpTrajectory,
-    DomainError,
-    InsufficientSamples,
-    NonUniformGrid,
-)
+from .errors import DomainError
 from .integrate import Trajectory
 
 __all__ = [
@@ -46,7 +41,7 @@ def reconstruct_f(traj: Trajectory, C: float, step: float | None = None) -> Prof
     uniform grid; otherwise at the recorded times, which must increase.
     """
     if traj.termination.kind != "completed":
-        raise BlownUpTrajectory(f"trajectory terminated with {traj.termination.kind}")
+        raise DomainError(f"trajectory terminated with {traj.termination.kind}")
     if C <= 0:
         raise DomainError("scale constant must be positive")
     t, u, v = traj.t, traj.u, traj.v
@@ -94,11 +89,11 @@ def eq0_residual_fd(profile: ProfileF, m: float) -> float:
     """
     x, f = profile.x, profile.f
     if len(x) < 7:
-        raise InsufficientSamples("need at least 7 uniform samples")
+        raise DomainError("need at least 7 uniform samples")
     h = np.diff(x)
     h0 = h[0]
     if np.max(np.abs(h - h0)) > 1e-8 * abs(h0):
-        raise NonUniformGrid("fourth-order differencing requires a uniform grid")
+        raise DomainError("fourth-order differencing requires a uniform grid")
 
     i = np.arange(3, len(x) - 3)
     fm3, fm2, fm1 = f[i - 3], f[i - 2], f[i - 1]

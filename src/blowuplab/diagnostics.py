@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import NotACharacteristicRoot
+from .errors import DomainError
 from .integrate import Trajectory
 from .model import OdeParams, State, is_characteristic_root, rhs
 
@@ -123,7 +123,7 @@ def _gk_deviation(p: OdeParams, traj: Trajectory, k: complex, integral: np.ndarr
     import numpy as np
 
     if not is_characteristic_root(p, k):
-        raise NotACharacteristicRoot(f"k={k} does not solve 2k^2 + Ak - B = 0")
+        raise DomainError(f"k={k} does not solve 2k^2 + Ak - B = 0")
     g = g_k(traj.states, k)
     predicted = g[0] * np.exp((p.A + 2.0 * k) * integral)
     dev = np.abs(g - predicted) / max(1.0, abs(g[0]))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .elliptic import F_half
-from .errors import DomainError, FitFailure, NonFiniteError, StageSolveFailure
+from .errors import DomainError, NonFiniteError, StageSolveFailure
 from .exact import escape_time
 from .model import OdeParams, State
 
@@ -579,9 +579,9 @@ def estimate_blowup_time(traj: Trajectory) -> float:
     """The driver's blow-up time: the last time plus the exact remaining time from the last state."""
     term = traj.termination
     if term.kind != "blowup":
-        raise FitFailure("trajectory did not terminate in blow-up")
+        raise DomainError("trajectory did not terminate in blow-up")
     if term.t_estimate is None:
-        raise FitFailure("no exact blow-up time: disc < 0, or the last state's direction is global")
+        raise DomainError("no exact blow-up time: disc < 0, or the last state's direction is global")
     return term.t_estimate
 
 

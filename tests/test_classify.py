@@ -15,17 +15,14 @@ from blowuplab import (
     State,
     Verdict,
     classify,
-    detect_period,
     g_k,
     integrate,
-    lemniscate_quarter_period,
     params_from_coeffs,
     params_from_dimension,
     quadrature_blowup_time,
     riccati_poles,
     verify_verdict,
 )
-from blowuplab.errors import Inconclusive
 from blowuplab.exact import escape_time
 
 classify_module = importlib.import_module("blowuplab.classify")  # the package's classify is the function
@@ -734,44 +731,3 @@ def test_verify_rejects_bad_horizon():
         with pytest.raises(DomainError):
             verify_verdict(P4, 0.0, -1.0, v, horizon=horizon)
 
-
-def test_detect_period_lemniscatic():
-    # u'' = -2 u^3 from (0, 1) is the lemniscatic sine itself
-    p = params_from_coeffs(0.0, -2.0)
-    rep = detect_period(p, State(0.0, 0.0, 1.0), t_max=10.0)
-    assert rep.periodic
-    assert rep.closure_error <= 1e-5
-    assert rep.period == pytest.approx(4.0 * lemniscate_quarter_period(), abs=1e-6)
-
-
-def test_detect_period_from_a_turning_point():
-    # v0 = 0: the section is u' = 0, crossed with u'' of the sign it has at s0
-    p = params_from_coeffs(0.0, -2.0)
-    rep = detect_period(p, State(0.0, 1.0, 0.0), t_max=10.0)
-    assert rep.periodic
-    assert rep.period == pytest.approx(4.0 * lemniscate_quarter_period(), abs=1e-6)
-
-
-def test_detect_period_m3_decay_is_aperiodic():
-    rep = detect_period(P3, State(0.0, 0.0, -0.5), t_max=20.0)
-    assert not rep.periodic
-    assert rep.period is None
-    assert math.isfinite(rep.closure_error) or rep.closure_error == math.inf
-
-
-def test_detect_period_inconclusive_on_blowup():
-    with pytest.raises(Inconclusive):
-        detect_period(P5, State(0.0, 1.0, 1.0), t_max=10.0)
-
-
-def test_detect_period_arg_validation():
-    with pytest.raises(DomainError):
-        detect_period(P3, State(0.0, 0.0, 1.0), t_max=-1.0)
-    with pytest.raises(DomainError):
-        detect_period(P3, State(0.0, 0.0, 1.0), t_max=1.0, tol=0.0)
-    for t_max in (math.nan, math.inf, 0.0):
-        with pytest.raises(DomainError, match="t_max"):
-            detect_period(P3, State(0.0, 0.0, 1.0), t_max=t_max)
-    for tol in (math.nan, -1e-5):
-        with pytest.raises(DomainError, match="tol"):
-            detect_period(P3, State(0.0, 0.0, 1.0), t_max=1.0, tol=tol)

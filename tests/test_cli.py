@@ -301,6 +301,17 @@ def test_non_finite_grid_is_rejected_before_writing(tmp_path, capsys, command, g
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["classify", "portrait"])
+@pytest.mark.parametrize("grid", [["-1e308:1e308:3", "0:1:2"], ["0:1:2", "1e308:-1e308:1"]])
+def test_overflowing_grid_span_is_rejected_before_writing(tmp_path, capsys, command, grid):
+    # finite endpoints whose span hi - lo overflows would put NaN and inf in the grid
+    out = tmp_path / "c.csv"
+    assert main([command, "--m", "5", "--grid", *grid, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid spec") and "span hi - lo must be finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_huge_dimension_integrates(tmp_path):
     # (m - 2)^2 overflows here; B is 0.0 and the run is u'' = -u u'
     out = tmp_path / "big.csv"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from blowuplab import (
-    BranchMismatch,
     DomainError,
     IntegrateOptions,
     IntegratorKind,
@@ -174,16 +173,16 @@ def test_logistic_satisfies_comparison_ode():
 
 
 def test_branch_mismatch_errors():
-    with pytest.raises(BranchMismatch):
+    with pytest.raises(DomainError, match="k must satisfy"):
         eval_closed_form(Riccati(-1.0, 0.0, -1.0), params_from_dimension(3.0), 0.0)  # k not a root
-    with pytest.raises(BranchMismatch):
+    with pytest.raises(DomainError, match="k must satisfy"):
         eval_closed_form(Riccati(P8.k_plus, 1.0, -P8.k_plus), P4, 0.0)  # k not a root
-    with pytest.raises(BranchMismatch):
+    with pytest.raises(DomainError, match="is constant only for A \\+ 2k = 0"):
         # k a root of P8, but A + 2k != 0 and (1, 1) is off the parabola u' = -k u^2
         eval_closed_form(Riccati(P8.k_minus, 1.0, 1.0), P8, 0.0)
-    with pytest.raises(BranchMismatch):
+    with pytest.raises(DomainError, match="kappa must satisfy"):
         eval_closed_form(Lemniscatic(1.0, 1.0, 0.0), PLEM, 0.0)  # kappa^4 != -B
-    with pytest.raises(BranchMismatch):
+    with pytest.raises(DomainError, match="lemniscatic family requires A = 0, B < 0"):
         eval_closed_form(Lemniscatic(1.0, 2.0**0.25, 0.0), P8, 0.0)
 
 

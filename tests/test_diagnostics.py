@@ -18,7 +18,7 @@ from blowuplab import (
     params_from_coeffs,
     params_from_dimension,
 )
-from blowuplab.errors import NotACharacteristicRoot
+from blowuplab.errors import DomainError
 from blowuplab.integrate import Termination, Trajectory
 
 
@@ -32,7 +32,7 @@ def test_energy_and_gk_values():
 def test_gk_rejects_non_root():
     p = params_from_dimension(5.0)
     traj = integrate(p, State(0.0, 0.1, 0.0), IntegratorKind.RK4, IntegrateOptions(t_end=1.0))
-    with pytest.raises(NotACharacteristicRoot):
+    with pytest.raises(DomainError, match=r"does not solve 2k\^2 \+ Ak - B = 0"):
         check_gk_identity(p, traj, 0.5)
 
 
@@ -43,7 +43,7 @@ def test_gk_accepts_the_roots_of_large_coefficients():
     traj = integrate(p, State(0.0, 1e-3, 0.0), IntegratorKind.RK4, IntegrateOptions(t_end=1e-2))
     for k in (p.k_minus, p.k_plus):
         assert check_gk_identity(p, traj, k) < 1e-8
-    with pytest.raises(NotACharacteristicRoot):
+    with pytest.raises(DomainError, match=r"does not solve 2k\^2 \+ Ak - B = 0"):
         check_gk_identity(p, traj, p.k_plus * (1.0 + 1e-6))
 
 
@@ -70,7 +70,7 @@ def test_gk_identity_at_the_complex_root():
             assert 0.0 < res < gate, (A, B, kind, res)
             assert diagnostics_report(p, traj).gk_identity_residual_max == res
             assert check_gk_identity(p, traj, k.conjugate()) == pytest.approx(res, rel=1e-12)
-        with pytest.raises(NotACharacteristicRoot):
+        with pytest.raises(DomainError, match=r"does not solve 2k\^2 \+ Ak - B = 0"):
             check_gk_identity(p, traj, k * (1.0 + 1e-6))
 
 

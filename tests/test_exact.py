@@ -8,17 +8,19 @@ import pytest
 from blowuplab import (
     IntegrateOptions,
     IntegratorKind,
+    K_agm,
     Riccati,
     State,
     eval_closed_form,
     integrate,
+    lemniscate_quarter_period,
     params_from_coeffs,
     params_from_dimension,
     quadrature_blowup_time,
     riccati_poles,
 )
 from blowuplab.errors import DomainError
-from blowuplab.exact import _ALPHA_MAX, _GAUSS20, escape_time, parabola_pole, state_at
+from blowuplab.exact import _ALPHA_MAX, _GAUSS20, escape_time, parabola_pole, period, state_at
 
 HALF = mp.mpf(1) / 2
 
@@ -368,3 +370,146 @@ def test_escape_time_takes_only_the_directions_plus_and_minus_one(d):
             escape_time(p5, u0, v0, d)
     assert escape_time(p5, 1.0, 1.0, 1) == escape_time(p5, 1.0, 1.0, 1.0) > 0.0
     assert escape_time(p5, 1.0, 1.0, -1) == escape_time(p5, 1.0, 1.0, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# the disc < 0 period
+
+
+def _mp_log_k(A, B, u0, v0, s, c):
+    """ln K of the first integral at mpmath's working precision."""
+    return -mp.log(2 * v0**2 - A * u0**2 * v0 - B * u0**4) / 4 - c * mp.atan2(4 * v0 - A * u0**2, s * u0**2)
+
+
+def _mp_period(A, B, u0, v0):
+    """The period at 40 digits: 2K int Q(p)^(-3/4) e^(c atan((4p - A)/s)) dp over the real line, by mpmath quad."""
+    with mp.workdps(40):
+        A, B, u0, v0 = (mp.mpf(x) for x in (A, B, u0, v0))
+        s = mp.sqrt(-(A * A + 8 * B))
+        c = A / (2 * s)
+        f = lambda q: (2 * q * q - A * q - B) ** mp.mpf(-0.75) * mp.exp(c * mp.atan((4 * q - A) / s))
+        return float(2 * mp.exp(_mp_log_k(A, B, u0, v0, s, c)) * mp.quad(f, [-mp.inf, A / 4, mp.inf]))
+
+
+def _mp_period_theta(A, B, u0, v0):
+    """_mp_period after 4p - A = s tan theta: 2K 8^(3/4)/4 s^(-1/2) int cos^(-1/2) theta e^(c theta) over (-pi/2, pi/2).
+
+    In p the integrand turns over within s of A/4, too sharply for the
+    quadrature as disc -> 0-; in theta it is smooth but at the ends.
+    """
+    with mp.workdps(40):
+        A, B, u0, v0 = (mp.mpf(x) for x in (A, B, u0, v0))
+        s = mp.sqrt(-(A * A + 8 * B))
+        c = A / (2 * s)
+        integral = mp.quad(lambda th: mp.cos(th) ** mp.mpf(-0.5) * mp.exp(c * th), [-mp.pi / 2, 0, mp.pi / 2])
+        return float(2 * mp.exp(_mp_log_k(A, B, u0, v0, s, c)) * mp.mpf(8) ** mp.mpf(0.75) / 4 / mp.sqrt(s) * integral)
+
+
+def _negative_disc(A, disc):
+    return params_from_coeffs(A, (disc - A * A) / 8.0)
+
+
+def test_period_matches_mpmath():
+    # seeded A in [-4, 4] (both signs) and A = 0, disc in [-24, -8e-3]
+    # log-uniform, two states each: within 1e-13 relative; 200 such sets
+    # measured 1.5e-14 at worst
+    rng = np.random.default_rng(2027)
+    params = [_negative_disc(A, -(10.0 ** rng.uniform(math.log10(8e-3), math.log10(24.0))))
+              for A in [*rng.uniform(-4.0, 4.0, 10).tolist(), 0.0]]
+    assert min(p.A for p in params) < 0.0 < max(p.A for p in params)
+    worst = 0.0
+    for p in params:
+        for u0, v0 in _states(rng, 2):
+            want = _mp_period(p.A, p.B, u0, v0)
+            worst = max(worst, abs(period(p, u0, v0) - want) / want)
+    assert worst <= 1e-13, worst
+
+
+def test_period_near_the_double_root():
+    # disc -> 0-: |c| = |A|/(2 sqrt(-disc)) reaches 1.5e6 at disc = -1e-12,
+    # and nothing cancels: the error stayed below 1.5e-14 + 1.1e-15 |ln T|
+    # on 192 seeded sets (the exponent's rounding; ln T is |c| atan2 plus
+    # O(ln |c|)).  The gate is twice that.  A period past floats is inf.
+    rng = np.random.default_rng(29)
+    finite = 0
+    for disc in (-1e-3, -1e-6, -1e-9, -1e-12):
+        for A in (-1.5, 2.0):
+            p = _negative_disc(A, disc)
+            # from (0, sgn A) the angle atan2(X, sgn(c) Y) is 0, where the
+            # naive sum cancels most; the seeded states take any angle
+            for u0, v0 in [(0.0, math.copysign(1.0, A)), *_states(rng, 2)]:
+                got = period(p, u0, v0)
+                if got == math.inf:
+                    continue
+                finite += 1
+                want = _mp_period_theta(p.A, p.B, u0, v0)
+                assert abs(got - want) / want <= 3e-14 + 2.2e-15 * abs(math.log(got)), (A, disc, u0, v0, got, want)
+    assert finite >= 12, finite
+
+
+def test_period_at_zero_A_against_the_lemniscate_oracles():
+    # u'' = -2 u^3 from (0, 1) is sl, of period four quarter periods, and
+    # (1, 0) lies on the same orbit; K_agm gives the same period as
+    # 4 K(1/sqrt2)/sqrt2.  Both starts read 5.2441151085842534.
+    p = params_from_coeffs(0.0, -2.0)
+    for u0, v0 in ((0.0, 1.0), (1.0, 0.0)):
+        T = period(p, u0, v0)
+        assert T == pytest.approx(4.0 * lemniscate_quarter_period(), rel=1e-13)
+        assert T == pytest.approx(4.0 * K_agm(1.0 / math.sqrt(2.0)) / math.sqrt(2.0), rel=1e-13)
+
+
+def test_period_conjugacies():
+    # (A, u') -> (-A, -u') and u -> -u map orbits onto orbits of the same
+    # period; both give the same bits, as the state enters through u^2 and
+    # sgn(A) (4u' - A u^2)
+    rng = np.random.default_rng(31)
+    for A, B in ((2.0, -4.0), (-3.0, -2.0), (0.0, -2.0), (-0.0, -0.5), (1.0, -1.0), (3.5, -1.6)):
+        p, mirror = params_from_coeffs(A, B), params_from_coeffs(-A, B)
+        for u0, v0 in _states(rng, 20):
+            T = period(p, u0, v0)
+            assert period(mirror, u0, -v0) == T and period(p, -u0, v0) == T, (A, B, u0, v0)
+
+
+# disc < 0 runs: (A, B), (u0, v0) and t_end
+PERIODIC_RUNS = (
+    ((2.0, -4.0), (0.0, 1.0), 20.0),
+    ((-3.0, -2.0), (1.0, 1.0), 30.0),
+    ((0.0, -2.0), (0.0, 1.0), 20.0),
+    ((1.0, -1.0), (1.0, 0.0), 30.0),
+)
+
+
+def test_period_is_constant_along_a_gauss6_run():
+    # the period is a function of the orbit: from every state of a Gauss6
+    # run at local_tol 1e-12 it is the start's within 1e-10, about 7 times
+    # the worst measured, 1.5e-11 (at A = 0)
+    for (A, B), (u0, v0), t_end in PERIODIC_RUNS:
+        p = params_from_coeffs(A, B)
+        T = period(p, u0, v0)
+        traj = integrate(p, State(0.0, u0, v0), IntegratorKind.GAUSS6, IntegrateOptions(t_end=t_end, local_tol=1e-12))
+        assert traj.t[-1] > 2.0 * T
+        for u, v in zip(traj.u.tolist(), traj.v.tolist()):
+            assert period(p, u, v) == pytest.approx(T, rel=1e-10), (A, B, u, v)
+
+
+def test_period_domain():
+    p = params_from_coeffs(2.0, -4.0)
+    # disc = 9 (m = 3), m = 5's blow-ups, disc = 0 and A = B = 0: no closed orbit
+    for q in (params_from_dimension(3.0), params_from_dimension(5.0), params_from_coeffs(1.0, -0.125),
+              params_from_coeffs(0.0, 0.0)):
+        with pytest.raises(DomainError, match=r"disc = A\^2 \+ 8B < 0"):
+            period(q, 0.0, 1.0)
+    with pytest.raises(DomainError, match="rest point"):
+        period(p, 0.0, 0.0)
+    for u0, v0 in ((math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(DomainError, match="non-finite state"):
+            period(p, u0, v0)
+    # past floats: at disc = -1e-6, A = -1 the orbit from (0, 1) takes about
+    # e^(500 pi); the reverse start (0, -1) has a period of order 1
+    q = _negative_disc(-1.0, -1e-6)
+    assert period(q, 0.0, 1.0) == math.inf and 1.0 < period(q, 0.0, -1.0) < 10.0
+    # u -> lam u, u' -> lam^2 u' divides the period by lam, out to where u^2
+    # and 4u' (or the period) leave the float range
+    for u0, v0, lam in ((0.75, 0.0, 2.0**-600), (0.75, 0.0, 2.0**600), (0.75, 0.5, 2.0**-300), (0.75, 0.5, 2.0**512)):
+        assert period(p, u0 * lam, v0 * lam * lam) == pytest.approx(period(p, u0, v0) / lam, rel=1e-13)
+    assert period(p, 1e-310, 0.0) == math.inf

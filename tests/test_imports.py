@@ -61,7 +61,8 @@ def test_runtime_never_loads_scipy():
 # numpy blocked as a missing install blocks it; the block is lifted at the
 # end, so every export can load.  integrate (RK4 forward, Gauss6 backward),
 # classify --verify and portrait (serial and with a pool of 2) run blocked,
-# then again with numpy loaded, and must write the same bytes.
+# then again with numpy loaded, and must write the same bytes; the exact
+# period of sl's orbit is taken blocked too.
 NO_NUMPY_PROBE = """
 import contextlib, io, json, os, sys, tempfile
 sys.modules["numpy"] = None
@@ -102,6 +103,8 @@ report = {
     "K_agm": blowuplab.K_agm(0.5) > 1.0,
     "F_half": blowuplab.F_half(1.0) > 1.0,
     "classify": blowuplab.classify(blowuplab.params_from_dimension(5.0), 1.0, 1.0).kind,
+    "period": abs(blowuplab.period(blowuplab.params_from_coeffs(0.0, -2.0), 0.0, 1.0)
+                  / (4.0 * blowuplab.lemniscate_quarter_period()) - 1.0) < 1e-13,
     "functions": [type(f).__name__ for f in (blowuplab.integrate, blowuplab.classify)],
 }
 del sys.modules["numpy"]
@@ -132,6 +135,7 @@ def test_import_and_scalar_paths_load_no_numpy():
         "K_agm": True,
         "F_half": True,
         "classify": "no_global_solution",
+        "period": True,
         "functions": ["function", "function"],
         "same with numpy": True,
         "unresolved": [],

@@ -23,7 +23,7 @@ from blowuplab import (
     step_gauss6,
     step_rk4,
 )
-from blowuplab.errors import FitFailure, NonFiniteError, StageSolveFailure
+from blowuplab.errors import NonFiniteError, StageSolveFailure
 from blowuplab.exact import escape_time
 from blowuplab.integrate import (
     _A11, _A12, _A13, _A21, _A22, _A23, _A31, _A32, _A33, _B1, _B2, _C1, _C3, _HALF_SEEDS,
@@ -715,14 +715,14 @@ def test_estimate_requires_blowup_termination():
     p = params_from_dimension(4.0)
     traj = integrate(p, State(0.0, 0.0, -1.0), IntegratorKind.RK4, IntegrateOptions(t_end=1.0))
     assert traj.termination.t_estimate is None  # u = -tanh t is global
-    with pytest.raises(FitFailure):
+    with pytest.raises(DomainError, match="did not terminate in blow-up"):
         estimate_blowup_time(traj)
     # a run that completes short of its blow-up carries the exact time all the same
     p5 = params_from_dimension(5.0)
     traj = integrate(p5, State(0.0, 1.0, 1.0), IntegratorKind.RK4, IntegrateOptions(t_end=0.5))
     assert traj.termination.kind == "completed"
     assert traj.termination.t_estimate == pytest.approx(escape_time(p5, 1.0, 1.0, 1.0), rel=1e-9)
-    with pytest.raises(FitFailure):
+    with pytest.raises(DomainError, match="did not terminate in blow-up"):
         estimate_blowup_time(traj)
 
 
@@ -741,7 +741,7 @@ def test_short_blowup_tail_has_the_exact_estimate():
     traj = integrate(q, State(0.0, 0.0, 1.0), IntegratorKind.RK4, IntegrateOptions(t_end=10.0, blowup_threshold=0.5))
     assert traj.termination.kind == "blowup"
     assert traj.termination.t_estimate is None
-    with pytest.raises(FitFailure):
+    with pytest.raises(DomainError, match="no exact blow-up time"):
         estimate_blowup_time(traj)
 
 
