@@ -17,8 +17,10 @@ from blowuplab import (
     classify,
     g_k,
     integrate,
+    lemniscate_quarter_period,
     params_from_coeffs,
     params_from_dimension,
+    period,
     quadrature_blowup_time,
     riccati_poles,
     verify_verdict,
@@ -731,3 +733,59 @@ def test_verify_rejects_bad_horizon():
         with pytest.raises(DomainError):
             verify_verdict(P4, 0.0, -1.0, v, horizon=horizon)
 
+
+# The period tests below keep the names of the return-map period search that
+# exact.period replaced; each checks the same property of the closed-form
+# period, and an integration over one period stands in for the return map.
+
+def _closure_over_one_period(p, u0, v0):
+    T = period(p, u0, v0)
+    traj = integrate(p, State(0.0, u0, v0), IntegratorKind.GAUSS6,
+                     IntegrateOptions(h0=1e-3, t_end=T, local_tol=1e-12))
+    assert traj.termination.kind == "completed" and traj.t[-1] == T
+    return T, math.hypot(traj.u[-1] - u0, traj.v[-1] - v0)
+
+
+def test_detect_period_lemniscatic():
+    # u'' = -2 u^3 from (0, 1) is the lemniscatic sine itself
+    p = params_from_coeffs(0.0, -2.0)
+    T, closure = _closure_over_one_period(p, 0.0, 1.0)
+    assert closure <= 1e-5
+    assert T == pytest.approx(4.0 * lemniscate_quarter_period(), abs=1e-6)
+
+
+def test_detect_period_from_a_turning_point():
+    # v0 = 0: the start (1, 0) lies on the same orbit as (0, 1)
+    p = params_from_coeffs(0.0, -2.0)
+    T, closure = _closure_over_one_period(p, 1.0, 0.0)
+    assert closure <= 1e-5
+    assert T == pytest.approx(4.0 * lemniscate_quarter_period(), abs=1e-6)
+
+
+def test_detect_period_m3_decay_is_aperiodic():
+    # disc = 9: no period, and the decay run never comes back to u = 0
+    with pytest.raises(DomainError, match=r"disc = A\^2 \+ 8B < 0"):
+        period(P3, 0.0, -0.5)
+    traj = integrate(P3, State(0.0, 0.0, -0.5), IntegratorKind.GAUSS6, IntegrateOptions(t_end=20.0))
+    assert traj.termination.kind == "completed"
+    assert np.all(traj.u[1:] < 0.0)
+
+
+def test_detect_period_inconclusive_on_blowup():
+    # m = 5 blows up from (1, 1): no period is given for it
+    with pytest.raises(DomainError, match=r"disc = A\^2 \+ 8B < 0"):
+        period(P5, 1.0, 1.0)
+    traj = integrate(P5, State(0.0, 1.0, 1.0), IntegratorKind.GAUSS6, IntegrateOptions(t_end=10.0))
+    assert traj.termination.kind == "blowup"
+
+
+def test_detect_period_arg_validation():
+    p = params_from_coeffs(0.0, -2.0)
+    with pytest.raises(DomainError, match="rest point"):
+        period(p, 0.0, 0.0)
+    for u0, v0 in ((math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(DomainError, match="non-finite state"):
+            period(p, u0, v0)
+    for q in (P3, params_from_coeffs(1.0, -0.125), params_from_coeffs(0.0, 0.0)):
+        with pytest.raises(DomainError, match=r"disc = A\^2 \+ 8B < 0"):
+            period(q, 0.0, 1.0)
