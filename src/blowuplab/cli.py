@@ -5,9 +5,9 @@ Four subcommands: ``integrate`` (one trajectory as CSV + JSON sidecar),
 (verdict table over a grid, optionally numerically verified) and
 ``elliptic`` (lemniscatic constants and tables).  All floats are written
 with 17 significant digits so files round-trip exactly; identical
-arguments produce byte-identical output.  Every subcommand but
-``elliptic --table`` runs without numpy: trajectories are read as the
-driver's flat rows of Python floats, and grids come from ``_linspace``.
+arguments produce byte-identical output.  Every subcommand runs without
+numpy: trajectories are read as the driver's flat rows of Python floats,
+and grids and the ``sl`` table's times come from ``_linspace``.
 
 Exit codes: 0 success, 1 verification or inconclusive-integration
 failure, 2 usage error.
@@ -38,7 +38,11 @@ def _fmt(x: float) -> str:
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    """``np.linspace(lo, hi, n).tolist()`` bit for bit, n >= 1: i step + lo, then the last point set to hi."""
+    """``np.linspace(lo, hi, n).tolist()`` bit for bit, with its error for n < 0: i step + lo, then the last point set to hi."""
+    if n < 0:
+        raise ValueError(f"Number of samples, {n}, must be non-negative.")
+    if n == 0:
+        return []
     delta = hi - lo
     if n == 1:  # numpy's 0 * delta + lo: -0.0 becomes 0.0 where delta >= 0
         return [0.0 * delta + lo]
@@ -306,14 +310,11 @@ def cmd_elliptic(args: argparse.Namespace) -> int:
         print(f"{_fmt(y)},{_fmt(dy)}")
         did_something = True
     if args.table:
-        import numpy as np
-
-        period = 4.0 * lemniscate_quarter_period()
-        ts = np.linspace(0.0, period, args.n)
-        ys, dys = sl(ts)
+        ts = _linspace(0.0, 4.0 * lemniscate_quarter_period(), args.n)
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("t,sl,dsl\n")
-            for t, y, dy in zip(ts.tolist(), ys.tolist(), dys.tolist()):
+            for t in ts:
+                y, dy = sl(t)
                 fh.write(f"{_fmt(t)},{_fmt(y)},{_fmt(dy)}\n")
         did_something = True
     if not did_something:

@@ -12,20 +12,27 @@ a2 = -k_minus/(2D), a1 + a2 = 1/2, and K = |g_kplus|^-a1 |g_kminus|^-a2 a
 first integral.  p is monotone while u keeps its sign, and u crosses 0
 where p passes through infinity, at most once; so each time direction ends
 at one root, the end root, and it blows up (in finite time) iff the end
-root's exponent is positive.  Forward, the end root is r2 from above r2
-and r1 from below r1, and between the roots r2 for u > 0 and r1 for
-u < 0; backward is forward under A -> -A, u' -> -u'.
+root's exponent is positive.  Backward is forward under A -> -A, u' -> -u',
+and u -> -u with A -> -A maps a start onto (-u, -u') with the same times;
+both negate and swap the roots.  So every start is taken to a forward
+frame in which it ends at r2: from above r2 (first crossing u = 0 where
+u < 0) or from between the roots with u > 0, and it blows up iff a2 > 0.
+A start whose u^2 would overflow is scaled first: 2^-e u(2^-e t) is a
+solution where u(t) is.
 
-Each leg of p takes (K/(2 sqrt D)) int t^(a-1) (1-t)^(b-1) dt, an
-incomplete beta integral (DLMF 8.17): between the roots x = (p - r1)/D
-with (a, b) = (a1, a2), above r2 x = (p - r2)/(p - r1) with (a2, 1/2),
-below r1 x = (r1 - p)/(r2 - p) with (a1, 1/2); every x and 1 - x is
-formed from the g_k, never from a rounded p - r.  Where an exponent
-exceeds _ALPHA_MAX (disc -> 0+, where a = +-k/sqrt(disc) grows without
-bound and the beta series cancel) and at disc = 0, the legs are instead
-integrals in w = ln((p - r1)/(p - r2))/D (1/(p - r) at disc = 0), whose
-integrand is smooth and tends to the double root's as disc -> 0+, taken
-by adaptive Gauss-Legendre quadrature (``_NearDouble``).  Either way the
+Each leg of p takes (K/(2 sqrt D)) int t^(a2-1) (1-t)^(b-1) dt, an
+incomplete beta integral (DLMF 8.17): above r2 x = (p - r2)/(p - r1) with
+b = 1/2, between the roots x = (r2 - p)/D with b = a1, and the crossing
+leg the same integrand in 1 - x.  Every x and 1 - x is formed from the
+g_k, never from a rounded p - r, and state_at finds the point of a leg by
+Newton in ln(x/(1 - x)), which holds x and 1 - x alike to rounding, so
+states keep their digits at both ends of a leg (u0 = 0, or a start near
+a parabola).  Where an exponent exceeds _ALPHA_MAX (disc -> 0+, where
+a = +-k/sqrt(disc) grows without bound and the beta series cancel) and at
+disc = 0, the legs are instead integrals in w = ln((p - r1)/(p - r2))/D
+(1/(p - r) at disc = 0), whose integrand is smooth and tends to the
+double root's as disc -> 0+, taken by adaptive Gauss-Legendre quadrature
+(``_NearDouble``).  Either way the
 kind is read from signs alone, and the times agree with 40-digit mpmath
 within 1e-13 relative at every exponent tested: worst 1.3e-14 for the
 beta series, 3e-15 for the quadrature (tests/test_exact.py).  Near
@@ -63,25 +70,14 @@ _LN_PERIOD = 2.5 * _LN2 + 1.5 * math.log(math.pi)
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
 
 
-def _frame(p: OdeParams, u: float, v: float, d: float) -> tuple[float, float, float]:
-    """(k_minus, k_plus, u') of direction d, in the frame where it runs forward."""
-    if not p.disc >= 0.0 or not (math.isfinite(p.k_minus) and math.isfinite(p.k_plus)):
-        raise DomainError(f"exact times need disc = A^2 + 8B >= 0 and finite roots, got disc = {p.disc}")
-    if not (math.isfinite(u) and math.isfinite(v)):
-        raise DomainError(f"non-finite state ({u}, {v})")
-    if d > 0.0:
-        return p.k_minus, p.k_plus, v
-    return -p.k_plus, -p.k_minus, -v  # A -> -A negates and swaps the roots
-
-
 def escape_time(p: OdeParams, u0: float, v0: float, d: float) -> float | None:
     """The blow-up time T (of sign d = +-1) from (u0, u'0) at t = 0, inf past floats, or None where direction d is global."""
     if d != 1.0 and d != -1.0:  # true for NaN too
         raise DomainError(f"direction d must be 1 or -1, got {d}")
     if u0 == 0.0 and v0 == 0.0:
         return None
-    legs = _legs(p, u0, v0, d)
-    return d * legs.escape() if legs.blows else None
+    legs, _, e = _legs(p, u0, v0, d)
+    return d * math.ldexp(legs.escape(), -e) if legs.blows else None
 
 
 def state_at(p: OdeParams, u0: float, v0: float, t: float) -> tuple[float, float]:
@@ -94,11 +90,12 @@ def state_at(p: OdeParams, u0: float, v0: float, t: float) -> tuple[float, float
     if t == 0.0 or (u0 == 0.0 and v0 == 0.0):
         return u0, v0
     d = 1.0 if t > 0.0 else -1.0
-    legs = _legs(p, u0, v0, d)
-    if legs.blows and abs(t) >= legs.escape():
-        raise DomainError(f"t = {t} lies at or past the blow-up time {d * legs.escape()}")
-    u, v = legs.state(abs(t))
-    return u, d * v
+    legs, flip, e = _legs(p, u0, v0, d)
+    T = math.ldexp(legs.escape(), -e) if legs.blows else math.inf
+    if abs(t) >= T:
+        raise DomainError(f"t = {t} lies at or past the blow-up time {d * T}")
+    u, v = legs.state(_ldexp(abs(t), e))
+    return flip * _ldexp(u, e), d * flip * _ldexp(v, 2 * e)
 
 
 def parabola_pole(p: OdeParams, u0: float, v0: float) -> float | None:
@@ -145,8 +142,7 @@ def period(p: OdeParams, u0: float, v0: float) -> float:
         raise DomainError("the rest point (0, 0) has no period")
     s = math.sqrt(-p.disc)
     c = p.A / (2.0 * s)  # finite: |c| <= 2^52, as a nonzero disc is at least A^2 2^-106 in size
-    e = math.frexp(max(abs(u0), math.sqrt(abs(v0))))[1]
-    u, v = math.ldexp(u0, -e), math.ldexp(v0, -2 * e)  # (u0 2^-e, u'0 4^-e): rho scales by 4^e
+    u, v, e = _scaled(u0, v0)  # rho scales by 4^e
     x, y = s * u * u, math.copysign(1.0, c) * (4.0 * v - p.A * u * u)
     log_t = (_LN_PERIOD - 0.5 * (math.log(s) + math.log(math.hypot(x, y))) - e * _LN2
              + abs(c) * math.atan2(x, y) - 2.0 * _log_gamma(0.5 * abs(c)))
@@ -154,6 +150,20 @@ def period(p: OdeParams, u0: float, v0: float) -> float:
         return math.exp(log_t)
     except OverflowError:
         return math.inf
+
+
+def _scaled(u: float, v: float) -> tuple[float, float, int]:
+    """(u 2^-e, u' 4^-e, e) with max(|u|, sqrt|u'|) in [1/2, 1); 2^-e u(2^-e t) is a solution where u(t) is."""
+    e = math.frexp(max(abs(u), math.sqrt(abs(v))))[1]
+    return math.ldexp(u, -e), math.ldexp(v, -2 * e), e
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x 2^e, +-inf past floats."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _log_gamma(y: float) -> float:
@@ -229,22 +239,41 @@ def _beta(a: float, b: float, x0: float, x0c: float, x1: float, x1c: float) -> f
 # ---------------------------------------------------------------------------
 # the legs of one direction, in its forward frame
 #
-# A direction is a crossing leg (to p = +-inf, where u crosses 0; only where
-# u and p move apart) and a final leg to the end root, or the final leg
-# alone.  Each class below takes (u, u') in the forward frame, decides
-# ``blows`` and ``crosses`` by signs alone, and gives ``escape()``, the
-# blow-up time, and ``state(t)``, the (u, u') at time t >= 0 before it.
+# A direction is a crossing leg (to p = +inf, where u crosses 0 from below;
+# only above r2 with u < 0) and a final leg to r2, or the final leg alone.
+# Each class below takes (u, u') in the frame, decides ``blows`` and
+# ``crosses`` by signs alone, and gives ``escape()``, the blow-up time, and
+# ``state(t)``, the (u, u') at time t >= 0 before it.
 
 
 def _legs(p: OdeParams, u: float, v: float, d: float):
-    """The legs of direction d from (u, v), (u, v) not both 0."""
-    km, kp, v = _frame(p, u, v, d)
+    """The legs of direction d from (u, v), (u, v) not both 0, with the sign flip and binary scale e of their frame.
+
+    The frame runs forward, and ends at r2: backward is forward under
+    A -> -A, u' -> -u', and a start that ends at r1 (below r1, or between
+    the roots with u < 0) is mirrored to (-u, -u') under A -> -A, which
+    keeps every time.  Both maps negate and swap the roots.  Where the
+    g_k or D u^2 would overflow, (u, u') is scaled to (u 2^-e, u' 4^-e)
+    (``_scaled``): the frame's times are then 2^e times the start's, and
+    its states (2^-e, 4^-e) times.
+    """
+    if not p.disc >= 0.0 or not (math.isfinite(p.k_minus) and math.isfinite(p.k_plus)):
+        raise DomainError(f"exact times need disc = A^2 + 8B >= 0 and finite roots, got disc = {p.disc}")
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise DomainError(f"non-finite state ({u}, {v})")
+    km, kp, flip, e = p.k_minus, p.k_plus, 1.0, 0
+    if d < 0.0:
+        km, kp, v = -kp, -km, -v
+    if not math.isfinite(abs(v) + 2.0 * max(abs(km), abs(kp)) * u * u):  # bounds |g_k| and D u^2
+        u, v, e = _scaled(u, v)
+    if v + kp * u * u < 0.0 or (u < 0.0 and v + km * u * u < 0.0):  # below r1, or between with u < 0
+        km, kp, u, v, flip = -kp, -km, -u, -v, -1.0
     kappa = _on_parabola(km, kp, u, v)
     if kappa is not None:
-        return _Parabola(kappa, u)
+        return _Parabola(kappa, u), flip, e
     if km == kp or max(abs(km), abs(kp)) > 2.0 * _ALPHA_MAX * (kp - km):
-        return _NearDouble(km, kp, u, v)
-    return _TwoRoots(km, kp, u, v)
+        return _NearDouble(km, kp, u, v), flip, e
+    return _TwoRoots(km, kp, u, v), flip, e
 
 
 def _on_parabola(km: float, kp: float, u: float, v: float) -> float | None:
@@ -271,28 +300,23 @@ class _Parabola:
 
 
 class _TwoRoots:
-    """disc > 0: incomplete beta legs in x, with x -> 0 at the end root."""
+    """disc > 0: incomplete beta legs in x, with x -> 0 at r2."""
 
     def __init__(self, km: float, kp: float, u: float, v: float):
         D = kp - km
         a1, a2 = kp / (2.0 * D), -km / (2.0 * D)
         g1, g2, Du2 = v + kp * u * u, v + km * u * u, D * u * u
-        self.D, self.a1, self.a2, self.r1, self.r2 = D, a1, a2, -kp, -km
-        self.log_k = -a1 * math.log(abs(g1)) - a2 * math.log(abs(g2))  # ln K
+        self.D, self.a1, self.a2, self.r2 = D, a1, a2, -km
+        self.log_k = -a1 * math.log(g1) - a2 * math.log(abs(g2))  # ln K
         self.log_c = self.log_k - math.log(2.0) - 0.5 * math.log(D)  # ln (K / (2 sqrt D))
-        if g2 > 0.0:  # above r2 (u = 0 with u' > 0 starts at x = 1)
-            self.region, self.ab, self.x, self.xc = "above", (a2, 0.5), g2 / g1, Du2 / g1
-            self.crosses, self.sign = u < 0.0, 1.0
-        elif g1 < 0.0:  # below r1
-            self.region, self.ab, self.x, self.xc = "below", (a1, 0.5), g1 / g2, -Du2 / g2
-            self.crosses, self.sign = u > 0.0, -1.0
-        elif u > 0.0:  # between, up to r2: x = (r2 - p)/D
-            self.region, self.ab, self.x, self.xc = "to r2", (a2, a1), -g2 / Du2, g1 / Du2
-            self.crosses, self.sign = False, 1.0
-        else:  # between, down to r1: x = (p - r1)/D
-            self.region, self.ab, self.x, self.xc = "to r1", (a1, a2), g1 / Du2, -g2 / Du2
-            self.crosses, self.sign = False, -1.0
-        self.blows = self.ab[0] > 0.0  # the end root's exponent
+        self.above = g2 > 0.0
+        # the leg integrand is x^(a2 - 1) (1 - x)^(b - 1)
+        if self.above:  # x = (p - r2)/(p - r1); u = 0 with u' > 0 starts at x = 1
+            self.b, self.x, self.xc = 0.5, g2 / g1, Du2 / g1
+        else:  # between, u > 0: x = (r2 - p)/D
+            self.b, self.x, self.xc = a1, -g2 / Du2, g1 / Du2
+        self.crosses = self.above and u < 0.0
+        self.blows = a2 > 0.0  # r2's exponent
 
     def _c(self, integral: float) -> float:
         """The time of a leg integral: K/(2 sqrt D) times it."""
@@ -304,55 +328,49 @@ class _TwoRoots:
     @cached_property
     def cross(self) -> float:
         """The time to the crossing: 1 - x falls from xc to 0, with the exponents swapped."""
-        a, b = self.ab
-        return self._c(_beta(b, a, 0.0, 1.0, self.xc, self.x)) if self.crosses else 0.0
+        return self._c(_beta(self.b, self.a2, 0.0, 1.0, self.xc, self.x)) if self.crosses else 0.0
 
     def _time(self, x: float, xc: float) -> float:
         """The time from the start to the point x (xc = 1 - x) of the final leg."""
-        a, b = self.ab
         x0, x0c = (1.0, 0.0) if self.crosses else (self.x, self.xc)
-        return self.cross + self._c(_beta(a, b, x, xc, x0, x0c))
+        return self.cross + self._c(_beta(self.a2, self.b, x, xc, x0, x0c))
 
     def escape(self) -> float:
         return self._time(0.0, 1.0)
 
     def state(self, t: float) -> tuple[float, float]:
-        a, b = self.ab
-        if self.crosses and t < self.cross:  # on the crossing leg: Newton in ln(1 - x)
+        a, b = self.a2, self.b
+        if self.crosses and t < self.cross:  # on the crossing leg: Newton in ln(y/(1 - y)), y = 1 - x
             def f(L: float) -> tuple[float, float]:
-                y, yc = math.exp(L), -math.expm1(L)
-                return self._c(_beta(b, a, y, yc, self.xc, self.x)), -math.exp(self.log_c + b * L + (a - 1.0) * math.log(yc))
+                ly, lyc = _logistic(L)
+                time = self._c(_beta(b, a, math.exp(ly), math.exp(lyc), self.xc, self.x))
+                return time, -math.exp(self.log_c + b * ly + a * lyc)
 
-            L = _newton(f, math.log(self.xc), t)
-            return self._state(-math.expm1(L), math.exp(L), -self.sign)
+            ly, lyc = _logistic(_newton(f, math.log(self.xc) - math.log(self.x), t))
+            return self._state(lyc, ly, -1.0)
 
-        def f(L: float) -> tuple[float, float]:  # on the final leg: Newton in ln x
-            x, xc = math.exp(L), -math.expm1(L)
-            return self._time(x, xc), -math.exp(self.log_c + a * L + (b - 1.0) * math.log(xc))
+        def f(L: float) -> tuple[float, float]:  # on the final leg: Newton in ln(x/(1 - x))
+            lx, lxc = _logistic(L)
+            return self._time(math.exp(lx), math.exp(lxc)), -math.exp(self.log_c + a * lx + b * lxc)
 
-        L = _newton(f, 0.0 if self.crosses else math.log(self.x), t)
-        return self._state(math.exp(L), -math.expm1(L), self.sign)
+        hi = math.inf if self.crosses or self.xc == 0.0 else math.log(self.x) - math.log(self.xc)
+        return self._state(*_logistic(_newton(f, hi, t)), 1.0)
 
-    def _state(self, x: float, xc: float, sign: float) -> tuple[float, float]:
-        """(u, u') at the point x of the region, where u has the given sign."""
-        if xc == 0.0:  # u = 0, where g1 = g2 = u' and K = |u'|^-1/2
-            return 0.0, self.sign * math.exp(-2.0 * self.log_k)
-        D, r1, r2 = self.D, self.r1, self.r2
-        # d1 = |p - r1|, d2 = |p - r2| and p, from x and 1 - x
-        if self.region == "above":
-            d1, d2 = D / xc, D * x / xc
-            p = r2 + d2
-        elif self.region == "below":
-            d1, d2 = D * x / xc, D / xc
-            p = r1 - d1
-        elif self.region == "to r2":
-            d1, d2 = D * xc, D * x
-            p = r2 - d2
-        else:
-            d1, d2 = D * x, D * xc
-            p = r1 + d1
-        u = sign * math.exp(-self.log_k - self.a1 * math.log(d1) - self.a2 * math.log(d2))
-        return u, u * u * p
+    def _state(self, lx: float, lxc: float, sign: float) -> tuple[float, float]:
+        """(u, u') at the point x = e^lx (1 - x = e^lxc) of the leg, where u has the given sign.
+
+        With d1 = p - r1 and d2 = |p - r2|, |u| = K^-1 d1^-a1 d2^-a2 and
+        u^2 d2 = K^-2 (d2/d1)^(2 a1), as a1 + a2 = 1/2; both are formed in
+        logs, so u = 0 (x = 1 above r2) and 1 - x below the float range
+        need no case of their own.
+        """
+        if self.above:  # d1 = D/(1 - x) and d2/d1 = x
+            ld1, lr = math.log(self.D) - lxc, lx
+        else:  # d1 = D (1 - x) and d2/d1 = x/(1 - x)
+            ld1, lr = math.log(self.D) + lxc, lx - lxc
+        u = sign * math.exp(-self.log_k - 0.5 * ld1 - self.a2 * lr)
+        u2d2 = math.exp(2.0 * (self.a1 * lr - self.log_k))
+        return u, u * u * self.r2 + (u2d2 if self.above else -u2d2)
 
 
 class _NearDouble:
@@ -363,15 +381,15 @@ class _NearDouble:
 
         |z| = |z0| e^(-c (w - w0)/2) sqrt(R(w0)/R(w)),    dt = |z| |dw|/2,
 
-    with R = sinh(delta |w|)/delta (|w| at D = 0) outside [r1, r2] and
-    R = cosh(delta w) between.  As disc -> 0+ the integrand tends to the
-    double root's, so no series cancels however large the exponents grow.
-    Outside, |w| = s^2 falls to 0 (p = +-inf, u = 0) on the crossing leg
-    and then rises on the same side, and the time is int F ds with
-    F = |z| s = e^(ln P0 - sigma c (s^2 - s0^2)/2) (delta s^2/sinh(delta s^2))^1/2,
-    smooth through s = 0 and taken in e = s - s0; between, w runs from w0
-    by omega >= 0 towards the end root.  Every time is an integral from the
-    start (``_integral``).
+    with R = sinh(delta w)/delta (w at D = 0) above r2 and R = cosh(delta w)
+    between.  As disc -> 0+ the integrand tends to the double root's, so no
+    series cancels however large the exponents grow.  Above r2, w = s^2
+    falls to 0 (p = +inf, u = 0) on the crossing leg and then rises again,
+    and the time is int F ds with
+    F = |z| s = e^(ln P0 - c (s^2 - s0^2)/2) (delta s^2/sinh(delta s^2))^1/2,
+    smooth through s = 0 and taken in e = s - s0; between, w rises from w0
+    by omega >= 0 towards r2.  Every time is an integral from the start
+    (``_integral``).
     """
 
     def __init__(self, km: float, kp: float, u: float, v: float):
@@ -381,34 +399,29 @@ class _NearDouble:
         g1, g2, Du2 = v + kp * u * u, v + km * u * u, D * u * u
         self.D, self.delta, self.lam = D, 0.5 * D, -0.25 * (km + kp)  # lam = c/2
         self.r1, self.r2 = -kp, -km
-        self.between = g1 > 0.0 > g2
-        if self.between:  # w runs from w0 with the sign of u
-            self.w0, self.tau = (math.log(g1) - math.log(-g2)) / D, 1.0 if u > 0.0 else -1.0
-            self.log_z0 = -math.log(abs(u))
-            self.blows = km < 0.0 if u > 0.0 else kp > 0.0
-            self.crosses = False
+        self.between = g2 < 0.0
+        self.blows = km < 0.0  # r2's exponent
+        if self.between:
+            self.w0, self.log_z0, self.crosses = (math.log(g1) - math.log(-g2)) / D, -math.log(u), False
             return
-        self.sigma = 1.0 if g2 > 0.0 else -1.0  # above r2 (w > 0) or below r1
         y = Du2 / g2  # 1 + y = g1/g2 = (p - r1)/(p - r2)
         if y == 0.0:
-            q0 = 1.0 / abs(g2)
+            q0 = 1.0 / g2
         else:
-            q0 = abs(math.log1p(y) / (y * g2) if abs(y) <= 0.5 else (math.log(abs(g1)) - math.log(abs(g2))) / Du2)
-        self.s0 = math.sqrt(q0) * abs(u)  # |w0| = q0 u^2 and s0 = sqrt|w0|, both 0 at u = 0
+            q0 = math.log1p(y) / (y * g2) if y <= 0.5 else (math.log(g1) - math.log(g2)) / Du2
+        self.s0 = math.sqrt(q0) * abs(u)  # w0 = q0 u^2 and s0 = sqrt(w0), both 0 at u = 0
         self.log_p0 = 0.5 * math.log(q0) + 0.5 * _log_shc(self.delta * self.s0 * self.s0)  # ln(|z0| sqrt R(w0))
-        self.crosses = self.sigma * u < 0.0
-        self.blows = km < 0.0 if self.sigma > 0.0 else kp > 0.0
+        self.crosses = u < 0.0
 
     def _log_f(self, e: float) -> float:
-        """ln F at s = s0 + e outside; e, not s, carries the precision near the start."""
+        """ln F at s = s0 + e above r2; e, not s, carries the precision near the start."""
         s = self.s0 + e
-        return self.log_p0 - self.sigma * self.lam * e * (e + 2.0 * self.s0) - 0.5 * _log_shc(self.delta * s * s)
+        return self.log_p0 - self.lam * e * (e + 2.0 * self.s0) - 0.5 * _log_shc(self.delta * s * s)
 
     def _log_g(self, omega: float) -> float:
-        """ln(|z|/2) between, omega past w0 towards the end root."""
-        w = self.w0 + self.tau * omega
-        return (self.log_z0 - _LN2 - self.tau * self.lam * omega
-                + 0.5 * (_log_cosh(self.delta * self.w0) - _log_cosh(self.delta * w)))
+        """ln(|z|/2) between, omega past w0 towards r2."""
+        return (self.log_z0 - _LN2 - self.lam * omega
+                + 0.5 * (_log_cosh(self.delta * self.w0) - _log_cosh(self.delta * (self.w0 + omega))))
 
     def _f(self, e: float) -> float:
         return math.exp(self._log_f(e))
@@ -417,21 +430,21 @@ class _NearDouble:
         return math.exp(self._log_g(omega))
 
     def _span(self, a: float, b: float) -> float:
-        """int_a^b of F in e (outside) or of |z|/2 in omega (between), cut where the integrand is below e^-50 of its peak.
+        """int_a^b of F in e (above r2) or of |z|/2 in omega (between), cut where the integrand is below e^-50 of its peak.
 
         Its exponent is monotone, falling along the leg at rate at least
-        mu = sigma lam in s^2 (tau lam in omega, less delta/2) where it
-        blows up and rising at least as fast where it is global, so the
-        peak is at one end and the cut follows from mu; the quadrature
-        then spans about 50 e-folds however far the ends lie apart.
+        lam in s^2 (in omega, less delta/2) where it blows up and rising at
+        least as fast where it is global, so the peak is at one end and the
+        cut follows from lam; the quadrature then spans about 50 e-folds
+        however far the ends lie apart.
         """
-        mu = self.tau * self.lam if self.between else self.sigma * self.lam
-        rate = abs(mu) - 0.5 * self.delta
+        lam = self.lam
+        rate = abs(lam) - 0.5 * self.delta
         if self.between:
-            a, b = (a, min(b, a + 50.0 / rate)) if mu > 0.0 else (max(a, b - 50.0 / rate), b)
-        elif mu > 0.0:
+            a, b = (a, min(b, a + 50.0 / rate)) if lam > 0.0 else (max(a, b - 50.0 / rate), b)
+        elif lam > 0.0:
             s = self.s0 + a
-            b = min(b, math.sqrt(s * s + 50.0 / mu) - self.s0)
+            b = min(b, math.sqrt(s * s + 50.0 / lam) - self.s0)
         else:
             s = self.s0 + b
             a = max(a, math.sqrt(max(0.0, s * s - 50.0 / rate)) - self.s0)
@@ -442,7 +455,7 @@ class _NearDouble:
         return self._span(-self.s0, 0.0) if self.crosses else 0.0
 
     def _time(self, x: float) -> float:
-        """The time from the start to e = x on the final leg (outside) or to omega = x (between)."""
+        """The time from the start to e = x on the final leg (above r2) or to omega = x (between)."""
         if self.between:
             return self._span(0.0, x)
         return self.cross + self._span(-self.s0 if self.crosses else 0.0, x)
@@ -454,14 +467,14 @@ class _NearDouble:
         if self.between:
             return self._state_between(self._rise(t))
         if not self.crosses:
-            return self._state_outside(self._rise(t), self.sigma)
+            return self._state_outside(self._rise(t), 1.0)
         if t < self.cross:
-            return self._state_outside(self._fall(t), -self.sigma)
+            return self._state_outside(self._fall(t), -1.0)
         # past the crossing s rises through the values it fell through: at
         # s <= s0 the time is 2 cross - (the time from s to s0)
         back = 2.0 * self.cross - t
         e = self._fall(back) if back > 0.0 else (self._rise(-back) if back < 0.0 else 0.0)
-        return self._state_outside(e, self.sigma)
+        return self._state_outside(e, 1.0)
 
     def _rise(self, t: float) -> float:
         """The e > 0 (omega > 0 between) whose span from 0 takes time t: Newton in -ln e."""
@@ -483,21 +496,20 @@ class _NearDouble:
         return s0 * math.expm1(_newton(f, 0.0, t) / kappa)
 
     def _state_outside(self, e: float, sign: float) -> tuple[float, float]:
-        """(u, u') at s = s0 + e, where u has the given sign: |u| = s/F and u' = u^2 r + sigma/(F^2 E(D s^2)), E(x) = expm1(x)/x.
+        """(u, u') at s = s0 + e above r2, u of the given sign: |u| = s/F and u' = u^2 r2 + 1/(F^2 E(D s^2)), E(x) = expm1(x)/x.
 
-        (p - r)/u^2 is formed from s, never from p: p - r2 = 1/(w E(D w)) above r2 and p - r1 = 1/(w E(-D w)) below r1.
+        (p - r2)/u^2 is formed from s, never from p: p - r2 = 1/(w E(D w)).
         """
         s, log_f = self.s0 + e, self._log_f(e)
-        r = self.r2 if self.sigma > 0.0 else self.r1
         u = sign * math.exp(math.log(s) - log_f) if s > 0.0 else 0.0
         x = self.D * s * s
         log_e = 0.0 if x == 0.0 else (x - math.log(x) if x > 700.0 else math.log(math.expm1(x) / x))
-        return u, u * u * r + self.sigma * math.exp(-2.0 * log_f - log_e)
+        return u, u * u * self.r2 + math.exp(-2.0 * log_f - log_e)
 
     def _state_between(self, omega: float) -> tuple[float, float]:
-        """(u, u') at omega: |u| = 1/|z|, and p from the nearer root, p - r1 = D/(1 + e^(-D w)), r2 - p = D/(1 + e^(D w))."""
-        w = self.w0 + self.tau * omega
-        u = self.tau * 0.5 * math.exp(-self._log_g(omega))
+        """(u, u') at omega: u = 1/|z|, and p from the nearer root, p - r1 = D/(1 + e^(-D w)), r2 - p = D/(1 + e^(D w))."""
+        w = self.w0 + omega
+        u = 0.5 * math.exp(-self._log_g(omega))
         near = self.D * math.exp(-self.D * abs(w)) / (1.0 + math.exp(-self.D * abs(w)))  # the distance to the nearer root
         return u, u * u * (self.r2 - near if w > 0.0 else self.r1 + near)
 
@@ -568,6 +580,12 @@ def _integral(f, a: float, b: float) -> float:
     except OverflowError:  # a time past floats
         return math.inf
     return math.fsum(h[3] + h[4] for h in heap)
+
+
+def _logistic(L: float) -> tuple[float, float]:
+    """(ln x, ln(1 - x)) at x = 1/(1 + e^-L), L = ln(x/(1 - x)): neither x nor 1 - x is formed from the other."""
+    s = math.log1p(math.exp(-abs(L)))
+    return min(L, 0.0) - s, -max(L, 0.0) - s
 
 
 def _newton(f, hi: float, t: float) -> float:

@@ -387,6 +387,18 @@ def test_elliptic_sl_and_table(tmp_path, capsys):
         assert (row["sl"], row["dsl"]) == (_fmt(y), _fmt(dy))
 
 
+def test_elliptic_table_sample_counts(tmp_path, capsys):
+    # --n 0 writes the header alone; a negative count exits 2 with numpy's
+    # linspace message before any file is opened
+    out = tmp_path / "sl.csv"
+    assert main(["elliptic", "--table", "--n", "0", "--out", str(out)]) == 0
+    assert out.read_text() == "t,sl,dsl\n"
+    out.unlink()
+    assert main(["elliptic", "--table", "--n", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: Number of samples, -1, must be non-negative.\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("t", ["nan", "inf", "-inf", "-nan", "-INF"])
 def test_elliptic_sl_rejects_non_finite_t(capsys, t):
     assert main(["elliptic", "--sl", "--t", t]) == 2

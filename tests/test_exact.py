@@ -11,6 +11,7 @@ from blowuplab import (
     K_agm,
     Riccati,
     State,
+    classify,
     eval_closed_form,
     integrate,
     lemniscate_quarter_period,
@@ -148,7 +149,7 @@ def test_handover_near_the_double_root():
     states += [(1.0, 0.24999), (-1.0, 0.24999), (0.0, 1.0), (0.0, -1.0)]
     for A in (1.0, -1.0, 2.5):
         for alpha in (8.0, 12.5, 32.0, 64.0, 200.0, 1e4, 1e7, math.inf):
-            p = params_from_coeffs(A, A * A * ((1.0 / (4.0 * alpha)) ** 2 - 1.0) / 8.0)
+            p = _near_double(A, alpha)
             if alpha < 1e7:
                 assert _max_alpha(p) == pytest.approx(alpha + 0.25, rel=1e-6)  # |k_minus| = |k| + D/2
             worst, n = 0.0, 0
@@ -312,25 +313,32 @@ def test_gauss_legendre_rule():
             assert abs(x - r) <= 2e-16 and abs(w / ref - 1) <= 2e-14, (x, w)
 
 
+def _near_double(A, alpha):
+    """(A, B) whose largest exponent |k|/sqrt(disc) is about alpha: B -> -A^2/8 from above."""
+    return params_from_coeffs(A, A * A * ((1.0 / (4.0 * alpha)) ** 2 - 1.0) / 8.0)
+
+
 def test_conjugacies():
-    # (A, u', t) -> (-A, -u', -t) and u -> -u(-t) map solutions onto solutions
+    # (A, u', t) -> (-A, -u', -t) and u -> -u(-t) map solutions onto
+    # solutions, and both give the same bits: the first maps the roots onto
+    # their exact negatives, the second is the fold onto the side that ends
+    # at r2, which the exact module makes for every start that ends at r1
     rng = np.random.default_rng(17)
     for p in (params_from_dimension(3.0), params_from_dimension(5.0), params_from_dimension(9.0),
-              params_from_coeffs(1.0, -0.125), params_from_coeffs(2.0, 0.0), params_from_coeffs(-3.0, -1.0)):
+              params_from_coeffs(1.0, -0.125), params_from_coeffs(2.0, 0.0), params_from_coeffs(-3.0, -1.0),
+              _near_double(1.0, 32.0), _near_double(-2.5, 32.0), _near_double(1.0, 1e4), _near_double(-2.5, 1e4)):
         mirror = params_from_coeffs(-p.A, p.B)
         for u0, v0 in _states(rng, 10):
             for d in (1.0, -1.0):
                 T = escape_time(p, u0, v0, d)
                 for other in (escape_time(mirror, u0, -v0, -d), escape_time(p, -u0, v0, -d)):
                     assert (other is None) == (T is None)
-                    if T is not None:
-                        assert other == pytest.approx(-T, rel=1e-13)
+                    assert T is None or other == -T, (p.A, p.B, u0, v0, d, T, other)
                 t = 0.5 * d * (abs(T) if T is not None else 10.0)
                 u, v = state_at(p, u0, v0, t)
                 um, vm = state_at(mirror, u0, -v0, -t)
                 us, vs = state_at(p, -u0, v0, -t)
-                assert (um, -vm) == (pytest.approx(u, rel=1e-12, abs=1e-300), pytest.approx(v, rel=1e-12, abs=1e-300))
-                assert (-us, vs) == (pytest.approx(u, rel=1e-12, abs=1e-300), pytest.approx(v, rel=1e-12, abs=1e-300))
+                assert (um, -vm) == (u, v) and (-us, vs) == (u, v), (p.A, p.B, u0, v0, t)
 
 
 def test_time_reversal_is_exact_at_zero_A():
@@ -359,6 +367,57 @@ def test_domain():
     # the B = 0 rest point u' = 0 stays put; B = 1e-300 blows up at about -1e300
     assert state_at(params_from_coeffs(2.0, 0.0), 1.5, 0.0, 7.0) == (1.5, 0.0)
     assert escape_time(params_from_coeffs(1.0, 1e-300), 1.0, -0.2, -1.0) < -1e299
+
+
+def _taylor(p, u0, v0, t):
+    """(u, u') at small t by the on-shell Taylor polynomial of u through t^3."""
+    u2 = p.A * u0 * v0 + p.B * u0**3
+    u3 = p.A * (v0 * v0 + u0 * u2) + 3.0 * p.B * u0 * u0 * v0
+    return u0 + t * (v0 + t * (u2 / 2.0 + t * u3 / 6.0)), v0 + t * (u2 + t * u3 / 2.0)
+
+
+@pytest.mark.parametrize("m", [3.0, 5.0, 8.0])
+def test_state_at_small_times_near_u0_zero_and_the_parabolas(m):
+    # from u0 = 0 the leg starts at x = 1 and 1 - x grows like u^2, and
+    # within 1e-6 to 1e-14 of a parabola one end of the leg is as near
+    # (x or 1 - x near 0): state_at must still follow the Taylor
+    # polynomial to 1e-13 per component, both ways in time
+    p = params_from_dimension(m)
+    cases = [((u0, v0), t) for u0 in (0.0, 1e-200, -1e-200) for v0 in (1.0, -1.0) for t in (1e-6, 1e-9, 1e-12, 1e-100)]
+    cases += [((u0, -k * u0 * u0 + gap), t) for k in (p.k_minus, p.k_plus) for u0 in (1.0, -1.0)
+              for gap in (1e-6, -1e-6, 1e-10, -1e-10, 1e-14, -1e-14) for t in (1e-6, 1e-9)]
+    for (u0, v0), h in cases:
+        for t in (h, -h):
+            u, v = state_at(p, u0, v0, t)
+            ut, vt = _taylor(p, u0, v0, t)
+            assert abs(u - ut) <= 1e-13 * abs(ut) and abs(v - vt) <= 1e-13 * abs(vt), (m, u0, v0, t, u, v, ut, vt)
+
+
+@pytest.mark.parametrize("m", [5.0, 8.0])
+def test_starts_whose_square_overflows(m):
+    # u -> 2^k u(2^k t) maps solutions onto solutions: a start whose u0^2
+    # (and so g_k) overflows keeps the times and states of its scaled copy
+    p = params_from_dimension(m)
+    k = 513
+    for u0, v0 in ((0.75, 0.01), (-0.75, 0.01), (0.875, -0.02), (-0.8125, -0.01)):
+        big = (math.ldexp(u0, k), math.ldexp(v0, 2 * k))
+        for d in (1.0, -1.0):
+            T = escape_time(p, u0, v0, d)
+            assert escape_time(p, *big, d) == (None if T is None else math.ldexp(T, -k))
+            t = 0.1 * d * (abs(T) if T is not None else 3.0)  # where u' 4^k stays finite
+            u, v = state_at(p, u0, v0, t)
+            assert state_at(p, *big, math.ldexp(t, -k)) == (math.ldexp(u, k), math.ldexp(v, 2 * k))
+    assert escape_time(p, 2e154, 1.0, 1.0) == pytest.approx(0.5 * escape_time(p, 1e154, 1.0, 1.0), rel=1e-13)
+    # at t = 1e-200 the state barely moves from (1e160, 1); u' is held to
+    # eps u^2 |r|, as everywhere, which is about 1e-16 u^2 here
+    u, v = state_at(p, 1e160, 1.0, 1e-200)
+    vt = 1.0 + p.A * 1e160 * 1e-200 + p.B * 1e160 * (1e160 * (1e160 * 1e-200))  # u'' t, with B u0^3 t kept finite
+    assert u == pytest.approx(1e160, rel=1e-15) and abs(v - vt) / u / u <= 1e-15, (u, v, vt)
+    # p0 = u'0/u0^2 = 1e-320 is (1, 0)'s p0 = 0 to every digit
+    verdict = classify(p, 1e160, 1.0)
+    assert verdict.kind == "no_global_solution"
+    T = escape_time(p, 1e160, 1.0, 1.0)
+    assert verdict.detail["t_bound"] == T == pytest.approx(escape_time(p, 1.0, 0.0, 1.0) / 1e160, rel=1e-15)
 
 
 @pytest.mark.parametrize("d", [0.0, 2.0, -2.0, 0.5, math.nan, math.inf, -math.inf])

@@ -60,9 +60,9 @@ def test_runtime_never_loads_scipy():
 
 # numpy blocked as a missing install blocks it; the block is lifted at the
 # end, so every export can load.  integrate (RK4 forward, Gauss6 backward),
-# classify --verify and portrait (serial and with a pool of 2) run blocked,
-# then again with numpy loaded, and must write the same bytes; the exact
-# period of sl's orbit is taken blocked too.
+# classify --verify, portrait (serial and with a pool of 2) and
+# elliptic --table run blocked, then again with numpy loaded, and must
+# write the same bytes; the exact period of sl's orbit is taken blocked too.
 NO_NUMPY_PROBE = """
 import contextlib, io, json, os, sys, tempfile
 sys.modules["numpy"] = None
@@ -76,6 +76,7 @@ RUNS = [  # (BLOWUPLAB_THREADS, argv, output file)
     ("1", ["classify", "--m", "5", "--grid", "-2:2:4", "-2:2:4", "--verify"], "classify.csv"),
     ("1", ["portrait", "--m", "8", "--grid", "-1:1:3", "-1:1:3", "--horizon", "3"], "portrait_1.csv"),
     ("2", ["portrait", "--m", "8", "--grid", "-1:1:3", "-1:1:3", "--horizon", "3"], "portrait_2.csv"),
+    ("1", ["elliptic", "--table", "--n", "33"], "sl.csv"),
 ]
 
 def run_subcommands():
@@ -128,9 +129,9 @@ def test_import_and_scalar_paths_load_no_numpy():
     assert json.loads(proc.stdout) == {
         "cli exit codes": [0, 0, 0],
         "cli lines": 3,
-        "subcommand exit codes": [0, 0, 0, 0, 0],
+        "subcommand exit codes": [0, 0, 0, 0, 0, 0],
         "files": ["classify.csv", "gauss6_backward.csv", "gauss6_backward.json", "portrait_1.csv", "portrait_1.json",
-                  "portrait_2.csv", "portrait_2.json", "rk4_forward.csv", "rk4_forward.json"],
+                  "portrait_2.csv", "portrait_2.json", "rk4_forward.csv", "rk4_forward.json", "sl.csv"],
         "sl": ["float", "float"],
         "K_agm": True,
         "F_half": True,
