@@ -7,7 +7,8 @@
 # -tanh t both ways, the m = 3 parabola start, the disc = 0 grid, an
 # m = 3.5 decay and a t_bound of -8.45e299 verify, non-finite input
 # exits with status 2 and an error: line, and a grid whose span overflows
-# is refused by its spec before any file is written.
+# is refused by its spec before any file is written, as is an --out whose
+# suffix .json is the name of its own sidecar.
 # Usage: bash .github/console-checks.sh [work directory]
 set -eu
 unset PYTHONPATH  # the installed package, not the source tree
@@ -139,6 +140,18 @@ for cmd in classify portrait; do
   cat err.txt
   if [ "$status" -ne 2 ] || ! grep -q "^error: grid spec '-1e308:1e308:3'" err.txt || [ -e span.csv ] || [ -e span.json ]; then
     echo "blowuplab $cmd with an overflowing grid span: want exit status 2, a grid spec error: line and no file, got $status"
+    exit 1
+  fi
+done
+# the JSON sidecar takes the CSV's name with the suffix .json, so it would
+# overwrite a CSV of that name
+for args in "integrate --m 5 --u0 0.5 --v0 0.1 --t-end 0.01 --out o.json" \
+    "portrait --m 5 --grid -1:1:3 -1:1:3 --horizon 3 --out o.JSON"; do
+  status=0
+  blowuplab $args 2> err.txt || status=$?
+  cat err.txt
+  if [ "$status" -ne 2 ] || ! grep -q "^error: --out" err.txt || [ -e o.json ] || [ -e o.JSON ]; then
+    echo "blowuplab $args: want exit status 2, an error: --out line and no file, got $status"
     exit 1
   fi
 done

@@ -2,10 +2,15 @@ import concurrent.futures
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blowuplab
 from blowuplab import sl
 from blowuplab.cli import _fmt, _linspace, main
 
@@ -169,8 +174,7 @@ def test_linspace_is_numpys_bit_for_bit():
             assert [x.hex() for x in _linspace(lo, hi, n)] == [x.hex() for x in want], (lo, hi, n)
 
 
-def test_portrait_outputs(tmp_path, monkeypatch):
-    monkeypatch.setenv("BLOWUPLAB_THREADS", "1")
+def test_portrait_outputs(tmp_path):
     out = tmp_path / "p.csv"
     rc = main(["portrait", "--m", "8", "--grid", "-1:1:3", "-1:1:3",
                "--horizon", "3", "--blowup-threshold", "1e6", "--out", str(out)])
@@ -188,23 +192,48 @@ def test_portrait_outputs(tmp_path, monkeypatch):
     assert sep["du_kminus"][0] == pytest.approx(1.0 / 3.0, rel=1e-10)
 
 
-def test_portrait_negative_grid_bounds_parse(tmp_path, monkeypatch):
-    monkeypatch.setenv("BLOWUPLAB_THREADS", "1")
+def test_portrait_negative_grid_bounds_parse(tmp_path):
     out = tmp_path / "p2.csv"
     rc = main(["portrait", "--m", "4", "--grid", "-2:2:2", "-0.5:0.5:2",
                "--horizon", "1", "--out", str(out)])
     assert rc == 0
 
 
+def _set_usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 def test_portrait_pool_matches_serial(tmp_path, monkeypatch):
+    # 36 points go through a real pool of 2 workers on 2 CPUs, in-process on 1
+    started = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     outputs = []
-    for threads in ("2", "1"):
-        monkeypatch.setenv("BLOWUPLAB_THREADS", threads)
-        out = tmp_path / f"p{threads}.csv"
-        assert main(["portrait", "--m", "5", "--grid", "-1:1:3", "-1:1:3",
+    for cpus in (2, 1):
+        _set_usable_cpus(monkeypatch, cpus)
+        out = tmp_path / f"p{cpus}.csv"
+        assert main(["portrait", "--m", "5", "--grid", "-1:1:6", "-1:1:6",
                      "--horizon", "3", "--out", str(out)]) == 0
-        outputs.append((out.read_bytes(), (tmp_path / f"p{threads}.json").read_bytes()))
+        outputs.append((out.read_bytes(), (tmp_path / f"p{cpus}.json").read_bytes()))
+    assert started == [2]
     assert outputs[0] == outputs[1]
+
+
+def test_small_portrait_runs_in_process(tmp_path):
+    # below 32 grid points no pool starts, so multiprocessing is never loaded
+    code = ("import sys; from blowuplab.cli import main; rc = main(sys.argv[1:]); "
+            "print(rc, [m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])")
+    argv = ["portrait", "--m", "5", "--grid", "-1:1:3", "-1:1:3", "--horizon", "5", "--out", str(tmp_path / "p.csv")]
+    src = Path(blowuplab.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
 
 
 @pytest.mark.parametrize("horizon", ["-2", "0", "nan", "inf", "-inf"])
@@ -214,6 +243,18 @@ def test_portrait_rejects_non_positive_horizon(tmp_path, capsys, horizon):
                  "--horizon", horizon, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: --horizon")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("suffix", [".json", ".JSON"])
+@pytest.mark.parametrize("command", [
+    ["integrate", "--m", "5", "--u0", "0.5", "--v0", "0.1", "--t-end", "0.01"],
+    ["portrait", "--m", "5", "--grid", "0:1:2", "0:1:2", "--horizon", "1"],
+])
+def test_json_out_is_rejected_before_writing(tmp_path, capsys, command, suffix):
+    # the sidecar takes the CSV's name with the suffix .json, so it would overwrite the CSV
+    assert main([*command, "--out", str(tmp_path / f"o{suffix}")]) == 2
+    assert capsys.readouterr().err.startswith("error: --out")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag", ["--h0", "--local-tol"])
@@ -244,21 +285,29 @@ class _InlinePool:
         return map(fn, tasks)
 
 
-@pytest.mark.parametrize("threads, cpus, grid, workers", [
-    ("64", 1, "0:1:2", [4]),  # BLOWUPLAB_THREADS capped at the 4 tasks
-    ("", 64, "0:1:2", [4]),  # so is the CPU count
-    ("3", 1, "0:1:2", [3]),
-    ("64", 1, "0:0:1", []),  # one task runs in-process
+@pytest.mark.parametrize("cpus, n, workers", [
+    (1, 2, []), (2, 2, []), (64, 2, []),  # 4 points run in-process
+    (1, 3, []), (2, 3, []), (64, 3, []),  # so do 9
+    (1, 6, []), (2, 6, [2]), (64, 6, [2]),  # 36 points make 2 workers of 18
+    (1, 9, []), (2, 9, [2]), (64, 9, [5]),  # 81 make at most 5
+    (None, 9, [2]),  # no affinity mask: os.cpu_count(), here 2
 ])
-def test_portrait_caps_workers_at_task_count(tmp_path, monkeypatch, threads, cpus, grid, workers):
+def test_portrait_caps_workers_at_task_count(tmp_path, monkeypatch, cpus, n, workers):
+    # one pool worker per 16 grid points, at most one per usable CPU; the
+    # affinity mask, not os.cpu_count(), says which CPUs are usable
     monkeypatch.setattr(_InlinePool, "max_workers", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr("os.cpu_count", lambda: cpus)
-    monkeypatch.setenv("BLOWUPLAB_THREADS", threads)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    else:
+        _set_usable_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    grid = f"0:1:{n}"
     out = tmp_path / "p.csv"
     assert main(["portrait", "--m", "5", "--grid", grid, grid, "--horizon", "1", "--out", str(out)]) == 0
     assert _InlinePool.max_workers == workers
-    monkeypatch.setenv("BLOWUPLAB_THREADS", "1")
+    _set_usable_cpus(monkeypatch, 1)
     assert main(["portrait", "--m", "5", "--grid", grid, grid, "--horizon", "1",
                  "--out", str(tmp_path / "serial.csv")]) == 0
     assert out.read_bytes() == (tmp_path / "serial.csv").read_bytes()

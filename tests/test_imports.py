@@ -60,30 +60,30 @@ def test_runtime_never_loads_scipy():
 
 # numpy blocked as a missing install blocks it; the block is lifted at the
 # end, so every export can load.  integrate (RK4 forward, Gauss6 backward),
-# classify --verify, portrait (serial and with a pool of 2) and
-# elliptic --table run blocked, then again with numpy loaded, and must
-# write the same bytes; the exact period of sl's orbit is taken blocked too.
+# classify --verify, portrait (3x3 in-process and 6x6, which a machine of 2
+# or more CPUs runs through a pool) and elliptic --table run blocked, then
+# again with numpy loaded, and must write the same bytes; the exact period
+# of sl's orbit is taken blocked too.
 NO_NUMPY_PROBE = """
 import contextlib, io, json, os, sys, tempfile
 sys.modules["numpy"] = None
 import blowuplab
 import blowuplab.cli, blowuplab.integrate, blowuplab.classify
 
-RUNS = [  # (BLOWUPLAB_THREADS, argv, output file)
-    ("1", ["integrate", "--m", "5", "--u0", "0.5", "--v0", "-0.3", "--t-end", "5"], "rk4_forward.csv"),
-    ("1", ["integrate", "--m", "9", "--u0", "-0.5", "--v0", "1", "--t-end", "-20", "--integrator", "gauss6",
-           "--record-every", "3"], "gauss6_backward.csv"),
-    ("1", ["classify", "--m", "5", "--grid", "-2:2:4", "-2:2:4", "--verify"], "classify.csv"),
-    ("1", ["portrait", "--m", "8", "--grid", "-1:1:3", "-1:1:3", "--horizon", "3"], "portrait_1.csv"),
-    ("2", ["portrait", "--m", "8", "--grid", "-1:1:3", "-1:1:3", "--horizon", "3"], "portrait_2.csv"),
-    ("1", ["elliptic", "--table", "--n", "33"], "sl.csv"),
+RUNS = [  # (argv, output file)
+    (["integrate", "--m", "5", "--u0", "0.5", "--v0", "-0.3", "--t-end", "5"], "rk4_forward.csv"),
+    (["integrate", "--m", "9", "--u0", "-0.5", "--v0", "1", "--t-end", "-20", "--integrator", "gauss6",
+      "--record-every", "3"], "gauss6_backward.csv"),
+    (["classify", "--m", "5", "--grid", "-2:2:4", "-2:2:4", "--verify"], "classify.csv"),
+    (["portrait", "--m", "8", "--grid", "-1:1:3", "-1:1:3", "--horizon", "3"], "portrait_3x3.csv"),
+    (["portrait", "--m", "8", "--grid", "-1:1:6", "-1:1:6", "--horizon", "3"], "portrait_6x6.csv"),
+    (["elliptic", "--table", "--n", "33"], "sl.csv"),
 ]
 
 def run_subcommands():
     codes, files = [], {}
     with tempfile.TemporaryDirectory() as tmp:
-        for threads, argv, name in RUNS:
-            os.environ["BLOWUPLAB_THREADS"] = threads
+        for argv, name in RUNS:
             codes.append(blowuplab.cli.main([*argv, "--out", os.path.join(tmp, name)]))
         for name in os.listdir(tmp):
             with open(os.path.join(tmp, name), "rb") as fh:
@@ -130,8 +130,8 @@ def test_import_and_scalar_paths_load_no_numpy():
         "cli exit codes": [0, 0, 0],
         "cli lines": 3,
         "subcommand exit codes": [0, 0, 0, 0, 0, 0],
-        "files": ["classify.csv", "gauss6_backward.csv", "gauss6_backward.json", "portrait_1.csv", "portrait_1.json",
-                  "portrait_2.csv", "portrait_2.json", "rk4_forward.csv", "rk4_forward.json", "sl.csv"],
+        "files": ["classify.csv", "gauss6_backward.csv", "gauss6_backward.json", "portrait_3x3.csv",
+                  "portrait_3x3.json", "portrait_6x6.csv", "portrait_6x6.json", "rk4_forward.csv", "rk4_forward.json", "sl.csv"],
         "sl": ["float", "float"],
         "K_agm": True,
         "F_half": True,
