@@ -24,10 +24,13 @@ Each leg of p takes (K/(2 sqrt D)) int t^(a2-1) (1-t)^(b-1) dt, an
 incomplete beta integral (DLMF 8.17): above r2 x = (p - r2)/(p - r1) with
 b = 1/2, between the roots x = (r2 - p)/D with b = a1, and the crossing
 leg the same integrand in 1 - x.  Every x and 1 - x is formed from the
-g_k, never from a rounded p - r, and state_at finds the point of a leg by
-Newton in ln(x/(1 - x)), which holds x and 1 - x alike to rounding, so
-states keep their digits at both ends of a leg (u0 = 0, or a start near
-a parabola).  Where an exponent exceeds _ALPHA_MAX (disc -> 0+, where
+g_k, never from a rounded p - r.  state_at finds the point of a leg at
+time t in ln(x/(1 - x)), from a closed-form guess by Halley steps on
+short pieces of the leg, with the doubling bracket as the fallback
+(``inversion``), so states keep their digits at both ends of a leg
+(u0 = 0, or a start near a parabola, and x or 1 - x past the float
+range), and u' = u^2 p takes p from the nearest of r2, r1 and the
+start's p0.  Where an exponent exceeds _ALPHA_MAX (disc -> 0+, where
 a = +-k/sqrt(disc) grows without bound and the beta series cancel) and at
 disc = 0, the legs are instead integrals in w = ln((p - r1)/(p - r2))/D
 (1/(p - r) at disc = 0), whose integrand is smooth and tends to the
@@ -94,7 +97,11 @@ def state_at(p: OdeParams, u0: float, v0: float, t: float) -> tuple[float, float
     T = math.ldexp(legs.escape(), -e) if legs.blows else math.inf
     if abs(t) >= T:
         raise DomainError(f"t = {t} lies at or past the blow-up time {d * T}")
-    u, v = legs.state(_ldexp(abs(t), e))
+    frame_t = _ldexp(abs(t), e)
+    if frame_t == math.inf:  # a global leg whose frame time is past floats: the state comes in the start's scale
+        u, v = legs.state(abs(t), e)
+        return flip * u, d * flip * v
+    u, v = legs.state(frame_t)
     return flip * _ldexp(u, e), d * flip * _ldexp(v, 2 * e)
 
 
@@ -294,8 +301,10 @@ class _Parabola:
     def escape(self) -> float:
         return -1.0 / (self.kappa * self.u)
 
-    def state(self, t: float) -> tuple[float, float]:
-        u = self.u / (1.0 + self.kappa * self.u * t)
+    def state(self, t: float, shift: int = 0) -> tuple[float, float]:
+        """(u, u') at time t, in the frame's scale, or at shift > 0 at time t 2^shift in the scale 2^shift larger."""
+        u0 = _ldexp(self.u, shift)
+        u = u0 / (1.0 + self.kappa * u0 * t)
         return u, -self.kappa * u * u
 
 
@@ -306,15 +315,20 @@ class _TwoRoots:
         D = kp - km
         a1, a2 = kp / (2.0 * D), -km / (2.0 * D)
         g1, g2, Du2 = v + kp * u * u, v + km * u * u, D * u * u
-        self.D, self.a1, self.a2, self.r2 = D, a1, a2, -km
+        self.D, self.a1, self.a2, self.r1, self.r2 = D, a1, a2, -kp, -km
+        self.u, self.v, self.g2 = u, v, g2
         self.log_k = -a1 * math.log(g1) - a2 * math.log(abs(g2))  # ln K
         self.log_c = self.log_k - math.log(2.0) - 0.5 * math.log(D)  # ln (K / (2 sqrt D))
         self.above = g2 > 0.0
-        # the leg integrand is x^(a2 - 1) (1 - x)^(b - 1)
+        # the leg integrand is x^(a2 - 1) (1 - x)^(b - 1); ln x and ln(1 - x)
+        # take D u^2 in logs, which keeps a start near u = 0 off x = 1
+        ldu2 = math.log(D) + 2.0 * math.log(abs(u)) if u != 0.0 else -math.inf
         if self.above:  # x = (p - r2)/(p - r1); u = 0 with u' > 0 starts at x = 1
             self.b, self.x, self.xc = 0.5, g2 / g1, Du2 / g1
+            self.lx, self.lxc = math.log(g2) - math.log(g1), ldu2 - math.log(g1)
         else:  # between, u > 0: x = (r2 - p)/D
             self.b, self.x, self.xc = a1, -g2 / Du2, g1 / Du2
+            self.lx, self.lxc = math.log(-g2) - ldu2, math.log(g1) - ldu2
         self.crosses = self.above and u < 0.0
         self.blows = a2 > 0.0  # r2's exponent
 
@@ -330,47 +344,69 @@ class _TwoRoots:
         """The time to the crossing: 1 - x falls from xc to 0, with the exponents swapped."""
         return self._c(_beta(self.b, self.a2, 0.0, 1.0, self.xc, self.x)) if self.crosses else 0.0
 
-    def _time(self, x: float, xc: float) -> float:
-        """The time from the start to the point x (xc = 1 - x) of the final leg."""
+    @cached_property
+    def final(self) -> float:
+        """The time along the final leg, from the start (x = 1 past a crossing) to r2."""
         x0, x0c = (1.0, 0.0) if self.crosses else (self.x, self.xc)
-        return self.cross + self._c(_beta(self.a2, self.b, x, xc, x0, x0c))
+        return self._c(_beta(self.a2, self.b, 0.0, 1.0, x0, x0c))
 
     def escape(self) -> float:
-        return self._time(0.0, 1.0)
+        return self.cross + self.final
 
-    def state(self, t: float) -> tuple[float, float]:
-        a, b = self.a2, self.b
-        if self.crosses and t < self.cross:  # on the crossing leg: Newton in ln(y/(1 - y)), y = 1 - x
-            def f(L: float) -> tuple[float, float]:
-                ly, lyc = _logistic(L)
-                time = self._c(_beta(b, a, math.exp(ly), math.exp(lyc), self.xc, self.x))
-                return time, -math.exp(self.log_c + b * ly + a * lyc)
+    def state(self, t: float, shift: int = 0) -> tuple[float, float]:
+        """(u, u') at time t; at shift > 0 (a global leg past floats) at time t 2^shift, in the scale 2^shift larger."""
+        from .inversion import Leg, log_beta, newton  # compiled on the first state_at only
 
-            ly, lyc = _logistic(_newton(f, math.log(self.xc) - math.log(self.x), t))
-            return self._state(lyc, ly, -1.0)
+        a, b, log_c = self.a2, self.b, self.log_c - shift * _LN2
+        if self.blows or not self.crosses:  # escape's crossing time, so that t < T holds in both
+            cross = _ldexp(self.cross, -shift)
+        else:  # only state_at times a global crossing: by the faster series in logs
+            cross = log_beta(b, a, -math.inf, 0.0, self.lxc, self.lx, log_c)
+        if self.crosses and t < cross:  # on the crossing leg, in y = 1 - x, which falls to 0 at u = 0
+            ly, lyc, dly, dlyc = newton(Leg(b, a, log_c, self.lxc, self.lx, cross), t)
+            return self._state(lyc, ly, -1.0, dlyc, dly, shift)
+        total = _ldexp(self.final, -shift) if self.blows else None
+        if self.crosses:  # the final leg starts at x = 1, u = 0
+            lx, lxc, _, _ = newton(Leg(a, b, log_c, 0.0, -math.inf, total), t - cross)
+            return self._state(lx, lxc, 1.0, None, None, shift)
+        lx, lxc, dlx, dlxc = newton(Leg(a, b, log_c, self.lx, self.lxc, total), t)
+        return self._state(lx, lxc, 1.0, dlx, dlxc, shift)
 
-        def f(L: float) -> tuple[float, float]:  # on the final leg: Newton in ln(x/(1 - x))
-            lx, lxc = _logistic(L)
-            return self._time(math.exp(lx), math.exp(lxc)), -math.exp(self.log_c + a * lx + b * lxc)
+    def _state(self, lx: float, lxc: float, sign: float, dlx: float | None = None, dlxc: float | None = None,
+               shift: int = 0) -> tuple[float, float]:
+        """(u, u') at the point x = e^lx (1 - x = e^lxc) of a leg, where u has the given sign.
 
-        hi = math.inf if self.crosses or self.xc == 0.0 else math.log(self.x) - math.log(self.xc)
-        return self._state(*_logistic(_newton(f, hi, t)), 1.0)
-
-    def _state(self, lx: float, lxc: float, sign: float) -> tuple[float, float]:
-        """(u, u') at the point x = e^lx (1 - x = e^lxc) of the leg, where u has the given sign.
-
-        With d1 = p - r1 and d2 = |p - r2|, |u| = K^-1 d1^-a1 d2^-a2 and
-        u^2 d2 = K^-2 (d2/d1)^(2 a1), as a1 + a2 = 1/2; both are formed in
-        logs, so u = 0 (x = 1 above r2) and 1 - x below the float range
-        need no case of their own.
+        With d1 = p - r1 and d2 = |p - r2|, |u| = K^-1 d1^-a1 d2^-a2, and
+        u^2 d2 = K^-2 (d2/d1)^(2 a1) and u^2 d1 = K^-2 (d2/d1)^(-2 a2), as
+        a1 + a2 = 1/2; all are formed in logs, so u = 0 (x = 1 above r2)
+        and 1 - x below the float range need no case of their own.  On the
+        start's leg, where dlx and dlxc (the changes of ln x and ln(1 - x)
+        from the start) are given, u is the start's u times its change
+        where that has the smaller logarithms, and so the smaller rounding.
+        u' = u^2 p takes p from whichever of r2, r1 and the start's p0 it
+        lies nearest, so that p keeps its digits where it is small against
+        the roots.  At shift > 0 the state comes in the scale 2^shift larger
+        than the frame's, in which K is 2^-shift times.
         """
+        D, a1, a2, lk = self.D, self.a1, self.a2, self.log_k - shift * _LN2
         if self.above:  # d1 = D/(1 - x) and d2/d1 = x
-            ld1, lr = math.log(self.D) - lxc, lx
+            ld1, lr = math.log(D) - lxc, lx
         else:  # d1 = D (1 - x) and d2/d1 = x/(1 - x)
-            ld1, lr = math.log(self.D) + lxc, lx - lxc
-        u = sign * math.exp(-self.log_k - 0.5 * ld1 - self.a2 * lr)
-        u2d2 = math.exp(2.0 * (self.a1 * lr - self.log_k))
-        return u, u * u * self.r2 + (u2d2 if self.above else -u2d2)
+            ld1, lr = math.log(D) + lxc, lx - lxc
+        u = sign * math.exp(-lk - 0.5 * ld1 - a2 * lr)
+        near = (abs(self.r2) + math.exp(min(ld1 + lr, 709.0)), abs(self.r1) + math.exp(min(ld1, 709.0)))
+        if dlx is not None and shift == 0 and self.u * self.u > 0.0:
+            w1, w2 = (0.5, -a2) if self.above else (-a1, -a2)  # ln |u| moves by -a1 (d ln d1) - a2 (d ln d2)
+            if abs(w1 * dlxc) + abs(w2 * dlx) < abs(lk) + abs(0.5 * ld1) + abs(a2 * lr):
+                u = self.u * math.exp(w1 * dlxc + w2 * dlx)
+            rise = math.expm1(dlx - dlxc if self.above else dlx)  # p - p0 = +-(d2 - d2(0)), u0^2 d2(0) = +-g2
+            if abs(self.v) + abs(self.g2 * rise) < min(near) * self.u * self.u:
+                rho = u / self.u
+                return u, rho * rho * (self.v + self.g2 * rise)
+        if near[0] <= near[1]:
+            u2d2 = math.exp(2.0 * (a1 * lr - lk))
+            return u, u * u * self.r2 + (u2d2 if self.above else -u2d2)
+        return u, u * u * self.r1 + math.exp(-2.0 * (a2 * lr + lk))
 
 
 class _NearDouble:
@@ -463,7 +499,10 @@ class _NearDouble:
     def escape(self) -> float:
         return self._time(math.inf)
 
-    def state(self, t: float) -> tuple[float, float]:
+    def state(self, t: float, shift: int = 0) -> tuple[float, float]:
+        if shift:  # a frame time past floats, taken as inf: the state of the frame, in the start's scale
+            u, v = self.state(_ldexp(t, shift))
+            return _ldexp(u, shift), _ldexp(v, 2 * shift)
         if self.between:
             return self._state_between(self._rise(t))
         if not self.crosses:
@@ -477,23 +516,26 @@ class _NearDouble:
         return self._state_outside(e, 1.0)
 
     def _rise(self, t: float) -> float:
-        """The e > 0 (omega > 0 between) whose span from 0 takes time t: Newton in -ln e."""
-        g = self._g if self.between else self._f
-        return math.exp(-_newton(lambda L: (self._span(0.0, math.exp(-L)), -g(math.exp(-L)) * math.exp(-L)), math.inf, t))
+        """The e > 0 (omega > 0 between) whose span from 0 takes time t."""
+        from .inversion import WLeg, newton
+
+        return newton(WLeg(self, False), t)[0]
 
     def _fall(self, t: float) -> float:
-        """The e in [-s0, 0] whose span to 0 takes time t: Newton in L = kappa ln(s/s0).
+        """The e in [-s0, 0] whose span to 0 takes time t."""
+        from .inversion import WLeg, newton
 
-        kappa = max(1, 2 |lam| s0^2) makes a unit of L about an e-fold of F
-        near s0, so Newton's tolerance in L holds the time there to rounding.
-        """
-        s0, kappa = self.s0, max(1.0, 2.0 * abs(self.lam) * self.s0 * self.s0)
+        return newton(WLeg(self, True), t)[0]
 
-        def f(L: float) -> tuple[float, float]:
-            e = s0 * math.expm1(L / kappa)
-            return self._span(e, 0.0), -self._f(e) * (s0 + e) / kappa
+    def _dlog_f(self, e: float) -> float:
+        """d ln F / de above r2: -s (2 lam + delta (coth y - 1/y)), y = delta s^2."""
+        s = self.s0 + e
+        y = self.delta * s * s
+        return -s * (2.0 * self.lam + self.delta * (y / 3.0 if y < 1e-4 else 1.0 / math.tanh(y) - 1.0 / y))
 
-        return s0 * math.expm1(_newton(f, 0.0, t) / kappa)
+    def _dlog_g(self, omega: float) -> float:
+        """d ln(|z|/2) / d omega between the roots."""
+        return -self.lam - 0.5 * self.delta * math.tanh(self.delta * (self.w0 + omega))
 
     def _state_outside(self, e: float, sign: float) -> tuple[float, float]:
         """(u, u') at s = s0 + e above r2, u of the given sign: |u| = s/F and u' = u^2 r2 + 1/(F^2 E(D s^2)), E(x) = expm1(x)/x.
@@ -580,63 +622,3 @@ def _integral(f, a: float, b: float) -> float:
     except OverflowError:  # a time past floats
         return math.inf
     return math.fsum(h[3] + h[4] for h in heap)
-
-
-def _logistic(L: float) -> tuple[float, float]:
-    """(ln x, ln(1 - x)) at x = 1/(1 + e^-L), L = ln(x/(1 - x)): neither x nor 1 - x is formed from the other."""
-    s = math.log1p(math.exp(-abs(L)))
-    return min(L, 0.0) - s, -max(L, 0.0) - s
-
-
-def _newton(f, hi: float, t: float) -> float:
-    """The L < hi where time(L) = t, for f(L) = (time, d time / dL); time falls to 0 at hi and grows past t as L falls.
-
-    Newton steps on ln time - ln t, near linear in L whether the time grows
-    as a power of x or as an exponential; a step that leaves the bracket or
-    fails to halve the step before it is replaced by bisection (Press et al.,
-    Numerical Recipes, rtsafe).  The bracket comes from doubling steps down
-    from hi, after a search up from 0 for a time below t at hi = inf.  An
-    overflow counts as a time past t.
-    """
-    log_t = math.log(t)
-
-    def value(L: float) -> tuple[float, float]:
-        try:
-            time, der = f(L)
-        except OverflowError:
-            return math.inf, 0.0
-        if not time > 0.0:
-            return -math.inf, 0.0
-        return math.log(time) - log_t, der / time
-
-    step = 1.0
-    if hi == math.inf:
-        hi = 0.0
-        for _ in range(64):
-            if value(hi)[0] < 0.0:
-                break
-            hi, step = hi + step, 2.0 * step
-        step = 1.0
-    lo = hi - step
-    for _ in range(64):  # past 2^64 the leg's end is reached in floats: the root is there
-        if value(lo)[0] > 0.0:
-            break
-        hi, step = lo, 2.0 * step
-        lo = hi - step
-    L, last = 0.5 * (lo + hi), hi - lo
-    for _ in range(200):
-        val, der = value(L)
-        if val == 0.0:
-            return L
-        if val > 0.0:
-            lo = L
-        else:
-            hi = L
-        nxt = L - val / der if der != 0.0 and math.isfinite(val) else math.nan
-        if not lo < nxt < hi or 2.0 * abs(nxt - L) > last:
-            nxt = 0.5 * (lo + hi)
-        last = abs(nxt - L)
-        if last <= 1e-15 * max(1.0, abs(L)):
-            return nxt
-        L = nxt
-    return L

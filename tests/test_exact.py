@@ -20,6 +20,7 @@ from blowuplab import (
     quadrature_blowup_time,
     riccati_poles,
 )
+from blowuplab import exact, inversion
 from blowuplab.errors import DomainError
 from blowuplab.exact import _ALPHA_MAX, _GAUSS20, escape_time, parabola_pole, period, state_at
 
@@ -429,6 +430,153 @@ def test_escape_time_takes_only_the_directions_plus_and_minus_one(d):
             escape_time(p5, u0, v0, d)
     assert escape_time(p5, 1.0, 1.0, 1) == escape_time(p5, 1.0, 1.0, 1.0) > 0.0
     assert escape_time(p5, 1.0, 1.0, -1) == escape_time(p5, 1.0, 1.0, -1.0)
+
+
+def test_state_at_past_the_float_range_of_x_and_1_minus_x():
+    # A leg point whose x or 1 - x lies past the float range.  From u0 = 0,
+    # 1 - x grows like u^2 and underflows while |t| < about 1e-154; these
+    # small times follow the Taylor polynomial, within the rounding of
+    # ln(1 - x), near -1400 at t = 1e-300 (measured worst 1.4e-13, gate
+    # 3e-13).  On a global leg x falls as a power of t, and u = -1/(r t +
+    # c + o(1)) towards the end root r, so r t u -> -1 to every digit at
+    # t = 1e200 (the m = 3 legs below end at r = 1/2).  From (1e160, 1) the
+    # frame's time 2^532 t is past floats too, and the legs are timed in
+    # the start's scale, to the rounding of logs near 700 again
+    for m in (3.0, 5.0, 8.0):
+        p = params_from_dimension(m)
+        for v0 in (1.0, -1.0):
+            for h in (1e-200, 1e-250, 1e-300):
+                for t in (h, -h):
+                    u, v = state_at(p, 0.0, v0, t)
+                    ut, vt = _taylor(p, 0.0, v0, t)
+                    assert abs(u - ut) <= 3e-13 * abs(ut) and abs(v - vt) <= 3e-13 * abs(vt), (m, v0, t, u, v)
+    p3 = params_from_dimension(3.0)
+    assert -p3.k_plus == 0.5
+    for u0, v0, t in ((1.0, -1.0, 1e200), (1.0, -1.0, 1e300), (1e160, 1.0, 1e300), (1e160, 1.0, -1e300),
+                      (1e160, 1.0, 1e250), (-2.0, 0.5, 1e280)):
+        u, _ = state_at(p3, u0, v0, t)
+        assert abs(0.5 * t * u + 1.0) <= 3e-13, (u0, v0, t, u)
+
+
+def test_state_at_u_prime_keeps_its_digits_where_p_is_small():
+    # where p = u'/u^2 is small against the roots, u' = u^2 p must not carry
+    # an error of eps |r| u^2 from a p formed from a root: near the start p
+    # is formed from the start's own p0
+    for m in (3.0, 5.0, 9.0):
+        p = params_from_dimension(m)
+        for u0 in (1.0, -1.0, 0.5):
+            for v0 in (1e-20, -1e-20, 1e-12, -3e-14):
+                for h in (1e-30, 1e-24, 1e-20):
+                    for t in (h, -h):
+                        u, v = state_at(p, u0, v0, t)
+                        ut, vt = _taylor(p, u0, v0, t)
+                        assert abs(u - ut) <= 1e-13 * abs(ut) and abs(v - vt) <= 1e-13 * abs(vt), (m, u0, v0, t, v, vt)
+    # from (1e160, 1) at t = 1e-200, u'' t = B u0^3 t is 2.2e279
+    p5 = params_from_dimension(5.0)
+    u, v = state_at(p5, 1e160, 1.0, 1e-200)
+    vt = 1.0 + p5.A * 1e160 * 1e-200 + p5.B * 1e160 * (1e160 * (1e160 * 1e-200))
+    assert abs(v - vt) <= 1e-13 * vt, (v, vt)
+
+
+def _budget_calls(p, rng):
+    """state_at's arguments: seeded starts at t = +-1e-6, +-1 and +-50 before any blow-up, and T/2 and T (1 - 1e-9)."""
+    calls = []
+    for u0, v0 in _states(rng, 20):
+        for d in (1.0, -1.0):
+            T = escape_time(p, u0, v0, d)
+            calls += [(u0, v0, d * h) for h in (1e-6, 1.0, 50.0) if T is None or h < abs(T)]
+            if T is not None:
+                calls += [(u0, v0, 0.5 * T), (u0, v0, T * (1.0 - 1e-9))]
+    return calls
+
+
+def test_state_at_evaluation_budget(monkeypatch):
+    # a full leg time (exact._beta or _integral, inversion.log_beta; escape's included)
+    # and a piece from an anchor are counted per call; before the guesses
+    # and anchors state_at took 16.7-18.8 full evaluations a call on the
+    # beta sets below and 14.9 on the quadrature sets (the T (1 - 1e-9)
+    # points the costliest), and now takes 1.4-3.0 and 1.3-1.5
+    counts = {"full": 0, "piece": 0}
+
+    def counted(f, key):
+        def g(*args):
+            counts[key] += 1
+            return f(*args)
+        return g
+
+    for module, name in ((exact, "_beta"), (exact, "_integral"), (inversion, "log_beta")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name), "full"))
+    for leg in (inversion.Leg, inversion.WLeg):
+        monkeypatch.setattr(leg, "piece", counted(leg.piece, "piece"))
+    rng = np.random.default_rng(2024)
+    for p, full, pieces in ((params_from_dimension(3.0), 4.0, 4.0), (params_from_dimension(5.0), 4.0, 4.0),
+                            (params_from_dimension(9.0), 4.0, 4.0), (params_from_coeffs(1.0, -0.125), 7.4, 6.0),
+                            (params_from_coeffs(1.0, -0.125 + 1e-9), 7.4, 6.0)):
+        calls = _budget_calls(p, rng)
+        counts.update(full=0, piece=0)
+        for u0, v0, t in calls:
+            state_at(p, u0, v0, t)
+        assert counts["full"] <= full * len(calls) and counts["piece"] <= pieces * len(calls), (p.A, p.B, counts, len(calls))
+
+
+def _flow_cases(rng):
+    """(p, u0, v0, t1, t2) with t1 and t1 + t2 before any blow-up: seeded m-family and (A, B) sets, both signs of t1 and t2."""
+    params = [params_from_dimension(m) for m in (3.0, 3.5, 5.0, 8.0, 9.0)]
+    params += [params_from_coeffs(A, B) for A, B in ((-1.0, 2.0), (2.0, 0.0), (-3.0, -1.0), (1.0, -0.125),
+                                                   (1.0, -0.125 + 1e-9), (-2.5, -0.78125 + 1e-6))]
+    cases = []
+    for p in params:
+        starts = _states(rng, 6)
+        # on and near both parabolas, through u = 0 where u crosses it
+        starts += [(u0, -k * u0 * u0 + gap) for k in (p.k_minus, p.k_plus) for u0 in (1.0, -0.5) for gap in (1e-3, -1e-3)]
+        starts += [(0.0, 1.0), (0.0, -1.0)]
+        for u0, v0 in starts:
+            tf, tb = escape_time(p, u0, v0, 1.0), escape_time(p, u0, v0, -1.0)
+            tf, tb = (20.0 if tf is None else min(tf, 50.0)), (-20.0 if tb is None else max(tb, -50.0))
+            for f1, f2 in zip(rng.uniform(-0.9, 0.9, 4).tolist(), rng.uniform(-0.9, 0.9, 4).tolist()):
+                t1 = f1 * (tf if f1 > 0.0 else -tb)
+                end = f2 * (tf if f2 > 0.0 else -tb)
+                cases.append((p, u0, v0, t1, end - t1))
+    return cases
+
+
+def _rel(got, want):
+    """The larger error of u and u', each relative to max(1e-3, its size)."""
+    return max(abs(g - w) / max(1e-3, abs(w)) for g, w in zip(got, want))
+
+
+def test_state_at_flow_property():
+    # state_at(state_at(s, t1), t2) = state_at(s, t1 + t2): the inversion
+    # paths (guesses, anchored pieces, the time to the end, crossings)
+    # meet each other from two starts.  The state at t1 is rounded to
+    # floats, and near a parabola a flow can magnify that a millionfold, so
+    # the gate adds the change that one ulp of it makes (sens).  Measured
+    # worst: 9.9e-14 where sens < 1e-14, and at most 42 sens + 1e-15;
+    # the gate is 1e-12 + 100 sens
+    for p, u0, v0, t1, t2 in _flow_cases(np.random.default_rng(55)):
+        if t1 == 0.0 or t2 == 0.0:
+            continue
+        u1, v1 = state_at(p, u0, v0, t1)
+        got = state_at(p, u1, v1, t2)
+        sens = max(_rel(state_at(p, math.nextafter(u1, math.inf), v1, t2), got),
+                   _rel(state_at(p, u1, math.nextafter(v1, math.inf), t2), got))
+        err = _rel(got, state_at(p, u0, v0, t1 + t2))
+        assert err <= 1e-12 + 100.0 * sens, (p.A, p.B, u0, v0, t1, t2, err, sens)
+
+
+def test_state_at_without_a_guess_takes_the_doubling_bracket(monkeypatch):
+    # a guess that fails leaves the point to the bracket search from the
+    # start on full evaluations: it must find the same states
+    rng = np.random.default_rng(8)
+    cases = [c for c in _flow_cases(rng) if c[3] != 0.0][::3]
+    want = [state_at(p, u0, v0, t) for p, u0, v0, t, _ in cases]
+    used = []
+    for leg in (inversion.Leg, inversion.WLeg):
+        aim, bracketed = leg.aim, leg.bracketed
+        monkeypatch.setattr(leg, "aim", lambda self, t, aim=aim: (math.nan, *aim(self, t)[1:]))
+        monkeypatch.setattr(leg, "bracketed", lambda self, t, b=bracketed: used.append(1) or b(self, t))
+    worst = max(_rel(state_at(p, u0, v0, t), w) for (p, u0, v0, t, _), w in zip(cases, want))
+    assert len(used) >= len(cases) and worst <= 1e-12, (len(used), worst)
 
 
 # ---------------------------------------------------------------------------
