@@ -52,8 +52,10 @@ state (Stuart & Floater, Eur. J. Appl. Math. 1 (1990) 47-71).  Stdlib only.
 """
 from __future__ import annotations
 
+import copy
 import heapq
 import math
+import sys
 from functools import cached_property
 
 from .errors import DomainError
@@ -97,12 +99,18 @@ def state_at(p: OdeParams, u0: float, v0: float, t: float) -> tuple[float, float
     T = math.ldexp(legs.escape(), -e) if legs.blows else math.inf
     if abs(t) >= T:
         raise DomainError(f"t = {t} lies at or past the blow-up time {d * T}")
-    frame_t = _ldexp(abs(t), e)
-    if frame_t == math.inf:  # a global leg whose frame time is past floats: the state comes in the start's scale
+    frame_t, u = _ldexp(abs(t), e), None
+    if frame_t < math.inf:
+        uf, vf = legs.state(frame_t)
+        u, v = _ldexp(uf, e), _ldexp(vf, 2 * e)
+        if not e or min(abs(uf), abs(vf)) >= sys.float_info.min:
+            return flip * u, d * flip * v
+    try:  # a scaled start whose frame time or frame state leaves the float range: the state in the start's scale
         u, v = legs.state(abs(t), e)
-        return flip * u, d * flip * v
-    u, v = legs.state(frame_t)
-    return flip * _ldexp(u, e), d * flip * _ldexp(v, 2 * e)
+    except OverflowError:  # u' past floats there: the frame's, scaled back
+        if u is None:
+            raise
+    return flip * u, d * flip * v
 
 
 def parabola_pole(p: OdeParams, u0: float, v0: float) -> float | None:
@@ -316,19 +324,15 @@ class _TwoRoots:
         a1, a2 = kp / (2.0 * D), -km / (2.0 * D)
         g1, g2, Du2 = v + kp * u * u, v + km * u * u, D * u * u
         self.D, self.a1, self.a2, self.r1, self.r2 = D, a1, a2, -kp, -km
-        self.u, self.v, self.g2 = u, v, g2
+        self.u, self.v, self.g1, self.g2 = u, v, g1, g2
         self.log_k = -a1 * math.log(g1) - a2 * math.log(abs(g2))  # ln K
         self.log_c = self.log_k - math.log(2.0) - 0.5 * math.log(D)  # ln (K / (2 sqrt D))
         self.above = g2 > 0.0
-        # the leg integrand is x^(a2 - 1) (1 - x)^(b - 1); ln x and ln(1 - x)
-        # take D u^2 in logs, which keeps a start near u = 0 off x = 1
-        ldu2 = math.log(D) + 2.0 * math.log(abs(u)) if u != 0.0 else -math.inf
+        # the leg integrand is x^(a2 - 1) (1 - x)^(b - 1)
         if self.above:  # x = (p - r2)/(p - r1); u = 0 with u' > 0 starts at x = 1
             self.b, self.x, self.xc = 0.5, g2 / g1, Du2 / g1
-            self.lx, self.lxc = math.log(g2) - math.log(g1), ldu2 - math.log(g1)
         else:  # between, u > 0: x = (r2 - p)/D
             self.b, self.x, self.xc = a1, -g2 / Du2, g1 / Du2
-            self.lx, self.lxc = math.log(-g2) - ldu2, math.log(g1) - ldu2
         self.crosses = self.above and u < 0.0
         self.blows = a2 > 0.0  # r2's exponent
 
@@ -353,23 +357,32 @@ class _TwoRoots:
     def escape(self) -> float:
         return self.cross + self.final
 
+    @cached_property
+    def logs(self) -> tuple[float, float]:
+        """(ln x, ln(1 - x)) at the start, with D u^2 in logs, which keeps a start near u = 0 off x = 1."""
+        g1, g2, u = self.g1, self.g2, self.u
+        ldu2 = math.log(self.D) + 2.0 * math.log(abs(u)) if u != 0.0 else -math.inf
+        if self.above:
+            return math.log(g2) - math.log(g1), ldu2 - math.log(g1)
+        return math.log(-g2) - ldu2, math.log(g1) - ldu2
+
     def state(self, t: float, shift: int = 0) -> tuple[float, float]:
         """(u, u') at time t; at shift > 0 (a global leg past floats) at time t 2^shift, in the scale 2^shift larger."""
         from .inversion import Leg, log_beta, newton  # compiled on the first state_at only
 
-        a, b, log_c = self.a2, self.b, self.log_c - shift * _LN2
+        a, b, log_c, (lx0, lx0c) = self.a2, self.b, self.log_c - shift * _LN2, self.logs
         if self.blows or not self.crosses:  # escape's crossing time, so that t < T holds in both
             cross = _ldexp(self.cross, -shift)
         else:  # only state_at times a global crossing: by the faster series in logs
-            cross = log_beta(b, a, -math.inf, 0.0, self.lxc, self.lx, log_c)
+            cross = log_beta(b, a, -math.inf, 0.0, lx0c, lx0, log_c)
         if self.crosses and t < cross:  # on the crossing leg, in y = 1 - x, which falls to 0 at u = 0
-            ly, lyc, dly, dlyc = newton(Leg(b, a, log_c, self.lxc, self.lx, cross), t)
+            ly, lyc, dly, dlyc = newton(Leg(b, a, log_c, lx0c, lx0, cross), t)
             return self._state(lyc, ly, -1.0, dlyc, dly, shift)
         total = _ldexp(self.final, -shift) if self.blows else None
         if self.crosses:  # the final leg starts at x = 1, u = 0
             lx, lxc, _, _ = newton(Leg(a, b, log_c, 0.0, -math.inf, total), t - cross)
             return self._state(lx, lxc, 1.0, None, None, shift)
-        lx, lxc, dlx, dlxc = newton(Leg(a, b, log_c, self.lx, self.lxc, total), t)
+        lx, lxc, dlx, dlxc = newton(Leg(a, b, log_c, lx0, lx0c, total), t)
         return self._state(lx, lxc, 1.0, dlx, dlxc, shift)
 
     def _state(self, lx: float, lxc: float, sign: float, dlx: float | None = None, dlxc: float | None = None,
@@ -500,9 +513,15 @@ class _NearDouble:
         return self._time(math.inf)
 
     def state(self, t: float, shift: int = 0) -> tuple[float, float]:
-        if shift:  # a frame time past floats, taken as inf: the state of the frame, in the start's scale
-            u, v = self.state(_ldexp(t, shift))
-            return _ldexp(u, shift), _ldexp(v, 2 * shift)
+        """(u, u') at time t; at shift > 0 at time t 2^shift, in the scale 2^shift larger."""
+        if shift:  # the same legs with |z| in that scale, 2^-shift times the frame's: so are their times and states
+            twin = copy.copy(self)
+            twin.__dict__.pop("cross", None)
+            if self.between:
+                twin.log_z0 -= shift * _LN2
+            else:
+                twin.log_p0 -= shift * _LN2
+            return twin.state(t)
         if self.between:
             return self._state_between(self._rise(t))
         if not self.crosses:

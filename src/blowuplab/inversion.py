@@ -177,7 +177,11 @@ class Leg:
         return log_beta(self.a, self.b, pt[0], pt[1], self.lx0, self.lx0c, self.log_c)
 
     def piece(self, anchor: tuple, pt: tuple) -> float | None:
-        """The leg time of a point from that of a nearby anchor (point, time) by ``beta_piece``, or None."""
+        """The leg time of a point from that of a nearby anchor (point, time) by ``beta_piece``, or None.
+
+        None too where the time falls below a quarter of the anchor's, as
+        the anchor's rounding would then swamp it.
+        """
         pa, time = anchor
         i = 2 if self.relative else 0
         dlx, dlxc = pt[i] - pa[i], pt[i + 1] - pa[i + 1]
@@ -190,18 +194,21 @@ class Leg:
             step = math.copysign(log_series(b, a, min(pa[1], pt[1]), max(pa[1], pt[1]), lc), -dlxc)
         else:
             return None
-        return None if step is None else time + (step if self.from_end else -step)
+        if step is None:
+            return None
+        new = time + (step if self.from_end else -step)
+        return new if new >= 0.25 * time else None  # a time far below the anchor's would cancel its digits
 
     def aim(self, t: float) -> tuple[float, float, float]:
         """(first guess, the time solved for, the sign of its slope) for the point at time t; picks the variable.
 
         Near the end of a blow-up the time left, total - t = C x^a/a
         (1 + O(x)), is solved for.  Otherwise the time from the start is:
-        from x0 = 1 by the law t = C (1 - x)^b/b (1 + O(1 - x)); near the
-        start by its exponential law in L, t = h0 (1 - e^(q0 (L - L0)))/q0,
-        one Newton step from the start as q0 t/h0 -> 0; past it by the power
-        law towards x = 0, C (x^a - x0^a)/(-a), ln(x0/x) C at a = 0, or the
-        time left at a > 0.
+        from x0 = 1 by the law t = C (1 - x)^b/b (1 + O(1 - x)); within two
+        e-folds of the density from the start by its exponential law in L,
+        t = h0 (1 - e^(q0 (L - L0)))/q0, one Newton step from the start as
+        q0 t/h0 -> 0; past them by the power law towards x = 0,
+        C (x^a - x0^a)/(-a), ln(x0/x) C at a = 0, or the time left at a > 0.
         """
         a, b, lc, L0 = self.a, self.b, self.log_c, self.L0
         self.from_end = self.total is not None and t > 0.5 * self.total
@@ -220,7 +227,10 @@ class Leg:
                 z = q * t / h
                 if z < 0.5:
                     d = -t / h if z == 0.0 else t / h * math.log1p(-z) / z
-                    L = L0 + d
+                    if abs(q * d) > 2.0:  # a few e-folds of the density out, its slope there rules
+                        d = None
+                    else:
+                        L = L0 + d
             if L != L:  # past the start's law
                 if a < 0.0:
                     L = self._L(logaddexp(a * self.lx0, math.log(-a * t) - lc) / a)
@@ -294,7 +304,8 @@ class WLeg:
             return None
         m, h = 0.5 * (e + ea), 0.5 * (e - ea)
         step = h * sum(w * math.exp(self.log_f(m + h * x)) for x, w in _GAUSS10)
-        return time - step if self.fall else time + step
+        new = time - step if self.fall else time + step
+        return new if new >= 0.25 * time else None  # a time far below the anchor's would cancel its digits
 
     def aim(self, t: float) -> tuple[float, float, float]:
         """(first guess L, t, -1), from the start's exponential law in e, t = F0 (1 - e^(-q0 e))/q0.
@@ -307,9 +318,12 @@ class WLeg:
             z = q0 * t * math.exp(-lf0)
             e = t * math.exp(-lf0) * (1.0 if z == 0.0 else -math.log1p(-min(z, 0.9)) / z)
             if q0 < 0.0 and -q0 * e > 2.0 and not self.fall:
-                for _ in range(4):  # Newton on ln F(e) - ln(d ln F/de) = ln t, a guess only
+                for _ in range(12):  # Newton on ln F(e) - ln(d ln F/de) = ln t, a guess only
                     dlf = self.dlog_f(e)
-                    e = max(0.5 * e, e - (self.log_f(e) - math.log(dlf) - math.log(t)) / dlf)
+                    step = max(-0.5 * e, -(self.log_f(e) - math.log(dlf) - math.log(t)) / dlf)
+                    e += step
+                    if abs(step) <= 1e-3 * e:
+                        break
             if self.fall:
                 e = max(e, -0.5 * self.nd.s0)
                 return self.kappa * math.log1p(-e / self.nd.s0), t, -1.0
@@ -350,10 +364,11 @@ def newton(leg, t: float) -> tuple:
     ln t, whose second derivative the leg's density gives in closed form,
     inside the bracket the iterates build up; a step that leaves it, or
     fails to halve the step before it, bisects, as in Press et al.'s
-    rtsafe (Numerical Recipes).  It stops once a step moves ln time by at most
-    1e-15, or once cubic convergence from the step before predicts that
-    the next one will (step^4/last^3).  Where the guess and its steps fail
-    to bracket the root, the doubling bracket takes over (``leg.bracketed``).
+    rtsafe (Numerical Recipes).  It stops once a step moves ln time by at
+    most 1e-15, or once cubic convergence from the step before predicts
+    that the next one will (step^4/last^3).  Where the guess and its steps
+    fail to bracket the root, the doubling bracket takes over
+    (``leg.bracketed``).
     """
     d, target, sign = leg.aim(t)
     log_t = math.log(target)
@@ -380,7 +395,7 @@ def newton(leg, t: float) -> tuple:
         else:
             hi = d
         g = sign * h / time if time > 0.0 else math.inf  # d val / dd
-        n = val / g if g != 0.0 and math.isfinite(val) else math.nan
+        n = val / g if 0.0 < abs(g) < math.inf and math.isfinite(val) else math.nan
         c = 0.5 * n * (q - g)
         step = -(n / (1.0 - c) if abs(c) < 0.5 else n)
         # done once ln time moves by at most 1e-15: by this step, or by the

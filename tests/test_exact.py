@@ -409,8 +409,9 @@ def test_starts_whose_square_overflows(m):
             u, v = state_at(p, u0, v0, t)
             assert state_at(p, *big, math.ldexp(t, -k)) == (math.ldexp(u, k), math.ldexp(v, 2 * k))
     assert escape_time(p, 2e154, 1.0, 1.0) == pytest.approx(0.5 * escape_time(p, 1e154, 1.0, 1.0), rel=1e-13)
-    # at t = 1e-200 the state barely moves from (1e160, 1); u' is held to
-    # eps u^2 |r|, as everywhere, which is about 1e-16 u^2 here
+    # at t = 1e-200 the state barely moves from (1e160, 1); u' is held here
+    # to eps u^2, about 1e-16 u^2 (its Taylor value to 1e-13 relative in
+    # test_state_at_u_prime_keeps_its_digits_where_p_is_small)
     u, v = state_at(p, 1e160, 1.0, 1e-200)
     vt = 1.0 + p.A * 1e160 * 1e-200 + p.B * 1e160 * (1e160 * (1e160 * 1e-200))  # u'' t, with B u0^3 t kept finite
     assert u == pytest.approx(1e160, rel=1e-15) and abs(v - vt) / u / u <= 1e-15, (u, v, vt)
@@ -456,6 +457,43 @@ def test_state_at_past_the_float_range_of_x_and_1_minus_x():
                       (1e160, 1.0, 1e250), (-2.0, 0.5, 1e280)):
         u, _ = state_at(p3, u0, v0, t)
         assert abs(0.5 * t * u + 1.0) <= 3e-13, (u0, v0, t, u)
+    # u' = 1/(r t^2) there, which the frame's 4^-532 scale would take below
+    # the float range: such a state is formed in the start's scale
+    for t in (1e10, 1e100, -1e150):
+        u, v = state_at(p3, 1e160, 1.0, t)
+        assert abs(0.5 * t * u + 1.0) <= 3e-13 and abs(0.5 * t * t * v - 1.0) <= 3e-13, (t, u, v)
+    # so also at disc = 0 and near it, against u -> 2^300 u(2^300 t) from
+    # the unscaled start (2^-300 u0, 4^-300 u'0)
+    for p in (p3, params_from_coeffs(1.0, -0.125), params_from_coeffs(-1.0, -0.125 + 1e-9)):
+        for u0, v0, t in ((1e160, 1.0, 1e50), (1e160, 1.0, -1e50), (-1e160, -1e300, 1e60), (1e160, 1.0, 1e150)):
+            u, v = state_at(p, u0, v0, t)
+            us, vs = state_at(p, math.ldexp(u0, -300), math.ldexp(v0, -600), math.ldexp(t, 300))
+            assert abs(u - math.ldexp(us, 300)) <= 3e-13 * abs(u), (p.A, p.B, u0, v0, t, u, us)
+            if vs != 0.0:  # the unscaled start's own u' underflows at t = 1e150
+                assert abs(v - math.ldexp(vs, 600)) <= 3e-13 * abs(v), (p.A, p.B, u0, v0, t, v, vs)
+
+
+def test_state_at_far_out_on_global_legs_follows_the_end_roots_power_law():
+    # on a global leg 1/u = -r t + c + O(t^(1 + 1/a)) towards the end root
+    # r of exponent a < 0, so r t u -> -1 to every digit by t = 1e200 at
+    # |a| <= 12, where x lies far below the float range (the bracket search
+    # raised ValueError or gave about 1e-309 there).  Measured worst 2.4e-13
+    rng = np.random.default_rng(4242)
+    params = [params_from_dimension(m) for m in rng.uniform(2.05, 30.0, 30).tolist()]
+    params += [params_from_coeffs(A, B) for A, B in zip(rng.uniform(-4, 4, 60).tolist(), rng.uniform(-1, 3, 60).tolist())]
+    n = 0
+    for p in params:
+        if not p.disc > 0.0 or p.B == 0.0 or _max_alpha(p) > 12.0:
+            continue
+        for u0, v0 in _states(rng, 10):
+            for d in (1.0, -1.0):
+                if escape_time(p, u0, v0, d) is not None:
+                    continue
+                for t in (d * 1e200, d * 1e300):
+                    u, _ = state_at(p, u0, v0, t)
+                    assert min(abs(u * t * r + 1.0) for r in (-p.k_minus, -p.k_plus)) <= 1e-12, (p.A, p.B, u0, v0, t, u)
+                    n += 1
+    assert n >= 60, n
 
 
 def test_state_at_u_prime_keeps_its_digits_where_p_is_small():
@@ -517,6 +555,19 @@ def test_state_at_evaluation_budget(monkeypatch):
         for u0, v0, t in calls:
             state_at(p, u0, v0, t)
         assert counts["full"] <= full * len(calls) and counts["piece"] <= pieces * len(calls), (p.A, p.B, counts, len(calls))
+
+
+def test_state_at_from_a_guess_far_past_the_point(monkeypatch):
+    # a first guess 30 units of the leg variable past the point: the steps
+    # back take pieces that would cancel the far anchor's time, and so a
+    # full leg time each, and must find the same states
+    rng = np.random.default_rng(9)
+    cases = [c for c in _flow_cases(rng) if c[3] != 0.0][::3]
+    want = [state_at(p, u0, v0, t) for p, u0, v0, t, _ in cases]
+    for leg in (inversion.Leg, inversion.WLeg):
+        monkeypatch.setattr(leg, "aim", lambda self, t, aim=leg.aim: (lambda d, *rest: (d - 30.0, *rest))(*aim(self, t)))
+    worst = max(_rel(state_at(p, u0, v0, t), w) for (p, u0, v0, t, _), w in zip(cases, want))
+    assert worst <= 1e-12, worst
 
 
 def _flow_cases(rng):
