@@ -367,7 +367,7 @@ class _TwoRoots:
         return math.log(-g2) - ldu2, math.log(g1) - ldu2
 
     def state(self, t: float, shift: int = 0) -> tuple[float, float]:
-        """(u, u') at time t; at shift > 0 (a global leg past floats) at time t 2^shift, in the scale 2^shift larger."""
+        """(u, u') at time t; at shift > 0 (the frame's float range left) at time t 2^shift, in the scale 2^shift larger."""
         from .inversion import Leg, log_beta, newton  # compiled on the first state_at only
 
         a, b, log_c, (lx0, lx0c) = self.a2, self.b, self.log_c - shift * _LN2, self.logs

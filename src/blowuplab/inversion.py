@@ -268,11 +268,12 @@ class WLeg:
     """A ``_NearDouble`` leg for ``newton``, in the protocol of ``Leg``.
 
     e rises from 0 (omega between the roots) in L = -ln e, or (``fall``)
-    falls from 0 to -s0 on the crossing leg in L = kappa ln(s/s0); kappa = max(1, 2 |lam| s0^2) makes a unit of L about an e-fold of F
-    near s0, so Newton's tolerance in L holds the time there to rounding.
-    A point is (e, ln F(e)); the piece between two points whose ln F
-    differ by at most 2 is a 10-point Gauss-Legendre panel, and any other
-    time a full ``_span`` from 0.
+    falls from 0 to -s0 on the crossing leg in L = kappa ln(s/s0); kappa =
+    max(1, 2 |lam| s0^2) makes a unit of L about an e-fold of F near s0,
+    so Newton's tolerance in L holds the time there to rounding.  A point
+    is (e, ln F(e)); the piece between two points whose ln F differ by at
+    most 2 is a 10-point Gauss-Legendre panel, and any other time a full
+    ``_span`` from 0.
     """
 
     def __init__(self, nd: _NearDouble, fall: bool):
