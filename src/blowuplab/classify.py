@@ -165,4 +165,4 @@ def verify_verdict(p: OdeParams, u0: float, v0: float, verdict: Verdict, horizon
         else:  # false for a NaN or infinite t_bound too
             ok = t_blow[d] is not None and abs(t_blow[d] - t_bound) <= _T_GATE * abs(t_bound) < math.inf
             reason = what if ok else f"blow-up time {t_blow[d]!r} against t_bound {t_bound!r}"
-    return VerdictCheck(ok, reason, t_blow[1.0], t_blow[-1.0], max(abs(u) for rows in runs for u in rows[1::4]))
+    return VerdictCheck(ok, reason, t_blow[1.0], t_blow[-1.0], max(max(map(abs, rows[1::4])) for rows in runs))

@@ -28,8 +28,8 @@ from blowuplab.exact import escape_time
 from blowuplab.integrate import (
     _A11, _A12, _A13, _A21, _A22, _A23, _A31, _A32, _A33, _B1, _B2, _C1, _C3, _HALF_SEEDS,
     _Q11, _Q12, _Q13, _Q21, _Q22, _Q23, _Q31, _Q32, _Q33,
-    _GAUSS6_MAX_SWEEPS, _STAGE_KAPPA, _STAGE_RTOL, _STEPPERS, _gauss6_increment, _gauss6_seed,
-    _gauss6_solve, _rk4_increment,
+    _GAUSS6_MAX_SWEEPS, _STAGE_KAPPA, _STAGE_RTOL, _STEPPERS, _gauss6_attempt, _gauss6_increment,
+    _gauss6_seed, _rk4_increment,
 )
 
 # the module, which the package's function integrate shadows as an attribute
@@ -61,10 +61,11 @@ def test_single_step_accuracy_orders():
 def test_step_rejects_zero_h_and_bad_tol():
     p = params_from_dimension(4.0)
     s0 = State(0.0, 0.5, 0.5)
-    with pytest.raises(DomainError):
-        step_rk4(p, s0, 0.0)
-    with pytest.raises(DomainError):
-        step_gauss6(p, s0, 0.0)
+    for h in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            step_rk4(p, s0, h)
+        with pytest.raises(DomainError):
+            step_gauss6(p, s0, h)
 
 
 @pytest.mark.parametrize("stepper", [step_rk4, step_gauss6])
@@ -474,6 +475,11 @@ def test_gauss6_pinned_runs_fit_in_their_sweep_budgets(monkeypatch):
     for run, budget in zip(PINNED_RUNS[:2], (3, 2)):
         monkeypatch.setattr(integrate_module, "_GAUSS6_MAX_SWEEPS", budget)
         test_whole_runs_are_pinned(*run)
+        # one sweep less moves the digest, so the budget reaches the sweep loop
+        monkeypatch.setattr(integrate_module, "_GAUSS6_MAX_SWEEPS", budget - 1)
+        m, kind, ic, options, _, digest = run
+        traj = integrate(params_from_dimension(m), State(0.0, *ic), kind, IntegrateOptions(**options))
+        assert _run_digest(traj) != digest
 
 
 def test_gauss6_taylor_seeds_are_fourth_order():
@@ -486,7 +492,8 @@ def test_gauss6_taylor_seeds_are_fourth_order():
     taylor, euler = [], []
     for h in (0.08, 0.04, 0.02, 0.01, 0.005):
         seeds = _gauss6_seed(p.A, p.B, u, v, fv, h)
-        _, _, *F = _gauss6_solve(p.A, p.B, u, v, _STAGE_RTOL, _STAGE_RTOL, h, *seeds)
+        # the full step alone, solved from these seeds at the stage scales 4 eps (|u|, |v| < 1)
+        _, _, *F = _gauss6_attempt(p.A, p.B, u, v, h, 0.0, True)
         taylor.append(max(abs(s - f) for s, f in zip(seeds, F)))
         euler.append(max(abs(fv - f) for f in F))
     for big, small in zip(taylor, taylor[1:]):
@@ -880,12 +887,16 @@ PINNED_RUNS = [
 def test_whole_runs_are_pinned(m, kind, ic, options, term, digest):
     traj = integrate(params_from_dimension(m), State(0.0, *ic), kind, IntegrateOptions(**options))
     assert traj.termination.kind == term
+    assert _run_digest(traj) == digest
+
+
+def _run_digest(traj):
     h = hashlib.sha256()
     for col in (traj.t, traj.u, traj.v, traj.t_residual):
         h.update(np.ascontiguousarray(col, dtype="<f8").tobytes())
     end = traj.termination
     h.update(f"{end.kind} {end.direction} {end.t_last!r} {traj.n_steps}".encode())
-    assert h.hexdigest() == digest
+    return h.hexdigest()
 
 
 def test_h_max_ceiling_is_respected():
