@@ -4,8 +4,9 @@
 # the m = 8 escapes blow up at the quadrature time of their energy, which
 # the verdict's t_bound gives too, a backward Gauss6 m = 9 escape blows up
 # at its verdict's t_bound, a Gauss6 m = 4 run stays within 1e-9 of
-# -tanh t both ways, the m = 3 parabola start, the disc = 0 grid, an
-# m = 3.5 decay and a t_bound of -8.45e299 verify, non-finite input
+# -tanh t both ways, a start whose u^4 overflows writes its row, the
+# m = 3 parabola start, the disc = 0 grid, an m = 3.5 decay and a t_bound
+# of -8.45e299 verify, non-finite input
 # exits with status 2 and an error: line, and a grid whose span overflows
 # is refused by its spec before any file is written, as is an --out whose
 # suffix .json is the name of its own sidecar.
@@ -82,6 +83,16 @@ for name in ("tanh_f", "tanh_b"):
         raise SystemExit(f"{name}: want a run to |t| = 5 within 1e-9 of -tanh t and -sech^2 t")
 PY
 blowuplab integrate --m 5 --u0 0.5 --v0 0 --t-end 1 --blowup-threshold 1e200 --out big.csv
+# a start whose u^4 overflows a float: the run caps its step below h_min at
+# once and exits 1 as inconclusive, with its start row written, not a traceback
+status=0
+blowuplab integrate --m 5 --u0 1e200 --v0 1e200 --t-end 1 --out huge.csv 2> err.txt || status=$?
+cat err.txt huge.csv
+if [ "$status" -ne 1 ] || ! grep -q "^integration inconclusive: step_underflow$" err.txt \
+    || ! grep -q "^0,9.9999999999999997e+199,9.9999999999999997e+199,nan," huge.csv; then
+  echo "blowuplab integrate from (1e200, 1e200): want exit status 1, an inconclusive line and the start row, got $status"
+  exit 1
+fi
 blowuplab portrait --m 5 --grid -1:1:3 -1:1:3 --horizon 3 --out p.csv
 blowuplab classify --m 5 --grid -2:2:4 -2:2:4 --verify --out c.csv
 blowuplab classify --m 4 --grid -2:2:9 -2:2:9 --verify --out c4.csv

@@ -33,8 +33,12 @@ __all__ = [
 
 
 def energy(p: OdeParams, s: State) -> float:
-    """e = u'^2/2 - (B/4) u^4 of a State, or per row of a record array."""
-    return 0.5 * s.v * s.v - 0.25 * p.B * s.u**4
+    """e = u'^2/2 - (B/4) u^4 of a State, or per row of a record array; inf or NaN past floats, as IEEE gives."""
+    try:
+        u4 = s.u**4
+    except OverflowError:  # a Python float's power raises where numpy's gives inf
+        u4 = math.inf
+    return 0.5 * s.v * s.v - 0.25 * p.B * u4
 
 
 def g_k(s: State, k: complex) -> complex:

@@ -24,9 +24,13 @@ Each leg of p takes (K/(2 sqrt D)) int t^(a2-1) (1-t)^(b-1) dt, an
 incomplete beta integral (DLMF 8.17): above r2 x = (p - r2)/(p - r1) with
 b = 1/2, between the roots x = (r2 - p)/D with b = a1, and the crossing
 leg the same integrand in 1 - x.  Every x and 1 - x is formed from the
-g_k, never from a rounded p - r.  state_at finds the point of a leg at
-time t in ln(x/(1 - x)), from a closed-form guess by Halley steps on
-short pieces of the leg, with the doubling bracket as the fallback
+g_k, never from a rounded p - r, and kept in logs.  One series sums
+every beta leg time, escape_time's and state_at's alike: the binomial
+series in x below 1/2 and in 1 - x above, with ln(K/(2 sqrt D)) taken
+into each term (``log_series``, ``log_beta``), so a time stays finite
+however far x, 1 - x or K lie past the float range.  state_at finds the point of a
+leg at time t in ln(x/(1 - x)), from a closed-form guess by Halley steps
+on short pieces of the leg, with the doubling bracket as the fallback
 (``inversion``), so states keep their digits at both ends of a leg
 (u0 = 0, or a start near a parabola, and x or 1 - x past the float
 range), and u' = u^2 p takes p from the nearest of r2, r1 and the
@@ -35,14 +39,14 @@ a = +-k/sqrt(disc) grows without bound and the beta series cancel) and at
 disc = 0, the legs are instead integrals in w = ln((p - r1)/(p - r2))/D
 (1/(p - r) at disc = 0), whose integrand is smooth and tends to the
 double root's as disc -> 0+, taken by adaptive Gauss-Legendre quadrature
-(``_NearDouble``).  Either way the
-kind is read from signs alone, and the times agree with 40-digit mpmath
-within 1e-13 relative at every exponent tested: worst 1.3e-14 for the
-beta series, 3e-15 for the quadrature (tests/test_exact.py).  Near
-disc = 0 the time is ill-conditioned in its inputs: the large exponents
-amplify the rounding of the g_k and of the roots, whose disc OdeParams
-rounds once (worst 4.1e-13 against mpmath at disc 1e-12 to 1e-9 and
-exponents up to 6e5; 2.1e-11 with A A rounded).
+(``_NearDouble``), whose u' takes p from r2 or p0 in the same way.
+Either way the kind is read from signs alone, and the times agree with
+40-digit mpmath within 1e-13 relative at every exponent tested: worst
+1.3e-14 for the beta series, 3e-15 for the quadrature
+(tests/test_exact.py).  Near disc = 0 the time is ill-conditioned in its
+inputs: the large exponents amplify the rounding of the g_k and of the
+roots, whose disc OdeParams rounds once (worst 4.1e-13 against mpmath at
+disc 1e-12 to 1e-9 and exponents up to 6e5; 2.1e-11 with A A rounded).
 
 For disc < 0, p sweeps the real line once for each sign of u and every
 orbit but (0, 0) closes, with the period ``period`` gives; escape_time and
@@ -56,7 +60,7 @@ import copy
 import heapq
 import math
 import sys
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import DomainError
 from .model import OdeParams
@@ -69,6 +73,7 @@ _ALPHA_MAX = 12.0
 _TINY = 2.0**-56  # a series stops once its term is below this share of the sum
 _MAX_TERMS = 2000  # a bound on a series' terms: about 60 plus 2 |a| are needed up to _ALPHA_MAX
 _LN2 = math.log(2.0)
+_NEAR_END = math.log(2.0**-7)  # a leg time between points within 2^-7 of an end is a series in x (or 1 - x)
 # ln(2^(5/2) pi^(3/2)), the constant factor of the period
 _LN_PERIOD = 2.5 * _LN2 + 1.5 * math.log(math.pi)
 # Stirling's series for ln Gamma(z): B_2k / (2k (2k - 1)) z^(1 - 2k), k = 1..8 (DLMF 5.11.1)
@@ -204,51 +209,80 @@ def _log_gamma(y: float) -> float:
 # leg integrals
 
 
-def _series(a: float, b: float, lo: float, hi: float) -> float:
-    """int_lo^hi t^(a-1) (1-t)^(b-1) dt for 0 <= lo <= hi <= 1/2.
+def log_series(a: float, b: float, llo: float, lhi: float, log_c: float) -> float:
+    """e^log_c int_lo^hi t^(a-1) (1-t)^(b-1) dt for 0 <= lo <= hi <= 1/2, from llo = ln lo (-inf at lo = 0) and lhi = ln hi.
 
     The binomial series (1-t)^(b-1) = sum c_n t^n, c_n = (1-b)_n/n!,
     integrated term by term: hi^s (1 - (lo/hi)^s)/s with s = n + a, formed
     as -expm1(s L)/s, L = ln(lo/hi), so that a = 0 or a negative integer
     (s = 0, the term is -L) and a tiny s lose nothing; at lo = 0 (a > 0) it
     is hi^s/s.  The terms shrink by about hi per step once n passes -a and
-    -b.
+    -b.  e^log_c is taken into each term's power of hi, so that a leg time
+    stays finite wherever the time is, however far x, 1 - x or the
+    integral alone lie past the float range; a term with s < 0 is formed
+    from lo^s, the larger power.  An overflow raises OverflowError.  From
+    lo below _NEAR_END to hi = 1/2 the integral is cut there: its upper
+    part depends on a and b alone (``_upper_half``), and the lower
+    converges as 2^-7n.
     """
-    if lo == hi:
+    if llo == lhi:
         return 0.0
-    L = math.log(lo / hi) if lo > 0.0 else -math.inf
-    total, c, h = 0.0, 1.0, hi**a
-    past = max(-a, -b, 0.0)
-    for n in range(_MAX_TERMS):
+    if lhi == -_LN2 and llo < _NEAR_END:
+        try:
+            return math.exp(log_c) * _upper_half(a, b) + log_series(a, b, llo, _NEAR_END, log_c)
+        except OverflowError:
+            pass
+    L, hi = llo - lhi, math.exp(lhi)
+    total, c, n = 0.0, 1.0, 0
+    while n + a < 0.0 and c != 0.0:  # s < 0 < lo: hi^s (1 - (lo/hi)^s) = lo^s ((hi/lo)^s - 1)
         s = n + a
-        if lo == 0.0:
-            f = 1.0 / s
-        elif s == 0.0:
-            f = -L
-        else:
-            f = -math.expm1(s * L) / s
-        term = c * h * f
-        total += term
+        total += c * math.exp(log_c + s * llo) * math.expm1(-s * L) / s
         c *= (n + 1 - b) / (n + 1)
-        h *= hi
-        if c == 0.0 or (n >= past and abs(term) <= _TINY * abs(total)):
+        n += 1
+    if c == 0.0:
+        return total
+    past, s = max(-a, -b, 0.0), n + a
+    ch = c * math.exp(log_c + s * lhi)  # c_n hi^s
+    for n in range(n, _MAX_TERMS):
+        if s * L < -40.0:  # (lo/hi)^s is below rounding, and at lo = 0 exactly 0
+            term = ch / s
+        else:
+            term = ch * (-L if s == 0.0 else -math.expm1(s * L) / s)
+        total += term
+        if n >= past and abs(term) <= _TINY * abs(total):  # also once c_n is 0
             break
+        ch *= hi * (n + 1 - b) / (n + 1)
+        s += 1.0
     return total
 
 
-def _beta(a: float, b: float, x0: float, x0c: float, x1: float, x1c: float) -> float:
-    """int_x0^x1 t^(a-1) (1-t)^(b-1) dt for 0 <= x0 <= x1 <= 1; x0c = 1 - x0 and x1c = 1 - x1.
+@lru_cache(maxsize=256)
+def _upper_half(a: float, b: float) -> float:
+    """int_(2^-7)^(1/2) t^(a-1) (1-t)^(b-1) dt, shared by every leg time from below 2^-7 to 1/2 at these exponents."""
+    return log_series(a, b, _NEAR_END, -_LN2, 0.0)
 
-    The part below 1/2 is summed in t, the part above in s = 1 - t from
-    the given complements, so each series converges at least as 2^-n.
-    x0 = 0 needs a > 0, and x1 = 1 needs b > 0.
+
+def log_beta(a: float, b: float, lx0: float, lx0c: float, lx1: float, lx1c: float, log_c: float) -> float:
+    """e^log_c int_x0^x1 t^(a-1) (1-t)^(b-1) dt for 0 <= x0 <= x1 <= 1, from the logs of x0, 1 - x0, x1 and 1 - x1.
+
+    The part below 1/2 is summed in t, the part above in s = 1 - t, each
+    by ``log_series``, so each series converges at least as 2^-n.  x0 = 0
+    needs a > 0, and x1 = 1 needs b > 0.  An overflow raises OverflowError.
     """
     total = 0.0
-    if x0 < 0.5:
-        total += _series(a, b, x0, min(x1, 0.5))
-    if x1 > 0.5:
-        total += _series(b, a, x1c, min(x0c, 0.5))
+    if lx0 < -_LN2:
+        total += log_series(a, b, lx0, min(lx1, -_LN2), log_c)
+    if lx1 > -_LN2:
+        total += log_series(b, a, lx1c, min(lx0c, -_LN2), log_c)
     return total
+
+
+def _leg_time(a: float, b: float, lx0: float, lx0c: float, log_c: float) -> float:
+    """The time e^log_c int_0^x0 t^(a-1) (1-t)^(b-1) dt of a leg to its end, inf past floats."""
+    try:
+        return log_beta(a, b, -math.inf, 0.0, lx0, lx0c, log_c)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -322,37 +356,29 @@ class _TwoRoots:
     def __init__(self, km: float, kp: float, u: float, v: float):
         D = kp - km
         a1, a2 = kp / (2.0 * D), -km / (2.0 * D)
-        g1, g2, Du2 = v + kp * u * u, v + km * u * u, D * u * u
+        g1, g2 = v + kp * u * u, v + km * u * u
         self.D, self.a1, self.a2, self.r1, self.r2 = D, a1, a2, -kp, -km
         self.u, self.v, self.g1, self.g2 = u, v, g1, g2
         self.log_k = -a1 * math.log(g1) - a2 * math.log(abs(g2))  # ln K
         self.log_c = self.log_k - math.log(2.0) - 0.5 * math.log(D)  # ln (K / (2 sqrt D))
         self.above = g2 > 0.0
-        # the leg integrand is x^(a2 - 1) (1 - x)^(b - 1)
-        if self.above:  # x = (p - r2)/(p - r1); u = 0 with u' > 0 starts at x = 1
-            self.b, self.x, self.xc = 0.5, g2 / g1, Du2 / g1
-        else:  # between, u > 0: x = (r2 - p)/D
-            self.b, self.x, self.xc = a1, -g2 / Du2, g1 / Du2
+        # the leg integrand is x^(a2 - 1) (1 - x)^(b - 1): above r2 x = (p - r2)/(p - r1),
+        # and u = 0 with u' > 0 starts at x = 1; between, with u > 0, x = (r2 - p)/D
+        self.b = 0.5 if self.above else a1
         self.crosses = self.above and u < 0.0
         self.blows = a2 > 0.0  # r2's exponent
 
-    def _c(self, integral: float) -> float:
-        """The time of a leg integral: K/(2 sqrt D) times it."""
-        try:
-            return math.exp(self.log_c) * integral
-        except OverflowError:
-            return math.inf
-
     @cached_property
     def cross(self) -> float:
-        """The time to the crossing: 1 - x falls from xc to 0, with the exponents swapped."""
-        return self._c(_beta(self.b, self.a2, 0.0, 1.0, self.xc, self.x)) if self.crosses else 0.0
+        """The time to the crossing: 1 - x falls from its start to 0, with the exponents swapped."""
+        lx0, lx0c = self.logs
+        return _leg_time(self.b, self.a2, lx0c, lx0, self.log_c) if self.crosses else 0.0
 
     @cached_property
     def final(self) -> float:
         """The time along the final leg, from the start (x = 1 past a crossing) to r2."""
-        x0, x0c = (1.0, 0.0) if self.crosses else (self.x, self.xc)
-        return self._c(_beta(self.a2, self.b, 0.0, 1.0, x0, x0c))
+        lx0, lx0c = (0.0, -math.inf) if self.crosses else self.logs
+        return _leg_time(self.a2, self.b, lx0, lx0c, self.log_c)
 
     def escape(self) -> float:
         return self.cross + self.final
@@ -368,13 +394,10 @@ class _TwoRoots:
 
     def state(self, t: float, shift: int = 0) -> tuple[float, float]:
         """(u, u') at time t; at shift > 0 (the frame's float range left) at time t 2^shift, in the scale 2^shift larger."""
-        from .inversion import Leg, log_beta, newton  # compiled on the first state_at only
+        from .inversion import Leg, newton  # compiled on the first state_at only
 
         a, b, log_c, (lx0, lx0c) = self.a2, self.b, self.log_c - shift * _LN2, self.logs
-        if self.blows or not self.crosses:  # escape's crossing time, so that t < T holds in both
-            cross = _ldexp(self.cross, -shift)
-        else:  # only state_at times a global crossing: by the faster series in logs
-            cross = log_beta(b, a, -math.inf, 0.0, lx0c, lx0, log_c)
+        cross = _ldexp(self.cross, -shift)  # escape's, so that t < T holds in both
         if self.crosses and t < cross:  # on the crossing leg, in y = 1 - x, which falls to 0 at u = 0
             ly, lyc, dly, dlyc = newton(Leg(b, a, log_c, lx0c, lx0, cross), t)
             return self._state(lyc, ly, -1.0, dlyc, dly, shift)
@@ -460,6 +483,7 @@ class _NearDouble:
             q0 = math.log1p(y) / (y * g2) if y <= 0.5 else (math.log(g1) - math.log(g2)) / Du2
         self.s0 = math.sqrt(q0) * abs(u)  # w0 = q0 u^2 and s0 = sqrt(w0), both 0 at u = 0
         self.log_p0 = 0.5 * math.log(q0) + 0.5 * _log_shc(self.delta * self.s0 * self.s0)  # ln(|z0| sqrt R(w0))
+        self.p0, self.p0_r1 = (v / u / u, g1 / u / u) if u != 0.0 else (None, None)  # p0 and p0 - r1 at the start
         self.crosses = u < 0.0
 
     def _log_f(self, e: float) -> float:
@@ -560,12 +584,23 @@ class _NearDouble:
         """(u, u') at s = s0 + e above r2, u of the given sign: |u| = s/F and u' = u^2 r2 + 1/(F^2 E(D s^2)), E(x) = expm1(x)/x.
 
         (p - r2)/u^2 is formed from s, never from p: p - r2 = 1/(w E(D w)).
+        Where p lies nearer the start's p0 than r2, u' = u^2 p0 + u^2 (p - p0)
+        instead, with p - p0 = -(p - r2)(p0 - r1) (w - w0) E(D (w - w0)) and
+        w - w0 = e (e + 2 s0), which keeps the digits of a p small against r2.
         """
         s, log_f = self.s0 + e, self._log_f(e)
         u = sign * math.exp(math.log(s) - log_f) if s > 0.0 else 0.0
         x = self.D * s * s
         log_e = 0.0 if x == 0.0 else (x - math.log(x) if x > 700.0 else math.log(math.expm1(x) / x))
-        return u, u * u * self.r2 + math.exp(-2.0 * log_f - log_e)
+        u2d2 = math.exp(-2.0 * log_f - log_e)  # u^2 (p - r2)
+        if self.p0 is not None:
+            dw = e * (e + 2.0 * self.s0)
+            y = self.D * dw
+            if y < 700.0:
+                u2p0, u2dp = u * u * self.p0, -u2d2 * self.p0_r1 * dw * (1.0 if y == 0.0 else math.expm1(y) / y)
+                if abs(u2p0) + abs(u2dp) < abs(u * u * self.r2) + u2d2:
+                    return u, u2p0 + u2dp
+        return u, u * u * self.r2 + u2d2
 
     def _state_between(self, omega: float) -> tuple[float, float]:
         """(u, u') at omega: u = 1/|z|, and p from the nearer root, p - r1 = D/(1 + e^(-D w)), r2 - p = D/(1 + e^(D w))."""

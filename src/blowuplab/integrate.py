@@ -130,49 +130,32 @@ class Trajectory:
 # du, dv) returns the full step's increment and the sum of the two half
 # steps' increments, or raises where one of them raises; the driver then
 # halves h.  tol is the run's local_tol, or 0 for none; RK4 ignores it.
-# RK4's full step is bit for bit increment(h), its half steps
-# increment(h/2) and increment(h/2) from the midpoint.  At tol = 0 (and
-# wherever _FULL_KAPPA tol <= 4 eps) Gauss6's full step is bit for bit
-# increment(h), and its half steps solve the same stage equations from
-# another seed, so they agree with those increments to the stage
-# tolerance, not bit for bit.  A larger tol loosens the half steps' stop
-# to _STAGE_KAPPA tol and the full step's to _FULL_KAPPA tol.
-#
-# Gauss6 has one routine, _gauss6_attempt: one sweep loop solves the full
-# step and then both half steps, in Nystrom form on the three stage
-# accelerations, and calls no function per solve.  step_gauss6's increment
-# is that routine's full step alone.
-
-
-def _rk4_increment(A: float, B: float, u: float, v: float, h: float) -> tuple[float, float]:
-    """State increment of one classical fourth-order Runge-Kutta step.
-
-    A non-finite stage reaches du or dv, so one check at the end suffices.
-    """
-    k1v = A * u * v + B * u * u * u
-    a, k2u = u + 0.5 * h * v, v + 0.5 * h * k1v
-    k2v = A * a * k2u + B * a * a * a
-    a, k3u = u + 0.5 * h * k2u, v + 0.5 * h * k2v
-    k3v = A * a * k3u + B * a * a * a
-    a, k4u = u + h * k3u, v + h * k3v
-    k4v = A * a * k4u + B * a * a * a
-    du = (h / 6.0) * (v + 2.0 * k2u + 2.0 * k3u + k4u)
-    dv = (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    if (u + du) * 0.0 + (v + dv) * 0.0 != 0.0:
-        raise NonFiniteError("stage value overflowed")
-    return du, dv
+# Each method has one routine, its attempt, with its arithmetic written
+# out; the increment that step_rk4 and step_gauss6 take is the attempt's
+# full step alone (full_only).  RK4's full step is thus bit for bit
+# increment(h), its half steps increment(h/2) and increment(h/2) from the
+# midpoint.  At tol = 0 (and wherever _FULL_KAPPA tol <= 4 eps) Gauss6's
+# full step is bit for bit increment(h), and its half steps solve the
+# same stage equations from another seed, so they agree with those
+# increments to the stage tolerance, not bit for bit.  A larger tol
+# loosens the half steps' stop to _STAGE_KAPPA tol and the full step's to
+# _FULL_KAPPA tol.  Gauss6's one sweep loop solves the full step and then
+# both half steps, in Nystrom form on the three stage accelerations, and
+# calls no function per solve.
 
 
 def _rk4_attempt(
-    A: float, B: float, u: float, v: float, h: float, tol: float,
-) -> tuple[float, float, float, float]:
-    """One step-doubling attempt of RK4: _rk4_increment's arithmetic, written out; tol is unused.
+    A: float, B: float, u: float, v: float, h: float, tol: float, full_only: bool = False,
+) -> tuple[float, ...]:
+    """One step-doubling attempt of RK4, the classical fourth-order Runge-Kutta step written out; tol is unused.
 
     The full and the first half step share k1v.  0.5 * h * v evaluates as
     (0.5 * h) * v, so taking the sub-step factors once changes no bit.  A
-    non-finite midpoint (u1, v1) makes u1 + d2u or v1 + d2v non-finite, so
-    testing the full step's and the second half step's end states decides
-    what the three increments' tests decide.
+    non-finite stage reaches its step's increment, and a non-finite
+    midpoint (u1, v1) makes u1 + d2u or v1 + d2v non-finite, so testing
+    the full step's and the second half step's end states decides what
+    the three increments' tests decide.  With full_only the full step
+    alone is taken and (du, dv) returned.
     """
     k1v = A * u * v + B * u * u * u
     # full step over h
@@ -186,6 +169,10 @@ def _rk4_attempt(
     w = h / 6.0
     dfu = w * (v + 2.0 * k2u + 2.0 * k3u + k4u)
     dfv = w * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    if full_only:
+        if (u + dfu) * 0.0 + (v + dfv) * 0.0 != 0.0:
+            raise NonFiniteError("stage value overflowed")
+        return dfu, dfv
     # first half step over c
     q = 0.5 * c
     a, k2u = u + q * v, v + q * k1v
@@ -427,6 +414,11 @@ def _gauss6_attempt(
             solve = 2
         else:
             return dfu, dfv, d1u + du, d1v + dv
+
+
+def _rk4_increment(A: float, B: float, u: float, v: float, h: float) -> tuple[float, float]:
+    """State increment of one classical fourth-order Runge-Kutta step: the attempt's full step alone."""
+    return _rk4_attempt(A, B, u, v, h, 0.0, True)
 
 
 def _gauss6_increment(A: float, B: float, u: float, v: float, h: float) -> tuple[float, float]:

@@ -1,11 +1,12 @@
 """The point of an exact leg at a given time: the inversion behind ``exact.state_at``.
 
 ``exact`` times each leg of p = u'/u^2 as an incomplete beta integral
-(``_TwoRoots``) or a quadrature in w (``_NearDouble``); state_at needs the
-converse, the point of a leg at time t.  It is found in L = ln(x/(1 - x)),
-which holds x and 1 - x alike to rounding, carried as ln x and ln(1 - x)
-so that either may lie past the float range, and as the change from the
-start where the point lies near it (``Leg``).
+(``_TwoRoots``), by the one series in logs that escape_time sums too
+(``exact.log_beta``), or as a quadrature in w (``_NearDouble``); state_at
+needs the converse, the point of a leg at time t.  It is found in
+L = ln(x/(1 - x)), which holds x and 1 - x alike to rounding, carried as
+ln x and ln(1 - x) so that either may lie past the float range, and as
+the change from the start where the point lies near it (``Leg``).
 
 ``newton`` starts from a closed-form guess (``Leg.aim``): the start's
 exponential law in L near t = 0, the power law of the end the point lies
@@ -23,72 +24,12 @@ times escapes (integrate, classify) never compiles it.
 """
 from __future__ import annotations
 
-import functools
 import math
 
-from .exact import _LN2, _MAX_TERMS, _TINY, _NearDouble, _gauss_legendre
+from .exact import _LN2, _MAX_TERMS, _NEAR_END, _TINY, _NearDouble, _gauss_legendre, log_beta, log_series
 
-_NEAR_END = math.log(2.0**-7)  # a leg time between points within 2^-7 of an end is a series in x (or 1 - x)
 _HALLEY_STEPS = 12  # a bound on newton's steps before the doubling bracket takes over
 _GAUSS10 = _gauss_legendre(10)
-
-
-def log_series(a: float, b: float, llo: float, lhi: float, log_c: float) -> float:
-    """e^log_c int_lo^hi t^(a-1) (1-t)^(b-1) dt for 0 <= lo <= hi <= 1/2, from llo = ln lo (-inf at lo = 0) and lhi = ln hi.
-
-    ``exact._series`` with e^log_c taken into each term's power of hi, so that a
-    leg time stays finite wherever the time is, however far x, 1 - x or the
-    integral alone lie past the float range; a term with s = n + a < 0 is
-    formed from lo^s, the larger power.  An overflow raises OverflowError.
-    From lo below _NEAR_END to hi = 1/2 the integral is cut there: its
-    upper part depends on a and b alone (``_upper_half``), and the lower
-    converges as 2^-7n.
-    """
-    if llo == lhi:
-        return 0.0
-    if lhi == -_LN2 and llo < _NEAR_END:
-        try:
-            return math.exp(log_c) * _upper_half(a, b) + log_series(a, b, llo, _NEAR_END, log_c)
-        except OverflowError:
-            pass
-    L, hi = llo - lhi, math.exp(lhi)
-    total, c, n = 0.0, 1.0, 0
-    while n + a < 0.0 and c != 0.0:  # s < 0 < lo: hi^s (1 - (lo/hi)^s) = lo^s ((hi/lo)^s - 1)
-        s = n + a
-        total += c * math.exp(log_c + s * llo) * math.expm1(-s * L) / s
-        c *= (n + 1 - b) / (n + 1)
-        n += 1
-    if c == 0.0:
-        return total
-    past, tiny2, s = max(-a, -b, 0.0), _TINY * _TINY, n + a
-    ch = c * math.exp(log_c + s * lhi)  # c_n hi^s
-    for n in range(n, _MAX_TERMS):
-        if s * L < -40.0:  # (lo/hi)^s is below rounding, and at lo = 0 exactly 0
-            term = ch / s
-        else:
-            term = ch * (-L if s == 0.0 else -math.expm1(s * L) / s)
-        total += term
-        if n >= past and term * term <= tiny2 * total * total:  # also once c_n is 0
-            break
-        ch *= hi * (n + 1 - b) / (n + 1)
-        s += 1.0
-    return total
-
-
-@functools.lru_cache(maxsize=256)
-def _upper_half(a: float, b: float) -> float:
-    """int_(2^-7)^(1/2) t^(a-1) (1-t)^(b-1) dt, shared by every leg time from below 2^-7 to 1/2 at these exponents."""
-    return log_series(a, b, _NEAR_END, -_LN2, 0.0)
-
-
-def log_beta(a: float, b: float, lx0: float, lx0c: float, lx1: float, lx1c: float, log_c: float) -> float:
-    """``exact._beta`` times e^log_c by ``log_series``, from the logs of x0, 1 - x0, x1 and 1 - x1."""
-    total = 0.0
-    if lx0 < -_LN2:
-        total += log_series(a, b, lx0, min(lx1, -_LN2), log_c)
-    if lx1 > -_LN2:
-        total += log_series(b, a, lx1c, min(lx0c, -_LN2), log_c)
-    return total
 
 
 def beta_piece(a: float, b: float, lxa: float, lxca: float, dlx: float, dlxc: float, log_c: float) -> float | None:
@@ -226,7 +167,7 @@ class Leg:
                 h, q = self.density((self.lx0, self.lx0c))
                 z = q * t / h
                 if z < 0.5:
-                    d = -t / h if z == 0.0 else t / h * math.log1p(-z) / z
+                    d = -t / h if z == 0.0 else t / h * (math.log1p(-z) / z)  # t/h z would underflow past t ~ 1e-154
                     if abs(q * d) > 2.0:  # a few e-folds of the density out, its slope there rules
                         d = None
                     else:

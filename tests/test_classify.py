@@ -670,12 +670,15 @@ def _census():
 
 def test_verdict_census_is_pinned():
     # sha256 over every verdict of the census: any change to the rule or
-    # to its exact times changes the digest
+    # to its exact times changes the digest.  Re-pinned when escape_time's
+    # beta legs moved to the series in logs that state_at sums: 5883 of
+    # the 7546 t_bound values moved, by at most 1.27e-15 relative, and no
+    # kind or basis changed
     h = hashlib.sha256()
     for p, u0, v0 in _census():
         v = classify(p, u0, v0)
         h.update(repr((p.A, p.B, u0, v0, v.kind, v.basis, v.detail)).encode())
-    assert h.hexdigest() == "c3866861de7e4c5c0718b6e08710d12aeb956d0cafe69280b8d7b6b31ed8f4bc"
+    assert h.hexdigest() == "35b376620842391b2c9496aa0b3acbfc9f6942d4024a478b38c744d91f8b95c6"
 
 
 def _comparison_bound(p, u0, v0):

@@ -368,6 +368,19 @@ def test_huge_dimension_integrates(tmp_path):
     assert json.loads((tmp_path / "big.json").read_text())["params"]["B"] == 0.0
 
 
+def test_huge_start_writes_its_row(tmp_path, capsys):
+    # u^4 of a start past 1.2e77 overflows a Python float: the energy column
+    # reads the IEEE result (here inf - inf, NaN) and the run exits 1 as
+    # inconclusive, its step capped below h_min at once
+    out = tmp_path / "a.csv"
+    assert main(["integrate", "--m", "5", "--u0", "1e200", "--v0", "1e200", "--t-end", "1", "--out", str(out)]) == 1
+    assert "inconclusive: step_underflow" in capsys.readouterr().err
+    (row,) = _read_csv(out)
+    assert (float(row["t"]), float(row["u"]), float(row["du"])) == (0.0, 1e200, 1e200) and math.isnan(float(row["e"]))
+    side = json.loads((tmp_path / "a.json").read_text())
+    assert side["termination"]["t_estimate"] == pytest.approx(2.5357015219030368e-200, rel=1e-13)
+
+
 def test_subnormal_coefficient_runs(tmp_path):
     # B = 5e-324 underflows the root k_plus to 0, which leaves the verdict unclassified: both exit 0
     model = ["--A", "1", "--B", "5e-324"]

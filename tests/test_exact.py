@@ -516,6 +516,22 @@ def test_state_at_u_prime_keeps_its_digits_where_p_is_small():
     assert abs(v - vt) <= 1e-13 * vt, (v, vt)
 
 
+def test_state_at_u_prime_keeps_its_digits_at_tiny_times_on_every_leg():
+    # on the legs in w (disc = 0 and near it) p is formed from p0 as well:
+    # at A = 1, B = -1/8 from (1, 0) u' = u^2 r2 + u^2 (p - r2) lost its
+    # digits as t -> 0 (2.1e-2 relative at t = 1e-14).  And on the beta
+    # legs the start's law gave the first guess t/h z/z, which underflowed
+    # to 0 past t ~ 1e-154: at m = 5 from (1, 0) u' stuck at 4.1e-62
+    cases = [(params_from_coeffs(A, B), u0, v0, h) for A, B in ((1.0, -0.125), (1.0, -0.125 + 1e-9), (-2.5, -0.78125 + 1e-6))
+             for u0 in (1.0, -0.5) for v0 in (0.0, 1e-20, -3e-14) for h in (1e-8, 1e-12, 1e-14, 1e-30)]
+    cases += [(params_from_dimension(m), 1.0, 0.0, h) for m in (3.0, 5.0, 9.0) for h in (1e-154, 1e-200, 1e-300)]
+    for p, u0, v0, h in cases:
+        for t in (h, -h):
+            u, v = state_at(p, u0, v0, t)
+            ut, vt = _taylor(p, u0, v0, t)
+            assert abs(u - ut) <= 1e-13 * abs(ut) and abs(v - vt) <= 1e-13 * abs(vt), (p.A, p.B, u0, v0, t, v, vt)
+
+
 def _budget_calls(p, rng):
     """state_at's arguments: seeded starts at t = +-1e-6, +-1 and +-50 before any blow-up, and T/2 and T (1 - 1e-9)."""
     calls = []
@@ -529,7 +545,8 @@ def _budget_calls(p, rng):
 
 
 def test_state_at_evaluation_budget(monkeypatch):
-    # a full leg time (exact._beta or _integral, inversion.log_beta; escape's included)
+    # a full leg time (the one leg series exact.log_beta, under its name in
+    # exact and in inversion, or _integral; escape's included)
     # and a piece from an anchor are counted per call; before the guesses
     # and anchors state_at took 16.7-18.8 full evaluations a call on the
     # beta sets below and 14.9 on the quadrature sets (the T (1 - 1e-9)
@@ -542,7 +559,7 @@ def test_state_at_evaluation_budget(monkeypatch):
             return f(*args)
         return g
 
-    for module, name in ((exact, "_beta"), (exact, "_integral"), (inversion, "log_beta")):
+    for module, name in ((exact, "log_beta"), (exact, "_integral"), (inversion, "log_beta")):
         monkeypatch.setattr(module, name, counted(getattr(module, name), "full"))
     for leg in (inversion.Leg, inversion.WLeg):
         monkeypatch.setattr(leg, "piece", counted(leg.piece, "piece"))

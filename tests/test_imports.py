@@ -57,6 +57,32 @@ def test_runtime_never_loads_scipy():
     }
 
 
+# the inversion behind state_at is compiled on its first call only: the
+# verdicts and an RK4 run, which time escapes, never load it
+INVERSION_PROBE = """
+import json, sys
+import blowuplab
+loaded = []
+for p in (blowuplab.params_from_dimension(5.0), blowuplab.params_from_coeffs(1.0, -0.125)):
+    for u0, v0 in ((1.0, 0.0), (-1.0, 0.5), (0.5, -2.0)):
+        blowuplab.classify(p, u0, v0)
+opts = blowuplab.IntegrateOptions(t_end=10.0)
+traj = blowuplab.integrate(blowuplab.params_from_dimension(8.0), blowuplab.State(0.0, 1.0, 1.0), blowuplab.IntegratorKind.RK4, opts)
+loaded.append([traj.termination.kind, traj.termination.t_estimate is not None])
+loaded.append("blowuplab.inversion" in sys.modules)
+from blowuplab.exact import state_at
+state_at(blowuplab.params_from_dimension(5.0), 1.0, 0.0, 0.1)
+loaded.append("blowuplab.inversion" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_inversion_loads_on_the_first_state_at():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", INVERSION_PROBE], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [["blowup", True], False, True]
+
 
 # numpy blocked as a missing install blocks it; the block is lifted at the
 # end, so every export can load.  integrate (RK4 forward, Gauss6 backward),
