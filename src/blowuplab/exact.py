@@ -483,7 +483,7 @@ class _NearDouble:
             q0 = math.log1p(y) / (y * g2) if y <= 0.5 else (math.log(g1) - math.log(g2)) / Du2
         self.s0 = math.sqrt(q0) * abs(u)  # w0 = q0 u^2 and s0 = sqrt(w0), both 0 at u = 0
         self.log_p0 = 0.5 * math.log(q0) + 0.5 * _log_shc(self.delta * self.s0 * self.s0)  # ln(|z0| sqrt R(w0))
-        self.p0, self.p0_r1 = (v / u / u, g1 / u / u) if u != 0.0 else (None, None)  # p0 and p0 - r1 at the start
+        self.start = (u, v, g1) if self.s0 > 0.0 else None  # u0, v0 and u0^2 (p0 - r1), for u' near p0
         self.crosses = u < 0.0
 
     def _log_f(self, e: float) -> float:
@@ -545,6 +545,7 @@ class _NearDouble:
                 twin.log_z0 -= shift * _LN2
             else:
                 twin.log_p0 -= shift * _LN2
+                twin.start = None  # u' from p0 in the frame's scale only, as on the beta legs
             return twin.state(t)
         if self.between:
             return self._state_between(self._rise(t))
@@ -584,23 +585,33 @@ class _NearDouble:
         """(u, u') at s = s0 + e above r2, u of the given sign: |u| = s/F and u' = u^2 r2 + 1/(F^2 E(D s^2)), E(x) = expm1(x)/x.
 
         (p - r2)/u^2 is formed from s, never from p: p - r2 = 1/(w E(D w)).
-        Where p lies nearer the start's p0 than r2, u' = u^2 p0 + u^2 (p - p0)
-        instead, with p - p0 = -(p - r2)(p0 - r1) (w - w0) E(D (w - w0)) and
-        w - w0 = e (e + 2 s0), which keeps the digits of a p small against r2.
+        As on the beta legs, u is |u0| rho, rho = (s/s0) F(0)/F(s) from the
+        change of ln F, where that has the smaller logarithms; and where p
+        lies nearer the start's p0 than r2, u' = rho^2 (v0 + u0^2 (p - p0)),
+        which keeps the digits of a p small against r2.  No term forms u0^2,
+        which may underflow: with g1 = u0^2 (p0 - r1) and w - w0 =
+        e (e + 2 s0), u0^2 (p - p0) = -g1 (w - w0) E(D (w - w0))/(w E(D w)).
         """
         s, log_f = self.s0 + e, self._log_f(e)
-        u = sign * math.exp(math.log(s) - log_f) if s > 0.0 else 0.0
+        ls = math.log(s) if s > 0.0 else -math.inf
+        u = sign * math.exp(ls - log_f)
         x = self.D * s * s
         log_e = 0.0 if x == 0.0 else (x - math.log(x) if x > 700.0 else math.log(math.expm1(x) / x))
-        u2d2 = math.exp(-2.0 * log_f - log_e)  # u^2 (p - r2)
-        if self.p0 is not None:
+        if self.start is not None and s > 0.0:
+            u0, v0, g1 = self.start
             dw = e * (e + 2.0 * self.s0)
+            l_rho = (math.log(s / self.s0) + self.lam * dw
+                     + 0.5 * (_log_shc(self.delta * s * s) - _log_shc(self.delta * self.s0 * self.s0)))
+            if abs(l_rho) < abs(ls) + abs(log_f):
+                u = sign * abs(u0) * math.exp(l_rho)
             y = self.D * dw
             if y < 700.0:
-                u2p0, u2dp = u * u * self.p0, -u2d2 * self.p0_r1 * dw * (1.0 if y == 0.0 else math.expm1(y) / y)
-                if abs(u2p0) + abs(u2dp) < abs(u * u * self.r2) + u2d2:
-                    return u, u2p0 + u2dp
-        return u, u * u * self.r2 + u2d2
+                log_ey = 0.0 if y == 0.0 else math.log(math.expm1(y) / y)
+                dp = -g1 * (e / s) * ((e + 2.0 * self.s0) / s) * math.exp(log_ey - log_e)  # u0^2 (p - p0)
+                # |p0| + |p - p0| against |r2| + (p - r2), both in units of u0^2
+                if abs(v0) + abs(dp) < abs(u0 * u0 * self.r2) + math.exp(2.0 * (math.log(abs(u0)) - ls) - log_e):
+                    return u, math.exp(2.0 * l_rho) * (v0 + dp)
+        return u, u * u * self.r2 + math.exp(-2.0 * log_f - log_e)  # u^2 r2 + u^2 (p - r2)
 
     def _state_between(self, omega: float) -> tuple[float, float]:
         """(u, u') at omega: u = 1/|z|, and p from the nearer root, p - r1 = D/(1 + e^(-D w)), r2 - p = D/(1 + e^(D w))."""

@@ -525,6 +525,10 @@ def test_state_at_u_prime_keeps_its_digits_at_tiny_times_on_every_leg():
     cases = [(params_from_coeffs(A, B), u0, v0, h) for A, B in ((1.0, -0.125), (1.0, -0.125 + 1e-9), (-2.5, -0.78125 + 1e-6))
              for u0 in (1.0, -0.5) for v0 in (0.0, 1e-20, -3e-14) for h in (1e-8, 1e-12, 1e-14, 1e-30)]
     cases += [(params_from_dimension(m), 1.0, 0.0, h) for m in (3.0, 5.0, 9.0) for h in (1e-154, 1e-200, 1e-300)]
+    # and from starts whose u0^2 underflows (1e-204) or is subnormal (1e-159):
+    # u' = u^2 p0 + u^2 (p - p0) in floats gave 0 for 1e-100, and 1.3e-6 off
+    cases += [(params_from_coeffs(A, B), u0, v0, h) for A, B in ((1.0, -0.125), (1.0, -0.125 + 1e-9), (-2.5, -0.78125 + 1e-6))
+              for u0, v0 in ((1e-204, 1e-100), (-1e-204, 1e-100), (1e-159, 1e-10), (1e-159, -1e-10)) for h in (1e-300, 1e-110, 1e-30)]
     for p, u0, v0, h in cases:
         for t in (h, -h):
             u, v = state_at(p, u0, v0, t)
