@@ -28,10 +28,11 @@ g_k, never from a rounded p - r, and kept in logs.  One series sums
 every beta leg time, escape_time's and state_at's alike: the binomial
 series in x below 1/2 and in 1 - x above, with ln(K/(2 sqrt D)) taken
 into each term (``log_series``, ``log_beta``), so a time stays finite
-however far x, 1 - x or K lie past the float range.  state_at finds the point of a
-leg at time t in ln(x/(1 - x)), from a closed-form guess by Halley steps
-on short pieces of the leg, with the doubling bracket as the fallback
-(``inversion``), so states keep their digits at both ends of a leg
+however far x, 1 - x or K lie past the float range.  state_at finds
+the point of a leg at time t in ln(x/(1 - x)), from a closed-form guess
+by safeguarded Halley steps on short pieces of the leg, which double
+their way out to a bracket where the guess fails (``inversion``), so
+states keep their digits at both ends of a leg
 (u0 = 0, or a start near a parabola, and x or 1 - x past the float
 range), and u' = u^2 p takes p from the nearest of r2, r1 and the
 start's p0.  Where an exponent exceeds _ALPHA_MAX (disc -> 0+, where

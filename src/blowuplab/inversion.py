@@ -13,11 +13,12 @@ exponential law in L near t = 0, the power law of the end the point lies
 towards, or past half of a blow-up the time left to it, solved for in
 place of the time from the start.  Its safeguarded Halley steps take each
 iterate's time as an anchor's plus the short piece between them, a series
-in the relative step (``beta_piece``), so that one full leg time
-(``log_beta``) serves a call, where the doubling bracket took 10 to 19.
-A guess that fails to bracket the point falls back on that bracket
-(``rtsafe``).  ``WLeg`` does the same for the quadrature legs, with the
-exponential law in e or omega and one 10-point panel for a short piece.
+in the relative step (``beta_piece``), so that one to three full leg
+times (``log_beta``) serve a call, where a doubling bracket search took
+10 to 39.  Where the guess fails, the same loop doubles its way out from
+the start of the leg until it brackets the point.  ``WLeg`` does the same
+for the quadrature legs, with the exponential law in e or omega and one
+10-point panel for a short piece.
 
 exact imports this module on the first state_at, so a process that only
 times escapes (integrate, classify) never compiles it.
@@ -25,11 +26,13 @@ times escapes (integrate, classify) never compiles it.
 from __future__ import annotations
 
 import math
+import struct
 
 from .exact import _LN2, _MAX_TERMS, _NEAR_END, _TINY, _NearDouble, _gauss_legendre, log_beta, log_series
 
-_HALLEY_STEPS = 12  # a bound on newton's steps before the doubling bracket takes over
+_STEPS = 128  # a bound on newton's steps: 64 doublings reach past 2^64, and 64 halvings close any bracket
 _GAUSS10 = _gauss_legendre(10)
+_SIGN = 1 << 63  # a float's sign bit
 
 
 def beta_piece(a: float, b: float, lxa: float, lxca: float, dlx: float, dlxc: float, log_c: float) -> float | None:
@@ -179,7 +182,7 @@ class Leg:
                     L = self._L(self.lx0 - math.exp(math.log(t) - lc))
                 else:
                     L = self._L((math.log(a * (self.total - t)) - lc) / a)
-        except (OverflowError, ValueError, ZeroDivisionError):  # no guess: the bracket search finds the point
+        except (OverflowError, ValueError, ZeroDivisionError):  # no guess: newton doubles its way out from the start
             L = math.nan
         self.relative = L0 < math.inf and abs(L - L0) < max(1.0, abs(L))
         if L0 < math.inf:
@@ -191,18 +194,6 @@ class Leg:
         """L at x = e^lx, x kept below x0 and 1/2."""
         lx = min(lx, self.lx0, -_LN2)
         return lx - math.log1p(-math.exp(lx))
-
-    def bracketed(self, t: float) -> tuple:
-        """The point at time t from the start by the doubling bracket (``rtsafe``)."""
-        self.from_end = False
-
-        def f(d: float) -> tuple[float, float]:
-            pt = self.point(d)
-            time = self.piece(self.start, pt) if self.start is not None else None
-            return (self.full(pt) if time is None else time), -self.density(pt)[0]
-
-        tol = (lambda d: 1e-15 * abs(d)) if self.relative else abs_tol
-        return self.point(rtsafe(f, self.hi, t, tol))
 
 
 class WLeg:
@@ -267,31 +258,30 @@ class WLeg:
                     if abs(step) <= 1e-3 * e:
                         break
             if self.fall:
-                e = max(e, -0.5 * self.nd.s0)
+                e = min(e, 0.5 * self.nd.s0)  # at most half way to u = 0 (s = s0 - e), which the law may pass
                 return self.kappa * math.log1p(-e / self.nd.s0), t, -1.0
             return -math.log(e), t, -1.0
         except (OverflowError, ValueError, ZeroDivisionError):
             return math.nan, t, -1.0
-
-    def bracketed(self, t: float) -> tuple:
-        """The point at time t from the start by the doubling bracket on full evaluations (``rtsafe``)."""
-
-        def f(L: float) -> tuple[float, float]:
-            pt = self.point(L)
-            return self.full(pt), -self.density(pt)[0]
-
-        return self.point(rtsafe(f, self.hi, t, abs_tol))
-
-
-def abs_tol(L: float) -> float:
-    """Newton's step tolerance on a variable L that runs through 0."""
-    return 1e-15 * max(1.0, abs(L))
 
 
 def logistic(L: float) -> tuple[float, float]:
     """(ln x, ln(1 - x)) at x = 1/(1 + e^-L), L = ln(x/(1 - x)): neither x nor 1 - x is formed from the other."""
     s = math.log1p(math.exp(-abs(L)))
     return min(L, 0.0) - s, -max(L, 0.0) - s
+
+
+def midpoint(lo: float, hi: float) -> float:
+    """The float halfway between lo and hi in the order of the floats, so that 64 halvings close any bracket.
+
+    Within a binade it is the mean; across binades it halves the gap in
+    the exponent, so that a point a subnormal away from 0 is reached from 1
+    in 64 halvings where the mean takes 1074 (Roots.jl's Bisection bisects
+    the same way).
+    """
+    a, b = (struct.unpack("<Q", struct.pack("<d", x))[0] for x in (lo, hi))
+    m = ((a if a < _SIGN else _SIGN - a) + (b if b < _SIGN else _SIGN - b)) // 2  # -|x| bits for x < 0
+    return struct.unpack("<d", struct.pack("<Q", m if m >= 0 else _SIGN - m))[0]
 
 
 def newton(leg, t: float) -> tuple:
@@ -304,32 +294,40 @@ def newton(leg, t: float) -> tuple:
     each iterate in turn; where the piece is too long for it, the time is a
     full evaluation (``leg.full``).  The steps are Halley's on ln time -
     ln t, whose second derivative the leg's density gives in closed form,
-    inside the bracket the iterates build up; a step that leaves it, or
-    fails to halve the step before it, bisects, as in Press et al.'s
-    rtsafe (Numerical Recipes).  It stops once a step moves ln time by at
-    most 1e-15, or once cubic convergence from the step before predicts
-    that the next one will (step^4/last^3).  Where the guess and its steps
-    fail to bracket the root, the doubling bracket takes over
-    (``leg.bracketed``).
+    inside the bracket the iterates build up, a time past the float range
+    (an overflow, or its inf - inf) counting as past t.  A step that leaves
+    the bracket, or fails to halve the step before it, bisects, as in Press
+    et al.'s rtsafe (Numerical Recipes), at the ``midpoint`` of the floats
+    in between; while one side is still open it doubles its way out from
+    the known side instead, as does a missing guess or one off the leg.  It
+    stops once a step moves ln time by at most 1e-15, or once cubic
+    convergence from the step before predicts that the next one will
+    (step^4/last^3), or once the variable can move no further than to the
+    next float: a step that reaches no further, or a bracket with no float
+    strictly inside.  Every iterate keeps the leg's variable, and its
+    choice of the time from the start or to the end.
     """
     d, target, sign = leg.aim(t)
     log_t = math.log(target)
     lo, hi = -math.inf, leg.hi
     anchor = leg.start if sign < 0.0 else None
-    last, halley = math.inf, 0.0  # the last step, and the last Halley step (0 before the first)
-    for _ in range(_HALLEY_STEPS):
-        if not lo < d < hi:
-            break
-        pt = leg.point(d)
+    last, halley, reach = math.inf, 0.0, 1.0  # the last step, the last Halley step (0 before the first), the next doubling
+    if not lo < d < hi:  # no guess on the leg: out from its start
+        d = hi - reach if hi < math.inf else 0.0
+    for _ in range(_STEPS):
         try:
+            pt = leg.point(d)
             time = leg.piece(anchor, pt) if anchor is not None else None
             if time is None:
                 time = leg.full(pt)
             h, q = leg.density(pt)
         except OverflowError:
-            break
-        anchor = (pt, time)
-        val = math.log(time) - log_t if time > 0.0 else -math.inf
+            time = h = q = math.nan
+        if math.isnan(time) or math.isnan(h):  # past the float range (an overflow, or inf - inf): a time past t
+            val = math.inf
+        else:
+            anchor = (pt, time)
+            val = math.log(time) - log_t if time > 0.0 else -math.inf
         if val == 0.0:
             return pt
         if (val > 0.0) == (sign < 0.0):
@@ -337,77 +335,28 @@ def newton(leg, t: float) -> tuple:
         else:
             hi = d
         g = sign * h / time if time > 0.0 else math.inf  # d val / dd
-        n = val / g if 0.0 < abs(g) < math.inf and math.isfinite(val) else math.nan
+        n = math.nan
+        if math.isfinite(val) and h > 0.0:  # val/g, or val time/h at a time so small that g overflows
+            n = val / g if abs(g) < math.inf else sign * val * time / h
         c = 0.5 * n * (q - g)
         step = -(n / (1.0 - c) if abs(c) < 0.5 else n)
         # done once ln time moves by at most 1e-15: by this step, or by the
-        # next as cubic convergence from the last step predicts (step^4/last^3)
+        # next as cubic convergence from the last step predicts (step^4/last^3),
+        # or where the step reaches no further than the next float
         tol = 1e-15 / abs(g) if g != 0.0 else 0.0
-        if abs(step) <= tol or (abs(step) <= halley and step**4 <= 0.1 * tol * halley**3):
-            return leg.point(d + step)
         nxt = d + step
+        if abs(step) <= tol or (abs(step) <= halley and step**4 <= 0.1 * tol * halley**3) or math.nextafter(d, nxt) == nxt:
+            return leg.point(nxt)
         bounded = math.isfinite(lo) and math.isfinite(hi)
         halley = abs(step)
         if not (lo < nxt < hi and (2.0 * abs(step) <= last or not bounded)):
-            if not bounded:
-                break
-            nxt, halley = 0.5 * (lo + hi), 0.0
+            if bounded:
+                nxt = midpoint(lo, hi)
+            else:
+                nxt, reach = (hi - reach if hi < math.inf else lo + reach), 2.0 * reach
+            halley = 0.0
+            if not lo < nxt < hi:  # no float left between the bracket's ends: either is the point to rounding
+                return leg.point(d if val < math.inf else (hi if d == lo else lo))
         last = abs(nxt - d)
         d = nxt
-    return leg.bracketed(t)
-
-
-def rtsafe(f, hi: float, t: float, tol) -> float:
-    """The L < hi where time(L) = t, for f(L) = (time, d time / dL); time falls to 0 at hi and grows past t as L falls.
-
-    Newton steps on ln time - ln t, near linear in L whether the time grows
-    as a power of x or as an exponential; a step that leaves the bracket or
-    fails to halve the step before it is replaced by bisection (Press et al.,
-    Numerical Recipes, rtsafe), until a step is within tol(L).  The bracket
-    comes from doubling steps down from hi, after a search up from 0 for a
-    time below t at hi = inf.  An overflow counts as a time past t.
-    """
-    log_t = math.log(t)
-
-    def value(L: float) -> tuple[float, float]:
-        try:
-            time, der = f(L)
-        except OverflowError:
-            return math.inf, 0.0
-        if not time > 0.0:
-            return -math.inf, 0.0
-        return math.log(time) - log_t, der / time
-
-    step = 1.0
-    if hi == math.inf:
-        hi = 0.0
-        for _ in range(64):
-            if value(hi)[0] < 0.0:
-                break
-            hi, step = hi + step, 2.0 * step
-        step = 1.0
-    lo = hi - step
-    for _ in range(64):  # past 2^64 the leg's end is reached in floats: the root is there
-        if value(lo)[0] > 0.0:
-            break
-        hi, step = lo, 2.0 * step
-        lo = hi - step
-    L, last = 0.5 * (lo + hi), hi - lo
-    for _ in range(200):
-        val, der = value(L)
-        if val == 0.0:
-            return L
-        if val > 0.0:
-            lo = L
-        else:
-            hi = L
-        nxt = L - val / der if der != 0.0 and math.isfinite(val) else math.nan
-        if abs(nxt - L) <= tol(L):
-            return nxt
-        if not lo < nxt < hi or 2.0 * abs(nxt - L) > last:
-            nxt = 0.5 * (lo + hi)
-        last = abs(nxt - L)
-        if last <= tol(L):
-            return nxt
-        L = nxt
-    return L
+    return leg.point(d)

@@ -476,8 +476,9 @@ def test_state_at_past_the_float_range_of_x_and_1_minus_x():
 def test_state_at_far_out_on_global_legs_follows_the_end_roots_power_law():
     # on a global leg 1/u = -r t + c + O(t^(1 + 1/a)) towards the end root
     # r of exponent a < 0, so r t u -> -1 to every digit by t = 1e200 at
-    # |a| <= 12, where x lies far below the float range (the bracket search
-    # raised ValueError or gave about 1e-309 there).  Measured worst 2.4e-13
+    # |a| <= 12, where x lies far below the float range (solved for in x
+    # rather than in its logs, the point raised ValueError or came out near
+    # 1e-309 there).  Measured worst 2.4e-13
     rng = np.random.default_rng(4242)
     params = [params_from_dimension(m) for m in rng.uniform(2.05, 30.0, 30).tolist()]
     params += [params_from_coeffs(A, B) for A, B in zip(rng.uniform(-4, 4, 60).tolist(), rng.uniform(-1, 3, 60).tolist())]
@@ -534,6 +535,18 @@ def test_state_at_u_prime_keeps_its_digits_at_tiny_times_on_every_leg():
             u, v = state_at(p, u0, v0, t)
             ut, vt = _taylor(p, u0, v0, t)
             assert abs(u - ut) <= 1e-13 * abs(ut) and abs(v - vt) <= 1e-13 * abs(vt), (p.A, p.B, u0, v0, t, v, vt)
+    # and at subnormal |t|, to one subnormal more: the variable is then
+    # subnormal too, and a stop at 1e-15 in it, or bisection at the mean,
+    # gave u' = -4.4e-16 at A = 1, B = -1/8 from (1, 0) at t = 5e-324, and
+    # 4.1e-62 at m = 5 at t = 1e-320 (28 of the 108 near-double calls failed)
+    cases = [(params_from_coeffs(A, B), u0, v0, h) for A, B in ((1.0, -0.125), (1.0, -0.125 + 1e-9), (-2.5, -0.78125 + 1e-6))
+             for u0 in (1.0, -0.5) for v0 in (0.0, 1e-20, -3e-14) for h in (1e-310, 1e-320, 5e-324)]
+    cases += [(params_from_dimension(m), 1.0, 0.0, h) for m in (3.0, 5.0, 9.0) for h in (1e-310, 1e-320, 5e-324)]
+    for p, u0, v0, h in cases:
+        for t in (h, -h):
+            u, v = state_at(p, u0, v0, t)
+            ut, vt = _taylor(p, u0, v0, t)
+            assert abs(u - ut) <= 1e-13 * abs(ut) + 5e-324 and abs(v - vt) <= 1e-13 * abs(vt) + 5e-324, (p.A, p.B, u0, v0, t, v, vt)
 
 
 def _budget_calls(p, rng):
@@ -554,7 +567,10 @@ def test_state_at_evaluation_budget(monkeypatch):
     # and a piece from an anchor are counted per call; before the guesses
     # and anchors state_at took 16.7-18.8 full evaluations a call on the
     # beta sets below and 14.9 on the quadrature sets (the T (1 - 1e-9)
-    # points the costliest), and now takes 1.4-3.0 and 1.3-1.5
+    # points the costliest), and now takes 1.4-2.3 and 1.3.  No one call
+    # may take more than twice the most measured: 3 full leg times on the
+    # beta sets, 5 and 4 on the quadrature sets, where a fallback on a
+    # doubling bracket search took up to 39 and 11
     counts = {"full": 0, "piece": 0}
 
     def counted(f, key):
@@ -568,14 +584,42 @@ def test_state_at_evaluation_budget(monkeypatch):
     for leg in (inversion.Leg, inversion.WLeg):
         monkeypatch.setattr(leg, "piece", counted(leg.piece, "piece"))
     rng = np.random.default_rng(2024)
-    for p, full, pieces in ((params_from_dimension(3.0), 4.0, 4.0), (params_from_dimension(5.0), 4.0, 4.0),
-                            (params_from_dimension(9.0), 4.0, 4.0), (params_from_coeffs(1.0, -0.125), 7.4, 6.0),
-                            (params_from_coeffs(1.0, -0.125 + 1e-9), 7.4, 6.0)):
+    for p, full, pieces, most in ((params_from_dimension(3.0), 4.0, 4.0, 6), (params_from_dimension(5.0), 4.0, 4.0, 6),
+                                  (params_from_dimension(9.0), 4.0, 4.0, 6), (params_from_coeffs(1.0, -0.125), 7.4, 6.0, 10),
+                                  (params_from_coeffs(1.0, -0.125 + 1e-9), 7.4, 6.0, 8)):
         calls = _budget_calls(p, rng)
         counts.update(full=0, piece=0)
+        worst = 0
         for u0, v0, t in calls:
+            before = counts["full"]
             state_at(p, u0, v0, t)
+            worst = max(worst, counts["full"] - before)
         assert counts["full"] <= full * len(calls) and counts["piece"] <= pieces * len(calls), (p.A, p.B, counts, len(calls))
+        assert worst <= most, (p.A, p.B, worst)
+
+
+def test_state_at_near_blow_up_keeps_the_time_left():
+    # at t = T (1 - 1e-9) on the budget sets' beta legs that do not cross
+    # u = 0, the state returned must itself blow up after T - t: timed from
+    # the end, its escape time reads 3.3e-15 (m = 3), 5.8e-15 (m = 5) and
+    # 4.9e-15 (m = 9) at worst, where a doubling bracket timed from the start
+    # read 3.3e-8 at m = 9.  Crossing legs and the legs in w are left out: the
+    # rounding of t - cross, or of the quadrature's T, is 1e-7 to 1e-6 there
+    rng = np.random.default_rng(2024)
+    n = 0
+    for p in (params_from_dimension(3.0), params_from_dimension(5.0), params_from_dimension(9.0)):
+        for u0, v0 in _states(rng, 20):
+            for d in (1.0, -1.0):
+                T = escape_time(p, u0, v0, d)
+                legs = exact._legs(p, u0, v0, d)[0]
+                if T is None or not isinstance(legs, exact._TwoRoots) or legs.crosses:
+                    continue
+                t = T * (1.0 - 1e-9)
+                u, v = state_at(p, u0, v0, t)
+                left = escape_time(p, u, v, d)
+                assert abs(left - (T - t)) <= 1e-13 * abs(T - t), (p.m, u0, v0, d, left, T - t)
+                n += 1
+    assert n >= 40, n
 
 
 def test_state_at_from_a_guess_far_past_the_point(monkeypatch):
@@ -589,6 +633,26 @@ def test_state_at_from_a_guess_far_past_the_point(monkeypatch):
         monkeypatch.setattr(leg, "aim", lambda self, t, aim=leg.aim: (lambda d, *rest: (d - 30.0, *rest))(*aim(self, t)))
     worst = max(_rel(state_at(p, u0, v0, t), w) for (p, u0, v0, t, _), w in zip(cases, want))
     assert worst <= 1e-12, worst
+
+
+def test_crossing_leg_guesses_lie_on_the_leg():
+    # WLeg(nd, True).aim solves t = F0 (1 - e^(-q0 e))/q0 for the fall e of
+    # s below s0; an e at or past s0 would put the guess at or past u = 0
+    # (log1p(-e/s0) raised, or gave -inf): 120 of these 800 guesses did
+    rng = np.random.default_rng(7)
+    n = 0
+    for A, B in ((1.0, -0.125), (1.0, -0.125 + 1e-9), (-2.5, -0.78125 + 1e-6), (2.0, -0.5), (1.0, -0.125 + 1e-4)):
+        p = params_from_coeffs(A, B)
+        for u0, v0 in rng.uniform(-2.0, 2.0, (40, 2)).tolist():
+            for d in (1.0, -1.0):
+                legs = exact._legs(p, u0, v0, d)[0]
+                if not isinstance(legs, exact._NearDouble) or not legs.crosses:
+                    continue
+                for f in (0.1, 0.5, 0.9, 0.99, 0.999999):
+                    L = inversion.WLeg(legs, True).aim(f * legs.cross)[0]
+                    assert math.isfinite(L) and L < 0.0, (A, B, u0, v0, d, f, L)
+                    n += 1
+    assert n >= 400, n
 
 
 def _flow_cases(rng):
@@ -637,18 +701,15 @@ def test_state_at_flow_property():
 
 
 def test_state_at_without_a_guess_takes_the_doubling_bracket(monkeypatch):
-    # a guess that fails leaves the point to the bracket search from the
-    # start on full evaluations: it must find the same states
+    # a guess that fails leaves newton to double its way out from the start
+    # of the leg until it brackets the point: it must find the same states
     rng = np.random.default_rng(8)
     cases = [c for c in _flow_cases(rng) if c[3] != 0.0][::3]
     want = [state_at(p, u0, v0, t) for p, u0, v0, t, _ in cases]
-    used = []
     for leg in (inversion.Leg, inversion.WLeg):
-        aim, bracketed = leg.aim, leg.bracketed
-        monkeypatch.setattr(leg, "aim", lambda self, t, aim=aim: (math.nan, *aim(self, t)[1:]))
-        monkeypatch.setattr(leg, "bracketed", lambda self, t, b=bracketed: used.append(1) or b(self, t))
+        monkeypatch.setattr(leg, "aim", lambda self, t, aim=leg.aim: (math.nan, *aim(self, t)[1:]))
     worst = max(_rel(state_at(p, u0, v0, t), w) for (p, u0, v0, t, _), w in zip(cases, want))
-    assert len(used) >= len(cases) and worst <= 1e-12, (len(used), worst)
+    assert worst <= 1e-12, worst
 
 
 # ---------------------------------------------------------------------------
