@@ -29,8 +29,7 @@ from .model import OdeParams, State, params_from_coeffs, params_from_dimension, 
 
 # exported name -> the leaf module that defines it
 _LAZY = {
-    **dict.fromkeys(("ClosedForm", "Lemniscatic", "PoleAt", "Riccati", "eval_closed_form", "riccati_poles"),
-                    "closed_forms"),
+    **dict.fromkeys(("Lemniscatic", "eval_closed_form"), "closed_forms"),
     **dict.fromkeys(("ProfileF", "eq0_residual_fd", "eq0_residual_from_u", "reconstruct_f"), "colehopf"),
     **dict.fromkeys(("DiagnosticsReport", "check_gk_identity", "cumulative_u_integral", "diagnostics_report",
                      "energy", "energy_drift", "g_k"), "diagnostics"),

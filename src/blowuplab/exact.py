@@ -402,7 +402,8 @@ class _TwoRoots:
         if self.crosses and t < cross:  # on the crossing leg, in y = 1 - x, which falls to 0 at u = 0
             ly, lyc, dly, dlyc = newton(Leg(b, a, log_c, lx0c, lx0, cross), t)
             return self._state(lyc, ly, -1.0, dlyc, dly, shift)
-        total = _ldexp(self.final, -shift) if self.blows else None
+        # escape's time less cross: t - cross shares its rounding, so the time left is T - t as escape reads T
+        total = _ldexp(self.escape(), -shift) - cross if self.blows else None
         if self.crosses:  # the final leg starts at x = 1, u = 0
             lx, lxc, _, _ = newton(Leg(a, b, log_c, 0.0, -math.inf, total), t - cross)
             return self._state(lx, lxc, 1.0, None, None, shift)
@@ -490,18 +491,14 @@ class _NearDouble:
     def _log_f(self, e: float) -> float:
         """ln F at s = s0 + e above r2; e, not s, carries the precision near the start."""
         s = self.s0 + e
+        if s * s == math.inf:  # ln F is -(lam + delta/2) s^2 to leading order, and |lam| > delta/2
+            return -math.copysign(math.inf, self.lam)
         return self.log_p0 - self.lam * e * (e + 2.0 * self.s0) - 0.5 * _log_shc(self.delta * s * s)
 
     def _log_g(self, omega: float) -> float:
         """ln(|z|/2) between, omega past w0 towards r2."""
         return (self.log_z0 - _LN2 - self.lam * omega
                 + 0.5 * (_log_cosh(self.delta * self.w0) - _log_cosh(self.delta * (self.w0 + omega))))
-
-    def _f(self, e: float) -> float:
-        return math.exp(self._log_f(e))
-
-    def _g(self, omega: float) -> float:
-        return math.exp(self._log_g(omega))
 
     def _span(self, a: float, b: float) -> float:
         """int_a^b of F in e (above r2) or of |z|/2 in omega (between), cut where the integrand is below e^-50 of its peak.
@@ -510,19 +507,27 @@ class _NearDouble:
         lam in s^2 (in omega, less delta/2) where it blows up and rising at
         least as fast where it is global, so the peak is at one end and the
         cut follows from lam; the quadrature then spans about 50 e-folds
-        however far the ends lie apart.
+        however far the ends lie apart.  The cut in s, c/(s + sqrt(s^2 +- c)),
+        does not cancel at a large s; where it leaves no float between the
+        ends, the peak lies 2^52 e-folds or more from the start, and a time
+        that falls from it is below the float range, one that rises to it past.
         """
+        if not a < b:
+            return 0.0
         lam = self.lam
         rate = abs(lam) - 0.5 * self.delta
         if self.between:
             a, b = (a, min(b, a + 50.0 / rate)) if lam > 0.0 else (max(a, b - 50.0 / rate), b)
         elif lam > 0.0:
-            s = self.s0 + a
-            b = min(b, math.sqrt(s * s + 50.0 / lam) - self.s0)
+            s, c = self.s0 + a, 50.0 / lam
+            b = min(b, a + c / (s + math.sqrt(s * s + c)))
         else:
-            s = self.s0 + b
-            a = max(a, math.sqrt(max(0.0, s * s - 50.0 / rate)) - self.s0)
-        return _integral(self._g if self.between else self._f, a, b) if a < b else 0.0
+            s, c = self.s0 + b, 50.0 / rate
+            a = max(a, b - c / (s + math.sqrt(max(0.0, s * s - c))))
+        if a < b:
+            log_f = self._log_g if self.between else self._log_f
+            return _integral(lambda x: math.exp(log_f(x)), a, b)
+        return 0.0 if lam > 0.0 else math.inf
 
     @cached_property
     def cross(self) -> float:
@@ -534,14 +539,20 @@ class _NearDouble:
             return self._span(0.0, x)
         return self.cross + self._span(-self.s0 if self.crosses else 0.0, x)
 
-    def escape(self) -> float:
+    @cached_property
+    def end(self) -> float:
+        """The time from the start to the end of the direction, which ``state`` takes the time left from."""
         return self._time(math.inf)
+
+    def escape(self) -> float:
+        return self.end
 
     def state(self, t: float, shift: int = 0) -> tuple[float, float]:
         """(u, u') at time t; at shift > 0 at time t 2^shift, in the scale 2^shift larger."""
         if shift:  # the same legs with |z| in that scale, 2^-shift times the frame's: so are their times and states
             twin = copy.copy(self)
             twin.__dict__.pop("cross", None)
+            twin.__dict__.pop("end", None)
             if self.between:
                 twin.log_z0 -= shift * _LN2
             else:
@@ -557,14 +568,14 @@ class _NearDouble:
         # past the crossing s rises through the values it fell through: at
         # s <= s0 the time is 2 cross - (the time from s to s0)
         back = 2.0 * self.cross - t
-        e = self._fall(back) if back > 0.0 else (self._rise(-back) if back < 0.0 else 0.0)
+        e = self._fall(back) if back > 0.0 else (self._rise(-back, 2.0 * self.cross) if back < 0.0 else 0.0)
         return self._state_outside(e, 1.0)
 
-    def _rise(self, t: float) -> float:
-        """The e > 0 (omega > 0 between) whose span from 0 takes time t."""
+    def _rise(self, t: float, before: float = 0.0) -> float:
+        """The e > 0 (omega > 0 between) whose span from 0 takes time t, where e = 0 lies ``before`` past the start."""
         from .inversion import WLeg, newton
 
-        return newton(WLeg(self, False), t)[0]
+        return newton(WLeg(self, False, self.end - before if self.blows else None), t)[0]
 
     def _fall(self, t: float) -> float:
         """The e in [-s0, 0] whose span to 0 takes time t."""

@@ -205,11 +205,12 @@ class WLeg:
     so Newton's tolerance in L holds the time there to rounding.  A point
     is (e, ln F(e)); the piece between two points whose ln F differ by at
     most 2 is a 10-point Gauss-Legendre panel, and any other time a full
-    ``_span`` from 0.
+    ``_span`` from 0, or (``from_end``) to the end.  ``total`` is the time
+    from e = 0 to the end of a rise that blows up, else None.
     """
 
-    def __init__(self, nd: _NearDouble, fall: bool):
-        self.nd, self.fall = nd, fall
+    def __init__(self, nd: _NearDouble, fall: bool, total: float | None = None):
+        self.nd, self.fall, self.total, self.from_end = nd, fall, total, False
         self.log_f, self.dlog_f = (nd._log_g, nd._dlog_g) if nd.between else (nd._log_f, nd._dlog_f)
         self.kappa = max(1.0, 2.0 * abs(nd.lam) * nd.s0 * nd.s0) if fall else 1.0
         self.hi = 0.0 if fall else math.inf
@@ -228,7 +229,8 @@ class WLeg:
         return math.exp(lf) * e, -(e * self.dlog_f(e) + 1.0)
 
     def full(self, pt: tuple) -> float:
-        return self.nd._span(pt[0], 0.0) if self.fall else self.nd._span(0.0, pt[0])
+        e = pt[0]  # the time to the start on the crossing leg, to the end, or from the start
+        return self.nd._span(e, 0.0 if self.fall else math.inf) if self.fall or self.from_end else self.nd._span(0.0, e)
 
     def piece(self, anchor: tuple, pt: tuple) -> float | None:
         (ea, lfa), time = anchor
@@ -237,32 +239,40 @@ class WLeg:
             return None
         m, h = 0.5 * (e + ea), 0.5 * (e - ea)
         step = h * sum(w * math.exp(self.log_f(m + h * x)) for x, w in _GAUSS10)
-        new = time - step if self.fall else time + step
+        new = time - step if self.fall or self.from_end else time + step
         return new if new >= 0.25 * time else None  # a time far below the anchor's would cancel its digits
 
     def aim(self, t: float) -> tuple[float, float, float]:
-        """(first guess L, t, -1), from the start's exponential law in e, t = F0 (1 - e^(-q0 e))/q0.
+        """(first guess L, the time solved for, the sign of its slope), from the start's exponential law in e.
 
-        Where that reaches past a few e-folds of a growing F, the point's
-        own law t = F/(d ln F/de) refines it.
+        That is t = F0 (1 - e^(-q0 e))/q0, or past half of a blow-up, where
+        the time left is solved for as in ``Leg.aim``, total - t = F0
+        e^(-q0 e)/q0.  The point's own law, t or total - t = F/|d ln F/de|,
+        refines it for the time left, and where it reaches past a few
+        e-folds of a growing F.
         """
         lf0, q0 = self.start[0][1], -self.dlog_f(0.0)
+        self.from_end = self.total is not None and 0.5 * self.total < t < self.total
+        target, sign = (self.total - t, 1.0) if self.from_end else (t, -1.0)
         try:
-            z = q0 * t * math.exp(-lf0)
-            e = t * math.exp(-lf0) * (1.0 if z == 0.0 else -math.log1p(-min(z, 0.9)) / z)
-            if q0 < 0.0 and -q0 * e > 2.0 and not self.fall:
-                for _ in range(12):  # Newton on ln F(e) - ln(d ln F/de) = ln t, a guess only
+            if self.from_end:
+                e = (lf0 - math.log(q0 * target)) / q0
+            else:
+                z = q0 * t * math.exp(-lf0)
+                e = t * math.exp(-lf0) * (1.0 if z == 0.0 else -math.log1p(-min(z, 0.9)) / z)
+            if self.from_end or (q0 < 0.0 and -q0 * e > 2.0 and not self.fall):
+                for _ in range(12):  # Newton on ln F(e) - ln |d ln F/de| = ln target, a guess only
                     dlf = self.dlog_f(e)
-                    step = max(-0.5 * e, -(self.log_f(e) - math.log(dlf) - math.log(t)) / dlf)
+                    step = max(-0.5 * e, -(self.log_f(e) - math.log(abs(dlf)) - math.log(target)) / dlf)
                     e += step
                     if abs(step) <= 1e-3 * e:
                         break
             if self.fall:
                 e = min(e, 0.5 * self.nd.s0)  # at most half way to u = 0 (s = s0 - e), which the law may pass
-                return self.kappa * math.log1p(-e / self.nd.s0), t, -1.0
-            return -math.log(e), t, -1.0
+                return self.kappa * math.log1p(-e / self.nd.s0), target, sign
+            return -math.log(e), target, sign
         except (OverflowError, ValueError, ZeroDivisionError):
-            return math.nan, t, -1.0
+            return math.nan, target, sign
 
 
 def logistic(L: float) -> tuple[float, float]:

@@ -4,6 +4,7 @@ import math
 import time
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -11,7 +12,6 @@ from blowuplab import (
     DomainError,
     IntegrateOptions,
     IntegratorKind,
-    Riccati,
     State,
     Verdict,
     classify,
@@ -22,7 +22,6 @@ from blowuplab import (
     params_from_dimension,
     period,
     quadrature_blowup_time,
-    riccati_poles,
     verify_verdict,
 )
 from blowuplab.exact import escape_time
@@ -286,9 +285,33 @@ def test_w_equation_rule_agrees_with_gauss6():
     assert kinds >= {"no_global_solution", "global_bounded", "blowup_forward", "blowup_backward"}, kinds
 
 
+def _b0_poles(A, u0, v0):
+    """The blow-up times before and after t = 0 where B = 0, or None, from 40-digit closed forms.
+
+    u' = g - k u^2 with k = -A/2 and g = u0' + k u0^2 is u = w'/(k w) with
+    w'' = a w, a = k g, w(0) = 1 and w'(0) = k u0, and u blows up where w
+    = 0.  With x = sqrt|a| t and s = k u0/sqrt|a|: w = cosh x + s sinh x
+    (a > 0) is 0 where tanh x = -1/s, once where 1 - s^2 = k u0'/a < 0;
+    w = cos x + s sin x (a < 0) where x = atan s -+ pi/2; and w = 1 + k u0 t
+    (a = 0) at -1/(k u0).
+    """
+    with mp.workdps(40):
+        k, u0, v0 = -mp.mpf(A) / 2, mp.mpf(u0), mp.mpf(v0)
+        a = k * (v0 + k * u0**2)
+        om = mp.sqrt(abs(a))
+        if a > 0:
+            poles = [-mp.atanh(om / (k * u0)) / om] if k * v0 / a < 0 else []
+        elif a < 0:
+            poles = [(mp.atan(k * u0 / om) + h) / om for h in (-mp.pi / 2, mp.pi / 2)]
+        else:
+            poles = [-1 / (k * u0)] if u0 != 0 else []
+        poles = [float(t) for t in poles]
+    return max((t for t in poles if t < 0.0), default=None), min((t for t in poles if t > 0.0), default=None)
+
+
 def test_b0_rule_agrees_with_riccati_poles():
-    # at B = 0 u is the Riccati closed form with k = -A/2, whose poles
-    # (riccati_poles, an independent reading) are the blow-up times: the rule's
+    # at B = 0 u solves a Riccati equation with k = -A/2, whose poles
+    # (_b0_poles, an independent reading) are the blow-up times: the rule's
     # kind must name exactly the directions that have a pole, and t_bound must
     # be the nearer pole within 1e-13, at u0 = 0 (where u is odd) the one in
     # the direction sign(u0) sign(v0).  u0 scales with |A|^(-1/2), which
@@ -304,7 +327,7 @@ def test_b0_rule_agrees_with_riccati_poles():
         for u0, v0 in [*_seeded_states(rng, 60), *((u, v) for u in grid for v in grid if v != 0.0)]:
             u0 /= math.sqrt(abs(A))
             v = classify(p, u0, v0)
-            before, after = riccati_poles(Riccati(-A / 2.0, u0, v0))
+            before, after = _b0_poles(A, u0, v0)
             assert v.kind == want[before is not None, after is not None], (A, u0, v0)
             poles = [t for t in (before, after) if t is not None]
             tie = math.copysign(1.0, u0) * math.copysign(1.0, v0)
@@ -685,7 +708,7 @@ def _comparison_bound(p, u0, v0):
     """The bound classify took before exact times: the nearer Riccati pole at B = 0 (none at u0 = 0), else the nearer pole -1/(kappa u0) over the roots with kappa g_kappa(0) <= 0."""
     k = p.k_minus if p.k_minus < 0.0 else p.k_plus  # -A/2 at B = 0
     if p.B == 0.0:
-        poles = [t for t in riccati_poles(Riccati(k, u0, v0)) if t is not None] if k * u0 != 0.0 else []
+        poles = [t for t in _b0_poles(p.A, u0, v0) if t is not None] if k * u0 != 0.0 else []
     else:
         s0 = State(0.0, u0, v0)
         poles = [-1.0 / (kappa * u0) for kappa in (p.k_minus, p.k_plus) if kappa * u0 != 0.0 and kappa * g_k(s0, kappa) <= 0.0]

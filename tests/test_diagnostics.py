@@ -38,7 +38,7 @@ def test_gk_rejects_non_root():
 
 def test_gk_accepts_the_roots_of_large_coefficients():
     # 2k^2 + A k - B leaves 1.16e-10 at the computed k_plus of B = 1e6, so
-    # the root test is relative to the size of its terms, as in eval_closed_form
+    # the root test (model.is_characteristic_root) is relative to the size of its terms
     p = params_from_coeffs(0.0, 1e6)
     traj = integrate(p, State(0.0, 1e-3, 0.0), IntegratorKind.RK4, IntegrateOptions(t_end=1e-2))
     for k in (p.k_minus, p.k_plus):

@@ -9,16 +9,13 @@ from blowuplab import (
     IntegrateOptions,
     IntegratorKind,
     K_agm,
-    Riccati,
     State,
     classify,
-    eval_closed_form,
     integrate,
     lemniscate_quarter_period,
     params_from_coeffs,
     params_from_dimension,
     quadrature_blowup_time,
-    riccati_poles,
 )
 from blowuplab import exact, inversion
 from blowuplab.errors import DomainError
@@ -262,23 +259,42 @@ def test_agrees_with_quadrature_at_A0():
     assert worst <= 1e-13, worst
 
 
+def _mp_b0_state(A, u0, v0, t):
+    """(u, u') at t where B = 0, at 40 digits: the Riccati equation u' = g - k u^2, k = -A/2, g = u0' + k u0^2.
+
+    u = w'/(k w) linearises it to w'' = a w, a = k g, with w(0) = 1 and
+    w'(0) = k u0; a w^2 - w'^2 = k u0' is conserved, so u' = u0'/w^2.
+    """
+    with mp.workdps(40):
+        k, u0, v0, t = -mp.mpf(A) / 2, mp.mpf(u0), mp.mpf(v0), mp.mpf(t)
+        a = k * (v0 + k * u0**2)
+        om = mp.sqrt(abs(a))
+        if a > 0:
+            w, dw = mp.cosh(om * t) + k * u0 * mp.sinh(om * t) / om, om * mp.sinh(om * t) + k * u0 * mp.cosh(om * t)
+        elif a < 0:
+            w, dw = mp.cos(om * t) + k * u0 * mp.sin(om * t) / om, -om * mp.sin(om * t) + k * u0 * mp.cos(om * t)
+        else:
+            w, dw = 1 + k * u0 * t, k * u0
+        return float(dw / (k * w)), float(v0 / w**2)
+
+
 def test_agrees_with_riccati_at_B0():
-    # B = 0: u is the Riccati closed form with k = -A/2; its poles are the
-    # blow-up times, and eval_closed_form the states
+    # B = 0: u solves a Riccati equation, whose linearisation in w gives
+    # the states at 40 digits (_mp_b0_state), and the blow-up times are
+    # mpmath's (mp_escape_time)
     rng = np.random.default_rng(13)
     worst_t = worst_s = 0.0
     for A in (2.0, -2.0, 0.5, -3.0):
         p = params_from_coeffs(A, 0.0)
         for u0, v0 in _states(rng, 20):
-            cf = Riccati(-A / 2.0, u0, v0)
-            for d, pole in zip((-1.0, 1.0), riccati_poles(cf)):
-                T = escape_time(p, u0, v0, d)
-                assert (T is None) == (pole is None), (A, u0, v0, d)
+            for d in (-1.0, 1.0):
+                T, want = escape_time(p, u0, v0, d), mp_escape_time(p, u0, v0, d)
+                assert (T is None) == (want is None), (A, u0, v0, d)
                 if T is not None:
-                    worst_t = max(worst_t, abs(T - pole) / abs(pole))
+                    worst_t = max(worst_t, abs(T - want) / abs(want))
                 t = 0.5 * d * (abs(T) if T is not None else 4.0)
                 u, v = state_at(p, u0, v0, t)
-                ue, ve = eval_closed_form(cf, p, t)
+                ue, ve = _mp_b0_state(A, u0, v0, t)
                 worst_s = max(worst_s, abs(u - ue) / max(1.0, abs(ue)), abs(v - ve) / max(1.0, abs(ve)))
     assert worst_t <= 1e-13 and worst_s <= 1e-12, (worst_t, worst_s)
 
@@ -570,7 +586,10 @@ def test_state_at_evaluation_budget(monkeypatch):
     # points the costliest), and now takes 1.4-2.3 and 1.3.  No one call
     # may take more than twice the most measured: 3 full leg times on the
     # beta sets, 5 and 4 on the quadrature sets, where a fallback on a
-    # doubling bracket search took up to 39 and 11
+    # doubling bracket search took up to 39 and 11.  At T (1 - 1e-9) on the
+    # quadrature sets a call took up to 14 full times and pieces together
+    # while WLeg solved for the time from the start, and takes 4 solving
+    # for the time left; no such call may take more than twice that
     counts = {"full": 0, "piece": 0}
 
     def counted(f, key):
@@ -584,42 +603,70 @@ def test_state_at_evaluation_budget(monkeypatch):
     for leg in (inversion.Leg, inversion.WLeg):
         monkeypatch.setattr(leg, "piece", counted(leg.piece, "piece"))
     rng = np.random.default_rng(2024)
-    for p, full, pieces, most in ((params_from_dimension(3.0), 4.0, 4.0, 6), (params_from_dimension(5.0), 4.0, 4.0, 6),
-                                  (params_from_dimension(9.0), 4.0, 4.0, 6), (params_from_coeffs(1.0, -0.125), 7.4, 6.0, 10),
-                                  (params_from_coeffs(1.0, -0.125 + 1e-9), 7.4, 6.0, 8)):
+    for p, full, pieces, most, near_end in (
+            (params_from_dimension(3.0), 4.0, 4.0, 6, None), (params_from_dimension(5.0), 4.0, 4.0, 6, None),
+            (params_from_dimension(9.0), 4.0, 4.0, 6, None), (params_from_coeffs(1.0, -0.125), 7.4, 6.0, 10, 8),
+            (params_from_coeffs(1.0, -0.125 + 1e-9), 7.4, 6.0, 8, 8)):
         calls = _budget_calls(p, rng)
+        ends = {(u0, v0, t) for u0, v0, t in calls if t == (escape_time(p, u0, v0, math.copysign(1.0, t)) or 0.0) * (1.0 - 1e-9)}
         counts.update(full=0, piece=0)
-        worst = 0
+        worst = worst_end = 0
         for u0, v0, t in calls:
-            before = counts["full"]
+            before, both = counts["full"], counts["full"] + counts["piece"]
             state_at(p, u0, v0, t)
             worst = max(worst, counts["full"] - before)
+            if (u0, v0, t) in ends:
+                worst_end = max(worst_end, counts["full"] + counts["piece"] - both)
         assert counts["full"] <= full * len(calls) and counts["piece"] <= pieces * len(calls), (p.A, p.B, counts, len(calls))
         assert worst <= most, (p.A, p.B, worst)
+        assert near_end is None or (len(ends) >= 10 and worst_end <= near_end), (p.A, p.B, len(ends), worst_end)
 
 
 def test_state_at_near_blow_up_keeps_the_time_left():
-    # at t = T (1 - 1e-9) on the budget sets' beta legs that do not cross
-    # u = 0, the state returned must itself blow up after T - t: timed from
-    # the end, its escape time reads 3.3e-15 (m = 3), 5.8e-15 (m = 5) and
-    # 4.9e-15 (m = 9) at worst, where a doubling bracket timed from the start
-    # read 3.3e-8 at m = 9.  Crossing legs and the legs in w are left out: the
-    # rounding of t - cross, or of the quadrature's T, is 1e-7 to 1e-6 there
+    # at t = 0.6 T, 0.9 T and T (1 - 1e-9) on the budget sets and on one
+    # more set of legs in w, crossing u = 0 or not, the state returned must
+    # itself blow up after T - t, as escape_time reads T.  Solving for the
+    # time left, its escape time reads 5.8e-15 at worst on the beta legs and
+    # 1.5e-14 on the legs in w.  A doubling bracket timed from the start read
+    # 3.3e-8 at m = 9; a crossing beta leg, whose time to the end did not
+    # share the rounding of t - cross, 1.6e-7; and the legs in w, timed
+    # from the start to the rounding of the quadrature's T, 1.9e-6
     rng = np.random.default_rng(2024)
-    n = 0
-    for p in (params_from_dimension(3.0), params_from_dimension(5.0), params_from_dimension(9.0)):
+    n, worst = {exact._TwoRoots: 0, exact._NearDouble: 0}, {exact._TwoRoots: 0.0, exact._NearDouble: 0.0}
+    for p in (params_from_dimension(3.0), params_from_dimension(5.0), params_from_dimension(9.0), params_from_coeffs(1.0, -0.125),
+              params_from_coeffs(1.0, -0.125 + 1e-9), params_from_coeffs(-2.5, -0.78125 + 1e-6)):
         for u0, v0 in _states(rng, 20):
             for d in (1.0, -1.0):
                 T = escape_time(p, u0, v0, d)
                 legs = exact._legs(p, u0, v0, d)[0]
-                if T is None or not isinstance(legs, exact._TwoRoots) or legs.crosses:
+                if T is None or isinstance(legs, exact._Parabola):
                     continue
-                t = T * (1.0 - 1e-9)
-                u, v = state_at(p, u0, v0, t)
-                left = escape_time(p, u, v, d)
-                assert abs(left - (T - t)) <= 1e-13 * abs(T - t), (p.m, u0, v0, d, left, T - t)
-                n += 1
-    assert n >= 40, n
+                for t in (0.6 * T, 0.9 * T, T * (1.0 - 1e-9)):
+                    u, v = state_at(p, u0, v0, t)
+                    left = escape_time(p, u, v, d)
+                    worst[type(legs)] = max(worst[type(legs)], abs(left - (T - t)) / abs(T - t))
+                    n[type(legs)] += 1
+    assert max(worst.values()) <= 1e-13 and min(n.values()) >= 100, (worst, n)
+
+
+def test_span_does_not_fall_as_its_end_moves_out():
+    # _span(0, x) is the time from the start to e = x (omega = x between):
+    # it may not fall as x grows, and past the float range it is inf.  A
+    # window cut to 50 e-folds below the peak rounded to no width once s^2
+    # was far above 50/rate, and timed e = 1e10 on a global leg as 0.0
+    cases = [(-1.0, -0.125 + 1e-9, 1.0, 1.0), (-1.0, -0.125, 1.0, 0.1), (1.0, -0.125, 1.0, 0.1),
+             (1.0, -0.125 + 1e-9, 1.0, 1.0), (1.0, -0.125, -1.0, 1.0),
+             (-2.5, -0.78125 + 1e-6, 1.0, -0.625), (2.5, -0.78125 + 1e-6, 1.0, -0.625)]
+    kinds = set()
+    for A, B, u0, v0 in cases:
+        for d in (1.0, -1.0):
+            legs = exact._legs(params_from_coeffs(A, B), u0, v0, d)[0]
+            assert isinstance(legs, exact._NearDouble)
+            kinds.add((legs.between, legs.blows))
+            times = [legs._span(0.0, 10.0**k) for k in range(301)]
+            assert all(b >= a for a, b in zip(times, times[1:])), (A, B, u0, v0, d, times)
+            assert (times[-1] == math.inf) == (not legs.blows), (A, B, u0, v0, d, times[-1])
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}, kinds
 
 
 def test_state_at_from_a_guess_far_past_the_point(monkeypatch):
