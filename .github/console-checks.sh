@@ -2,8 +2,9 @@
 # Checks of the installed blowuplab console script: every subcommand runs,
 # K(0.99) matches its quadrature value, sl(1.5) keeps its first integral,
 # the m = 8 escapes blow up at the quadrature time of their energy, which
-# the verdict's t_bound gives too, a backward Gauss6 m = 9 escape blows up
-# at its verdict's t_bound, a Gauss6 m = 4 run stays within 1e-9 of
+# the verdict's t_bound gives too, a backward Gauss6 m = 9 escape and an
+# m = 5 escape at local_tol 1e-6 blow up at their verdicts' t_bound, a
+# Gauss6 m = 4 run stays within 1e-9 of
 # -tanh t both ways, a start whose u^4 overflows writes its row, the
 # m = 3 parabola start, the disc = 0 grid, an m = 3.5 decay and a t_bound
 # of -8.45e299 verify, non-finite input
@@ -67,6 +68,19 @@ end, est, t_bound = side["termination"], side["blowup_estimate"], side["verdict"
 print("g9b termination", end["kind"], "direction", end["direction"], "estimate", est, "t_bound", t_bound)
 if end["kind"] != "blowup" or end["direction"] != -1 or not abs(est - t_bound) <= 1e-9 * abs(t_bound):
     raise SystemExit("g9b: want a backward blowup (direction -1) within 1e-9 relative of the verdict's t_bound")
+PY
+# the m = 5 Gauss6 escape (A != 0) at the loosest stop: the cap-bound steps
+# there start their stage solves from the previous step's stages, scaled
+# through u(t) -> lam u(lam t), and its estimate lay 6.6e-11 relative from
+# the verdict's t_bound; its gate is about 4.5 times that
+blowuplab integrate --integrator gauss6 --m 5 --u0 1 --v0 1 --t-end 10 --local-tol 1e-6 --out g5l.csv
+python - <<'PY'
+import json
+side = json.load(open("g5l.json"))
+end, est, t_bound = side["termination"], side["blowup_estimate"], side["verdict"]["detail"]["t_bound"]
+print("g5l termination", end["kind"], "estimate", est, "t_bound", t_bound)
+if end["kind"] != "blowup" or not abs(est - t_bound) <= 3e-10 * abs(t_bound):
+    raise SystemExit("g5l: want a blowup within 3e-10 relative of the verdict's t_bound")
 PY
 # Gauss6 on the exact m = 4 solution u = -tanh t, u' = -sech^2 t, forward and backward
 blowuplab integrate --integrator gauss6 --m 4 --u0 0 --v0 -1 --t-end 5 --out tanh_f.csv

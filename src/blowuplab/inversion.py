@@ -248,8 +248,10 @@ class WLeg:
         That is t = F0 (1 - e^(-q0 e))/q0, or past half of a blow-up, where
         the time left is solved for as in ``Leg.aim``, total - t = F0
         e^(-q0 e)/q0.  The point's own law, t or total - t = F/|d ln F/de|,
-        refines it for the time left, and where it reaches past a few
-        e-folds of a growing F.
+        refines it for the time left, and on a rise where F at the guess has
+        grown by more than e^2: the start's law takes F's rate at the start
+        for its rate all the way, which on a rise from a small s0, where F
+        is flat, puts the guess many e-folds past the point.
         """
         lf0, q0 = self.start[0][1], -self.dlog_f(0.0)
         self.from_end = self.total is not None and 0.5 * self.total < t < self.total
@@ -260,7 +262,7 @@ class WLeg:
             else:
                 z = q0 * t * math.exp(-lf0)
                 e = t * math.exp(-lf0) * (1.0 if z == 0.0 else -math.log1p(-min(z, 0.9)) / z)
-            if self.from_end or (q0 < 0.0 and -q0 * e > 2.0 and not self.fall):
+            if self.from_end or (not self.fall and self.log_f(e) - lf0 > 2.0):
                 for _ in range(12):  # Newton on ln F(e) - ln |d ln F/de| = ln target, a guess only
                     dlf = self.dlog_f(e)
                     step = max(-0.5 * e, -(self.log_f(e) - math.log(abs(dlf)) - math.log(target)) / dlf)

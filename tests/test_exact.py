@@ -589,7 +589,14 @@ def test_state_at_evaluation_budget(monkeypatch):
     # doubling bracket search took up to 39 and 11.  At T (1 - 1e-9) on the
     # quadrature sets a call took up to 14 full times and pieces together
     # while WLeg solved for the time from the start, and takes 4 solving
-    # for the time left; no such call may take more than twice that
+    # for the time left; no such call may take more than twice that.  From
+    # (0.1559, -7.8955) at A = 1, B = -1/8, a global direction that crosses
+    # u = 0, the rise past the crossing at t = 50 took 5 full times and 6
+    # pieces while its first guess came from the start's exponential law
+    # (F is flat at the start's small s0: the guess lay at e = 78, the
+    # point at 6.5); from the point's own law it takes 2 and 2, and may
+    # take no more than twice that
+    far, seen_far = (0.15591089603211472, -7.895512169284174, 50.0), False
     counts = {"full": 0, "piece": 0}
 
     def counted(f, key):
@@ -617,9 +624,13 @@ def test_state_at_evaluation_budget(monkeypatch):
             worst = max(worst, counts["full"] - before)
             if (u0, v0, t) in ends:
                 worst_end = max(worst_end, counts["full"] + counts["piece"] - both)
+            if (p.A, p.B, u0, v0, t) == (1.0, -0.125, *far):
+                assert counts["full"] + counts["piece"] - both <= 8, counts
+                seen_far = True
         assert counts["full"] <= full * len(calls) and counts["piece"] <= pieces * len(calls), (p.A, p.B, counts, len(calls))
         assert worst <= most, (p.A, p.B, worst)
         assert near_end is None or (len(ends) >= 10 and worst_end <= near_end), (p.A, p.B, len(ends), worst_end)
+    assert seen_far
 
 
 def test_state_at_near_blow_up_keeps_the_time_left():

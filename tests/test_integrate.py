@@ -29,7 +29,7 @@ from blowuplab.integrate import (
     _A11, _A12, _A13, _A21, _A22, _A23, _A31, _A32, _A33, _B1, _B2, _C1, _C3, _HALF_SEEDS,
     _Q11, _Q12, _Q13, _Q21, _Q22, _Q23, _Q31, _Q32, _Q33,
     _GAUSS6_MAX_SWEEPS, _STAGE_KAPPA, _STAGE_RTOL, _STEPPERS, _gauss6_attempt, _gauss6_increment,
-    _gauss6_seed, _rk4_increment,
+    _gauss6_seed, _rk4_attempt, _rk4_increment,
 )
 
 # the module, which the package's function integrate shadows as an attribute
@@ -326,8 +326,9 @@ def increment_inputs(draw):
 
 
 def _outcome(fn, *args):
+    # an attempt's increments, without the stages it returns last
     try:
-        return tuple(x.hex() for x in fn(*args))
+        return tuple(x.hex() for x in fn(*args)[:4])
     except (NonFiniteError, StageSolveFailure) as exc:
         return type(exc)
 
@@ -464,8 +465,9 @@ def test_gauss6_nystrom_tables():
 
 def test_gauss6_pinned_runs_fit_in_their_sweep_budgets(monkeypatch):
     # the worst stage solve of the pinned escape run takes 3 passes and that
-    # of the pinned gk run 2: each keeps its digest at that budget and moves
-    # at one less (3 and 3 while every stage solve of the attempt stopped at
+    # of the pinned gk run 2, with the scaled seed on cap-bound steps and
+    # before it: each keeps its digest at that budget and moves at one less
+    # (3 and 3 while every stage solve of the attempt stopped at
     # max(4 eps, 5e-3 local_tol); 4 and 6 while the full step started from
     # the Euler seed and the half steps from the quadratic through its F_i;
     # 5 and 6 while the absolute stage tolerance stayed at 4 eps whatever
@@ -493,7 +495,7 @@ def test_gauss6_taylor_seeds_are_fourth_order():
     for h in (0.08, 0.04, 0.02, 0.01, 0.005):
         seeds = _gauss6_seed(p.A, p.B, u, v, fv, h)
         # the full step alone, solved from these seeds at the stage scales 4 eps (|u|, |v| < 1)
-        _, _, *F = _gauss6_attempt(p.A, p.B, u, v, h, 0.0, True)
+        _, _, *F = _gauss6_attempt(p.A, p.B, u, v, h, 0.0, full_only=True)
         taylor.append(max(abs(s - f) for s, f in zip(seeds, F)))
         euler.append(max(abs(fv - f) for f in F))
     for big, small in zip(taylor, taylor[1:]):
@@ -573,6 +575,250 @@ def test_gauss6_respects_u_to_minus_u_of_minus_t(case):
     s1 = step_gauss6(p, State(0.0, u, v), h)
     m1 = step_gauss6(p, State(0.0, -u, v), -h)
     assert (m1.u, m1.v) == (-s1.u, s1.v)
+
+
+def _signed(lo, hi):
+    """+-10^x for x in [lo, hi]: never subnormal."""
+    return st.builds(lambda x, sign: sign * 10.0**x, st.floats(lo, hi), st.sampled_from((1.0, -1.0)))
+
+
+@st.composite
+def scaling_inputs(draw, u_exp=-3.0):
+    """(A, B, u, v, h, lam, tol): a step at and around the cap 0.1/|u|, and lam = 2^j for j in {-3, 2, 5}.
+
+    No input is subnormal, so u -> lam u, v -> lam^2 v, h -> h/lam scales
+    every operation of an attempt by a power of 2, exactly, where nothing
+    over- or underflows.  |u| is 10^x for x in [u_exp, 8], or 0 or 1.
+    """
+    coef = st.just(0.0) | _signed(-3.0, 0.7)
+    A, B = draw(coef), draw(coef)
+    u = draw(_signed(u_exp, 8.0) | st.sampled_from((0.0, 1.0, -1.0)))
+    v = draw(_signed(-3.0, 16.0) | _signed(-2.0, 1.0).map(lambda w: w * max(1.0, u * u)) | st.just(0.0))
+    factor = draw(st.sampled_from((1.0, 0.5, 0.25)) | st.floats(1e-3, 4.0))
+    h = 0.1 / max(1.0, abs(u)) * factor * draw(st.sampled_from((1.0, -1.0)))
+    lam = 2.0 ** draw(st.sampled_from((-3, 2, 5)))
+    return A, B, u, v, h, lam, draw(st.sampled_from((0.0, 1e-13, 1e-10, 1e-6)))
+
+
+def _returns(attempt, *args):
+    """An attempt's result, or None where it raises."""
+    try:
+        return attempt(*args)
+    except (NonFiniteError, StageSolveFailure):
+        return None
+
+
+def _scaled_hex(lam, d):
+    """The increments (dfu, dfv, du, dv) of the image under u(t) -> lam u(lam t), as hex."""
+    return (lam * d[0]).hex(), (lam * lam * d[1]).hex(), (lam * d[2]).hex(), (lam * lam * d[3]).hex()
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=scaling_inputs())
+def test_rk4_attempt_respects_the_scaling_symmetry(case):
+    # if u(t) solves the ODE so does lam u(lam t): the attempt from
+    # (lam u, lam^2 v) over h/lam returns the one from (u, v) over h scaled
+    # by lam and lam^2, to the bit, wherever neither raises (the float
+    # range is not scale invariant)
+    A, B, u, v, h, lam, tol = case
+    base = _returns(_rk4_attempt, A, B, u, v, h, tol)
+    image = _returns(_rk4_attempt, A, B, lam * u, lam * lam * v, h / lam, tol)
+    if base is not None and image is not None:
+        assert tuple(x.hex() for x in image[:4]) == _scaled_hex(lam, base)
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=scaling_inputs(u_exp=1.25))
+def test_gauss6_attempt_respects_the_scaling_symmetry(case):
+    # the same for Gauss6, unseeded and seeded with the images of the same
+    # stages, wherever the stage scales max(1, |u|) and max(1, |v|) are |u|
+    # and |v| at both starts (the step's and the midpoint) in both frames:
+    # each stop is then lam^3 times the other frame's, and so is every
+    # stage.  Where a clamp binds the stops differ: 429 of 2648 such draws
+    # differed, and none of the 1112 selected.  The midpoint is taken from
+    # the increment over h/2, whose own stop moves it by far less than the
+    # factor 2 spared here.
+    A, B, u, v, h, lam, tol = case
+    base = _returns(_gauss6_attempt, A, B, u, v, h, tol)
+    image = _returns(_gauss6_attempt, A, B, lam * u, lam * lam * v, h / lam, tol)
+    mid = _returns(_gauss6_increment, A, B, u, v, 0.5 * h)
+    if base is None or image is None or mid is None:
+        return
+    lo = min(1.0, lam)
+    if not (min(abs(u), abs(u + mid[0])) * lo >= 2.0 and min(abs(v), abs(v + mid[1])) * lo * lo >= 2.0):
+        return
+    cube = lam * lam * lam
+    assert tuple(x.hex() for x in image[:4]) == _scaled_hex(lam, base)
+    assert image[4] == tuple(cube * x for x in base[4])
+    seeded = _returns(_gauss6_attempt, A, B, u, v, h, tol, base[4])
+    image = _returns(_gauss6_attempt, A, B, lam * u, lam * lam * v, h / lam, tol, image[4])
+    assert (seeded is None) == (image is None)
+    if seeded is not None:
+        assert tuple(x.hex() for x in image[:4]) == _scaled_hex(lam, seeded)
+        assert image[4] == tuple(cube * x for x in seeded[4])
+
+
+def _cap_bound_states():
+    """(A, B, u, v) in the driver's frame at every third recorded state past |u| = 16, |v| = 128 of four escapes.
+
+    A = 0 and A != 0, forward and backward: the m = 8 escape to |u| = 1e8,
+    the m = 5 escape from (1, 1), a backward m = 9 escape and the A = 0,
+    B = 2 escape from (0, 1).
+    """
+    states = []
+    for p, ic, t_end in ((params_from_dimension(8.0), (1.0, 1.0), 10.0), (params_from_dimension(5.0), (1.0, 1.0), 10.0),
+                         (params_from_dimension(9.0), (-0.5, 1.0), -20.0), (params_from_coeffs(0.0, 2.0), (0.0, 1.0), 10.0)):
+        d = math.copysign(1.0, t_end)
+        traj = integrate(p, State(0.0, *ic), IntegratorKind.GAUSS6, IntegrateOptions(t_end=t_end))
+        assert traj.termination.kind == "blowup"
+        states += [(d * p.A, p.B, float(u), d * float(v)) for u, v in zip(traj.u[::3], traj.v[::3])
+                   if abs(u) >= 16.0 and abs(v) >= 128.0]
+    return states
+
+
+def test_scaled_seed_converges_in_one_sweep(monkeypatch):
+    # seeded with the converged stages of its image under u(t) -> lam u(lam
+    # t), an attempt scales them by f/f_prev = lam^3, exactly, onto its own
+    # converged stages: one sweep per solve meets every stop.  From the
+    # Taylor and quartic seeds one sweep meets none of the stops at tol = 0
+    states = _cap_bound_states()
+    assert len(states) >= 300
+    for A, B, u, v in states:
+        h = 0.1 / abs(u)
+        for tol in (0.0, 1e-10, 1e-6):
+            stages = _gauss6_attempt(A, B, u, v, h, tol)[4]
+            monkeypatch.setattr(integrate_module, "_GAUSS6_MAX_SWEEPS", 1)
+            for lam in (0.125, 4.0, 32.0):
+                image = (A, B, lam * u, lam * lam * v, h / lam, tol)
+                _gauss6_attempt(*image, stages)  # StageSolveFailure if a solve takes a second sweep
+                assert tol > 0.0 or _returns(_gauss6_attempt, *image) is None
+            monkeypatch.setattr(integrate_module, "_GAUSS6_MAX_SWEEPS", _GAUSS6_MAX_SWEEPS)
+
+
+@pytest.mark.parametrize("slot", [9, 10])
+@pytest.mark.parametrize("bad", [0.0, math.inf, -math.inf, math.nan])
+def test_scaled_seed_falls_back_where_the_start_accelerations_cannot_scale(slot, bad):
+    # the carried stages are scaled by f/f_prev and f_mid/f_mid_prev; where
+    # f_prev (slot 9) or f_mid_prev (slot 10) is zero or not finite the
+    # attempt takes the Taylor and quartic seeds, bit for bit
+    A, B, u, v = 0.0, 2.0, 1e3, 1e6
+    h = 0.1 / u
+    plain = _gauss6_attempt(A, B, u, v, h, 1e-10)
+    assert _gauss6_attempt(A, B, u, v, h, 1e-10, plain[4])[:4] != plain[:4]  # the seed moves the last bits
+    prev = list(plain[4])
+    prev[slot] = bad
+    got = _gauss6_attempt(A, B, u, v, h, 1e-10, tuple(prev))
+    assert tuple(x.hex() for x in got[:4]) == tuple(x.hex() for x in plain[:4]) and got[4] == plain[4]
+
+
+def _record_attempts(monkeypatch, kind, raise_at=()):
+    """Every attempt the driver makes, as [u, v, h, prev, stages]; stages is None where it raised.
+
+    The attempts numbered in raise_at raise StageSolveFailure instead.
+    """
+    attempt, order = _STEPPERS[kind]
+    calls = []
+
+    def recorder(A, B, u, v, h, tol, prev):
+        calls.append([u, v, h, prev, None])
+        if len(calls) - 1 in raise_at:
+            raise StageSolveFailure("raised by the test")
+        out = attempt(A, B, u, v, h, tol, prev)
+        calls[-1][4] = out[4]
+        return out
+
+    monkeypatch.setitem(_STEPPERS, kind, (recorder, order))
+    return calls
+
+
+def _check_seeds(calls, h_cap):
+    """Assert that the driver seeded exactly the attempts inside the guard; return their number.
+
+    An attempt is seeded when the cap set its step, the cap set the last
+    accepted step and no attempt raised since, and the shape u'/u^2 moved
+    by at most 2^-26 between their starts.  It is then given the very
+    stages that accepted attempt returned.  An attempt was accepted where
+    the next one starts elsewhere, or where it is the run's last.
+    """
+    last, seeded = None, 0
+    for i, (u, v, h, prev, stages) in enumerate(calls):
+        want = None
+        if last is not None and abs(u) > 1.0 and h == h_cap / abs(u):
+            up, vp, hp, _, carried = last
+            q = up / u
+            if abs(up) > 1.0 and hp == h_cap / abs(up) and vp != 0.0 and abs(v / vp * (q * q) - 1.0) <= 2.0**-26:
+                want = carried
+        assert prev is want, i
+        seeded += prev is not None
+        if stages is None:
+            last = None
+        elif i + 1 == len(calls) or calls[i + 1][:2] != [u, v]:
+            last = calls[i]
+    return seeded
+
+
+def _shape_change(a, b):
+    return abs(b[1] / a[1] * (a[0] / b[0]) ** 2 - 1.0)
+
+
+def test_driver_seeds_only_inside_the_guard(monkeypatch):
+    G = IntegratorKind.GAUSS6
+    p3, p5, p8 = (params_from_dimension(m) for m in (3.0, 5.0, 8.0))
+
+    def run(p, ic, kind=G, **options):
+        calls = _record_attempts(monkeypatch, kind)
+        opts = IntegrateOptions(**options)
+        traj = integrate(p, State(0.0, *ic), kind, opts)
+        return traj, calls, _check_seeds(calls, opts.h_cap_factor)
+
+    # the m = 8 escape: most steps past the first cap-bound ones are seeded
+    traj, calls, seeded = run(p8, (1.0, 1.0), t_end=10.0)
+    assert traj.termination.kind == "blowup" and seeded > 0.7 * len(calls)
+    # the cap sets the first steps of an m = 3 run from (2, 1), where the
+    # shape moves by about 3e-2 a step: no step is seeded
+    traj, calls, seeded = run(p3, (2.0, 1.0), t_end=10.0)
+    capped = [c for c in calls if abs(c[0]) > 1.0 and c[2] == 0.1 / abs(c[0])]
+    assert len(capped) >= 10 and seeded == 0
+    assert 2e-2 < _shape_change(capped[0], capped[1]) < 5e-2
+    # at m = 5 from (1, 1) the first cap-bound steps move the shape by 7e-2
+    # down to 2e-2 and are not seeded; it settles towards blow-up, where they are
+    traj, calls, seeded = run(p5, (1.0, 1.0), t_end=10.0)
+    capped = [c for c in calls if abs(c[0]) > 1.0 and c[2] == 0.1 / abs(c[0])]
+    assert seeded > 0 and all(c[3] is None for c in capped[:6])
+    assert all(_shape_change(a, b) > 1e-2 for a, b in zip(capped[:6], capped[1:7]))
+    # the gk_gauss6 shape: the h_max ceiling sets the steps up to
+    # |u| = h_cap/h_max; none of them is seeded, the cap-bound ones past it are
+    traj, calls, seeded = run(p5, (-1.25, 0.75), t_end=20.0, blowup_threshold=1e3, local_tol=1e-13,
+                              h_max=5e-3, h_cap_factor=0.015)
+    assert seeded > 0 and all(c[3] is None for c in calls if c[2] == 5e-3)
+    # a run cut by t_end short of its blow-up: the cut last step is not seeded
+    t_blow = quadrature_blowup_time(p8.B / 2.0, 1.0 - 0.5 * p8.B, 1.0)
+    traj, calls, seeded = run(p8, (1.0, 1.0), t_end=t_blow * (1.0 - 1e-7))
+    assert traj.termination.kind == "completed" and calls[-2][3] is not None and calls[-1][3] is None
+    # a zero v_prev: the first two steps, from (2, 0), are cap-bound
+    traj, calls, seeded = run(p8, (2.0, 0.0), t_end=10.0, h0=1.0)
+    assert [c[2] for c in calls[:2]] == [0.1 / abs(c[0]) for c in calls[:2]] and calls[0][:2] != calls[1][:2]
+    assert calls[0][1] == 0.0 and calls[1][3] is None and seeded > 0
+    # RK4 returns no stages, so no RK4 attempt is seeded
+    for p, ic in ((p8, (1.0, 1.0)), (p5, (1.0, 1.0))):
+        traj, calls, seeded = run(p, ic, IntegratorKind.RK4, t_end=10.0)
+        assert traj.termination.kind == "blowup" and seeded == 0 and all(c[4] is None for c in calls)
+
+
+def test_stage_failure_clears_the_carried_stages(monkeypatch):
+    # a NonFiniteError or StageSolveFailure drops the carried stages: no
+    # attempt is seeded again before a cap-bound attempt has been accepted.
+    # The halved step after a failure is below the cap, so it would not be
+    # seeded from stages the driver kept either; this checks the behaviour
+    p = params_from_dimension(8.0)
+    plain = _record_attempts(monkeypatch, IntegratorKind.GAUSS6)
+    integrate(p, State(0.0, 1.0, 1.0), IntegratorKind.GAUSS6, IntegrateOptions(t_end=10.0))
+    at = [i for i, c in enumerate(plain) if c[3] is not None][50:200:50]
+    calls = _record_attempts(monkeypatch, IntegratorKind.GAUSS6, raise_at=set(at))
+    traj = integrate(p, State(0.0, 1.0, 1.0), IntegratorKind.GAUSS6, IntegrateOptions(t_end=10.0))
+    assert traj.termination.kind == "blowup" and _check_seeds(calls, 0.1) > 0
+    for i in at:
+        assert calls[i][4] is None and calls[i + 1][3] is None and calls[i + 2][3] is None
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -837,7 +1083,7 @@ PINNED_TRAJECTORIES = [
     (5.0, IntegratorKind.RK4, (-1.0, 1.0), -10.0, 5, "blowup",
      "1c6b16241145e3aced87a23045a679a095f2b65d54f701fe304f884963439a67"),
     (5.0, IntegratorKind.GAUSS6, (1.0, 1.0), 10.0, 1, "blowup",
-     "f113ed1648207707a69e3c8d02c8e5f2b77f7e798995077547660f006d86ad27"),
+     "039a37bd4b1955bc9add564565fc68ad1bebe566ddb07a9b19e112e5abc8f7bf"),
     (4.0, IntegratorKind.GAUSS6, (0.0, -1.0), -5.0, 3, "completed",
      "f8e8a4accc738031f5cc858ef35c7a6a81cc5f3ed97544ff35cc674deb5aa77e"),
 ]
@@ -869,11 +1115,11 @@ PINNED_RUNS = [
     # escape to |u| = 1e8, where a stage solve takes at most 3 passes (9.3 on
     # average before the Nystrom iteration and the seeds)
     (8.0, IntegratorKind.GAUSS6, (1.0, 1.0), dict(t_end=10.0), "blowup",
-     "4439ef84addc54bec66a1461bafeb738fba030d029d118b520cb84b2a837b9b5"),
+     "0af9218722fdfb690b3db67be7627da78d1ff73cc84f453df13f1c5ddd27fc70"),
     # the gk_gauss6 benchmark shape at m = 5: step ceiling, cap 0.01/max|k|, tight tolerance
     (5.0, IntegratorKind.GAUSS6, (-1.25, 0.75),
      dict(t_end=20.0, blowup_threshold=1e3, local_tol=1e-13, h_max=5e-3, h_cap_factor=0.015), "blowup",
-     "4e68e2bddb1ccdd88cae37e682991eebd9d3c058f4684a43d9c16e824f5c1948"),
+     "72730e92db695efe981b7b2031f548fbcda7fbe09b23b8778759e83ae0e2300f"),
     (3.0, IntegratorKind.GAUSS6, (0.75, -1.25), dict(t_end=-20.0, h_max=0.01, max_steps=400), "max_steps",
      "99011b2ceb2610607f49c419bc0b2923aedf29e107ccb4d46d102686d89c47bd"),
     # 818 accepted steps: the last state falls between records
