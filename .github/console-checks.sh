@@ -7,7 +7,8 @@
 # Gauss6 m = 4 run stays within 1e-9 of
 # -tanh t both ways, a start whose u^4 overflows writes its row, the
 # m = 3 parabola start, the disc = 0 grid, an m = 3.5 decay and a t_bound
-# of -8.45e299 verify, non-finite input
+# of -8.45e299 verify, (1, 0) at A = 1e10, B = 1e-310, whose backward
+# end exponent underflows, reads no_global_solution, non-finite input
 # exits with status 2 and an error: line, and a grid whose span overflows
 # is refused by its spec before any file is written, as is an --out whose
 # suffix .json is the name of its own sidecar.
@@ -136,6 +137,15 @@ for name in d0 m35 tiny; do
 done
 if ! grep -q ",global_bounded,.*,pass$" m35.csv; then
   echo "blowuplab classify --m 3.5 from (1, -0.5): want a global_bounded row that passes"
+  exit 1
+fi
+# at A = 1e10, B = 1e-310 the backward end root's exponent k_plus/(2D)
+# underflows to 0; the kind is read from k_plus's sign, so (1, 0), which
+# blows up forward at 7.6e-8 and backward past floats, has no global solution
+blowuplab classify --A 1e10 --B 1e-310 --grid 1:1:1 0:0:1 --out und.csv
+cat und.csv
+if [ "$(awk -F, 'NR == 2 {print $3}' und.csv)" != no_global_solution ]; then
+  echo "blowuplab classify --A 1e10 --B 1e-310 from (1, 0): want the verdict no_global_solution"
   exit 1
 fi
 # a subnormal B underflows the root k_plus to 0, which leaves the verdict unclassified

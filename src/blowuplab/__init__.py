@@ -11,7 +11,7 @@ import importlib
 # eager: integrate and classify are also the names of functions exported
 # here, and importing a submodule binds its module over a lazily bound name
 from .classify import Verdict, VerdictCheck, classify, verify_verdict
-from .elliptic import F_half, K_agm, lemniscate_quarter_period, sl
+from .elliptic import F_half, K_agm, lemniscate_quarter_period, quadrature_blowup_time, sl
 from .errors import BlowupLabError, DomainError, Inconclusive, NonFiniteError, StageSolveFailure
 from .exact import period
 from .integrate import (
@@ -21,7 +21,6 @@ from .integrate import (
     Trajectory,
     estimate_blowup_time,
     integrate,
-    quadrature_blowup_time,
     step_gauss6,
     step_rk4,
 )
@@ -37,11 +36,11 @@ _LAZY = {
 
 __all__ = [
     "Verdict", "VerdictCheck", "classify", "verify_verdict",
-    "F_half", "K_agm", "lemniscate_quarter_period", "sl",
+    "F_half", "K_agm", "lemniscate_quarter_period", "quadrature_blowup_time", "sl",
     "BlowupLabError", "DomainError", "Inconclusive", "NonFiniteError", "StageSolveFailure",
     "period",
     "IntegrateOptions", "IntegratorKind", "Termination", "Trajectory", "estimate_blowup_time", "integrate",
-    "quadrature_blowup_time", "step_gauss6", "step_rk4",
+    "step_gauss6", "step_rk4",
     "OdeParams", "State", "params_from_coeffs", "params_from_dimension", "rhs",
     *_LAZY,
 ]

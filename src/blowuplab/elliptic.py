@@ -10,8 +10,9 @@ table serves every quantity: sl runs its Landen recurrence down, the
 incomplete F(phi | 1/2) runs the inverse recurrence up (A&S 17.6, DLMF
 19.8), both on the m = 1/2 table built once at import, and the complete
 integral K is pi / (2 a_N) of the table at its own parameter, all in
-plain float arithmetic.  The quarter
-period of sl, its first maximum, is K(1/sqrt 2) / sqrt 2.
+plain float arithmetic.  The quarter period of sl, its first maximum, is
+K(1/sqrt 2) / sqrt 2, and F(phi | 1/2) gives the escape time of
+v' = sqrt(Acoef v^4 + C) in closed form (``quadrature_blowup_time``).
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .errors import DomainError
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["lemniscate_quarter_period", "K_agm", "F_half", "sl"]
+__all__ = ["lemniscate_quarter_period", "K_agm", "F_half", "quadrature_blowup_time", "sl"]
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -99,6 +100,53 @@ def F_half(phi: float) -> float:
         s, c = math.sin(r), math.cos(r)
         r += r + math.atan((rho - 1.0) * s * c / (c * c + rho * s * s))
     return 2.0 * j * _K_HALF + r / _LANDEN_SCALE
+
+
+def quadrature_blowup_time(Acoef: float, C: float, a: float) -> float:
+    """T = integral_a^inf dv / sqrt(Acoef v^4 + C).
+
+    This is the escape time of v' = sqrt(Acoef v^4 + C) from v(0) = a.
+    A vanishing radicand at the left endpoint is allowed (integrable
+    inverse-square-root singularity); a radicand that turns negative
+    anywhere on [a, inf), a divergent integral (C = 0, a <= 0) or a
+    non-finite argument is a domain error.
+
+    With lam = (|C| / Acoef)^(1/4) and x = a / lam the radicand is
+    r_a = |C| (x^4 +- 1) and the integral is an incomplete elliptic
+    integral F(phi | 1/2) (DLMF 19.2), evaluated by F_half:
+    integral_x^inf dy / sqrt(y^4 + 1) = F(2 atan(1/x) | 1/2) / 2 and
+    integral_x^inf dy / sqrt(y^4 - 1) = F(atan(sqrt 2 / sqrt(x^2 - 1)) | 1/2) / sqrt 2.
+    Both angles are formed from lam and a, never from a^4, so every finite
+    a past the turning point has a value.
+    """
+    if not (math.isfinite(Acoef) and math.isfinite(C) and math.isfinite(a)):
+        raise DomainError(f"arguments must be finite, got Acoef={Acoef}, C={C}, a={a}")
+    if Acoef <= 0:
+        raise DomainError("quartic coefficient must be positive")
+    if C == 0:
+        if a <= 0:
+            raise DomainError("escape integral diverges for C = 0 and a <= 0")
+        return 1.0 / (math.sqrt(Acoef) * a)
+    lam = (abs(C) / Acoef) ** 0.25  # the turning point v* when C < 0
+    if C > 0:  # atan(1/x) as atan2(lam, a): no overflow for any finite a
+        return lam / math.sqrt(C) * F_half(2.0 * math.atan2(lam, a)) / 2.0
+    x = a / lam
+    if -1.0 < x < 1.0:
+        raise DomainError("negative radicand at the left endpoint")
+    if x < 1.0:
+        raise DomainError("radicand vanishes inside the integration range")
+    if x < 2.0:
+        # near v*, x^2 - 1 = r_a / (|C| (x^2 + 1)) with r_a formed from a
+        # carries fewer roundings than x * x - 1; here a^4 < 16 |C| / Acoef
+        r_a = Acoef * a**4 + C
+        if r_a < 0:
+            raise DomainError("negative radicand at the left endpoint")
+        phi = math.atan2(math.sqrt(2.0), math.sqrt(r_a / (-C * (x * x + 1.0))))
+    else:
+        # sqrt 2 / sqrt(x^2 - 1) = sqrt 2 y / sqrt((1 - y)(1 + y)) with y = 1/x = lam/a <= 1/2
+        y = lam / a
+        phi = math.atan2(math.sqrt(2.0) * y, math.sqrt((1.0 - y) * (1.0 + y)))
+    return lam / math.sqrt(-C) * F_half(phi) / math.sqrt(2.0)
 
 
 def _sl_point(t: float) -> tuple[float, float]:

@@ -16,9 +16,10 @@ root's exponent is positive.  Backward is forward under A -> -A, u' -> -u',
 and u -> -u with A -> -A maps a start onto (-u, -u') with the same times;
 both negate and swap the roots.  So every start is taken to a forward
 frame in which it ends at r2: from above r2 (first crossing u = 0 where
-u < 0) or from between the roots with u > 0, and it blows up iff a2 > 0.
+u < 0) or from between the roots with u > 0, and it blows up iff a2 > 0,
+read as k_minus < 0 (a2 underflows to 0 where k_minus is tiny against D).
 A start whose u^2 would overflow is scaled first: 2^-e u(2^-e t) is a
-solution where u(t) is.
+solution where u(t) is.  The g_k are formed once, in the frame.
 
 Each leg of p takes (K/(2 sqrt D)) int t^(a2-1) (1-t)^(b-1) dt, an
 incomplete beta integral (DLMF 8.17): above r2 x = (p - r2)/(p - r1) with
@@ -126,7 +127,8 @@ def parabola_pole(p: OdeParams, u0: float, v0: float) -> float | None:
     u = u0/(1 + kappa u0 t) exactly; a rest point (kappa u0^2 = 0) and a
     pole lost to overflow give None.
     """
-    kappa = _on_parabola(p.k_minus, p.k_plus, u0, v0) if p.disc >= 0.0 else None
+    km, kp = p.k_minus, p.k_plus
+    kappa = _on_parabola(km, kp, u0, v0 + kp * u0 * u0, v0 + km * u0 * u0) if p.disc >= 0.0 else None
     if kappa is None or kappa * u0 * u0 == 0.0:
         return None
     pole = -1.0 / (kappa * u0)
@@ -291,9 +293,9 @@ def _leg_time(a: float, b: float, lx0: float, lx0c: float, log_c: float) -> floa
 #
 # A direction is a crossing leg (to p = +inf, where u crosses 0 from below;
 # only above r2 with u < 0) and a final leg to r2, or the final leg alone.
-# Each class below takes (u, u') in the frame, decides ``blows`` and
-# ``crosses`` by signs alone, and gives ``escape()``, the blow-up time, and
-# ``state(t)``, the (u, u') at time t >= 0 before it.
+# Each class below takes the frame's (u, u') and g's; _Legs decides ``blows``
+# and ``crosses`` off the parabolas by signs alone.  ``escape()`` is the
+# blow-up time, ``state(t)`` the (u, u') at time t >= 0 before it.
 
 
 def _legs(p: OdeParams, u: float, v: float, d: float):
@@ -305,7 +307,8 @@ def _legs(p: OdeParams, u: float, v: float, d: float):
     keeps every time.  Both maps negate and swap the roots.  Where the
     g_k or D u^2 would overflow, (u, u') is scaled to (u 2^-e, u' 4^-e)
     (``_scaled``): the frame's times are then 2^e times the start's, and
-    its states (2^-e, 4^-e) times.
+    its states (2^-e, 4^-e) times.  g1 = g_kplus and g2 = g_kminus are
+    formed here alone, after both; the mirror takes them to (-g2, -g1), exactly.
     """
     if not p.disc >= 0.0 or not (math.isfinite(p.k_minus) and math.isfinite(p.k_plus)):
         raise DomainError(f"exact times need disc = A^2 + 8B >= 0 and finite roots, got disc = {p.disc}")
@@ -316,22 +319,22 @@ def _legs(p: OdeParams, u: float, v: float, d: float):
         km, kp, v = -kp, -km, -v
     if not math.isfinite(abs(v) + 2.0 * max(abs(km), abs(kp)) * u * u):  # bounds |g_k| and D u^2
         u, v, e = _scaled(u, v)
-    if v + kp * u * u < 0.0 or (u < 0.0 and v + km * u * u < 0.0):  # below r1, or between with u < 0
-        km, kp, u, v, flip = -kp, -km, -u, -v, -1.0
-    kappa = _on_parabola(km, kp, u, v)
+    g1, g2 = v + kp * u * u, v + km * u * u
+    if g1 < 0.0 or (u < 0.0 and g2 < 0.0):  # below r1, or between with u < 0
+        km, kp, u, v, g1, g2, flip = -kp, -km, -u, -v, -g2, -g1, -1.0
+    kappa = _on_parabola(km, kp, u, g1, g2)
     if kappa is not None:
         return _Parabola(kappa, u), flip, e
     if km == kp or max(abs(km), abs(kp)) > 2.0 * _ALPHA_MAX * (kp - km):
-        return _NearDouble(km, kp, u, v), flip, e
-    return _TwoRoots(km, kp, u, v), flip, e
+        return _NearDouble(km, kp, u, v, g1, g2), flip, e
+    return _TwoRoots(km, kp, u, v, g1, g2), flip, e
 
 
-def _on_parabola(km: float, kp: float, u: float, v: float) -> float | None:
-    """The first root kappa of (km, kp) with u != 0 and v + kappa u^2 == 0 in floats, else None."""
-    for kappa in (km, kp):
-        if u != 0.0 and v + kappa * u * u == 0.0:
-            return kappa
-    return None
+def _on_parabola(km: float, kp: float, u: float, g1: float, g2: float) -> float | None:
+    """The first root kappa of (km, kp) with u != 0 and g_kappa == 0 as evaluated (g1 at kp, g2 at km), else None."""
+    if u == 0.0:
+        return None
+    return km if g2 == 0.0 else kp if g1 == 0.0 else None
 
 
 class _Parabola:
@@ -351,23 +354,29 @@ class _Parabola:
         return u, -self.kappa * u * u
 
 
-class _TwoRoots:
+class _Legs:
+    """A start off both parabolas, in the frame: above r2 (g2 > 0) or between the roots, and its kind."""
+
+    def __init__(self, km: float, kp: float, u: float, g2: float):
+        self.D, self.r1, self.r2 = kp - km, -kp, -km
+        self.above = g2 > 0.0
+        self.crosses = self.above and u < 0.0
+        self.blows = km < 0.0  # r2's exponent -km/(2D) is positive; the quotient underflows where km is tiny against D
+
+
+class _TwoRoots(_Legs):
     """disc > 0: incomplete beta legs in x, with x -> 0 at r2."""
 
-    def __init__(self, km: float, kp: float, u: float, v: float):
-        D = kp - km
+    def __init__(self, km: float, kp: float, u: float, v: float, g1: float, g2: float):
+        super().__init__(km, kp, u, g2)
+        D = self.D
         a1, a2 = kp / (2.0 * D), -km / (2.0 * D)
-        g1, g2 = v + kp * u * u, v + km * u * u
-        self.D, self.a1, self.a2, self.r1, self.r2 = D, a1, a2, -kp, -km
-        self.u, self.v, self.g1, self.g2 = u, v, g1, g2
+        self.a1, self.a2, self.u, self.v, self.g1, self.g2 = a1, a2, u, v, g1, g2
         self.log_k = -a1 * math.log(g1) - a2 * math.log(abs(g2))  # ln K
         self.log_c = self.log_k - math.log(2.0) - 0.5 * math.log(D)  # ln (K / (2 sqrt D))
-        self.above = g2 > 0.0
         # the leg integrand is x^(a2 - 1) (1 - x)^(b - 1): above r2 x = (p - r2)/(p - r1),
         # and u = 0 with u' > 0 starts at x = 1; between, with u > 0, x = (r2 - p)/D
         self.b = 0.5 if self.above else a1
-        self.crosses = self.above and u < 0.0
-        self.blows = a2 > 0.0  # r2's exponent
 
     @cached_property
     def cross(self) -> float:
@@ -447,7 +456,7 @@ class _TwoRoots:
         return u, u * u * self.r1 + math.exp(-2.0 * (a2 * lr + lk))
 
 
-class _NearDouble:
+class _NearDouble(_Legs):
     """disc = 0, or an exponent past _ALPHA_MAX: the legs in w by Gauss-Legendre quadrature.
 
     With c = (r1 + r2)/2 and delta = D/2, w = ln((p - r1)/(p - r2))/D
@@ -466,18 +475,16 @@ class _NearDouble:
     (``_integral``).
     """
 
-    def __init__(self, km: float, kp: float, u: float, v: float):
+    def __init__(self, km: float, kp: float, u: float, v: float, g1: float, g2: float):
         if km == kp == 0.0:
             raise DomainError("A = B = 0 has no root to end at")
-        D = kp - km
-        g1, g2, Du2 = v + kp * u * u, v + km * u * u, D * u * u
-        self.D, self.delta, self.lam = D, 0.5 * D, -0.25 * (km + kp)  # lam = c/2
-        self.r1, self.r2 = -kp, -km
-        self.between = g2 < 0.0
-        self.blows = km < 0.0  # r2's exponent
-        if self.between:
-            self.w0, self.log_z0, self.crosses = (math.log(g1) - math.log(-g2)) / D, -math.log(u), False
+        super().__init__(km, kp, u, g2)
+        D = self.D
+        self.delta, self.lam = 0.5 * D, -0.25 * (km + kp)  # lam = c/2
+        if not self.above:
+            self.w0, self.log_z0 = (math.log(g1) - math.log(-g2)) / D, -math.log(u)
             return
+        Du2 = D * u * u
         y = Du2 / g2  # 1 + y = g1/g2 = (p - r1)/(p - r2)
         if y == 0.0:
             q0 = 1.0 / g2
@@ -486,7 +493,6 @@ class _NearDouble:
         self.s0 = math.sqrt(q0) * abs(u)  # w0 = q0 u^2 and s0 = sqrt(w0), both 0 at u = 0
         self.log_p0 = 0.5 * math.log(q0) + 0.5 * _log_shc(self.delta * self.s0 * self.s0)  # ln(|z0| sqrt R(w0))
         self.start = (u, v, g1) if self.s0 > 0.0 else None  # u0, v0 and u0^2 (p0 - r1), for u' near p0
-        self.crosses = u < 0.0
 
     def _log_f(self, e: float) -> float:
         """ln F at s = s0 + e above r2; e, not s, carries the precision near the start."""
@@ -516,7 +522,7 @@ class _NearDouble:
             return 0.0
         lam = self.lam
         rate = abs(lam) - 0.5 * self.delta
-        if self.between:
+        if not self.above:
             a, b = (a, min(b, a + 50.0 / rate)) if lam > 0.0 else (max(a, b - 50.0 / rate), b)
         elif lam > 0.0:
             s, c = self.s0 + a, 50.0 / lam
@@ -525,7 +531,7 @@ class _NearDouble:
             s, c = self.s0 + b, 50.0 / rate
             a = max(a, b - c / (s + math.sqrt(max(0.0, s * s - c))))
         if a < b:
-            log_f = self._log_g if self.between else self._log_f
+            log_f = self._log_f if self.above else self._log_g
             return _integral(lambda x: math.exp(log_f(x)), a, b)
         return 0.0 if lam > 0.0 else math.inf
 
@@ -533,16 +539,10 @@ class _NearDouble:
     def cross(self) -> float:
         return self._span(-self.s0, 0.0) if self.crosses else 0.0
 
-    def _time(self, x: float) -> float:
-        """The time from the start to e = x on the final leg (above r2) or to omega = x (between)."""
-        if self.between:
-            return self._span(0.0, x)
-        return self.cross + self._span(-self.s0 if self.crosses else 0.0, x)
-
     @cached_property
     def end(self) -> float:
         """The time from the start to the end of the direction, which ``state`` takes the time left from."""
-        return self._time(math.inf)
+        return self.cross + self._span(-self.s0 if self.crosses else 0.0, math.inf)
 
     def escape(self) -> float:
         return self.end
@@ -553,13 +553,13 @@ class _NearDouble:
             twin = copy.copy(self)
             twin.__dict__.pop("cross", None)
             twin.__dict__.pop("end", None)
-            if self.between:
-                twin.log_z0 -= shift * _LN2
-            else:
+            if self.above:
                 twin.log_p0 -= shift * _LN2
                 twin.start = None  # u' from p0 in the frame's scale only, as on the beta legs
+            else:
+                twin.log_z0 -= shift * _LN2
             return twin.state(t)
-        if self.between:
+        if not self.above:
             return self._state_between(self._rise(t))
         if not self.crosses:
             return self._state_outside(self._rise(t), 1.0)

@@ -26,7 +26,6 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .elliptic import F_half
 from .errors import DomainError, NonFiniteError, StageSolveFailure
 from .exact import escape_time
 from .model import OdeParams, State
@@ -43,7 +42,6 @@ __all__ = [
     "step_gauss6",
     "integrate",
     "estimate_blowup_time",
-    "quadrature_blowup_time",
 ]
 
 
@@ -353,7 +351,7 @@ def _gauss6_attempt(
     so where KF tol <= R the attempt is the one at tol = 0.  It returns
     (dfu, dfv, du, dv, stages), stages the nine converged stage
     accelerations of the three solves and f and f_mid.  With full_only the
-    full step alone is solved and (du, dv, F1, F2, F3) returned.  The
+    full step alone is solved and (du, dv) returned, as by RK4's.  The
     tableau and the half-seed weights W_ij = _HALF_SEEDS[i][j] are bound as
     default arguments, which read as locals.
     """
@@ -444,7 +442,7 @@ def _gauss6_attempt(
             raise NonFiniteError("stage value overflowed")
         if solve == 0:
             if full_only:
-                return du, dv, F1, F2, F3
+                return du, dv
             dfu, dfv = du, dv
             P1, P2, P3 = F1, F2, F3
             if seeded:
@@ -482,8 +480,7 @@ def _rk4_increment(A: float, B: float, u: float, v: float, h: float) -> tuple[fl
 
 def _gauss6_increment(A: float, B: float, u: float, v: float, h: float) -> tuple[float, float]:
     """State increment of one Gauss6 step: the attempt's full step alone, at tol = 0."""
-    du, dv, _, _, _ = _gauss6_attempt(A, B, u, v, h, 0.0, None, True)
-    return du, dv
+    return _gauss6_attempt(A, B, u, v, h, 0.0, None, True)
 
 
 def _step(increment, p: OdeParams, s: State, h: float) -> State:
@@ -567,7 +564,8 @@ def _march(p: OdeParams, s0: State, kind: IntegratorKind, opts: IntegrateOptions
             end = "max_steps"
             break
         # h = min(h, h_cap/|u|, h_max, t_end - t); 1/|u| is the natural
-        # time scale near blow-up
+        # time scale near blow-up.  hc, the cap, is taken wherever |u| > 1,
+        # and the seed and carry tests below compare h with it
         if uabs > 1.0 and (hc := h_cap / uabs) < h:
             h = hc
         if h_max < h:
@@ -580,7 +578,7 @@ def _march(p: OdeParams, s0: State, kind: IntegratorKind, opts: IntegrateOptions
         # two cap-bound steps in a row whose starts share the shape u'/u^2:
         # this one is the last one's image under u(t) -> lam u(lam t)
         prev = None
-        if carry is not None and uabs > 1.0 and h == h_cap / uabs:
+        if carry is not None and uabs > 1.0 and h == hc:
             up, vp, stages = carry
             if vp != 0.0:
                 q = up / u
@@ -601,7 +599,7 @@ def _march(p: OdeParams, s0: State, kind: IntegratorKind, opts: IntegrateOptions
             h *= f if f > 0.2 else 0.2
             continue
         if stages is not None:  # Gauss6: carry the stages of a step the cap set
-            carry = (u, v, stages) if uabs > 1.0 and h == h_cap / uabs else None
+            carry = (u, v, stages) if uabs > 1.0 and h == hc else None
         # u += du, v += dv, t += h, each compensated
         yu, yv, yt = du - cu, dv - cv, h - ct
         su, sv, st = u + yu, v + yv, t + yt
@@ -642,50 +640,3 @@ def estimate_blowup_time(traj: Trajectory) -> float:
     if term.t_estimate is None:
         raise DomainError("no exact blow-up time: disc < 0, or the last state's direction is global")
     return term.t_estimate
-
-
-def quadrature_blowup_time(Acoef: float, C: float, a: float) -> float:
-    """T = integral_a^inf dv / sqrt(Acoef v^4 + C).
-
-    This is the escape time of v' = sqrt(Acoef v^4 + C) from v(0) = a.
-    A vanishing radicand at the left endpoint is allowed (integrable
-    inverse-square-root singularity); a radicand that turns negative
-    anywhere on [a, inf), a divergent integral (C = 0, a <= 0) or a
-    non-finite argument is a domain error.
-
-    With lam = (|C| / Acoef)^(1/4) and x = a / lam the radicand is
-    r_a = |C| (x^4 +- 1) and the integral is an incomplete elliptic
-    integral F(phi | 1/2) (DLMF 19.2), evaluated by elliptic.F_half:
-    integral_x^inf dy / sqrt(y^4 + 1) = F(2 atan(1/x) | 1/2) / 2 and
-    integral_x^inf dy / sqrt(y^4 - 1) = F(atan(sqrt 2 / sqrt(x^2 - 1)) | 1/2) / sqrt 2.
-    Both angles are formed from lam and a, never from a^4, so every finite
-    a past the turning point has a value.
-    """
-    if not (math.isfinite(Acoef) and math.isfinite(C) and math.isfinite(a)):
-        raise DomainError(f"arguments must be finite, got Acoef={Acoef}, C={C}, a={a}")
-    if Acoef <= 0:
-        raise DomainError("quartic coefficient must be positive")
-    if C == 0:
-        if a <= 0:
-            raise DomainError("escape integral diverges for C = 0 and a <= 0")
-        return 1.0 / (math.sqrt(Acoef) * a)
-    lam = (abs(C) / Acoef) ** 0.25  # the turning point v* when C < 0
-    if C > 0:  # atan(1/x) as atan2(lam, a): no overflow for any finite a
-        return lam / math.sqrt(C) * F_half(2.0 * math.atan2(lam, a)) / 2.0
-    x = a / lam
-    if -1.0 < x < 1.0:
-        raise DomainError("negative radicand at the left endpoint")
-    if x < 1.0:
-        raise DomainError("radicand vanishes inside the integration range")
-    if x < 2.0:
-        # near v*, x^2 - 1 = r_a / (|C| (x^2 + 1)) with r_a formed from a
-        # carries fewer roundings than x * x - 1; here a^4 < 16 |C| / Acoef
-        r_a = Acoef * a**4 + C
-        if r_a < 0:
-            raise DomainError("negative radicand at the left endpoint")
-        phi = math.atan2(math.sqrt(2.0), math.sqrt(r_a / (-C * (x * x + 1.0))))
-    else:
-        # sqrt 2 / sqrt(x^2 - 1) = sqrt 2 y / sqrt((1 - y)(1 + y)) with y = 1/x = lam/a <= 1/2
-        y = lam / a
-        phi = math.atan2(math.sqrt(2.0) * y, math.sqrt((1.0 - y) * (1.0 + y)))
-    return lam / math.sqrt(-C) * F_half(phi) / math.sqrt(2.0)

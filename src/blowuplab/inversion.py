@@ -211,7 +211,7 @@ class WLeg:
 
     def __init__(self, nd: _NearDouble, fall: bool, total: float | None = None):
         self.nd, self.fall, self.total, self.from_end = nd, fall, total, False
-        self.log_f, self.dlog_f = (nd._log_g, nd._dlog_g) if nd.between else (nd._log_f, nd._dlog_f)
+        self.log_f, self.dlog_f = (nd._log_f, nd._dlog_f) if nd.above else (nd._log_g, nd._dlog_g)
         self.kappa = max(1.0, 2.0 * abs(nd.lam) * nd.s0 * nd.s0) if fall else 1.0
         self.hi = 0.0 if fall else math.inf
         self.start = ((0.0, self.log_f(0.0)), 0.0)

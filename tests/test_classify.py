@@ -427,6 +427,23 @@ def test_underflowed_root_or_pole_gives_no_bound():
     assert classify(p, 1e-154, 0.0).kind == "stationary"
 
 
+def test_kind_where_the_end_exponent_underflows():
+    # at B > 0 tiny against A^2 the backward end root's exponent,
+    # k_plus/(2D) about B/A^2, underflows to 0, while k_plus > 0 still says
+    # that direction blows up, past floats; its image u -> -u(-t) does so
+    # forward.  (1, 0) also blows up forward, at t_bound, so no solution
+    # through (+-1, 0) is global
+    for A, B in ((1e10, 1e-310), (1e12, 1e-300), (1e8, 1e-315)):
+        p = params_from_coeffs(A, B)
+        assert escape_time(p, 1.0, 0.0, -1.0) == -math.inf, (A, B)
+        assert escape_time(p, -1.0, 0.0, 1.0) == math.inf, (A, B)
+        for u0 in (1.0, -1.0):
+            assert classify(p, u0, 0.0).kind == "no_global_solution", (A, B, u0)
+    p = params_from_coeffs(1e10, 1e-310)
+    for u0 in (1.0, -1.0):
+        assert classify(p, u0, 0.0).detail == {"t_bound": u0 * 7.605462390014768e-08}, u0
+
+
 def test_verify_tanh_verdict():
     v = classify(P4, 0.0, -1.0)
     check = verify_verdict(P4, 0.0, -1.0, v, horizon=5.0)
