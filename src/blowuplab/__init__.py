@@ -1,9 +1,10 @@
 """Numerical laboratory for the ODE family u'' = A u u' + B u^3.
 
-``import blowuplab`` loads no numpy: the eager modules import it where
-they build an array.  The leaf modules ``diagnostics``, ``closed_forms``
-and ``colehopf``, which no other module imports, load on first access to
-one of their names or to the module itself (PEP 562).
+``import blowuplab`` loads neither numpy nor ``dataclasses``: the eager
+modules import numpy where they build an array, and their records are
+slotted classes.  The leaf modules ``elliptic``, ``diagnostics``,
+``closed_forms`` and ``colehopf``, which no eager module imports, load on
+first access to one of their names or to the module itself (PEP 562).
 """
 
 import importlib
@@ -11,7 +12,6 @@ import importlib
 # eager: integrate and classify are also the names of functions exported
 # here, and importing a submodule binds its module over a lazily bound name
 from .classify import Verdict, VerdictCheck, classify, verify_verdict
-from .elliptic import F_half, K_agm, lemniscate_quarter_period, quadrature_blowup_time, sl
 from .errors import BlowupLabError, DomainError, Inconclusive, NonFiniteError, StageSolveFailure
 from .exact import period
 from .integrate import (
@@ -28,6 +28,7 @@ from .model import OdeParams, State, params_from_coeffs, params_from_dimension, 
 
 # exported name -> the leaf module that defines it
 _LAZY = {
+    **dict.fromkeys(("F_half", "K_agm", "lemniscate_quarter_period", "quadrature_blowup_time", "sl"), "elliptic"),
     **dict.fromkeys(("Lemniscatic", "eval_closed_form"), "closed_forms"),
     **dict.fromkeys(("ProfileF", "eq0_residual_fd", "eq0_residual_from_u", "reconstruct_f"), "colehopf"),
     **dict.fromkeys(("DiagnosticsReport", "check_gk_identity", "cumulative_u_integral", "diagnostics_report",
@@ -36,7 +37,6 @@ _LAZY = {
 
 __all__ = [
     "Verdict", "VerdictCheck", "classify", "verify_verdict",
-    "F_half", "K_agm", "lemniscate_quarter_period", "quadrature_blowup_time", "sl",
     "BlowupLabError", "DomainError", "Inconclusive", "NonFiniteError", "StageSolveFailure",
     "period",
     "IntegrateOptions", "IntegratorKind", "Termination", "Trajectory", "estimate_blowup_time", "integrate",

@@ -12,12 +12,11 @@ exact times and states of ``exact``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, Inconclusive
 from .exact import escape_time, parabola_pole, state_at
 from .integrate import IntegrateOptions, IntegratorKind, _march
-from .model import OdeParams, State
+from .model import OdeParams, State, _Record, _set
 
 __all__ = ["Verdict", "VerdictCheck", "classify", "verify_verdict"]
 
@@ -30,11 +29,13 @@ NO_GLOBAL = "no_global_solution"
 UNCLASSIFIED = "unclassified"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str
-    basis: str
-    detail: dict | None = None
+class Verdict(_Record):
+    __slots__ = ("kind", "basis", "detail")
+
+    def __init__(self, kind: str, basis: str, detail: dict | None = None):
+        _set(self, "kind", kind)
+        _set(self, "basis", basis)
+        _set(self, "detail", detail)
 
 
 def classify(p: OdeParams, u0: float, v0: float) -> Verdict:
@@ -67,8 +68,7 @@ def classify(p: OdeParams, u0: float, v0: float) -> Verdict:
 # numeric confirmation
 
 
-@dataclass(frozen=True)
-class VerdictCheck:
+class VerdictCheck(_Record):
     """The outcome of ``verify_verdict``.
 
     ``t_blow_forward`` and ``t_blow_backward`` are each run's last time plus
@@ -78,11 +78,15 @@ class VerdictCheck:
     the verdict needed none.
     """
 
-    passed: bool
-    reason: str
-    t_blow_forward: float | None = None
-    t_blow_backward: float | None = None
-    max_abs_u: float | None = None
+    __slots__ = ("passed", "reason", "t_blow_forward", "t_blow_backward", "max_abs_u")
+
+    def __init__(self, passed: bool, reason: str, t_blow_forward: float | None = None,
+                 t_blow_backward: float | None = None, max_abs_u: float | None = None):
+        _set(self, "passed", passed)
+        _set(self, "reason", reason)
+        _set(self, "t_blow_forward", t_blow_forward)
+        _set(self, "t_blow_backward", t_blow_backward)
+        _set(self, "max_abs_u", max_abs_u)
 
 
 # A run stops at |u| = 1e3 and adds the exact remainder.  The gates are about

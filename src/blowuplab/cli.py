@@ -7,7 +7,9 @@ Four subcommands: ``integrate`` (one trajectory as CSV + JSON sidecar),
 with 17 significant digits so files round-trip exactly; identical
 arguments produce byte-identical output.  Every subcommand runs without
 numpy: trajectories are read as the driver's flat rows of Python floats,
-and grids and the ``sl`` table's times come from ``_linspace``.
+and grids and the ``sl`` table's times come from ``_linspace``.  None
+loads ``dataclasses``: the sidecars take the records' fields from their
+``_asdict()``.  ``elliptic`` loads its module only for its own subcommand.
 
 Exit codes: 0 success, 1 verification or inconclusive-integration
 failure, 2 usage error.
@@ -22,10 +24,8 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, replace
 
 from .classify import classify, verify_verdict
-from .elliptic import K_agm, lemniscate_quarter_period, sl
 from .errors import BlowupLabError, Inconclusive
 from .integrate import IntegrateOptions, IntegratorKind, _march
 from .model import OdeParams, State, params_from_coeffs, params_from_dimension
@@ -175,12 +175,12 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 
     verdict = classify(p, args.u0, args.v0)
     payload = {
-        "params": asdict(p),
+        "params": p._asdict(),
         "initial": {"t": args.t0, "u": args.u0, "du": args.v0},
         "integrator": kind.value,
-        "termination": asdict(termination),
+        "termination": termination._asdict(),
         "blowup_estimate": termination.t_estimate,
-        "verdict": asdict(verdict),
+        "verdict": verdict._asdict(),
         "n_steps": n_steps,
     }
     _write_json(sidecar, payload)
@@ -194,12 +194,13 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 # portrait
 
 
-def _portrait_one(p: OdeParams, opts: IntegrateOptions, task: tuple[int, float, float]) -> list[tuple]:
-    """Rows of trajectory ``idx`` from (u0, v0), forward to opts.t_end and backward to its negative."""
+def _portrait_one(p: OdeParams, fwd: IntegrateOptions, bwd: IntegrateOptions,
+                  task: tuple[int, float, float]) -> list[tuple]:
+    """Rows of trajectory ``idx`` from (u0, v0), forward under ``fwd`` and backward under ``bwd``."""
     idx, u0, v0 = task
     rows = []
-    for branch, t_end in (("fwd", opts.t_end), ("bwd", -opts.t_end)):
-        states, _, termination = _march(p, State(0.0, u0, v0), IntegratorKind.RK4, replace(opts, t_end=t_end))
+    for branch, opts in (("fwd", fwd), ("bwd", bwd)):
+        states, _, termination = _march(p, State(0.0, u0, v0), IntegratorKind.RK4, opts)
         kind = termination.kind
         rows += [(idx, branch, t, u, v, kind) for t, u, v in zip(states[0::4], states[1::4], states[2::4])]
     return rows
@@ -214,10 +215,11 @@ def cmd_portrait(args: argparse.Namespace) -> int:
     sidecar = _sidecar_path(args.out)
     p = _params_from_args(args)
     u_grid, v_grid = _parse_grid(args.grid[0]), _parse_grid(args.grid[1])
-    opts = IntegrateOptions(
-        t_end=args.horizon, blowup_threshold=args.blowup_threshold, record_every=args.record_every
+    fwd, bwd = (
+        IntegrateOptions(t_end=t_end, blowup_threshold=args.blowup_threshold, record_every=args.record_every)
+        for t_end in (args.horizon, -args.horizon)
     )
-    run = functools.partial(_portrait_one, p, opts)
+    run = functools.partial(_portrait_one, p, fwd, bwd)
     tasks = [(idx, u0, v0) for idx, (u0, v0) in enumerate(itertools.product(u_grid, v_grid))]
 
     # 16 points a worker: on 2 CPUs serial won on 3x3 grids, 4x4 and 5x5 were
@@ -240,7 +242,7 @@ def cmd_portrait(args: argparse.Namespace) -> int:
                 fh.write(f"{idx},{branch},{_fmt(t)},{_fmt(u)},{_fmt(v)},{kind}\n")
 
     manifest = {
-        "params": asdict(p),
+        "params": p._asdict(),
         "grid": {"u": u_grid, "du": v_grid},
         "horizon": args.horizon,
         "n_trajectories": len(tasks),
@@ -294,6 +296,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_elliptic(args: argparse.Namespace) -> int:
+    from .elliptic import K_agm, lemniscate_quarter_period, sl
+
     did_something = False
     if args.quarter_period:
         print(_fmt(lemniscate_quarter_period()))

@@ -11,12 +11,11 @@ build arrays, so the scalar energy and g_k run without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .integrate import Trajectory
-from .model import OdeParams, State, is_characteristic_root, rhs
+from .model import OdeParams, State, _Record, _set, is_characteristic_root, rhs
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,10 +45,12 @@ def g_k(s: State, k: complex) -> complex:
     return s.v + k * s.u * s.u
 
 
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    gk_identity_residual_max: float
-    energy_drift_rel: float  # meaningful only when A = 0
+class DiagnosticsReport(_Record):
+    __slots__ = ("gk_identity_residual_max", "energy_drift_rel")
+
+    def __init__(self, gk_identity_residual_max: float, energy_drift_rel: float):
+        _set(self, "gk_identity_residual_max", gk_identity_residual_max)
+        _set(self, "energy_drift_rel", energy_drift_rel)  # meaningful only when A = 0
 
 
 def cumulative_u_integral(p: OdeParams, traj: Trajectory) -> np.ndarray:

@@ -23,12 +23,11 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, NonFiniteError, StageSolveFailure
 from .exact import escape_time
-from .model import OdeParams, State
+from .model import OdeParams, State, _Record, _set
 
 if TYPE_CHECKING:
     import numpy as np
@@ -50,69 +49,81 @@ class IntegratorKind(enum.Enum):
     GAUSS6 = "gauss6"
 
 
-@dataclass(frozen=True)
-class IntegrateOptions:
+class IntegrateOptions(_Record):
     """Driver parameters; t_end finite, all thresholds positive and finite, both counts ints >= 1."""
 
-    h0: float = 1e-3
-    t_end: float = 1.0
-    blowup_threshold: float = 1e8
-    local_tol: float = 1e-10
-    h_min: float = 1e-14
-    max_steps: int = 10**7
-    record_every: int = 1
-    h_cap_factor: float = 0.1  # step cap h <= h_cap_factor/|u| near blow-up
-    h_max: float | None = None  # optional global step-size ceiling
+    __slots__ = ("h0", "t_end", "blowup_threshold", "local_tol", "h_min", "max_steps", "record_every",
+                 "h_cap_factor", "h_max")
 
-    def __post_init__(self):
-        positive = (self.h0, self.blowup_threshold, self.local_tol, self.h_min, self.h_cap_factor)
+    def __init__(self, h0: float = 1e-3, t_end: float = 1.0, blowup_threshold: float = 1e8, local_tol: float = 1e-10,
+                 h_min: float = 1e-14, max_steps: int = 10**7, record_every: int = 1, h_cap_factor: float = 0.1,
+                 h_max: float | None = None):
+        positive = (h0, blowup_threshold, local_tol, h_min, h_cap_factor)
         if not all(0.0 < x < math.inf for x in positive):  # false for NaN too
             raise DomainError("h0, blowup_threshold, local_tol, h_min, h_cap_factor must be positive and finite")
-        if self.h_max is not None and not 0.0 < self.h_max < math.inf:
+        if h_max is not None and not 0.0 < h_max < math.inf:
             raise DomainError("h_max must be positive and finite when given")
-        if not math.isfinite(self.t_end):
+        if not math.isfinite(t_end):
             raise DomainError("t_end must be finite")
-        counts = (self.max_steps, self.record_every)
+        counts = (max_steps, record_every)
         if not all(isinstance(n, int) and not isinstance(n, bool) for n in counts):
             raise DomainError("max_steps and record_every must be ints")
-        if self.max_steps < 1 or self.record_every < 1:
+        if max_steps < 1 or record_every < 1:
             raise DomainError("max_steps and record_every must be >= 1")
+        _set(self, "h0", h0)
+        _set(self, "t_end", t_end)
+        _set(self, "blowup_threshold", blowup_threshold)
+        _set(self, "local_tol", local_tol)
+        _set(self, "h_min", h_min)
+        _set(self, "max_steps", max_steps)
+        _set(self, "record_every", record_every)
+        _set(self, "h_cap_factor", h_cap_factor)  # step cap h <= h_cap_factor/|u| near blow-up
+        _set(self, "h_max", h_max)  # optional global step-size ceiling
 
 
-@dataclass(frozen=True)
-class Termination:
+class Termination(_Record):
     """How a run ended: Completed, BlowUp, StepUnderflow or MaxSteps."""
 
-    kind: str  # "completed" | "blowup" | "step_underflow" | "max_steps"
-    # the last time plus the exact remaining time from the last state, for every
-    # kind of end; None where disc < 0 or the exact rule calls the direction from
-    # the last state global (at a blow-up, separatrix rounding)
-    t_estimate: float | None = None
-    direction: int | None = None  # +1 forward in t, -1 backward
-    t_last: float | None = None
+    __slots__ = ("kind", "t_estimate", "direction", "t_last")
+
+    def __init__(self, kind: str, t_estimate: float | None = None, direction: int | None = None,
+                 t_last: float | None = None):
+        _set(self, "kind", kind)  # "completed" | "blowup" | "step_underflow" | "max_steps"
+        # the last time plus the exact remaining time from the last state, for every
+        # kind of end; None where disc < 0 or the exact rule calls the direction from
+        # the last state global (at a blow-up, separatrix rounding)
+        _set(self, "t_estimate", t_estimate)
+        _set(self, "direction", direction)  # +1 forward in t, -1 backward
+        _set(self, "t_last", t_last)
 
 
-@dataclass
-class Trajectory:
-    params: OdeParams
-    # one row per recorded state, float64 fields t, u, v; a row reads like
-    # a State (row.t, row.u, row.v) and .t/.u/.v are views of the columns
-    states: np.recarray
-    termination: Termination
-    integrator: IntegratorKind
-    options: IntegrateOptions
-    n_steps: int = 0
-    # low-order residuals of the recorded times: the exact step-sum time
-    # of states[i] is t[i] - t_residual[i].  Recorded separately because
-    # a float64 time stamp alone cannot resolve steps of size ~1e-5 near
-    # blow-up to the accuracy the exponential g_k diagnostic needs.
-    t_residual: np.ndarray | None = None  # None means all zeros
+class Trajectory(_Record):
+    """A run's recorded states; unlike the other records, mutable and unhashable."""
 
-    def __post_init__(self):
-        if self.t_residual is None:
+    __slots__ = ("params", "states", "termination", "integrator", "options", "n_steps", "t_residual")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, params: OdeParams, states: np.recarray, termination: Termination, integrator: IntegratorKind,
+                 options: IntegrateOptions, n_steps: int = 0, t_residual: np.ndarray | None = None):
+        if t_residual is None:  # all zeros
             import numpy as np
 
-            self.t_residual = np.zeros(len(self.states))
+            t_residual = np.zeros(len(states))
+        self.params = params
+        # one row per recorded state, float64 fields t, u, v; a row reads like
+        # a State (row.t, row.u, row.v) and .t/.u/.v are views of the columns
+        self.states = states
+        self.termination = termination
+        self.integrator = integrator
+        self.options = options
+        self.n_steps = n_steps
+        # low-order residuals of the recorded times: the exact step-sum time
+        # of states[i] is t[i] - t_residual[i].  Recorded separately because
+        # a float64 time stamp alone cannot resolve steps of size ~1e-5 near
+        # blow-up to the accuracy the exponential g_k diagnostic needs.
+        self.t_residual = t_residual
 
     @property
     def t(self) -> np.ndarray:

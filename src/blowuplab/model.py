@@ -8,15 +8,65 @@ portrait (the parabolas u' = -k u^2 are invariant manifolds).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import DomainError, NonFiniteError
 
 __all__ = ["OdeParams", "State", "params_from_dimension", "params_from_coeffs", "is_characteristic_root", "rhs"]
 
+_set = object.__setattr__  # how a record's constructor writes its fields
 
-@dataclass(frozen=True)
-class OdeParams:
+
+def _restore(cls, values):
+    """The record of type ``cls`` with these field values, its constructor bypassed, as unpickling restores it."""
+    self = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        _set(self, name, value)
+    return self
+
+
+class _Record:
+    """Base of the record types: fields in ``__slots__``, immutable and hashable.
+
+    It behaves as a frozen dataclass without loading ``dataclasses``:
+    field-wise ``==`` between records of one type, the same ``hash`` and
+    ``repr`` text, and ``AttributeError`` on assignment or deletion.
+    ``_asdict`` gives the fields in order.  A subclass sets its fields with
+    ``_set``; a mutable one puts back ``object``'s ``__setattr__`` and
+    ``__delattr__`` and sets ``__hash__`` to None.
+    """
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # a slotted object's default state is restored through __setattr__
+        return _restore, (type(self), self._astuple())
+
+
+class OdeParams(_Record):
     """Coefficients of u'' = A u u' + B u^3 with derived quantities.
 
     ``disc`` is A^2 + 8B, the discriminant of 2k^2 + A k - B = 0.
@@ -25,15 +75,9 @@ class OdeParams:
     The derived fields are computed, never passed.
     """
 
-    A: float
-    B: float
-    m: float | None = None
-    disc: float = field(init=False)
-    k_minus: float | None = field(init=False)
-    k_plus: float | None = field(init=False)
+    __slots__ = ("A", "B", "m", "disc", "k_minus", "k_plus")
 
-    def __post_init__(self):
-        A, B = self.A, self.B
+    def __init__(self, A: float, B: float, m: float | None = None):
         if not (math.isfinite(A) and math.isfinite(B)):
             raise DomainError(f"coefficients must be finite, got A={A}, B={B}")
         # A A's rounding error (Veltkamp's split at 2^27 + 1, Dekker's product; math.fma needs
@@ -57,21 +101,25 @@ class OdeParams:
                 else:
                     k1 = (-B / 2.0) / k2
             k_minus, k_plus = min(k1, k2), max(k1, k2)
-        for name, value in (("disc", disc), ("k_minus", k_minus), ("k_plus", k_plus)):
-            object.__setattr__(self, name, value)
+        _set(self, "A", A)
+        _set(self, "B", B)
+        _set(self, "m", m)
+        _set(self, "disc", disc)
+        _set(self, "k_minus", k_minus)
+        _set(self, "k_plus", k_plus)
 
 
-@dataclass(frozen=True)
-class State:
+class State(_Record):
     """A point (t, u, u') in extended phase space.  All fields finite."""
 
-    t: float
-    u: float
-    v: float
+    __slots__ = ("t", "u", "v")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.t) and math.isfinite(self.u) and math.isfinite(self.v)):
-            raise NonFiniteError(f"non-finite state ({self.t}, {self.u}, {self.v})")
+    def __init__(self, t: float, u: float, v: float):
+        if not (math.isfinite(t) and math.isfinite(u) and math.isfinite(v)):
+            raise NonFiniteError(f"non-finite state ({t}, {u}, {v})")
+        _set(self, "t", t)
+        _set(self, "u", u)
+        _set(self, "v", v)
 
 
 def params_from_dimension(m: float) -> OdeParams:

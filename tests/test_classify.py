@@ -2,7 +2,6 @@ import hashlib
 import importlib
 import math
 import time
-from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -515,7 +514,7 @@ def test_verify_exact_parabola_bound_past_the_horizon():
 def test_verify_rejects_bound_below_blowup_time():
     for p, u0, v0 in ((P5, -2.0, -2.0 / 3.0), (P5, 2.0, -2.0 / 3.0), (P3, 2.0, 2.0), (P3, -2.0, 2.0)):
         v = classify(p, u0, v0)
-        shrunk = replace(v, detail={"t_bound": v.detail["t_bound"] * (1.0 - 1e-6)})
+        shrunk = Verdict(v.kind, v.basis, {"t_bound": v.detail["t_bound"] * (1.0 - 1e-6)})
         assert not verify_verdict(p, u0, v0, shrunk, horizon=50.0).passed
 
 

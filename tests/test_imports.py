@@ -84,6 +84,53 @@ def test_inversion_loads_on_the_first_state_at():
     assert json.loads(proc.stdout) == [["blowup", True], False, True]
 
 
+# the record types are slotted classes, so no subcommand loads dataclasses
+# (and with it inspect, ast and dis); integrate, classify and portrait leave
+# the elliptic module unloaded too
+NO_DATACLASSES_PROBE = """
+import contextlib, io, json, os, sys, tempfile
+import blowuplab, blowuplab.cli
+WATCHED = ("dataclasses", "inspect", "blowuplab.elliptic")
+RUNS = [  # (name, argv)
+    ("integrate rk4", ["integrate", "--m", "5", "--u0", "0.5", "--v0", "-0.3", "--t-end", "5", "--out", "rk4.csv"]),
+    ("integrate gauss6", ["integrate", "--m", "9", "--u0", "-0.5", "--v0", "1", "--t-end", "-20",
+                          "--integrator", "gauss6", "--out", "gauss6.csv"]),
+    ("classify --verify", ["classify", "--m", "5", "--grid", "-2:2:4", "-2:2:4", "--verify", "--out", "classify.csv"]),
+    ("portrait 3x3", ["portrait", "--m", "8", "--grid", "-1:1:3", "-1:1:3", "--horizon", "3", "--out", "portrait.csv"]),
+    ("elliptic --sl", ["elliptic", "--sl", "--t=0.5"]),
+    ("elliptic --table", ["elliptic", "--table", "--n", "33", "--out", "sl.csv"]),
+]
+report = {"import blowuplab": [m for m in WATCHED if m in sys.modules]}
+home = os.getcwd()
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    os.chdir(tmp)
+    for name, argv in RUNS:
+        report[name] = [blowuplab.cli.main(argv), *(m for m in WATCHED if m in sys.modules)]
+    report["files"] = sorted(os.listdir())
+    os.chdir(home)
+print(json.dumps(report))
+"""
+
+
+def test_no_subcommand_loads_dataclasses():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", NO_DATACLASSES_PROBE], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # each run's exit code, then the watched modules loaded after it
+    assert json.loads(proc.stdout) == {
+        "import blowuplab": [],
+        "integrate rk4": [0],
+        "integrate gauss6": [0],
+        "classify --verify": [0],
+        "portrait 3x3": [0],
+        "elliptic --sl": [0, "blowuplab.elliptic"],
+        "elliptic --table": [0, "blowuplab.elliptic"],
+        "files": ["classify.csv", "gauss6.csv", "gauss6.json", "portrait.csv", "portrait.json", "rk4.csv", "rk4.json",
+                  "sl.csv"],
+    }
+
+
 # numpy blocked as a missing install blocks it; the block is lifted at the
 # end, so every export can load.  integrate (RK4 forward, Gauss6 backward),
 # classify --verify, portrait (3x3 in-process and 6x6, which a machine of 2
